@@ -4,12 +4,12 @@ region-by-region assembly of eps(i zeta).
 Run:  python demos/dielectric_models.py
 """
 
+import numpy as np
 from scipy.constants import c
 
 from aucasimir import (DielectricModel, DrudeParameters, drude_eps_imag_axis,
                        drude_eps_real_axis, fit_drude,
-                       generate_synthetic_dataset, kk_epsilon, load_dataset,
-                       resistivity)
+                       generate_synthetic_dataset, load_dataset, resistivity)
 from aucasimir.config import package_data_dir
 
 # ------------------------------------------------------- Drude parameters
@@ -53,10 +53,17 @@ print(f"with omega_p held at 1.38e16, omega_tau compensates to "
 # parameters matter so much.
 ds = load_dataset(package_data_dir() / "gold_synthetic.csv")
 model = DielectricModel(p1, ds)
-dec = kk_epsilon(model, zeta)
+dec = model.decompose(zeta)
 print(f"\neps(i zeta) at zeta = c/2a, synthetic dataset:")
 print(f"  [0, omega0]       (Drude, analytic): {dec.eps1:8.3f}")
 print(f"  [omega0, omega1]  (data):            {dec.eps2_part:8.3f}")
 print(f"  [omega1, inf)     (data + tail):     {dec.eps3_part:8.3f}")
 print(f"  total eps(i zeta) = {dec.total:.3f}")
 print(f"pure-Drude value for comparison: {drude_eps_imag_axis(p1, zeta):.3f}")
+
+# the model takes whole arrays of zeta: one broadcast sum over the nodes of
+# its Kramers-Kronig rule, each element equal to the scalar call
+zetas = np.logspace(13, 17, 5)
+print("\nzeta [rad/s]   eps(i zeta)")
+for z, e in zip(zetas, model.epsilon(zetas)):
+    print(f"{z:12.3e}  {e:12.5g}")

@@ -15,7 +15,7 @@ from .analysis import (ExperimentRecord, ResidualReport, ResidualRow,
 from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,
                          EpsilonDecomposition, drude_eps_imag_axis,
                          drude_eps_real_axis, epsilon1_analytic, fit_drude,
-                         kk_epsilon, resistivity)
+                         resistivity)
 from .errors import ConfigError, ConvergenceError, DataFormatError
 from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        QuadratureSettings, ThermalState, classical_term,

@@ -121,14 +121,13 @@ def _zeta_grid(args):
 def cmd_epsilon(args) -> int:
     cfg = _require_config(args)
     _, drude, model = cfg.build_evaluator()
-    rows = []
-    for zeta in _zeta_grid(args):
-        if model is None:
-            eps1 = drude.epsilon(zeta) - 1.0
-            rows.append((zeta, eps1, 0.0, 0.0, 1.0 + eps1))
-        else:
-            dec = model.decompose(zeta, epsrel=cfg.kk_epsrel)
-            rows.append((zeta, dec.eps1, dec.eps2_part, dec.eps3_part, dec.total))
+    zetas = np.array(_zeta_grid(args))
+    if model is None:
+        eps1 = drude.epsilon(zetas) - 1.0
+        rows = [(z, e, 0.0, 0.0, 1.0 + e) for z, e in zip(zetas, eps1)]
+    else:
+        dec = model.decompose(zetas)
+        rows = list(zip(zetas, dec.eps1, dec.eps2_part, dec.eps3_part, dec.total))
     _emit(args, ("zeta_rad_s", "eps1", "eps2_part", "eps3_part", "total"), rows)
     return 0
 

@@ -61,7 +61,6 @@ class RunConfig:
     dataset_paths: tuple[Path, ...]
     boundaries: FrequencyBoundaries
     tail_exponent: float
-    kk_epsrel: float
     sphere_radius: float
     temperature: float
     prescription: str
@@ -85,21 +84,19 @@ class RunConfig:
                         omega_p_fixed=self.fit_fixed_omega_p)
         return fit.parameters
 
-    def build_evaluator(self) -> tuple[Callable[[float], float],
-                                       DrudeParameters,
+    def build_evaluator(self) -> tuple[Callable, DrudeParameters,
                                        DielectricModel | None]:
-        """(eps(i zeta) evaluator, Drude parameters, model or None)."""
+        """(eps(i zeta) evaluator, Drude parameters, model or None).
+
+        The evaluator takes a scalar or an array of zeta.
+        """
         dataset = self.load_dataset()
         drude = self.drude_parameters(dataset)
         if self.model_kind == "drude":
             return drude.epsilon, drude, None
         model = DielectricModel(drude, dataset, self.boundaries,
                                 self.tail_exponent)
-
-        def evaluator(zeta: float) -> float:
-            return model.epsilon(zeta, epsrel=self.kk_epsrel)
-
-        return evaluator, drude, model
+        return model.epsilon, drude, model
 
 
 def _get_float(cp, section, key, default=None):
@@ -115,7 +112,10 @@ def _get_float(cp, section, key, default=None):
 
 
 def _get_int(cp, section, key, default):
-    return int(_get_float(cp, section, key, float(default)))
+    value = _get_float(cp, section, key, float(default))
+    if not value.is_integer():
+        raise ConfigError(f"[{section}] {key}: not an integer: {value!r}")
+    return int(value)
 
 
 def _check_tolerance(name, value):
@@ -154,11 +154,15 @@ def load_run_config(path) -> RunConfig:
     if fit_raw:
         if len(fit_raw) != 2:
             raise ConfigError("[dielectric] fit_range needs two values (rad/s)")
-        fit_range = (float(fit_raw[0]), float(fit_raw[1]))
+        try:
+            fit_range = (float(fit_raw[0]), float(fit_raw[1]))
+        except ValueError:
+            raise ConfigError(f"[dielectric] fit_range: not a number: "
+                              f"{' '.join(fit_raw)!r}") from None
         if not 0 < fit_range[0] < fit_range[1]:
             raise ConfigError("[dielectric] fit_range must be 0 < lo < hi")
     fixed_raw = cp.get("dielectric", "fit_fixed_omega_p", fallback="").strip()
-    fit_fixed = float(fixed_raw) if fixed_raw else None
+    fit_fixed = _get_float(cp, "dielectric", "fit_fixed_omega_p") if fixed_raw else None
 
     has_params = cp.has_option("dielectric", "omega_p")
     if has_params:
@@ -178,8 +182,6 @@ def load_run_config(path) -> RunConfig:
     tail_exponent = _get_float(cp, "dielectric", "tail_exponent", 3.0)
     if tail_exponent <= 1:
         raise ConfigError("[dielectric] tail_exponent must exceed 1")
-    kk_epsrel = _get_float(cp, "dielectric", "kk_epsrel", 1e-9)
-    _check_tolerance("[dielectric] kk_epsrel", kk_epsrel)
 
     sphere_radius = _get_float(cp, "geometry", "sphere_radius") \
         if cp.has_section("geometry") else None
@@ -229,6 +231,6 @@ def load_run_config(path) -> RunConfig:
     return RunConfig(model_kind=model_kind, drude=drude, fit_range=fit_range,
                      fit_fixed_omega_p=fit_fixed, dataset_paths=dataset_paths,
                      boundaries=boundaries, tail_exponent=tail_exponent,
-                     kk_epsrel=kk_epsrel, sphere_radius=sphere_radius,
+                     sphere_radius=sphere_radius,
                      temperature=temperature, prescription=prescription,
                      settings=settings)

@@ -11,6 +11,12 @@ three spectral regions of the dispersion relation
                     numerically with log-log interpolation,
   * above omega_max : a power-law tail eps'' ~ omega^(-tail_exponent).
 
+The numerical regions use a fixed Gauss-Legendre rule in ln omega that
+`DielectricModel` builds once, so eps(i zeta) for any number of zeta values
+is one broadcast sum over the nodes.  Every eps evaluator here takes a
+scalar or an array of zeta; an array element equals the scalar call
+bit for bit.
+
 The low-frequency Drude parameters dominate the result and are either given
 directly or fitted to the data (`fit_drude`).
 """
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 from scipy.constants import epsilon_0
+from scipy.special import hyp2f1
 
-from ._quadrature import checked_quad
 from .errors import ConvergenceError
 from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolate_eps2
 
@@ -34,6 +40,37 @@ _OHM_M_TO_UOHM_CM = 1e8
 #: relative distance from zeta = omega_tau below which the removable
 #: singularity in epsilon1_analytic is evaluated by series expansion
 _SINGULAR_SWITCH = 1e-4
+
+#: Gauss-Legendre nodes per panel of the dispersion integral
+_ORDER = 16
+#: widest panel in ln omega; the integrand's nearest complex singularity
+#: (the Lorentzian pole) lies pi/2 off the real ln-omega axis, so a 16-node
+#: rule on this width is exact to rounding
+_PANEL_WIDTH = 0.25
+#: the power-law tail is integrated on panels down to t = omega_max/omega =
+#: _TAIL_T_MIN and in closed form below it
+_TAIL_T_MIN = 1e-6
+#: zeta values per block of the broadcast sum, to bound its temporary array
+_BLOCK = 256
+
+
+def _positive_zeta(zeta):
+    """zeta as a Python float (scalar input) or a float array.
+
+    Every element must be positive.  Scalars stay Python floats because
+    the evaluators run in the per-frequency loops of `lifshitz`, where
+    numpy's per-call cost would dominate; the arithmetic is the same
+    IEEE operations either way, so array elements equal scalar results.
+    """
+    z = np.asarray(zeta, dtype=float)
+    if z.ndim == 0:
+        z = float(z)
+        positive = z > 0
+    else:
+        positive = (z > 0).all()
+    if not positive:
+        raise ValueError("zeta must be positive (static limit is singular)")
+    return z
 
 
 @dataclass(frozen=True)
@@ -57,8 +94,8 @@ class DrudeParameters:
         rho_si = rho_micro_ohm_cm / _OHM_M_TO_UOHM_CM
         return cls(omega_p, rho_si * epsilon_0 * omega_p**2)
 
-    def epsilon(self, zeta: float) -> float:
-        """eps(i zeta) for this pure Drude model (imaginary-axis evaluator)."""
+    def epsilon(self, zeta):
+        """eps(i zeta) for this pure Drude model; zeta scalar or array."""
         return drude_eps_imag_axis(self, zeta)
 
 
@@ -69,11 +106,13 @@ def drude_eps_real_axis(p: DrudeParameters, omega: float) -> complex:
     return 1.0 - p.omega_p**2 / (omega * (omega + 1j * p.omega_tau))
 
 
-def drude_eps_imag_axis(p: DrudeParameters, zeta: float) -> float:
-    """Drude dielectric function at imaginary frequency: 1 + omega_p^2/(zeta(zeta + omega_tau))."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive (static limit is singular)")
-    return 1.0 + p.omega_p**2 / (zeta * (zeta + p.omega_tau))
+def drude_eps_imag_axis(p: DrudeParameters, zeta):
+    """Drude dielectric function at imaginary frequency: 1 + omega_p^2/(zeta(zeta + omega_tau)).
+
+    `zeta` may be a scalar or an array.
+    """
+    z = _positive_zeta(zeta)
+    return 1.0 + p.omega_p**2 / (z * (z + p.omega_tau))
 
 
 def resistivity(p: DrudeParameters) -> float:
@@ -81,7 +120,7 @@ def resistivity(p: DrudeParameters) -> float:
     return p.omega_tau / (epsilon_0 * p.omega_p**2) * _OHM_M_TO_UOHM_CM
 
 
-def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta: float) -> float:
+def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     """Low-frequency Drude contribution to eps(i zeta) from [0, omega0].
 
     Closed form of the dispersion integral with the Drude eps'':
@@ -91,20 +130,20 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta: float) -> float:
 
     The point zeta = omega_tau is a removable singularity; near it the
     value is computed from a series expansion to keep full precision.
+    `zeta` may be a scalar or an array.
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
+    z = np.asarray(_positive_zeta(zeta))
     if omega0 < 0:
         raise ValueError("omega0 must be non-negative")
     if omega0 == 0.0:
-        return 0.0
+        return 0.0 if z.ndim == 0 else np.zeros_like(z)
     wt = p.omega_tau
     arctan_wt = math.atan(omega0 / wt)
 
-    t = zeta - wt
-    if abs(t) >= _SINGULAR_SWITCH * wt:
-        bracket = arctan_wt - (wt / zeta) * math.atan(omega0 / zeta)
-        return (2.0 / math.pi) * p.omega_p**2 / (zeta**2 - wt**2) * bracket
+    t = z - wt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = arctan_wt - (wt / z) * np.arctan(omega0 / z)
+        far = (2.0 / math.pi) * p.omega_p**2 / (z * z - wt**2) * bracket
 
     # Series around zeta = omega_tau.  With N(zeta) the bracket above and
     # D = zeta^2 - omega_tau^2, N(omega_tau) = 0, so
@@ -114,26 +153,51 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta: float) -> float:
     n2 = (-omega0 / (wt * w2)
           - 2.0 * arctan_wt / (wt * wt)
           - omega0 * (3.0 * wt * wt + omega0 * omega0) / (wt * w2 * w2))
-    ratio = (n1 + 0.5 * n2 * t) / (2.0 * wt + t)
-    return (2.0 / math.pi) * p.omega_p**2 * ratio
+    near = (2.0 / math.pi) * p.omega_p**2 * (n1 + 0.5 * n2 * t) / (2.0 * wt + t)
+    out = np.where(np.abs(t) >= _SINGULAR_SWITCH * wt, far, near)
+    return float(out) if z.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class EpsilonDecomposition:
-    """eps(i zeta) split by spectral origin; total = 1 + sum of the parts."""
+    """eps(i zeta) split by spectral origin; total = 1 + sum of the parts.
 
-    eps1: float       # analytic Drude segment, [0, omega0]
-    eps2_part: float  # tabulated data, [omega0, omega1]
-    eps3_part: float  # tabulated data above omega1 plus the power-law tail
+    The parts are floats for a scalar zeta and arrays of its shape for an
+    array of zeta.
+    """
+
+    eps1: float | np.ndarray       # analytic Drude segment, [0, omega0]
+    eps2_part: float | np.ndarray  # tabulated data, [omega0, omega1]
+    eps3_part: float | np.ndarray  # tabulated data above omega1 plus the power-law tail
 
     def __post_init__(self):
         for name in ("eps1", "eps2_part", "eps3_part"):
-            if not getattr(self, name) > 0:
+            if not np.all(getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
 
     @property
-    def total(self) -> float:
+    def total(self):
         return 1.0 + self.eps1 + self.eps2_part + self.eps3_part
+
+
+def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in omega and weights in ln omega of the _ORDER-node
+    Gauss-Legendre rule on every segment between consecutive `edges`.
+
+    A segment wider than _PANEL_WIDTH in ln omega is split into equal
+    panels; data nodes are segment edges, so the log-log interpolant is
+    smooth on every panel.
+    """
+    x, w = np.polynomial.legendre.leggauss(_ORDER)
+    ln_edges = np.log(edges)
+    nodes, weights = [], []
+    for lo, hi in zip(ln_edges[:-1], ln_edges[1:]):
+        cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
+        half = 0.5 * np.diff(cuts)[:, None]
+        mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+        nodes.append((mid + half * x).ravel())
+        weights.append((half * w).ravel())
+    return np.exp(np.concatenate(nodes)), np.concatenate(weights)
 
 
 @dataclass(frozen=True)
@@ -144,6 +208,18 @@ class DielectricModel:
     extended as a power law with the given exponent (must exceed 1 so the
     dispersion integral converges; the true Drude tail falls off as
     omega^-3).
+
+    The dispersion integral of the data and the tail,
+
+        (2/pi) int omega^2 eps''(omega) / (omega^2 + zeta^2) d ln omega,
+
+    is a fixed Gauss-Legendre rule in ln omega built once here:
+    _ORDER nodes on each panel of [max(omega0, omega_min), omega1] and
+    [omega1, omega_max] between data samples (wider segments split), and
+    on log-spaced panels of the tail in t = omega_max/omega over
+    [_TAIL_T_MIN, 1].  The tail below _TAIL_T_MIN is added in closed form.
+    The weights carry (2/pi) omega^2 eps''(omega), so eps(i zeta) is one
+    sum of weight / (omega^2 + zeta^2) per region.
     """
 
     drude: DrudeParameters
@@ -164,61 +240,63 @@ class DielectricModel:
             raise ValueError(
                 f"dataset ends at {self.dataset.omega_max:.4g}, below "
                 f"omega1={self.boundaries.omega1:.4g}")
+        self._build_rule()
 
-    def decompose(self, zeta: float, epsrel: float = 1e-9) -> EpsilonDecomposition:
-        return kk_epsilon(self, zeta, epsrel=epsrel)
+    def _build_rule(self) -> None:
+        ds, omega1, q = self.dataset, self.boundaries.omega1, self.tail_exponent
+        w_max, eps2_at_max = ds.omega_max, ds.eps2[-1]
+        # the validator tolerates data starting an ulp above omega0; the
+        # rule starts where the data do
+        lower = max(self.boundaries.omega0, ds.omega_min)
+        data = ds.omega
+        low_nodes, low_weights = _log_panels(np.concatenate(
+            ([lower], data[(data > lower) & (data < omega1)], [omega1])))
+        high_nodes, high_weights = _log_panels(np.concatenate(
+            ([omega1], data[(data > omega1) & (data < w_max)], [w_max])))
+        tail_nodes, tail_weights = _log_panels(np.array([w_max, w_max / _TAIL_T_MIN]))
 
-    def epsilon(self, zeta: float, epsrel: float = 1e-9) -> float:
-        return kk_epsilon(self, zeta, epsrel=epsrel).total
+        data_nodes = np.clip(np.concatenate((low_nodes, high_nodes)),
+                             ds.omega_min, w_max)
+        eps2 = np.concatenate((interpolate_eps2(ds, data_nodes),
+                               eps2_at_max * (w_max / tail_nodes)**q))
+        omega = np.concatenate((data_nodes, tail_nodes))
+        weights = np.concatenate((low_weights, high_weights, tail_weights))
+        object.__setattr__(self, "_omega_sq", omega * omega)
+        object.__setattr__(self, "_weights",
+                           (2.0 / math.pi) * weights * omega * omega * eps2)
+        object.__setattr__(self, "_split",
+                           (low_weights.size, low_weights.size + high_weights.size))
+        # int_0^T t^(q-1) / (1 + (zeta t / w_max)^2) dt
+        #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
+        object.__setattr__(self, "_tail_rest",
+                           (2.0 / math.pi) * eps2_at_max * _TAIL_T_MIN**q / q)
 
+    def decompose(self, zeta) -> EpsilonDecomposition:
+        """eps(i zeta) by spectral region; zeta scalar or array."""
+        z = np.asarray(_positive_zeta(zeta))
+        flat = z.ravel()
+        data_low, data_high = self._split
+        sums = np.empty((3, flat.size))   # data below / above omega1, tail panels
+        for start in range(0, flat.size, _BLOCK):
+            block = flat[start:start + _BLOCK, None]
+            terms = self._weights / (self._omega_sq + block * block)
+            rows = slice(start, start + _BLOCK)
+            sums[0, rows] = terms[:, :data_low].sum(axis=1)
+            sums[1, rows] = terms[:, data_low:data_high].sum(axis=1)
+            sums[2, rows] = terms[:, data_high:].sum(axis=1)
+        q = self.tail_exponent
+        rest = self._tail_rest * hyp2f1(
+            1.0, 0.5 * q, 1.0 + 0.5 * q,
+            -(flat * (_TAIL_T_MIN / self.dataset.omega_max))**2)
+        eps1 = epsilon1_analytic(self.drude, self.boundaries.omega0, flat)
+        parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
+        if z.ndim == 0:
+            return EpsilonDecomposition(*(float(part[0]) for part in parts))
+        return EpsilonDecomposition(*(part.reshape(z.shape) for part in parts))
 
-def kk_epsilon(model: DielectricModel, zeta: float,
-               epsrel: float = 1e-9) -> EpsilonDecomposition:
-    """Evaluate eps(i zeta) through the dispersion relation, by region.
-
-    The data integrals use adaptive quadrature split at omega = zeta where
-    the Lorentzian weight peaks; the tail integral is mapped onto (0, 1]
-    with t = omega_max/omega, which keeps the integrand finite for any
-    tail exponent above 1.
-    """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    b = model.boundaries
-    ds = model.dataset
-    zeta_sq = zeta * zeta
-
-    def weighted(w: float) -> float:
-        return w * interpolate_eps2(ds, w) / (w * w + zeta_sq)
-
-    # the interpolant has derivative kinks at every data node, so the nodes
-    # (and the Lorentzian peak at omega = zeta) are passed as break points
-    nodes = ds.omega.tolist()
-
-    # the model validator tolerates data starting an ulp above omega0
-    lower = max(b.omega0, ds.omega_min)
-    eps2_part = (2.0 / math.pi) * checked_quad(
-        weighted, lower, b.omega1, epsrel=epsrel, points=nodes + [zeta],
-        limit=4 * len(nodes) + 100, what="eps2 dispersion integral")
-
-    data_top = (2.0 / math.pi) * checked_quad(
-        weighted, b.omega1, ds.omega_max, epsrel=epsrel, points=nodes + [zeta],
-        limit=4 * len(nodes) + 100, what="eps3 data integral")
-
-    w_max = ds.omega_max
-    eps2_at_max = ds.eps2[-1]
-    q = model.tail_exponent
-
-    def tail(t: float) -> float:
-        # omega = w_max / t; integrand transformed so t -> 0 is regular
-        return eps2_at_max * w_max**2 * t**(q - 1.0) / (w_max**2 + zeta_sq * t * t)
-
-    tail_part = (2.0 / math.pi) * checked_quad(
-        tail, 0.0, 1.0, epsrel=epsrel,
-        points=[w_max / zeta] if zeta > w_max else None,
-        what="eps3 tail integral")
-
-    eps1 = epsilon1_analytic(model.drude, b.omega0, zeta)
-    return EpsilonDecomposition(eps1, eps2_part, data_top + tail_part)
+    def epsilon(self, zeta):
+        """eps(i zeta); zeta scalar or array."""
+        return self.decompose(zeta).total
 
 
 @dataclass(frozen=True)

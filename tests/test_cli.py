@@ -6,7 +6,7 @@ from aucasimir import (DrudeParameters, Geometry, ThermalState,
                        force_finite_T, force_zero_T,
                        generate_synthetic_dataset)
 from aucasimir.cli import main
-from aucasimir.config import load_run_config
+from aucasimir.config import load_run_config, package_data_dir
 
 DRUDE_INI = """\
 [dielectric]
@@ -193,6 +193,17 @@ class TestForce:
         assert payload["columns"][0] == "a_nm"
         assert payload["rows"][0][0] == pytest.approx(150.0)
 
+    def test_sample_config_anchor(self, capsys):
+        # the bundled tabulated config: data-based eps(i zeta), 300 K
+        code, out, _ = run(capsys, ["force", "--config",
+                                    str(package_data_dir() / "sample_config.ini"),
+                                    "--a-range", "63", "175", "2"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [63.0, 175.0]
+        assert rows[0][1] == pytest.approx(446.4266475, rel=1e-8)
+        assert rows[1][1] == pytest.approx(32.71968280, rel=1e-8)
+
     def test_out_file(self, drude_config, tmp_path, capsys):
         target = tmp_path / "force.csv"
         code, out, _ = run(capsys, ["force", "--config", drude_config,
@@ -318,6 +329,34 @@ class TestConfigHandling:
         monkeypatch.setenv("CASIMIR_DATA_DIR", str(data_dir))
         loaded = load_run_config(cfg)
         assert loaded.dataset_paths[0] == data_dir / "env_only.csv"
+
+    def test_non_integral_count_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(DRUDE_INI + "\n[numerics]\nn_max = 1.5\n")
+        code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
+        assert code == 2
+        assert "n_max" in err
+
+    def test_malformed_fit_range_names_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[dielectric]\nmodel = tabulated\n"
+                        "dataset = gold_synthetic.csv\nfit_range = 2e14 oops\n\n"
+                        "[geometry]\nsphere_radius = 95.65e-6\n")
+        code, _, err = run(capsys, ["epsilon", "--config", str(path),
+                                    "--zeta", "1e15"])
+        assert code == 2
+        assert "[dielectric] fit_range" in err
+
+    def test_malformed_fixed_omega_p_names_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[dielectric]\nmodel = tabulated\n"
+                        "dataset = gold_synthetic.csv\nfit_range = 2e14 2e15\n"
+                        "fit_fixed_omega_p = 1.37e16x\n\n"
+                        "[geometry]\nsphere_radius = 95.65e-6\n")
+        code, _, err = run(capsys, ["epsilon", "--config", str(path),
+                                    "--zeta", "1e15"])
+        assert code == 2
+        assert "[dielectric] fit_fixed_omega_p" in err
 
     def test_drude_needs_parameters_or_fit(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -6,8 +6,10 @@ from scipy.constants import c, epsilon_0
 from aucasimir import (DielectricModel, DrudeParameters,
                        FrequencyBoundaries, drude_eps_imag_axis,
                        drude_eps_real_axis, epsilon1_analytic, fit_drude,
-                       generate_synthetic_dataset, kk_epsilon, resistivity)
+                       generate_synthetic_dataset, resistivity)
 from aucasimir.optical import OMEGA0_DEFAULT
+
+from kk_oracle import kk_epsilon
 
 
 class TestDrudeRealAxis:
@@ -145,14 +147,14 @@ class TestKKEpsilon:
         assert model.epsilon(1e15) == pytest.approx(closed, rel=1e-3)
 
     def test_far_above_data(self, pure_drude_dataset, row2):
-        dec = kk_epsilon(DielectricModel(row2, pure_drude_dataset), 1e18)
+        dec = DielectricModel(row2, pure_drude_dataset).decompose(1e18)
         assert dec.eps1 < 1e-2
         assert dec.eps2_part < 1e-2
         assert dec.eps3_part < 1e-2
         assert dec.total == pytest.approx(1.0, abs=3e-2)
 
     def test_parts_positive_and_total_consistent(self, pure_drude_dataset, row2):
-        dec = kk_epsilon(DielectricModel(row2, pure_drude_dataset), 2.4e15)
+        dec = DielectricModel(row2, pure_drude_dataset).decompose(2.4e15)
         assert dec.eps1 > 0 and dec.eps2_part > 0 and dec.eps3_part > 0
         assert dec.total == 1.0 + dec.eps1 + dec.eps2_part + dec.eps3_part
 
@@ -164,7 +166,7 @@ class TestKKEpsilon:
 
     def test_invalid_zeta(self, pure_drude_dataset, row2):
         with pytest.raises(ValueError):
-            kk_epsilon(DielectricModel(row2, pure_drude_dataset), 0.0)
+            DielectricModel(row2, pure_drude_dataset).decompose(0.0)
 
     def test_tail_exponent_insensitive_with_wide_data(self, pure_drude_dataset, row2):
         # data reach 1e18 rad/s, so the tail choice moves eps by < 1e-4
@@ -189,6 +191,74 @@ class TestKKEpsilon:
     def test_boundaries_validation(self):
         with pytest.raises(ValueError):
             FrequencyBoundaries(3.2e15, 1.5e14)
+
+
+# zeta over 1e12-1e19, past omega_max = 1e18 of the datasets below
+ORACLE_ZETAS = np.logspace(12, 19, 8)
+
+
+def coarse_dataset(drude, omega_lo=OMEGA0_DEFAULT):
+    """Exact Drude eps'' at 2 points per decade: segments 1.15 wide in ln omega."""
+    return generate_synthetic_dataset(drude, omega_range=(omega_lo, 1e18),
+                                      points_per_decade=2)
+
+
+class TestFixedNodeTransform:
+    """The fixed-node rule against the adaptive QUADPACK oracle, and the
+    array contract of every eps(i zeta) evaluator."""
+
+    @staticmethod
+    def assert_matches_oracle(model):
+        dec = model.decompose(ORACLE_ZETAS)
+        for i, zeta in enumerate(ORACLE_ZETAS):
+            ref = kk_epsilon(model, float(zeta))
+            for name in ("eps1", "eps2_part", "eps3_part"):
+                assert getattr(dec, name)[i] == pytest.approx(
+                    getattr(ref, name), rel=1e-10), (name, zeta)
+
+    def test_dense_data_matches_oracle(self, pure_drude_dataset, row2):
+        self.assert_matches_oracle(DielectricModel(row2, pure_drude_dataset))
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 4.0])
+    def test_coarse_data_and_tail_exponents_match_oracle(self, row2, q):
+        self.assert_matches_oracle(
+            DielectricModel(row2, coarse_dataset(row2), tail_exponent=q))
+
+    def test_data_an_ulp_above_omega0_matches_oracle(self, row2):
+        ds = coarse_dataset(row2, np.nextafter(OMEGA0_DEFAULT, np.inf))
+        assert ds.omega_min > OMEGA0_DEFAULT
+        self.assert_matches_oracle(DielectricModel(row2, ds))
+
+    def test_array_equals_scalar_calls_bitwise(self, pure_drude_dataset, row2):
+        model = DielectricModel(row2, pure_drude_dataset)
+        # more values than one block of the broadcast sum, and omega_tau
+        # itself, where eps1 takes its series branch
+        zetas = np.concatenate((np.logspace(11, 20, 300), [row2.omega_tau]))
+        dec = model.decompose(zetas)
+        for name in ("eps1", "eps2_part", "eps3_part", "total"):
+            loop = [getattr(model.decompose(float(z)), name) for z in zetas]
+            assert np.array_equal(getattr(dec, name), loop), name
+        assert np.array_equal(model.epsilon(zetas.reshape(7, 43)).ravel(),
+                              [model.epsilon(float(z)) for z in zetas])
+        assert np.array_equal(row2.epsilon(zetas),
+                              [row2.epsilon(float(z)) for z in zetas])
+        assert np.array_equal(
+            epsilon1_analytic(row2, OMEGA0_DEFAULT, zetas),
+            [epsilon1_analytic(row2, OMEGA0_DEFAULT, float(z)) for z in zetas])
+
+    def test_scalar_in_scalar_out(self, pure_drude_dataset, row2):
+        dec = DielectricModel(row2, pure_drude_dataset).decompose(1e15)
+        assert all(type(v) is float for v in (dec.eps1, dec.eps2_part, dec.eps3_part))
+        assert type(row2.epsilon(1e15)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1e15, np.nan])
+    def test_nonpositive_element_rejected(self, pure_drude_dataset, row2, bad):
+        zetas = np.array([1e14, bad, 1e15])
+        model = DielectricModel(row2, pure_drude_dataset)
+        for evaluate in (model.decompose, model.epsilon, row2.epsilon,
+                         lambda z: epsilon1_analytic(row2, OMEGA0_DEFAULT, z)):
+            with pytest.raises(ValueError, match="zeta must be positive"):
+                evaluate(zetas)
 
 
 class TestDrudeParameters:

@@ -4,11 +4,11 @@ import mpmath as mp
 import pytest
 from scipy.constants import Boltzmann as k_B, c, hbar
 
-from aucasimir import (ConvergenceError, DrudeParameters, Geometry,
-                       QuadratureSettings, ThermalState, classical_term,
-                       force_finite_T, force_zero_T, ideal_force,
-                       matsubara_frequency, matsubara_term, reduction_factor,
-                       temperature_correction)
+from aucasimir import (ConvergenceError, DielectricModel, DrudeParameters,
+                       Geometry, QuadratureSettings, ThermalState,
+                       classical_term, force_finite_T, force_zero_T,
+                       ideal_force, matsubara_frequency, matsubara_term,
+                       reduction_factor, temperature_correction)
 from aucasimir.lifshitz import ZETA3, round_trip_factors
 
 from conftest import SPHERE_RADIUS
@@ -182,6 +182,24 @@ class TestForceZeroT:
         for a_nm, force in zero_forces.items():
             g = Geometry(SPHERE_RADIUS, a_nm * 1e-9)
             assert 0.0 < reduction_factor(force, g) < 1.0
+
+
+class TestTabulatedPath:
+    """Forces from a DielectricModel built on exact Drude data reproduce the
+    pure-Drude forces: the data path differs only by the log-log
+    interpolant between samples and the omega^-3 tail above 1e18 rad/s."""
+
+    def test_finite_T(self, row2, pure_drude_dataset, geometry63, thermal300):
+        model = DielectricModel(row2, pure_drude_dataset)
+        tabulated = force_finite_T(geometry63, thermal300, model.epsilon)
+        drude = force_finite_T(geometry63, thermal300, row2.epsilon)
+        assert tabulated.n_terms_used == drude.n_terms_used
+        assert tabulated.total == pytest.approx(drude.total, rel=1e-5)
+
+    def test_zero_T(self, row2, pure_drude_dataset, geometry63):
+        model = DielectricModel(row2, pure_drude_dataset)
+        assert force_zero_T(geometry63, model.epsilon) == pytest.approx(
+            force_zero_T(geometry63, row2.epsilon), rel=1e-5)
 
 
 class TestTemperatureCorrection:

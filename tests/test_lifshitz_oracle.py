@@ -54,4 +54,4 @@ def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
     library = finite_forces[60]
     assert library.n0_term == pytest.approx(oracle.n0, rel=1e-12)
     assert library.sum_terms == pytest.approx(oracle.matsubara, abs=1e-3)
-    assert zero_forces[60] == pytest.approx(oracle.zero_T, abs=1e-3)
+    assert zero_forces[60] == pytest.approx(oracle.zero_T, rel=1e-9)
