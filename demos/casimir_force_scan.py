@@ -1,7 +1,7 @@
 """Sphere-plate Casimir force: ideal metal vs Drude gold, finite vs zero
 temperature, and the decomposition of the Matsubara sum.
 
-Run:  python demos/casimir_force_scan.py   (about half a minute)
+Run:  python demos/casimir_force_scan.py   (a second or two)
 """
 
 from aucasimir import (DrudeParameters, Geometry, ThermalState, classical_term,

@@ -10,13 +10,12 @@ same pipeline for reproducible runs.
 """
 
 from .analysis import (ExperimentRecord, ResidualReport, ResidualRow,
-                       grid_theory, load_experiment, residual_lower_bound,
-                       residual_report)
+                       load_experiment, residual_lower_bound, residual_report)
 from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,
                          EpsilonDecomposition, drude_eps_imag_axis,
                          drude_eps_real_axis, epsilon1_analytic, fit_drude,
                          resistivity)
-from .errors import ConfigError, ConvergenceError, DataFormatError
+from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        QuadratureSettings, ThermalState, classical_term,
                        force_finite_T, force_zero_T, ideal_force,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import DataFormatError
 
 
@@ -118,32 +116,3 @@ def residual_lower_bound(delta_f: float, sigma: float,
         raise ValueError("delta_f and sigma must be positive, "
                          "confidence_sigmas non-negative")
     return max(0.0, delta_f - confidence_sigmas * sigma)
-
-
-def grid_theory(theory: Callable[[float], float], a_lo: float, a_hi: float,
-                n_points: int) -> Callable[[float], float]:
-    """Precompute `theory` on a log grid and return a log-log interpolant.
-
-    Used to speed up residual reports over many separations; with the force
-    varying smoothly as a power of a, a modest grid keeps the interpolation
-    error far below the measurement noise.
-    """
-    if n_points < 2:
-        raise ValueError("need at least 2 grid points")
-    if not 0 < a_lo < a_hi:
-        raise ValueError("need 0 < a_lo < a_hi")
-    grid = np.exp(np.linspace(math.log(a_lo), math.log(a_hi), n_points))
-    ln_f = np.log([theory(float(a)) for a in grid])
-    ln_a = np.log(grid)
-
-    def interpolated(a: float) -> float:
-        # tolerate unit-roundoff overshoot from nm <-> m conversions
-        if a_lo * (1 - 1e-12) <= a < a_lo:
-            a = a_lo
-        elif a_hi < a <= a_hi * (1 + 1e-12):
-            a = a_hi
-        if not a_lo <= a <= a_hi:
-            raise ValueError(f"separation {a} outside grid [{a_lo}, {a_hi}]")
-        return float(math.exp(np.interp(math.log(a), ln_a, ln_f)))
-
-    return interpolated

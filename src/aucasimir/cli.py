@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import grid_theory, load_experiment, residual_report
+from .analysis import load_experiment, residual_report
 from .config import load_run_config, resolve_data_path
 from .dielectric import fit_drude, resistivity
-from .errors import ConfigError, ConvergenceError, DataFormatError
+from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import Geometry, ThermalState, force_finite_T, force_zero_T, ideal_force
 from .optical import load_dataset
 from .yukawa import ConstraintGeometry, allowed_lambda_boundary, alpha_lower_limit
@@ -179,10 +179,6 @@ def cmd_residuals(args) -> int:
         return force_finite_T(Geometry(cfg.sphere_radius, a), thermal, eps,
                               cfg.prescription, cfg.settings).total
 
-    if args.grid:
-        span = sorted({r.separation for r in records})
-        if len(span) >= 2 and args.grid >= 2:
-            theory = grid_theory(theory, span[0], span[-1], args.grid)
     report = residual_report(records, theory, range_filter)
     rows = [(r.separation * 1e9, r.force_measured, r.force_theory, r.delta_f,
              r.sigma_ratio) for r in report.rows]
@@ -267,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment CSV (a_nm, F_pN, sigma_pN)")
     p.add_argument("--a-min", type=float, help="range filter low edge [nm]")
     p.add_argument("--a-max", type=float, help="range filter high edge [nm]")
-    p.add_argument("--grid", type=int, default=0,
-                   help="evaluate theory on an N-point grid + interpolation")
     p.add_argument("--plot-out", help="also write two-column (a_nm, dF_pN) file")
     p.set_defaults(func=cmd_residuals)
 
@@ -296,12 +290,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ConvergenceError, DomainError, ArithmeticError, RuntimeError) as exc:
+        print(f"aucasimir: compute error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"aucasimir: error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ArithmeticError, RuntimeError) as exc:
-        print(f"aucasimir: compute error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -204,28 +204,20 @@ def load_run_config(path) -> RunConfig:
     defaults = QuadratureSettings()
     if cp.has_section("numerics"):
         settings = QuadratureSettings(
-            p_epsrel=_get_float(cp, "numerics", "p_epsrel", defaults.p_epsrel),
-            zeta_epsrel=_get_float(cp, "numerics", "zeta_epsrel",
-                                   defaults.zeta_epsrel),
             zeta_min=_get_float(cp, "numerics", "zeta_min", defaults.zeta_min),
             zeta_max=_get_float(cp, "numerics", "zeta_max", defaults.zeta_max),
             panels_per_decade=_get_int(cp, "numerics", "panels_per_decade",
                                        defaults.panels_per_decade),
             sum_rel_tol=_get_float(cp, "numerics", "sum_rel_tol",
                                    defaults.sum_rel_tol),
-            sum_consecutive=_get_int(cp, "numerics", "sum_consecutive",
-                                     defaults.sum_consecutive),
             n_max=_get_int(cp, "numerics", "n_max", defaults.n_max),
         )
     else:
         settings = defaults
-    _check_tolerance("[numerics] p_epsrel", settings.p_epsrel)
-    _check_tolerance("[numerics] zeta_epsrel", settings.zeta_epsrel)
     _check_tolerance("[numerics] sum_rel_tol", settings.sum_rel_tol)
     if not 0 < settings.zeta_min < settings.zeta_max:
         raise ConfigError("[numerics] need 0 < zeta_min < zeta_max")
-    if settings.panels_per_decade < 1 or settings.sum_consecutive < 1 \
-            or settings.n_max < 1:
+    if settings.panels_per_decade < 1 or settings.n_max < 1:
         raise ConfigError("[numerics] counts must be >= 1")
 
     return RunConfig(model_kind=model_kind, drude=drude, fit_range=fit_range,

@@ -51,16 +51,16 @@ _PANEL_WIDTH = 0.25
 #: _TAIL_T_MIN and in closed form below it
 _TAIL_T_MIN = 1e-6
 #: zeta values per block of the broadcast sum, to bound its temporary array
-_BLOCK = 256
+_BLOCK = 16
 
 
 def _positive_zeta(zeta):
     """zeta as a Python float (scalar input) or a float array.
 
-    Every element must be positive.  Scalars stay Python floats because
-    the evaluators run in the per-frequency loops of `lifshitz`, where
-    numpy's per-call cost would dominate; the arithmetic is the same
-    IEEE operations either way, so array elements equal scalar results.
+    Every element must be positive.  Scalars stay Python floats, so a
+    scalar call returns a float and pays little of numpy's per-call cost;
+    the arithmetic is the same IEEE operations either way, so array
+    elements equal scalar results.
     """
     z = np.asarray(zeta, dtype=float)
     if z.ndim == 0:
@@ -147,13 +147,17 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
 
     # Series around zeta = omega_tau.  With N(zeta) the bracket above and
     # D = zeta^2 - omega_tau^2, N(omega_tau) = 0, so
-    #   N/D = (N' + N'' t/2 + O(t^2)) / (2 omega_tau + t).
+    #   N/D = (N' + N'' t/2 + N''' t^2/6 + O(t^3)) / (2 omega_tau + t).
     w2 = wt * wt + omega0 * omega0
     n1 = arctan_wt / wt + omega0 / w2
     n2 = (-omega0 / (wt * w2)
           - 2.0 * arctan_wt / (wt * wt)
           - omega0 * (3.0 * wt * wt + omega0 * omega0) / (wt * w2 * w2))
-    near = (2.0 / math.pi) * p.omega_p**2 * (n1 + 0.5 * n2 * t) / (2.0 * wt + t)
+    n3 = (6.0 * arctan_wt / wt**3 + 6.0 * omega0 / (wt * wt * w2)
+          + 6.0 * omega0 / (w2 * w2)
+          - 2.0 * omega0 * (omega0 * omega0 - 3.0 * wt * wt) / w2**3)
+    near = ((2.0 / math.pi) * p.omega_p**2 * (n1 + t * (0.5 * n2 + t * n3 / 6.0))
+            / (2.0 * wt + t))
     out = np.where(np.abs(t) >= _SINGULAR_SWITCH * wt, far, near)
     return float(out) if z.ndim == 0 else out
 

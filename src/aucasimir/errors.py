@@ -11,3 +11,7 @@ class ConfigError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A quadrature, sum, or fit failed to reach its requested accuracy."""
+
+
+class DomainError(ValueError):
+    """A computed quantity left its physical domain, e.g. eps(i zeta) <= 1."""

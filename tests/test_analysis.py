@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from aucasimir import (DataFormatError, ExperimentRecord, grid_theory,
-                       load_experiment, residual_lower_bound, residual_report)
+from aucasimir import (DataFormatError, ExperimentRecord, load_experiment,
+                       residual_lower_bound, residual_report)
 from aucasimir.config import package_data_dir
 
 
@@ -124,29 +124,3 @@ class TestResidualLowerBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             residual_lower_bound(-1.0, 3.5, 2.0)
-
-
-class TestGridTheory:
-    def test_interpolation_error_below_contract(self):
-        # the force varies as a smooth power of separation; the grid
-        # interpolation must stay below 0.2 pN
-        theory = lambda a: 477.0 * (63e-9 / a) ** 2.5
-        interp = grid_theory(theory, 60e-9, 103e-9, 8)
-        worst = max(abs(interp(a * 1e-9) - theory(a * 1e-9))
-                    for a in range(60, 104))
-        assert worst < 0.2
-
-    def test_exact_at_grid_nodes(self):
-        theory = lambda a: 1e5 * a ** 0.5
-        interp = grid_theory(theory, 60e-9, 100e-9, 5)
-        assert interp(60e-9) == pytest.approx(theory(60e-9), rel=1e-12)
-        assert interp(100e-9) == pytest.approx(theory(100e-9), rel=1e-12)
-
-    def test_out_of_range(self):
-        interp = grid_theory(lambda a: 1.0, 60e-9, 100e-9, 3)
-        with pytest.raises(ValueError, match="outside"):
-            interp(50e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            grid_theory(lambda a: 1.0, 60e-9, 100e-9, 1)

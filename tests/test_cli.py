@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from aucasimir import (DrudeParameters, Geometry, ThermalState,
-                       force_finite_T, force_zero_T,
+from aucasimir import (DrudeParameters, Geometry, QuadratureSettings,
+                       ThermalState, force_finite_T, force_zero_T,
                        generate_synthetic_dataset)
 from aucasimir.cli import main
-from aucasimir.config import load_run_config, package_data_dir
+from aucasimir.config import RunConfig, load_run_config, package_data_dir
 
 DRUDE_INI = """\
 [dielectric]
@@ -204,6 +204,17 @@ class TestForce:
         assert rows[0][1] == pytest.approx(446.4266475, rel=1e-8)
         assert rows[1][1] == pytest.approx(32.71968280, rel=1e-8)
 
+    def test_eps_below_one_is_compute_error(self, drude_config, monkeypatch,
+                                            capsys):
+        # eps(i zeta) <= 1 is found while computing, not in the input
+        monkeypatch.setattr(RunConfig, "build_evaluator",
+                            lambda self: (lambda zeta: 0.5, self.drude, None))
+        code, out, err = run(capsys, ["force", "--config", drude_config,
+                                      "--a", "100"])
+        assert code == 1
+        assert out == ""
+        assert "compute error" in err and "exceed 1" in err
+
     def test_out_file(self, drude_config, tmp_path, capsys):
         target = tmp_path / "force.csv"
         code, out, _ = run(capsys, ["force", "--config", drude_config,
@@ -251,21 +262,6 @@ class TestResiduals:
         assert len(fields) == 2
         assert float(fields[0]) == pytest.approx(100.0)
 
-    def test_grid_theory_close_to_direct(self, drude_config, tmp_path, capsys):
-        exp_file = tmp_path / "exp.csv"
-        exp_file.write_text("80,100,3.5\n90,90,3.5\n100,80,3.5\n")
-        code, direct_out, _ = run(capsys, ["residuals", "--config", drude_config,
-                                           "--experiment", str(exp_file)])
-        assert code == 0
-        code, grid_out, _ = run(capsys, ["residuals", "--config", drude_config,
-                                         "--experiment", str(exp_file),
-                                         "--grid", "3"])
-        assert code == 0
-        _, direct_rows = parse_csv(direct_out)
-        _, grid_rows = parse_csv(grid_out)
-        for direct, gridded in zip(direct_rows, grid_rows):
-            assert abs(direct[2] - gridded[2]) < 0.2  # F_theor within contract
-
 
 class TestYukawaLimit:
     def test_defaults_boundary_and_mass(self, capsys):
@@ -293,10 +289,19 @@ class TestYukawaLimit:
 class TestConfigHandling:
     def test_invalid_tolerance_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text(DRUDE_INI + "\n[numerics]\np_epsrel = 2.0\n")
+        path.write_text(DRUDE_INI + "\n[numerics]\nsum_rel_tol = 2.0\n")
         code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
         assert code == 2
-        assert "p_epsrel" in err
+        assert "sum_rel_tol" in err
+
+    def test_retired_numerics_keys_still_load(self, tmp_path):
+        # keys of the former adaptive quadrature and stop rule are ignored
+        path = tmp_path / "old.ini"
+        path.write_text(DRUDE_INI + "\n[numerics]\np_epsrel = 1e-9\n"
+                        "zeta_epsrel = 1e-9\nsum_consecutive = 3\n"
+                        "sum_rel_tol = 1e-11\n")
+        loaded = load_run_config(path)
+        assert loaded.settings == QuadratureSettings(sum_rel_tol=1e-11)
 
     def test_bad_prescription_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["dielectric_models.py", "optical_data_tour.py"])
+@pytest.mark.parametrize("name", ["casimir_force_scan.py", "dielectric_models.py",
+                                  "optical_data_tour.py"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],

@@ -2,6 +2,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B, c, hbar
 
 from aucasimir import (ConvergenceError, DielectricModel, DrudeParameters,
@@ -9,7 +10,7 @@ from aucasimir import (ConvergenceError, DielectricModel, DrudeParameters,
                        classical_term, force_finite_T, force_zero_T,
                        ideal_force, matsubara_frequency, matsubara_term,
                        reduction_factor, temperature_correction)
-from aucasimir.lifshitz import ZETA3, round_trip_factors
+from aucasimir.lifshitz import ZETA3, _tail_bound, round_trip_factors
 
 from conftest import SPHERE_RADIUS
 
@@ -110,6 +111,25 @@ class TestMatsubaraTerm:
     def test_n_zero_rejected(self, geometry63, thermal300, ideal_eps):
         with pytest.raises(ValueError):
             matsubara_term(0, geometry63, thermal300, ideal_eps)
+
+
+class TestTailBound:
+    def test_perfect_conductor_remainder(self, geometry63, thermal300):
+        # the bound sums the perfect-conductor terms with Li_s(x) replaced
+        # by x / (1 - x): never below their remainder, and tight once the
+        # terms decay fast
+        terms = [ideal_matsubara_term_closed_form(m, geometry63, thermal300)
+                 for m in range(1, 300)]
+        assert terms[-1] < 1e-9 * math.fsum(terms[100:])   # cut-off negligible
+        y1 = matsubara_frequency(1, thermal300) * geometry63.separation / c
+        scale = (k_B * thermal300.temperature * geometry63.sphere_radius
+                 / (2 * geometry63.separation**2) * 1e12)
+        for n in (1, 10, 100):
+            remainder = math.fsum(terms[n:])
+            bound = _tail_bound(n, y1, scale)
+            assert bound >= remainder
+            if n >= 100:
+                assert bound == pytest.approx(remainder, rel=1e-4)
 
 
 class TestForceFiniteT:
@@ -218,6 +238,48 @@ class TestTemperatureCorrection:
         dtf = temperature_correction(g, ThermalState(1.0),
                                      single_crystal.epsilon)
         assert abs(dtf) < 0.1
+
+
+# Drude metals around gold, separations and temperatures around the
+# experiment; derandomized so that every run draws the same examples
+drude_rows = st.builds(DrudeParameters,
+                       st.floats(0.8e16, 1.8e16),
+                       st.floats(1e13, 2e14))
+separations = st.floats(50e-9, 300e-9)
+temperatures = st.floats(10.0, 400.0)
+properties = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestProperties:
+    @properties
+    @given(drude_rows, separations, separations, temperatures)
+    def test_decreasing_in_separation(self, row, a1, a2, temperature):
+        a_near, a_far = sorted((a1, a2))
+        assume(a_far > 1.01 * a_near)
+        near, far = Geometry(SPHERE_RADIUS, a_near), Geometry(SPHERE_RADIUS, a_far)
+        t = ThermalState(temperature)
+        assert (force_finite_T(near, t, row.epsilon).total
+                > force_finite_T(far, t, row.epsilon).total)
+        assert force_zero_T(near, row.epsilon) > force_zero_T(far, row.epsilon)
+
+    @properties
+    @given(drude_rows, st.floats(1.01, 1.5), separations, temperatures)
+    def test_increasing_with_plasma_frequency(self, row, factor, a,
+                                              temperature):
+        brighter = DrudeParameters(factor * row.omega_p, row.omega_tau)
+        g, t = Geometry(SPHERE_RADIUS, a), ThermalState(temperature)
+        assert (force_finite_T(g, t, brighter.epsilon).total
+                > force_finite_T(g, t, row.epsilon).total)
+        assert force_zero_T(g, brighter.epsilon) > force_zero_T(g, row.epsilon)
+
+    @properties
+    @given(drude_rows, separations, temperatures)
+    def test_finite_T_exceeds_zero_T_under_schwinger(self, row, a,
+                                                     temperature):
+        g = Geometry(SPHERE_RADIUS, a)
+        finite = force_finite_T(g, ThermalState(temperature), row.epsilon,
+                                "schwinger")
+        assert finite.total >= force_zero_T(g, row.epsilon)
 
 
 class TestDomainTypes:

@@ -10,8 +10,11 @@ import pytest
 from scipy.constants import Boltzmann, c, hbar
 from scipy.special import zeta as riemann_zeta
 
+from aucasimir import (DrudeParameters, Geometry, ThermalState,
+                       force_finite_T, force_zero_T)
+
 import lifshitz_oracle
-from conftest import SINGLE_CRYSTAL, SPHERE_RADIUS
+from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS
 
 A60 = 60e-9
 
@@ -53,5 +56,20 @@ def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
                                     lifshitz_oracle.drude_chi(*SINGLE_CRYSTAL))
     library = finite_forces[60]
     assert library.n0_term == pytest.approx(oracle.n0, rel=1e-12)
-    assert library.sum_terms == pytest.approx(oracle.matsubara, abs=1e-3)
+    assert library.sum_terms == pytest.approx(oracle.matsubara, rel=1e-10)
     assert zero_forces[60] == pytest.approx(oracle.zero_T, rel=1e-9)
+
+
+@pytest.mark.parametrize("row", [SINGLE_CRYSTAL, ROW1], ids=["single", "row1"])
+@pytest.mark.parametrize("temperature", [77.0, 300.0])
+@pytest.mark.parametrize("a_nm", [60, 100, 200])
+def test_library_forces_match_oracle(row, temperature, a_nm):
+    # the zero-T floor below zeta_min leaves ~2e-10 relative at 200 nm
+    a = a_nm * 1e-9
+    oracle = lifshitz_oracle.forces(SPHERE_RADIUS, a, temperature,
+                                    lifshitz_oracle.drude_chi(*row))
+    g = Geometry(SPHERE_RADIUS, a)
+    eps = DrudeParameters(*row).epsilon
+    finite = force_finite_T(g, ThermalState(temperature), eps)
+    assert finite.total == pytest.approx(oracle.n0 + oracle.matsubara, rel=1e-10)
+    assert force_zero_T(g, eps) == pytest.approx(oracle.zero_T, rel=1e-9)
