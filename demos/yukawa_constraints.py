@@ -31,10 +31,10 @@ single = alpha_lower_limit(100e-9, geom, residual_bound_pn=10.0)
 print(f"\nlinear in the floor: alpha_min(20 pN)/alpha_min(10 pN) = "
       f"{double/single:.1f}")
 
-# cross-check of the closed form against direct volume integration of the
-# two-film configuration (the closed form carries substrate terms the
-# film-film model does not, so agreement is at the ~15% level)
+# cross-check of the closed-form limit against the film-film Yukawa force
+# (the limit carries substrate terms the film-film model does not, so
+# agreement is at the ~15% level)
 f_unit = yukawa_force_oracle(YukawaHypothesis(1e-24, 100e-9), geom, 95.65e-6)
 alpha_star = 1e-24 * 10.0 / f_unit
-print(f"integration oracle at lambda = 100 nm: alpha_min = {alpha_star:.3e} "
-      f"vs closed form {alpha_lower_limit(100e-9, geom):.3e}")
+print(f"film-film force at lambda = 100 nm: alpha_min = {alpha_star:.3e} "
+      f"vs limit {alpha_lower_limit(100e-9, geom):.3e}")

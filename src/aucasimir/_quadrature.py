@@ -1,31 +1,27 @@
-"""Thin wrapper around QUADPACK with an error-estimate sanity check."""
+"""The package's one quadrature: composite Gauss-Legendre on fixed panels."""
 
 from __future__ import annotations
 
-from scipy import integrate
+import functools
 
-from .errors import ConvergenceError
-
-# If QUADPACK reports trouble, the returned estimate is still accepted as
-# long as its own error bound is far below anything the callers resolve.
-_ABSERR_SLACK = 1e-6
+import numpy as np
 
 
-def checked_quad(func, a, b, *, epsrel, points=None, limit=200, what="integral"):
-    """scipy.integrate.quad with epsabs=0 and a convergence check.
+@functools.lru_cache(maxsize=8)
+def legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: every force
+    needs a few rules, and building one costs more than a Drude force's
+    arithmetic."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
-    Raises ConvergenceError when QUADPACK flags the result and the error
-    estimate is not comfortably below the requested relative tolerance.
-    """
-    if points is not None:
-        points = [x for x in points if a < x < b]
-        if not points:
-            points = None
-    out = integrate.quad(func, a, b, epsabs=0.0, epsrel=epsrel,
-                         limit=limit, points=points, full_output=1)
-    result, abserr = out[0], out[1]
-    if len(out) > 3:
-        # out[3] is the QUADPACK explanation string
-        if result != 0.0 and abserr > _ABSERR_SLACK * abs(result):
-            raise ConvergenceError(f"{what} did not converge: {out[3].strip()}")
-    return result
+
+def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-node rule on every panel between
+    consecutive `edges`, flattened."""
+    x, w = legendre(order)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()

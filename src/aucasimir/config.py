@@ -205,7 +205,6 @@ def load_run_config(path) -> RunConfig:
     if cp.has_section("numerics"):
         settings = QuadratureSettings(
             zeta_min=_get_float(cp, "numerics", "zeta_min", defaults.zeta_min),
-            zeta_max=_get_float(cp, "numerics", "zeta_max", defaults.zeta_max),
             panels_per_decade=_get_int(cp, "numerics", "panels_per_decade",
                                        defaults.panels_per_decade),
             sum_rel_tol=_get_float(cp, "numerics", "sum_rel_tol",
@@ -215,8 +214,8 @@ def load_run_config(path) -> RunConfig:
     else:
         settings = defaults
     _check_tolerance("[numerics] sum_rel_tol", settings.sum_rel_tol)
-    if not 0 < settings.zeta_min < settings.zeta_max:
-        raise ConfigError("[numerics] need 0 < zeta_min < zeta_max")
+    if not settings.zeta_min > 0:
+        raise ConfigError("[numerics] zeta_min must be positive")
     if settings.panels_per_decade < 1 or settings.n_max < 1:
         raise ConfigError("[numerics] counts must be >= 1")
 

@@ -31,6 +31,7 @@ from scipy import optimize
 from scipy.constants import epsilon_0
 from scipy.special import hyp2f1
 
+from ._quadrature import gauss_legendre
 from .errors import ConvergenceError
 from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolate_eps2
 
@@ -192,16 +193,11 @@ def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     panels; data nodes are segment edges, so the log-log interpolant is
     smooth on every panel.
     """
-    x, w = np.polynomial.legendre.leggauss(_ORDER)
     ln_edges = np.log(edges)
-    nodes, weights = [], []
-    for lo, hi in zip(ln_edges[:-1], ln_edges[1:]):
-        cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
-        half = 0.5 * np.diff(cuts)[:, None]
-        mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-        nodes.append((mid + half * x).ravel())
-        weights.append((half * w).ravel())
-    return np.exp(np.concatenate(nodes)), np.concatenate(weights)
+    cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)[:-1]
+            for lo, hi in zip(ln_edges[:-1], ln_edges[1:])]
+    nodes, weights = gauss_legendre(np.concatenate(cuts + [ln_edges[-1:]]), _ORDER)
+    return np.exp(nodes), weights
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ in ascending n for reproducibility.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -39,6 +38,7 @@ import numpy as np
 from scipy.constants import Boltzmann as k_B, c, hbar
 from scipy.special import zeta as _riemann_zeta
 
+from ._quadrature import gauss_legendre
 from .errors import ConvergenceError, DomainError
 
 ZETA3 = float(_riemann_zeta(3))
@@ -90,7 +90,7 @@ class QuadratureSettings:
     p_order is the number of Gauss-Legendre nodes on each of the panels of
     the p-rule (see `_V_EDGES`); zeta_order the number on each log-spaced
     panel of the zero-temperature frequency integral, which runs from
-    zeta_min to zeta_max at panels_per_decade.  Below zeta_min, where the
+    zeta_min to 45 c / a at panels_per_decade.  Below zeta_min, where the
     integrand levels off, a 5-node panel covers [zeta_min/100, zeta_min]
     and the rest is added as the rectangle (zeta_min/100) *
     integrand(zeta_min/100).  The Matsubara sum stops at the first n whose
@@ -99,7 +99,6 @@ class QuadratureSettings:
     """
 
     zeta_min: float = 1e11
-    zeta_max: float = 1e19
     panels_per_decade: int = 4
     sum_rel_tol: float = 1e-10
     n_max: int = 1_000_000
@@ -178,26 +177,6 @@ def round_trip_factors(p, eps_value, y):
     return r_te * r_te * damping, r_tm * r_tm * damping
 
 
-@functools.lru_cache(maxsize=8)
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only: every force
-    needs a few rules, and building one costs more than a Drude force's
-    arithmetic."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the `order`-node rule on every panel between
-    consecutive `edges`, flattened."""
-    x, w = _legendre(order)
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
 def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
@@ -208,7 +187,7 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     (v y).  The rule is composite Gauss-Legendre on `_V_EDGES`, so the
     endpoints are never evaluated.
     """
-    v, w = _gauss_legendre(_V_EDGES, order)
+    v, w = gauss_legendre(_V_EDGES, order)
     ln_u = 3.0 * np.log(v)
     weights = 3.0 * w / v
     out = np.empty(y.shape)
@@ -352,10 +331,10 @@ def force_zero_T(g: Geometry, eps: Callable,
     """Zero-temperature force: the Matsubara sum replaced by an integral, in pN.
 
     The zeta-integral runs over log-spaced panels between settings.zeta_min
-    and settings.zeta_max with settings.zeta_order Gauss-Legendre nodes
-    each.  Below zeta_min the integrand levels off (for a Drude metal the
-    transverse-electric part has died off and the transverse-magnetic part
-    tends to its static value): a 5-node panel covers
+    and 45 c / a (at least ten times zeta_min) with settings.zeta_order
+    Gauss-Legendre nodes each.  Below zeta_min the integrand levels off
+    (for a Drude metal the transverse-electric part has died off and the
+    transverse-magnetic part tends to its static value): a 5-node panel covers
     [zeta_min/100, zeta_min] and the rest is the rectangle
     (zeta_min/100) * integrand(zeta_min/100).  All nodes go through one
     eps call and one kernel call.  At the default settings this leaves a
@@ -365,16 +344,15 @@ def force_zero_T(g: Geometry, eps: Callable,
     a = g.separation
     # Above zeta a / c ~ 45 the damping exp(-2 p zeta a / c) leaves less
     # than ~1e-39 of the integrand.
-    zeta_top = min(settings.zeta_max, 45.0 * c / a)
-    zeta_top = max(zeta_top, 10.0 * settings.zeta_min)
+    zeta_top = max(45.0 * c / a, 10.0 * settings.zeta_min)
     n_decades = math.log10(zeta_top / settings.zeta_min)
     n_panels = max(1, int(math.ceil(settings.panels_per_decade * n_decades)))
     edges = np.logspace(math.log10(settings.zeta_min),
                         math.log10(zeta_top), n_panels + 1)
     zeta_floor = settings.zeta_min / 100.0
-    floor_nodes, floor_weights = _gauss_legendre(
+    floor_nodes, floor_weights = gauss_legendre(
         [zeta_floor, settings.zeta_min], _FLOOR_ORDER)
-    nodes, weights = _gauss_legendre(edges, settings.zeta_order)
+    nodes, weights = gauss_legendre(edges, settings.zeta_order)
     zeta = np.concatenate(([zeta_floor], floor_nodes, nodes))
     weights = np.concatenate(([zeta_floor], floor_weights, weights))
     integrand = zeta * zeta * _p_integral(_eps_at(eps, zeta), zeta * a / c,

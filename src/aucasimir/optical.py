@@ -239,12 +239,6 @@ def interpolate_eps2(ds: OpticalDataset, omega):
     return float(out) if np.isscalar(omega) else out
 
 
-def _loglog_chord(left: OpticalSample, right: OpticalSample, omega: float) -> float:
-    t = (math.log(omega) - math.log(left.omega)) / \
-        (math.log(right.omega) - math.log(left.omega))
-    return math.exp((1.0 - t) * math.log(left.eps2) + t * math.log(right.eps2))
-
-
 def fill_gap(ds: OpticalDataset, gap_lo: float, gap_hi: float,
              points_per_decade: int = 20) -> OpticalDataset:
     """Insert synthetic samples across an empty interval of the dataset.
@@ -270,8 +264,9 @@ def fill_gap(ds: OpticalDataset, gap_lo: float, gap_hi: float,
     if n_nodes < 2:
         return ds
     grid = np.exp(np.linspace(math.log(left.omega), math.log(right.omega), n_nodes))
-    new = [OpticalSample(float(w), _loglog_chord(left, right, float(w)), "gapfill")
-           for w in grid[1:-1]]
+    inner = grid[1:-1]
+    new = [OpticalSample(float(w), float(e), "gapfill")
+           for w, e in zip(inner, interpolate_eps2(ds, inner))]
     merged = sorted(ds.samples + tuple(new), key=lambda s: s.omega)
     return OpticalDataset(tuple(merged))
 

@@ -16,7 +16,6 @@ from typing import NamedTuple
 from scipy import optimize
 from scipy.constants import c, e as _e_charge, h as _planck_h, hbar
 
-from ._quadrature import checked_quad
 from .errors import ConvergenceError
 
 GOLD_DENSITY = 19300.0        # kg/m^3
@@ -117,44 +116,26 @@ def allowed_lambda_boundary(geom: ConstraintGeometry = ConstraintGeometry(),
 
 
 def yukawa_force_oracle(h: YukawaHypothesis, geom: ConstraintGeometry,
-                        sphere_radius: float,
-                        densities: tuple[float, float] = (GOLD_DENSITY, GOLD_DENSITY),
-                        epsrel: float = 1e-6) -> float:
-    """Yukawa force between the two gold films by direct integration, in pN.
+                        sphere_radius: float) -> float:
+    """Yukawa force between the two gold films, in pN.
 
     Independent of the closed form in `alpha_lower_limit`: the atom-atom
-    potential is integrated numerically over a film of thickness h on the
-    plate and a film-thick shell on the sphere (taken as a flat layer under
-    the proximity-force treatment, F = 2 pi R E_area).  Nucleon number
-    densities are mass density / nucleon mass.  Attraction magnitude.
+    potential summed over a film of thickness h on the plate and a
+    film-thick shell on the sphere, taken as a flat layer under the
+    proximity-force treatment (F = 2 pi R E_area).  With nucleon number
+    density n = GOLD_DENSITY / NUCLEON_MASS in both films the volume
+    integral has the closed form
+
+        F = 4 pi^2 alpha hbar c n^2 lambda^3 R exp(-a/lambda)
+            (1 - exp(-h/lambda))^2.
+
+    Attraction magnitude.
     """
     if sphere_radius <= 0:
         raise ValueError("sphere_radius must be positive")
-    if any(d <= 0 for d in densities):
-        raise ValueError("densities must be positive")
-    if h.alpha == 0.0:
-        return 0.0
-    n1 = densities[0] / NUCLEON_MASS
-    n2 = densities[1] / NUCLEON_MASS
     lam = h.lambda_
-    # all lengths in units of lambda, otherwise the exponential support is
-    # an invisible sliver for the adaptive quadrature
-    t_film = geom.film_thickness / lam
-    gap = geom.separation_min / lam
-
-    def sheet_energy(z: float) -> float:
-        # two unit-density sheets a distance z lambda apart:
-        # 2 pi int_z^inf (r V(r) / r) dr in sheet-plane polar coordinates
-        return -2.0 * math.pi * checked_quad(
-            lambda r: math.exp(-r), z, math.inf, epsrel=epsrel,
-            what="sheet integral")
-
-    def layer_energy(z1: float) -> float:
-        return checked_quad(lambda z2: sheet_energy(gap + z1 + z2),
-                            0.0, t_film, epsrel=epsrel, what="layer integral")
-
-    energy_per_area = checked_quad(layer_energy, 0.0, t_film, epsrel=epsrel,
-                                   what="film integral")
-    # restore dimensions: one lambda per integrated length
-    energy_per_area *= h.alpha * hbar * c * n1 * n2 * lam**3
-    return 2.0 * math.pi * sphere_radius * abs(energy_per_area) * 1e12
+    n = GOLD_DENSITY / NUCLEON_MASS
+    film = -math.expm1(-geom.film_thickness / lam)
+    return (4.0 * math.pi**2 * h.alpha * hbar * c * n * n * lam**3
+            * sphere_radius * math.exp(-geom.separation_min / lam)
+            * film * film * 1e12)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 from aucasimir import DielectricModel, EpsilonDecomposition, interpolate_eps2
-from aucasimir._quadrature import checked_quad
+
+from quadpack import checked_quad
 
 
 def kk_epsilon(model: DielectricModel, zeta: float,

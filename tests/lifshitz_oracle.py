@@ -7,8 +7,8 @@ their difference along a route that shares no code with
   * the transverse wave number k is the integration variable (the library
     integrates over p = kappa c / zeta);
   * every integral is a fixed-node Gauss-Legendre rule on log-spaced
-    panels, evaluated for all frequencies at once (the library calls
-    adaptive QUADPACK once per frequency);
+    panels in k, built here (the library maps p onto (0, 1] and uses its
+    own panels there);
   * the n=0 ideal-conductor term is integrated like every other term (the
     library uses the zeta(3) closed form);
   * the reflection coefficients are written without cancellation in terms

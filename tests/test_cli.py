@@ -295,11 +295,12 @@ class TestConfigHandling:
         assert "sum_rel_tol" in err
 
     def test_retired_numerics_keys_still_load(self, tmp_path):
-        # keys of the former adaptive quadrature and stop rule are ignored
+        # keys of the former adaptive quadrature, stop rule and zero-T upper
+        # limit are ignored
         path = tmp_path / "old.ini"
         path.write_text(DRUDE_INI + "\n[numerics]\np_epsrel = 1e-9\n"
                         "zeta_epsrel = 1e-9\nsum_consecutive = 3\n"
-                        "sum_rel_tol = 1e-11\n")
+                        "zeta_max = 1e15\nsum_rel_tol = 1e-11\n")
         loaded = load_run_config(path)
         assert loaded.settings == QuadratureSettings(sum_rel_tol=1e-11)
 

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["casimir_force_scan.py", "dielectric_models.py",
-                                  "optical_data_tour.py"])
+                                  "optical_data_tour.py", "residual_analysis.py",
+                                  "yukawa_constraints.py"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],

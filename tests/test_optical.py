@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aucasimir import (ColumnFormat, DataFormatError, DrudeParameters,
                        OpticalDataset, OpticalSample, fill_gap,
@@ -241,3 +242,52 @@ class TestInvariants:
     def test_dataset_requires_samples(self):
         with pytest.raises(ValueError):
             OpticalDataset(())
+
+
+# tables of 2-12 samples on a 0.01-decade lattice over 1e13-1e17 rad/s, so
+# every drawn frequency is distinct; derandomized so that every run draws
+# the same examples
+def tables(label):
+    return st.lists(st.integers(1300, 1700), min_size=2, max_size=12,
+                    unique=True).flatmap(lambda exps: st.lists(
+                        st.floats(1e-3, 1e3), min_size=len(exps),
+                        max_size=len(exps)).map(
+                            lambda eps2: OpticalDataset.from_arrays(
+                                [10.0 ** (k / 100) for k in exps], eps2,
+                                label)))
+
+
+properties = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+class TestProperties:
+    @properties
+    @given(tables("a"), tables("b"), st.sampled_from(["a", "b"]))
+    def test_merge_keeps_winner_verbatim(self, a, b, precedence):
+        winner, loser = (a, b) if precedence == "a" else (b, a)
+        merged = merge_datasets(a, b, precedence=precedence)
+        assert np.all(np.diff(merged.omega) > 0)
+        assert set(winner.samples) <= set(merged.samples)
+        # the loser adds exactly its samples outside the winner's span
+        assert [s for s in merged.samples if s not in winner.samples] == [
+            s for s in loser.samples
+            if not winner.omega_min <= s.omega <= winner.omega_max]
+
+    @properties
+    @given(tables("data"), st.data(), st.integers(0, 60))
+    def test_fill_gap_only_inserts_inside(self, ds, data, points_per_decade):
+        i = data.draw(st.integers(0, len(ds.samples) - 2))
+        left, right = ds.omega[i], ds.omega[i + 1]
+        f_lo = data.draw(st.floats(0.0, 0.49))
+        f_hi = data.draw(st.floats(0.51, 1.0))
+        filled = fill_gap(ds, left * (right / left) ** f_lo,
+                          min(left * (right / left) ** f_hi, right),
+                          points_per_decade)
+        assert set(ds.samples) <= set(filled.samples)
+        for s in set(filled.samples) - set(ds.samples):
+            assert left < s.omega < right
+            assert s.source_label == "gapfill"
+        assert np.array_equal(interpolate_eps2(filled, ds.omega), ds.eps2)
+        inside = np.geomspace(left, right, 9)[1:-1]
+        np.testing.assert_allclose(interpolate_eps2(filled, inside),
+                                   interpolate_eps2(ds, inside), rtol=1e-12)

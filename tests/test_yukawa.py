@@ -9,6 +9,41 @@ from aucasimir import (ConstraintGeometry, ConvergenceError, YukawaHypothesis,
                        yukawa_force_oracle)
 
 from conftest import SPHERE_RADIUS
+from quadpack import checked_quad
+
+NUCLEON_DENSITY = 19300.0 / 1.6605e-27   # gold, nucleons per m^3
+
+
+def film_force_by_quadpack(h, geom, sphere_radius):
+    """Film-film Yukawa force [pN] by nested adaptive integration.
+
+    The atom-atom potential -alpha n^2 hbar c exp(-r/lambda) / r is
+    integrated over two sheets, then over the depth of each film, and the
+    energy per area becomes a sphere-plate force by the proximity-force
+    treatment, F = 2 pi R E_area.  Lengths are in units of lambda, so the
+    exponential support is not a sliver for the adaptive quadrature.
+    """
+    epsrel = 1e-12
+    t_film = geom.film_thickness / h.lambda_
+    gap = geom.separation_min / h.lambda_
+
+    def sheet_energy(z):
+        # two unit-density sheets a distance z lambda apart:
+        # 2 pi int_z^inf (r V(r) / r) dr in sheet-plane polar coordinates
+        return -2.0 * math.pi * checked_quad(
+            lambda r: math.exp(-r), z, math.inf, epsrel=epsrel,
+            what="sheet integral")
+
+    def layer_energy(z1):
+        return checked_quad(lambda z2: sheet_energy(gap + z1 + z2),
+                            0.0, t_film, epsrel=epsrel, what="layer integral")
+
+    energy_per_area = checked_quad(layer_energy, 0.0, t_film, epsrel=epsrel,
+                                   what="film integral")
+    # restore dimensions: one lambda per integrated length
+    energy_per_area *= (h.alpha * hbar * c * NUCLEON_DENSITY**2
+                        * h.lambda_**3)
+    return 2.0 * math.pi * sphere_radius * abs(energy_per_area) * 1e12
 
 
 class TestAlphaLowerLimit:
@@ -84,19 +119,12 @@ class TestYukawaForceOracle:
                                  SPHERE_RADIUS)
         assert f2 == pytest.approx(2 * f1, rel=1e-9)
 
-    def test_against_film_film_closed_form(self):
-        # proximity-force energy of two films of thickness h: the triple
-        # integral evaluates to 4 pi^2 alpha hbar c n^2 lam^3 R e^(-a/lam)
-        # (1 - e^(-h/lam))^2
-        alpha, lam = 1e-24, 100e-9
+    @pytest.mark.parametrize("lam", [10e-9, 33e-9, 100e-9, 500e-9, 1000e-9])
+    def test_against_film_film_closed_form(self, lam):
+        h = YukawaHypothesis(1e-24, lam)
         geom = ConstraintGeometry()
-        n = 19300.0 / 1.6605e-27
-        closed = (4 * math.pi**2 * alpha * hbar * c * n * n * lam**3
-                  * SPHERE_RADIUS * math.exp(-geom.separation_min / lam)
-                  * (1 - math.exp(-geom.film_thickness / lam))**2) * 1e12
-        oracle = yukawa_force_oracle(YukawaHypothesis(alpha, lam), geom,
-                                     SPHERE_RADIUS)
-        assert oracle == pytest.approx(closed, rel=1e-5)
+        assert yukawa_force_oracle(h, geom, SPHERE_RADIUS) == pytest.approx(
+            film_force_by_quadpack(h, geom, SPHERE_RADIUS), rel=1e-10)
 
     def test_monotone_in_lambda(self):
         geom = ConstraintGeometry()
