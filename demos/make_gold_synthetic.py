@@ -6,8 +6,11 @@ dominates below ~1e15 rad/s and two Lorentz oscillators mimicking the
 interband absorption above the curve minimum.  Parameters are documented
 here and in the file header; rerunning this script reproduces the file
 byte for byte.
+
+Run:  python demos/make_gold_synthetic.py [OUT]   (default: the bundled file)
 """
 
+import sys
 from pathlib import Path
 
 from aucasimir import DrudeParameters, generate_synthetic_dataset
@@ -30,16 +33,19 @@ HEADER = """\
 """
 
 
-def main() -> None:
+BUNDLED = Path(__file__).resolve().parents[1] / "src/aucasimir/data/gold_synthetic.csv"
+
+
+def main(out: Path = BUNDLED) -> None:
     ds = generate_synthetic_dataset(DRUDE, OSCILLATORS, OMEGA_RANGE,
                                     POINTS_PER_DECADE, source_label="synthetic-au")
-    out = Path(__file__).resolve().parents[1] / "src" / "aucasimir" / "data" / "gold_synthetic.csv"
+    out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [HEADER]
-    lines += [f"{s.omega:.9e},{s.eps2:.9e}" for s in ds.samples]
+    lines += [f"{w:.9e},{e:.9e}" for w, e in zip(ds.omega, ds.eps2)]
     out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(ds.samples)} samples)")
+    print(f"wrote {out} ({ds.omega.size} samples)")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -23,8 +23,8 @@ from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        temperature_correction)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
                       ColumnFormat, FrequencyBoundaries, OpticalDataset,
-                      OpticalSample, fill_gap, generate_synthetic_dataset,
-                      interpolate_eps2, load_dataset, merge_datasets)
+                      fill_gap, generate_synthetic_dataset, interpolate_eps2,
+                      load_dataset, merge_datasets)
 from .yukawa import (ASTRO_ALPHA_CEILING, ConstraintGeometry, LambdaBoundary,
                      YukawaHypothesis, allowed_lambda_boundary,
                      alpha_lower_limit, yukawa_force_oracle)

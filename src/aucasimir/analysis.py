@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
+from ._table import read_table
 from .errors import DataFormatError
 
 
@@ -25,10 +25,12 @@ class ExperimentRecord:
     sigma: float
 
     def __post_init__(self):
-        if not self.separation > 0:
-            raise ValueError("separation must be positive")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.separation < math.inf:
+            raise ValueError("separation must be finite and positive")
+        if not math.isfinite(self.force_measured):
+            raise ValueError("force_measured must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -56,29 +58,13 @@ def load_experiment(path) -> list[ExperimentRecord]:
     commas or whitespace.  Separations are converted to meters.  Duplicate
     separations are kept (stable order).
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"experiment file not found: {path}")
+    values, lines, _ = read_table(path, 3, "experiment")
     records = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 3:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 3 columns (a_nm, F_pN, sigma_pN), "
-                f"got {len(parts)}")
-        try:
-            a_nm, f_pn, sigma = (float(p) for p in parts)
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+    for (a_nm, f_pn, sigma), lineno in zip(values.tolist(), lines):
         try:
             records.append(ExperimentRecord(a_nm * 1e-9, f_pn, sigma))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    if not records:
-        raise DataFormatError(f"{path}: no data rows")
     records.sort(key=lambda r: r.separation)
     return records
 

@@ -11,6 +11,7 @@ data, in that order.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -23,6 +24,19 @@ from .lifshitz import QuadratureSettings
 from .optical import FrequencyBoundaries, OpticalDataset, load_dataset, merge_datasets
 
 DATA_DIR_ENV = "CASIMIR_DATA_DIR"
+
+#: the keys of each section; kk_epsrel, p_epsrel, zeta_epsrel,
+#: sum_consecutive and zeta_max are retired and load with no effect
+_KEYS = {
+    "dielectric": {"model", "omega_p", "omega_tau", "dataset", "fit_range",
+                   "fit_fixed_omega_p", "omega0", "omega1", "tail_exponent",
+                   "kk_epsrel"},
+    "geometry": {"sphere_radius"},
+    "thermal": {"temperature"},
+    "force": {"prescription"},
+    "numerics": {"zeta_min", "panels_per_decade", "sum_rel_tol", "n_max",
+                 "p_epsrel", "zeta_epsrel", "sum_consecutive", "zeta_max"},
+}
 
 
 def package_data_dir() -> Path:
@@ -106,9 +120,12 @@ def _get_float(cp, section, key, default=None):
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _get_int(cp, section, key, default):
@@ -116,11 +133,6 @@ def _get_int(cp, section, key, default):
     if not value.is_integer():
         raise ConfigError(f"[{section}] {key}: not an integer: {value!r}")
     return int(value)
-
-
-def _check_tolerance(name, value):
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{name} must be in (0, 1), got {value}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -135,6 +147,12 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
     if not cp.has_section("dielectric"):
         raise ConfigError(f"{path}: missing [dielectric] section")
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}")
 
     dataset_raw = cp.get("dielectric", "dataset", fallback="").strip()
     dataset_names = [s.strip() for s in dataset_raw.split(",") if s.strip()]
@@ -159,19 +177,17 @@ def load_run_config(path) -> RunConfig:
         except ValueError:
             raise ConfigError(f"[dielectric] fit_range: not a number: "
                               f"{' '.join(fit_raw)!r}") from None
-        if not 0 < fit_range[0] < fit_range[1]:
-            raise ConfigError("[dielectric] fit_range must be 0 < lo < hi")
+        if not 0 < fit_range[0] < fit_range[1] < math.inf:
+            raise ConfigError("[dielectric] fit_range must be finite with 0 < lo < hi")
     fixed_raw = cp.get("dielectric", "fit_fixed_omega_p", fallback="").strip()
     fit_fixed = _get_float(cp, "dielectric", "fit_fixed_omega_p") if fixed_raw else None
 
-    has_params = cp.has_option("dielectric", "omega_p")
-    if has_params:
+    drude = None
+    if cp.has_option("dielectric", "omega_p"):
         drude = DrudeParameters(_get_float(cp, "dielectric", "omega_p"),
                                 _get_float(cp, "dielectric", "omega_tau"))
-    else:
-        if fit_range is None:
-            raise ConfigError("[dielectric] needs omega_p/omega_tau or fit_range")
-        drude = None
+    elif fit_range is None:
+        raise ConfigError("[dielectric] needs omega_p/omega_tau or fit_range")
 
     try:
         boundaries = FrequencyBoundaries(
@@ -183,37 +199,29 @@ def load_run_config(path) -> RunConfig:
     if tail_exponent <= 1:
         raise ConfigError("[dielectric] tail_exponent must exceed 1")
 
-    sphere_radius = _get_float(cp, "geometry", "sphere_radius") \
-        if cp.has_section("geometry") else None
-    if sphere_radius is None:
-        raise ConfigError("missing [geometry] sphere_radius")
+    sphere_radius = _get_float(cp, "geometry", "sphere_radius")
     if sphere_radius <= 0:
         raise ConfigError("[geometry] sphere_radius must be positive")
 
-    temperature = _get_float(cp, "thermal", "temperature", 300.0) \
-        if cp.has_section("thermal") else 300.0
+    temperature = _get_float(cp, "thermal", "temperature", 300.0)
     if temperature < 0:
         raise ConfigError("[thermal] temperature must be non-negative")
 
-    prescription = cp.get("force", "prescription", fallback="schwinger").strip() \
-        if cp.has_section("force") else "schwinger"
+    prescription = cp.get("force", "prescription", fallback="schwinger").strip()
     if prescription not in ("schwinger", "halved"):
         raise ConfigError(f"[force] prescription must be 'schwinger' or "
                           f"'halved', got {prescription!r}")
 
     defaults = QuadratureSettings()
-    if cp.has_section("numerics"):
-        settings = QuadratureSettings(
-            zeta_min=_get_float(cp, "numerics", "zeta_min", defaults.zeta_min),
-            panels_per_decade=_get_int(cp, "numerics", "panels_per_decade",
-                                       defaults.panels_per_decade),
-            sum_rel_tol=_get_float(cp, "numerics", "sum_rel_tol",
-                                   defaults.sum_rel_tol),
-            n_max=_get_int(cp, "numerics", "n_max", defaults.n_max),
-        )
-    else:
-        settings = defaults
-    _check_tolerance("[numerics] sum_rel_tol", settings.sum_rel_tol)
+    settings = QuadratureSettings(
+        zeta_min=_get_float(cp, "numerics", "zeta_min", defaults.zeta_min),
+        panels_per_decade=_get_int(cp, "numerics", "panels_per_decade",
+                                   defaults.panels_per_decade),
+        sum_rel_tol=_get_float(cp, "numerics", "sum_rel_tol", defaults.sum_rel_tol),
+        n_max=_get_int(cp, "numerics", "n_max", defaults.n_max))
+    if not 0.0 < settings.sum_rel_tol < 1.0:
+        raise ConfigError(f"[numerics] sum_rel_tol must be in (0, 1), "
+                          f"got {settings.sum_rel_tol}")
     if not settings.zeta_min > 0:
         raise ConfigError("[numerics] zeta_min must be positive")
     if settings.panels_per_decade < 1 or settings.n_max < 1:

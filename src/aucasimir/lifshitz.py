@@ -62,10 +62,10 @@ class Geometry:
     separation: float
 
     def __post_init__(self):
-        if not self.sphere_radius > 0:
-            raise ValueError("sphere_radius must be positive")
-        if not self.separation > 0:
-            raise ValueError("separation must be positive")
+        if not 0 < self.sphere_radius < math.inf:
+            raise ValueError("sphere_radius must be finite and positive")
+        if not 0 < self.separation < math.inf:
+            raise ValueError("separation must be finite and positive")
         if self.sphere_radius / self.separation < 100:
             warnings.warn(
                 "sphere_radius / separation < 100: the proximity force "
@@ -79,8 +79,8 @@ class ThermalState:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.constants import e as _e_charge, hbar as _hbar
 
+from ._table import read_table
 from .errors import DataFormatError
 
 if TYPE_CHECKING:
@@ -33,21 +33,6 @@ OMEGA0_DEFAULT = 0.1 * EV_TO_RAD_S
 
 #: boundary between defect-dominated and interband absorption for gold
 OMEGA1_DEFAULT = 3.2e15
-
-
-@dataclass(frozen=True)
-class OpticalSample:
-    """One tabulated point: angular frequency [rad/s], eps''(omega), source tag."""
-
-    omega: float
-    eps2: float
-    source_label: str = ""
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.eps2 > 0:
-            raise ValueError(f"eps2 must be positive (absorptive medium), got {self.eps2}")
 
 
 @dataclass(frozen=True)
@@ -68,48 +53,54 @@ class FrequencyBoundaries:
                 f"need 0 < omega0 < omega1, got ({self.omega0}, {self.omega1})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalDataset:
-    """Immutable, strictly ascending table of (omega, eps2) samples."""
+    """Table of eps''(omega) samples as read-only columns, ascending in omega.
 
-    samples: tuple[OpticalSample, ...]
+    `omega` [rad/s] and `eps2` are float arrays; `source` holds one tag per
+    sample, and a single string tags every sample.  The constructor sorts
+    by omega (stable) and rejects an empty table, columns of unequal
+    length, non-finite or non-positive values and repeated frequencies.
+    """
+
+    omega: np.ndarray
+    eps2: np.ndarray
+    source: np.ndarray = ""
 
     def __post_init__(self):
-        if not self.samples:
+        omega = np.array(self.omega, dtype=float)
+        eps2 = np.array(self.eps2, dtype=float)
+        source = np.array(self.source, dtype=object)
+        if source.ndim == 0:
+            source = np.full(omega.shape, self.source, dtype=object)
+        if omega.ndim != 1 or omega.size == 0:
             raise ValueError("dataset must contain at least one sample")
-        omega = np.array([s.omega for s in self.samples], dtype=float)
-        if np.any(np.diff(omega) <= 0):
-            raise ValueError("samples must be strictly ascending in omega")
-        eps2 = np.array([s.eps2 for s in self.samples], dtype=float)
-        object.__setattr__(self, "_omega", omega)
-        object.__setattr__(self, "_eps2", eps2)
-        object.__setattr__(self, "_ln_omega", np.log(omega))
-        object.__setattr__(self, "_ln_eps2", np.log(eps2))
-
-    @classmethod
-    def from_arrays(cls, omega: Iterable[float], eps2: Iterable[float],
-                    source_label: str = "") -> "OpticalDataset":
-        pairs = sorted(zip(omega, eps2))
-        return cls(tuple(OpticalSample(w, e, source_label) for w, e in pairs))
+        if eps2.shape != omega.shape or source.shape != omega.shape:
+            raise ValueError(f"columns differ in length: omega {omega.shape}, "
+                             f"eps2 {eps2.shape}, source {source.shape}")
+        for name, column in (("omega", omega), ("eps2", eps2)):
+            if not np.all((column > 0) & (column < np.inf)):
+                raise ValueError(f"{name} must be finite and positive")
+        order = np.argsort(omega, kind="stable")
+        omega, eps2, source = omega[order], eps2[order], source[order]
+        repeated = np.flatnonzero(omega[1:] == omega[:-1])
+        if repeated.size:
+            raise ValueError(f"repeated frequency omega={omega[repeated[0]]}: "
+                             f"samples must be strictly ascending in omega")
+        for name, column in (("omega", omega), ("eps2", eps2), ("source", source)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def omega_min(self) -> float:
-        return self.samples[0].omega
+        return float(self.omega[0])
 
     @property
     def omega_max(self) -> float:
-        return self.samples[-1].omega
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self._omega
-
-    @property
-    def eps2(self) -> np.ndarray:
-        return self._eps2
+        return float(self.omega[-1])
 
     def __repr__(self):
-        return (f"OpticalDataset(n={len(self.samples)}, "
+        return (f"OpticalDataset(n={self.omega.size}, "
                 f"omega=[{self.omega_min:.4g}, {self.omega_max:.4g}] rad/s)")
 
 
@@ -125,15 +116,6 @@ class ColumnFormat:
             raise ValueError(f"unknown frequency unit {self.frequency_unit!r}")
 
 
-def _parse_header_tokens(line: str) -> dict:
-    tokens = {}
-    for chunk in line.lstrip("#").split():
-        if "=" in chunk:
-            key, _, value = chunk.partition("=")
-            tokens[key] = value
-    return tokens
-
-
 def load_dataset(path, fmt: ColumnFormat | None = None) -> OpticalDataset:
     """Load an optical dataset from a delimited text file.
 
@@ -142,51 +124,28 @@ def load_dataset(path, fmt: ColumnFormat | None = None) -> OpticalDataset:
     (frequency, eps2) separated by whitespace or commas.  An explicit `fmt`
     overrides the file header.  eV frequencies are converted to rad/s.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"optical data file not found: {path}")
-
+    values, lines, comments = read_table(path, 2, "optical data")
     unit = fmt.frequency_unit if fmt is not None else None
     source = fmt.source if fmt is not None else ""
-    rows: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if fmt is None and unit is None and "unit=" in line:
-                tokens = _parse_header_tokens(line)
-                unit = tokens.get("unit")
-                source = tokens.get("source", "")
-                if unit not in ("rad_s", "eV"):
-                    raise DataFormatError(f"{path}:{lineno}: unknown unit {unit!r}")
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
-        try:
-            freq, eps2 = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
-        if freq <= 0 or eps2 <= 0:
-            raise DataFormatError(f"{path}:{lineno}: values must be positive")
-        rows.append((freq, eps2))
-
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+    header = next(((n, c) for n, c in comments if "unit=" in c), None)
+    if fmt is None and header is not None:
+        tokens = dict(chunk.split("=", 1) for chunk in header[1].lstrip("#").split()
+                      if "=" in chunk)
+        unit, source = tokens.get("unit"), tokens.get("source", "")
+        if unit not in ("rad_s", "eV"):
+            raise DataFormatError(f"{path}:{header[0]}: unknown unit {unit!r}")
     if unit is None:
         raise DataFormatError(
             f"{path}: frequency unit not declared (header '# unit=eV' or "
             f"'# unit=rad_s', or pass a ColumnFormat)")
-
+    bad = np.flatnonzero(np.any(values <= 0, axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{lines[bad[0]]}: values must be positive")
     scale = EV_TO_RAD_S if unit == "eV" else 1.0
-    rows.sort(key=lambda r: r[0])
-    for (w1, _), (w2, _) in zip(rows, rows[1:]):
-        if w1 == w2:
-            raise DataFormatError(f"{path}: duplicate frequency {w1}")
-    return OpticalDataset(
-        tuple(OpticalSample(w * scale, e, source) for w, e in rows))
+    try:
+        return OpticalDataset(values[:, 0] * scale, values[:, 1], source)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def merge_datasets(a: OpticalDataset, b: OpticalDataset,
@@ -199,16 +158,18 @@ def merge_datasets(a: OpticalDataset, b: OpticalDataset,
     conflicting duplicates (same omega, different eps2) are an error.
     """
     if precedence == "equal":
-        by_omega: dict[float, OpticalSample] = {}
-        for s in a.samples + b.samples:
-            prev = by_omega.get(s.omega)
-            if prev is not None and prev.eps2 != s.eps2:
-                raise DataFormatError(
-                    f"conflicting duplicate at omega={s.omega}: "
-                    f"{prev.eps2} vs {s.eps2} (equal precedence)")
-            by_omega[s.omega] = s
-        merged = sorted(by_omega.values(), key=lambda s: s.omega)
-        return OpticalDataset(tuple(merged))
+        order = np.argsort(np.concatenate((a.omega, b.omega)), kind="stable")
+        omega, eps2, source = (np.concatenate(pair)[order] for pair in (
+            (a.omega, b.omega), (a.eps2, b.eps2), (a.source, b.source)))
+        repeated = omega[1:] == omega[:-1]
+        conflict = np.flatnonzero(repeated & (eps2[1:] != eps2[:-1]))
+        if conflict.size:
+            i = conflict[0]
+            raise DataFormatError(
+                f"conflicting duplicate at omega={omega[i]}: "
+                f"{eps2[i]} vs {eps2[i + 1]} (equal precedence)")
+        keep = np.append(~repeated, True)   # of a duplicate pair, b's sample
+        return OpticalDataset(omega[keep], eps2[keep], source[keep])
 
     if precedence == "a":
         winner, loser = a, b
@@ -216,10 +177,12 @@ def merge_datasets(a: OpticalDataset, b: OpticalDataset,
         winner, loser = b, a
     else:
         raise ValueError(f"precedence must be 'a', 'b' or 'equal', got {precedence!r}")
-    kept = [s for s in loser.samples
-            if not winner.omega_min <= s.omega <= winner.omega_max]
-    merged = sorted(winner.samples + tuple(kept), key=lambda s: s.omega)
-    return OpticalDataset(tuple(merged))
+    lo = np.searchsorted(loser.omega, winner.omega_min, side="left")
+    hi = np.searchsorted(loser.omega, winner.omega_max, side="right")
+    return OpticalDataset(*(np.concatenate((lose[:lo], win, lose[hi:]))
+                            for win, lose in ((winner.omega, loser.omega),
+                                              (winner.eps2, loser.eps2),
+                                              (winner.source, loser.source))))
 
 
 def interpolate_eps2(ds: OpticalDataset, omega):
@@ -229,13 +192,13 @@ def interpolate_eps2(ds: OpticalDataset, omega):
     must lie inside [omega_min, omega_max] (no extrapolation here).
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w < ds.omega_min) or np.any(w > ds.omega_max):
+    if not np.all((w >= ds.omega_min) & (w <= ds.omega_max)):
         raise ValueError(
             f"omega outside data range [{ds.omega_min:.6g}, {ds.omega_max:.6g}]")
-    out = np.exp(np.interp(np.log(w), ds._ln_omega, ds._ln_eps2))
+    out = np.exp(np.interp(np.log(w), np.log(ds.omega), np.log(ds.eps2)))
     # return the stored value verbatim when omega hits a node
-    idx = np.clip(np.searchsorted(ds._omega, w), 0, len(ds._omega) - 1)
-    out = np.where(ds._omega[idx] == w, ds._eps2[idx], out)
+    idx = np.clip(np.searchsorted(ds.omega, w), 0, ds.omega.size - 1)
+    out = np.where(ds.omega[idx] == w, ds.eps2[idx], out)
     return float(out) if np.isscalar(omega) else out
 
 
@@ -254,21 +217,19 @@ def fill_gap(ds: OpticalDataset, gap_lo: float, gap_hi: float,
     if points_per_decade < 0:
         raise ValueError("points_per_decade must be >= 0")
 
-    left = max((s for s in ds.samples if s.omega <= gap_lo), key=lambda s: s.omega)
-    right = min((s for s in ds.samples if s.omega >= gap_hi), key=lambda s: s.omega)
-    if any(left.omega < s.omega < right.omega for s in ds.samples):
+    left = np.searchsorted(ds.omega, gap_lo, side="right") - 1
+    right = np.searchsorted(ds.omega, gap_hi, side="left")
+    if right > left + 1:
         raise ValueError("gap interval is not empty of samples")
 
-    decades = math.log10(right.omega / left.omega)
-    n_nodes = int(round(points_per_decade * decades)) + 1
+    w_left, w_right = ds.omega[left], ds.omega[right]
+    n_nodes = int(round(points_per_decade * math.log10(w_right / w_left))) + 1
     if n_nodes < 2:
         return ds
-    grid = np.exp(np.linspace(math.log(left.omega), math.log(right.omega), n_nodes))
-    inner = grid[1:-1]
-    new = [OpticalSample(float(w), float(e), "gapfill")
-           for w, e in zip(inner, interpolate_eps2(ds, inner))]
-    merged = sorted(ds.samples + tuple(new), key=lambda s: s.omega)
-    return OpticalDataset(tuple(merged))
+    inner = np.exp(np.linspace(math.log(w_left), math.log(w_right), n_nodes))[1:-1]
+    return OpticalDataset(np.insert(ds.omega, right, inner),
+                          np.insert(ds.eps2, right, interpolate_eps2(ds, inner)),
+                          np.insert(ds.source, right, ["gapfill"] * inner.size))
 
 
 def drude_eps2(omega_p: float, omega_tau: float, omega):
@@ -303,13 +264,10 @@ def generate_synthetic_dataset(
     for strength, center, width in oscillators:
         if strength <= 0 or center <= 0 or width <= 0:
             raise ValueError("oscillator parameters must be positive")
-    n_nodes = int(round(points_per_decade * math.log10(hi / lo))) + 1
-    n_nodes = max(n_nodes, 2)
+    n_nodes = max(int(round(points_per_decade * math.log10(hi / lo))) + 1, 2)
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), n_nodes))
     grid[0], grid[-1] = lo, hi  # exp(log(.)) can drift by an ulp
     eps2 = drude_eps2(drude.omega_p, drude.omega_tau, grid)
     for strength, center, width in oscillators:
         eps2 = eps2 + lorentz_eps2(strength, center, width, grid)
-    return OpticalDataset(
-        tuple(OpticalSample(float(w), float(e), source_label)
-              for w, e in zip(grid, eps2)))
+    return OpticalDataset(grid, eps2, source_label)

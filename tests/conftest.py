@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from aucasimir import (DrudeParameters, Geometry, ThermalState,
                        force_finite_T, force_zero_T,
@@ -14,6 +15,11 @@ ROW1 = (1.38e16, 5.38e13)
 ROW2 = (1.37e16, 4.06e13)
 ROW3 = (1.28e16, 3.29e13)
 SINGLE_CRYSTAL = (1.37e16, 3.7e13)
+
+#: Drude metals around gold, for property tests
+drude_rows = st.builds(DrudeParameters,
+                       st.floats(0.8e16, 1.8e16),
+                       st.floats(1e13, 2e14))
 
 
 @pytest.fixture(scope="session")

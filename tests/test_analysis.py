@@ -45,9 +45,21 @@ class TestLoadExperiment:
         with pytest.raises(DataFormatError, match=":1"):
             load_experiment(write(tmp_path, "63,491,-3.5\n"))
 
+    @pytest.mark.parametrize("row", ["63,nan,3.5", "63,491,inf", "nan,491,3.5"])
+    def test_non_finite_reports_line(self, tmp_path, row):
+        with pytest.raises(DataFormatError, match=":2: non-finite"):
+            load_experiment(write(tmp_path, f"100,120,3\n{row}\n"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_experiment(tmp_path / "gone.csv")
+
+    @pytest.mark.parametrize("fields", [(math.nan, 491.0, 3.5),
+                                        (63e-9, math.nan, 3.5),
+                                        (63e-9, 491.0, math.inf)])
+    def test_record_rejects_non_finite(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentRecord(*fields)
 
 
 class TestResidualReport:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +83,7 @@ class TestFitDrude:
                                         points_per_decade=25)
         data = tmp_path / "pure.csv"
         data.write_text("# unit=rad_s source=fixture\n" + "\n".join(
-            f"{s.omega:.12e} {s.eps2:.12e}" for s in ds.samples) + "\n")
+            f"{w:.12e} {e:.12e}" for w, e in zip(ds.omega, ds.eps2)) + "\n")
         code, out, _ = run(capsys, ["fit-drude", "--dataset", str(data),
                                     "--range", "2e14", "2e15",
                                     "--output", "csv"])
@@ -96,7 +100,7 @@ class TestFitDrude:
                                         points_per_decade=10)
         data = tmp_path / "pure.csv"
         data.write_text("# unit=rad_s\n" + "\n".join(
-            f"{s.omega:.12e} {s.eps2:.12e}" for s in ds.samples) + "\n")
+            f"{w:.12e} {e:.12e}" for w, e in zip(ds.omega, ds.eps2)) + "\n")
         code, out, _ = run(capsys, ["fit-drude", "--dataset", str(data),
                                     "--range", "2e14", "2e15"])
         assert code == 0
@@ -327,7 +331,7 @@ class TestConfigHandling:
                                         points_per_decade=10)
         (data_dir / "env_only.csv").write_text(
             "# unit=rad_s\n" + "\n".join(
-                f"{s.omega:.9e} {s.eps2:.9e}" for s in ds.samples) + "\n")
+                f"{w:.9e} {e:.9e}" for w, e in zip(ds.omega, ds.eps2)) + "\n")
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(TABULATED_INI
                        .replace("gold_synthetic.csv", "env_only.csv")
@@ -372,3 +376,76 @@ class TestConfigHandling:
                                     "--zeta", "1e15"])
         assert code == 2
         assert "omega_p" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("geometry", "sphere_radius", "inf"),
+        ("thermal", "temperature", "nan"),
+        ("thermal", "temperature", "inf")])
+    def test_non_finite_value_names_key(self, tmp_path, capsys, section, key,
+                                        value):
+        path = tmp_path / "bad.ini"
+        path.write_text(DRUDE_INI.replace(f"{key} = ", f"{key} = {value} #"))
+        code, out, err = run(capsys, ["force", "--config", str(path),
+                                      "--a", "100"])
+        assert code == 2
+        assert out == ""
+        assert f"[{section}] {key}" in err and "finite" in err
+
+    def test_mistyped_key_fails_fast(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(DRUDE_INI + "\n[numerics]\nsum_rel_tl = 1e-14\n")
+        code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
+        assert code == 2
+        assert "unknown key [numerics] sum_rel_tl" in err
+
+    def test_mistyped_section_fails_fast(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(DRUDE_INI + "\n[numeric]\nsum_rel_tol = 1e-14\n")
+        code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
+        assert code == 2
+        assert "unknown section [numeric]" in err
+
+
+def bundled_data_with_row(tmp_path, lineno, row):
+    """Copy of the bundled optical data with line `lineno` replaced by `row`."""
+    lines = (package_data_dir() / "gold_synthetic.csv").read_text().splitlines()
+    lines[lineno - 1] = row
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestNonFiniteInput:
+    """Non-finite table values are input errors that name file and line."""
+
+    @pytest.mark.parametrize("row", ["inf,3.0", "1.0e15,nan"])
+    def test_optical_data(self, tmp_path, capsys, row):
+        data = bundled_data_with_row(tmp_path, 40, row)
+        path = tmp_path / "cfg.ini"
+        path.write_text(TABULATED_INI.replace("gold_synthetic.csv", str(data)))
+        code, out, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
+        assert code == 2
+        assert out == ""
+        assert f"{data}:40: non-finite" in err
+
+    @pytest.mark.parametrize("row", ["150,nan,3.5", "150,40,inf"])
+    def test_experiment_data(self, drude_config, tmp_path, capsys, row):
+        exp_file = tmp_path / "exp.csv"
+        exp_file.write_text(f"100,120,3.5\n{row}\n")
+        code, out, err = run(capsys, ["residuals", "--config", drude_config,
+                                      "--experiment", str(exp_file)])
+        assert code == 2
+        assert out == ""
+        assert f"{exp_file}:2: non-finite" in err
+
+
+def test_cli_import_leaves_quadpack_out():
+    # QUADPACK is a test oracle only; the library runs on its own rule
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aucasimir.cli; print('scipy.integrate' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.constants import c, epsilon_0
 
 from aucasimir import (DielectricModel, DrudeParameters,
@@ -9,6 +10,7 @@ from aucasimir import (DielectricModel, DrudeParameters,
                        generate_synthetic_dataset, resistivity)
 from aucasimir.optical import OMEGA0_DEFAULT
 
+from conftest import drude_rows
 from kk_oracle import kk_epsilon
 
 
@@ -163,6 +165,18 @@ class TestKKEpsilon:
         values = [model.epsilon(z) for z in np.logspace(13.5, 16.5, 7)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(v > 1 for v in values)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drude_rows)
+    def test_drude_round_trip_property(self, row):
+        # the transform of exact Drude data returns the closed form; C5
+        # checks one row over [1e14, 1e16], this any row over [1e12, 1e18]
+        ds = generate_synthetic_dataset(row, omega_range=(OMEGA0_DEFAULT, 1e18),
+                                        points_per_decade=30)
+        zetas = np.logspace(12, 18, 25)
+        closed = 1.0 + row.omega_p**2 / (zetas * (zetas + row.omega_tau))
+        np.testing.assert_allclose(DielectricModel(row, ds).epsilon(zetas),
+                                   closed, rtol=1e-3)
 
     def test_invalid_zeta(self, pure_drude_dataset, row2):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from aucasimir import (ConvergenceError, DielectricModel, DrudeParameters,
                        reduction_factor, temperature_correction)
 from aucasimir.lifshitz import ZETA3, _tail_bound, round_trip_factors
 
-from conftest import SPHERE_RADIUS
+from conftest import SPHERE_RADIUS, drude_rows
 
 
 def ideal_matsubara_term_closed_form(n, g, t):
@@ -240,11 +240,8 @@ class TestTemperatureCorrection:
         assert abs(dtf) < 0.1
 
 
-# Drude metals around gold, separations and temperatures around the
-# experiment; derandomized so that every run draws the same examples
-drude_rows = st.builds(DrudeParameters,
-                       st.floats(0.8e16, 1.8e16),
-                       st.floats(1e13, 2e14))
+# separations and temperatures around the experiment; derandomized so that
+# every run draws the same examples
 separations = st.floats(50e-9, 300e-9)
 temperatures = st.floats(10.0, 400.0)
 properties = settings(max_examples=25, deadline=None, derandomize=True)
@@ -289,6 +286,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Geometry(95.65e-6, -1e-9)
 
+    @pytest.mark.parametrize("radius, separation", [
+        (math.inf, 63e-9), (math.nan, 63e-9), (95.65e-6, math.inf),
+        (95.65e-6, math.nan)])
+    def test_geometry_rejects_non_finite(self, radius, separation):
+        with pytest.raises(ValueError, match="finite"):
+            Geometry(radius, separation)
+
     def test_geometry_warns_when_curvature_matters(self):
         with pytest.warns(UserWarning, match="R >> a"):
             Geometry(1e-6, 5e-8)
@@ -296,6 +300,11 @@ class TestDomainTypes:
     def test_thermal_state_validation(self):
         with pytest.raises(ValueError):
             ThermalState(-1.0)
+
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
+    def test_thermal_state_rejects_non_finite(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalState(temperature)
 
     def test_reduction_factor_needs_positive_force(self, geometry63):
         with pytest.raises(ValueError):

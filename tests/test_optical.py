@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aucasimir import (ColumnFormat, DataFormatError, DrudeParameters,
-                       OpticalDataset, OpticalSample, fill_gap,
-                       generate_synthetic_dataset, interpolate_eps2,
-                       load_dataset, merge_datasets)
+                       OpticalDataset, fill_gap, generate_synthetic_dataset,
+                       interpolate_eps2, load_dataset, merge_datasets)
 
 # 0.1 eV * e / hbar, evaluated by hand from CODATA values
 OMEGA_01EV = 1.519267e14
+
+
+def samples(ds):
+    """The dataset as a list of (omega, eps2, source) triples."""
+    return list(zip(ds.omega.tolist(), ds.eps2.tolist(), ds.source.tolist()))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -23,10 +28,10 @@ class TestLoadDataset:
     def test_ev_unit_conversion(self, tmp_path):
         path = write(tmp_path, "# unit=eV source=test\n0.1 5.0\n0.2 2.0\n")
         ds = load_dataset(path)
-        assert ds.samples[0].omega == pytest.approx(OMEGA_01EV, rel=1e-6)
-        assert ds.samples[1].omega == pytest.approx(2 * OMEGA_01EV, rel=1e-6)
-        assert ds.samples[0].eps2 == 5.0
-        assert ds.samples[0].source_label == "test"
+        assert ds.omega[0] == pytest.approx(OMEGA_01EV, rel=1e-6)
+        assert ds.omega[1] == pytest.approx(2 * OMEGA_01EV, rel=1e-6)
+        assert ds.eps2[0] == 5.0
+        assert ds.source[0] == "test"
 
     def test_single_row(self, tmp_path):
         ds = load_dataset(write(tmp_path, "# unit=rad_s\n1e15 3.0\n"))
@@ -34,11 +39,11 @@ class TestLoadDataset:
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         ds = load_dataset(write(tmp_path, "# unit=rad_s\n2e15 1.0\n1e15 2.0\n"))
-        assert [s.omega for s in ds.samples] == [1e15, 2e15]
+        assert ds.omega.tolist() == [1e15, 2e15]
 
     def test_comma_separated(self, tmp_path):
         ds = load_dataset(write(tmp_path, "# unit=rad_s\n1e15,3.0\n"))
-        assert ds.samples[0].eps2 == 3.0
+        assert ds.eps2[0] == 3.0
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = write(tmp_path, "# unit=rad_s\n1e15 2.0\n1e16 oops\n")
@@ -54,6 +59,12 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="positive"):
             load_dataset(write(tmp_path, "# unit=rad_s\n1e15 -2.0\n"))
 
+    @pytest.mark.parametrize("row", ["inf 2.0", "1e15 nan", "-inf 2.0"])
+    def test_non_finite_value_reports_line(self, tmp_path, row):
+        path = write(tmp_path, f"# unit=rad_s\n1e14 3.0\n{row}\n")
+        with pytest.raises(DataFormatError, match=":3: non-finite"):
+            load_dataset(path)
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="no data"):
             load_dataset(write(tmp_path, "# unit=rad_s\n"))
@@ -65,8 +76,8 @@ class TestLoadDataset:
     def test_explicit_format_overrides_header(self, tmp_path):
         path = write(tmp_path, "# unit=eV\n1e15 2.0\n")
         ds = load_dataset(path, fmt=ColumnFormat("rad_s", "forced"))
-        assert ds.samples[0].omega == 1e15
-        assert ds.samples[0].source_label == "forced"
+        assert ds.omega[0] == 1e15
+        assert ds.source[0] == "forced"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.csv"):
@@ -75,39 +86,46 @@ class TestLoadDataset:
 
 class TestMergeDatasets:
     def a_and_b(self):
-        a = OpticalDataset.from_arrays([1e14, 5e14, 1e15], [10, 5, 2], "a")
-        b = OpticalDataset.from_arrays([8e14, 9e14, 2e15, 1e16], [4, 3, 1, 0.5], "b")
+        a = OpticalDataset([1e14, 5e14, 1e15], [10, 5, 2], "a")
+        b = OpticalDataset([8e14, 9e14, 2e15, 1e16], [4, 3, 1, 0.5], "b")
         return a, b
 
     def test_precedence_drops_overlapping_loser_samples(self):
         a, b = self.a_and_b()
         merged = merge_datasets(a, b, precedence="a")
-        omegas = [s.omega for s in merged.samples]
+        omegas = merged.omega.tolist()
         assert omegas == [1e14, 5e14, 1e15, 2e15, 1e16]
         # b's 8e14 and 9e14 fall inside a's span and are gone
-        assert all(s.source_label == "a" for s in merged.samples[:3])
+        assert all(s == "a" for s in merged.source[:3])
 
     def test_disjoint_ranges_concatenate(self):
-        a = OpticalDataset.from_arrays([1e14, 2e14], [1, 2], "a")
-        b = OpticalDataset.from_arrays([1e15, 2e15], [3, 4], "b")
+        a = OpticalDataset([1e14, 2e14], [1, 2], "a")
+        b = OpticalDataset([1e15, 2e15], [3, 4], "b")
         merged = merge_datasets(a, b, precedence="a")
-        assert [s.omega for s in merged.samples] == [1e14, 2e14, 1e15, 2e15]
+        assert merged.omega.tolist() == [1e14, 2e14, 1e15, 2e15]
 
     def test_idempotent(self):
         a, _ = self.a_and_b()
-        assert merge_datasets(a, a, precedence="a").samples == a.samples
-        assert merge_datasets(a, a, precedence="equal").samples == a.samples
+        assert samples(merge_datasets(a, a, precedence="a")) == samples(a)
+        assert samples(merge_datasets(a, a, precedence="equal")) == samples(a)
+
+    def test_equal_precedence_collapses_identical_duplicates(self):
+        a = OpticalDataset([1e14, 2e14], [3.0, 2.0], "a")
+        b = OpticalDataset([2e14, 3e14], [2.0, 1.0], "b")
+        # of an identical pair, the second dataset's sample (and tag) stays
+        assert samples(merge_datasets(a, b, precedence="equal")) == [
+            (1e14, 3.0, "a"), (2e14, 2.0, "b"), (3e14, 1.0, "b")]
 
     def test_equal_precedence_conflict(self):
-        a = OpticalDataset.from_arrays([1e14], [1.0], "a")
-        b = OpticalDataset.from_arrays([1e14], [2.0], "b")
+        a = OpticalDataset([1e14], [1.0], "a")
+        b = OpticalDataset([1e14], [2.0], "b")
         with pytest.raises(DataFormatError, match="conflict"):
             merge_datasets(a, b, precedence="equal")
 
     def test_output_satisfies_invariants(self):
         a, b = self.a_and_b()
         merged = merge_datasets(b, a, precedence="b")
-        omega = [s.omega for s in merged.samples]
+        omega = merged.omega.tolist()
         assert omega == sorted(omega)
         assert len(set(omega)) == len(omega)
 
@@ -119,29 +137,34 @@ class TestMergeDatasets:
 
 class TestInterpolate:
     def test_exact_at_nodes(self):
-        ds = OpticalDataset.from_arrays([1e14, 1e15, 1e16], [10, 1, 0.3])
-        for s in ds.samples:
-            assert interpolate_eps2(ds, s.omega) == s.eps2
+        ds = OpticalDataset([1e14, 1e15, 1e16], [10, 1, 0.3])
+        for omega, eps2 in zip(ds.omega.tolist(), ds.eps2.tolist()):
+            assert interpolate_eps2(ds, omega) == eps2
 
     def test_loglog_midpoint(self):
-        ds = OpticalDataset.from_arrays([1e14, 1e15], [10.0, 1.0])
+        ds = OpticalDataset([1e14, 1e15], [10.0, 1.0])
         # hand value: half a decade along the chord, 10^0.5
         assert interpolate_eps2(ds, 10**14.5) == pytest.approx(
             3.1622776601683795, rel=1e-12)
 
     def test_constant_segment(self):
-        ds = OpticalDataset.from_arrays([1e14, 1e15], [5.0, 5.0])
+        ds = OpticalDataset([1e14, 1e15], [5.0, 5.0])
         assert interpolate_eps2(ds, 3e14) == pytest.approx(5.0, rel=1e-12)
 
     def test_out_of_range(self):
-        ds = OpticalDataset.from_arrays([1e14, 1e15], [5.0, 5.0])
+        ds = OpticalDataset([1e14, 1e15], [5.0, 5.0])
         with pytest.raises(ValueError, match="outside"):
             interpolate_eps2(ds, 9e13)
         with pytest.raises(ValueError, match="outside"):
             interpolate_eps2(ds, 1.1e15)
 
+    def test_nan_rejected(self):
+        ds = OpticalDataset([1e14, 1e15], [5.0, 5.0])
+        with pytest.raises(ValueError, match="outside"):
+            interpolate_eps2(ds, np.array([3e14, np.nan]))
+
     def test_array_input(self):
-        ds = OpticalDataset.from_arrays([1e14, 1e15], [10.0, 1.0])
+        ds = OpticalDataset([1e14, 1e15], [10.0, 1.0])
         out = interpolate_eps2(ds, np.array([1e14, 10**14.5, 1e15]))
         assert out[0] == 10.0 and out[2] == 1.0
 
@@ -151,7 +174,7 @@ class TestInterpolate:
         # on that line to 1e-12 relative
         omega = np.array([2e14, 7e14, 3e15])
         eps2 = 4.0 * (omega / 1e15) ** slope
-        ds = OpticalDataset.from_arrays(omega, eps2)
+        ds = OpticalDataset(omega, eps2)
         for w in np.geomspace(2.2e14, 2.8e15, 7):
             expected = 4.0 * (w / 1e15) ** slope
             assert interpolate_eps2(ds, float(w)) == pytest.approx(
@@ -160,23 +183,23 @@ class TestInterpolate:
 
 class TestFillGap:
     def gapped(self):
-        return OpticalDataset.from_arrays(
+        return OpticalDataset(
             [1e14, 3e14, 6.3e14, 3.2e15, 6e15], [40, 12, 6.0, 1.5, 2.0], "data")
 
     def test_inserted_points_on_chord(self):
         ds = self.gapped()
         filled = fill_gap(ds, 6.3e14, 3.2e15, points_per_decade=20)
-        new = [s for s in filled.samples if s.source_label == "gapfill"]
+        new = [(w, e) for w, e, source in samples(filled) if source == "gapfill"]
         assert new
         ln_slope = math.log(1.5 / 6.0) / math.log(3.2e15 / 6.3e14)
-        for s in new:
-            assert 6.3e14 < s.omega < 3.2e15
-            chord = 6.0 * (s.omega / 6.3e14) ** ln_slope
-            assert s.eps2 == pytest.approx(chord, rel=1e-12)
+        for omega, eps2 in new:
+            assert 6.3e14 < omega < 3.2e15
+            chord = 6.0 * (omega / 6.3e14) ** ln_slope
+            assert eps2 == pytest.approx(chord, rel=1e-12)
 
     def test_zero_points_unchanged(self):
         ds = self.gapped()
-        assert fill_gap(ds, 6.3e14, 3.2e15, points_per_decade=0).samples == ds.samples
+        assert samples(fill_gap(ds, 6.3e14, 3.2e15, points_per_decade=0)) == samples(ds)
 
     def test_bracketing_samples_preserved(self):
         filled = fill_gap(self.gapped(), 6.3e14, 3.2e15)
@@ -196,7 +219,7 @@ class TestFillGap:
             fill_gap(self.gapped(), 1e13, 3.2e15)
 
     def test_nonempty_gap_rejected(self):
-        ds = OpticalDataset.from_arrays([1e14, 5e14, 1e15], [3, 2, 1])
+        ds = OpticalDataset([1e14, 5e14, 1e15], [3, 2, 1])
         with pytest.raises(ValueError, match="not empty"):
             fill_gap(ds, 2e14, 1e15)
 
@@ -231,17 +254,51 @@ class TestGenerateSynthetic:
 class TestInvariants:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            OpticalSample(-1e14, 1.0)
+            OpticalDataset([-1e14], [1.0])
         with pytest.raises(ValueError):
-            OpticalSample(1e14, 0.0)
+            OpticalDataset([1e14], [0.0])
 
     def test_dataset_requires_strictly_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
-            OpticalDataset((OpticalSample(1e14, 1.0), OpticalSample(1e14, 2.0)))
+            OpticalDataset([1e14, 1e14], [1.0, 2.0])
 
     def test_dataset_requires_samples(self):
         with pytest.raises(ValueError):
-            OpticalDataset(())
+            OpticalDataset([], [])
+
+    def test_fields_are_the_columns(self):
+        assert [f.name for f in dataclasses.fields(OpticalDataset)] == [
+            "omega", "eps2", "source"]
+
+    def test_sorted_stably_with_tags(self):
+        ds = OpticalDataset([3e14, 1e14, 2e14], [3.0, 1.0, 2.0], ["c", "a", "b"])
+        assert samples(ds) == [(1e14, 1.0, "a"), (2e14, 2.0, "b"),
+                               (3e14, 3.0, "c")]
+
+    def test_single_tag_for_every_sample(self):
+        assert OpticalDataset([1e14, 2e14], [1.0, 2.0], "x").source.tolist() == [
+            "x", "x"]
+
+    @pytest.mark.parametrize("omega, eps2", [
+        ([1e14, np.inf], [1.0, 2.0]), ([1e14, np.nan], [1.0, 2.0]),
+        ([1e14, 2e14], [1.0, np.nan]), ([1e14, 2e14], [np.inf, 2.0])])
+    def test_non_finite_rejected(self, omega, eps2):
+        with pytest.raises(ValueError, match="finite"):
+            OpticalDataset(omega, eps2)
+
+    @pytest.mark.parametrize("eps2, source", [([1.0], "x"),
+                                              ([1.0, 2.0], ["a"])])
+    def test_unequal_lengths_rejected(self, eps2, source):
+        with pytest.raises(ValueError, match="length"):
+            OpticalDataset([1e14, 2e14], eps2, source)
+
+    def test_columns_read_only_and_inputs_untouched(self):
+        omega = np.array([2e14, 1e14])
+        ds = OpticalDataset(omega, [2.0, 1.0], "x")
+        for column in (ds.omega, ds.eps2, ds.source):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        assert omega.flags.writeable and omega.tolist() == [2e14, 1e14]
 
 
 # tables of 2-12 samples on a 0.01-decade lattice over 1e13-1e17 rad/s, so
@@ -252,7 +309,7 @@ def tables(label):
                     unique=True).flatmap(lambda exps: st.lists(
                         st.floats(1e-3, 1e3), min_size=len(exps),
                         max_size=len(exps)).map(
-                            lambda eps2: OpticalDataset.from_arrays(
+                            lambda eps2: OpticalDataset(
                                 [10.0 ** (k / 100) for k in exps], eps2,
                                 label)))
 
@@ -267,26 +324,26 @@ class TestProperties:
         winner, loser = (a, b) if precedence == "a" else (b, a)
         merged = merge_datasets(a, b, precedence=precedence)
         assert np.all(np.diff(merged.omega) > 0)
-        assert set(winner.samples) <= set(merged.samples)
+        assert set(samples(winner)) <= set(samples(merged))
         # the loser adds exactly its samples outside the winner's span
-        assert [s for s in merged.samples if s not in winner.samples] == [
-            s for s in loser.samples
-            if not winner.omega_min <= s.omega <= winner.omega_max]
+        assert [s for s in samples(merged) if s not in samples(winner)] == [
+            s for s in samples(loser)
+            if not winner.omega_min <= s[0] <= winner.omega_max]
 
     @properties
     @given(tables("data"), st.data(), st.integers(0, 60))
     def test_fill_gap_only_inserts_inside(self, ds, data, points_per_decade):
-        i = data.draw(st.integers(0, len(ds.samples) - 2))
+        i = data.draw(st.integers(0, ds.omega.size - 2))
         left, right = ds.omega[i], ds.omega[i + 1]
         f_lo = data.draw(st.floats(0.0, 0.49))
         f_hi = data.draw(st.floats(0.51, 1.0))
         filled = fill_gap(ds, left * (right / left) ** f_lo,
                           min(left * (right / left) ** f_hi, right),
                           points_per_decade)
-        assert set(ds.samples) <= set(filled.samples)
-        for s in set(filled.samples) - set(ds.samples):
-            assert left < s.omega < right
-            assert s.source_label == "gapfill"
+        assert set(samples(ds)) <= set(samples(filled))
+        for omega, _, source in set(samples(filled)) - set(samples(ds)):
+            assert left < omega < right
+            assert source == "gapfill"
         assert np.array_equal(interpolate_eps2(filled, ds.omega), ds.eps2)
         inside = np.geomspace(left, right, 9)[1:-1]
         np.testing.assert_allclose(interpolate_eps2(filled, inside),
