@@ -19,7 +19,7 @@ from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        QuadratureSettings, ThermalState, classical_term,
                        force_finite_T, force_zero_T, ideal_force,
-                       matsubara_frequency, matsubara_term, reduction_factor,
+                       matsubara_frequency, reduction_factor,
                        temperature_correction)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
                       ColumnFormat, FrequencyBoundaries, OpticalDataset,

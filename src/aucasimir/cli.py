@@ -24,7 +24,8 @@ from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import Geometry, ThermalState, force_finite_T, force_zero_T, ideal_force
 from .optical import load_dataset
-from .yukawa import ConstraintGeometry, allowed_lambda_boundary, alpha_lower_limit
+from .yukawa import (LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
+                     alpha_lower_limit)
 
 
 def _fmt(value) -> str:
@@ -106,15 +107,21 @@ def cmd_fit_drude(args) -> int:
     return 0
 
 
+def _grid_bounds(flag, lo, hi, n):
+    """(LO, HI, N) of a grid option, checked: finite 0 < LO < HI and an
+    integral N >= 2."""
+    if not (0 < lo < hi < math.inf and n >= 2 and float(n).is_integer()):
+        raise ConfigError(f"{flag} needs finite 0 < LO < HI and an integral "
+                          f"N >= 2, got {lo:g} {hi:g} {n:g}")
+    return lo, hi, int(n)
+
+
 def _zeta_grid(args):
     if args.zeta is not None:
         return [args.zeta]
     if args.zeta_range is None:
         raise ConfigError("epsilon needs --zeta or --zeta-range LO HI N")
-    lo, hi, n = args.zeta_range
-    n = int(n)
-    if not 0 < lo < hi or n < 2:
-        raise ConfigError("--zeta-range needs 0 < LO < HI and N >= 2")
+    lo, hi, n = _grid_bounds("--zeta-range", *args.zeta_range)
     return list(np.logspace(math.log10(lo), math.log10(hi), n))
 
 
@@ -137,10 +144,7 @@ def _separations_m(args):
         return [args.a * 1e-9]
     if args.a_range is None:
         raise ConfigError("force needs --a NM or --a-range LO_NM HI_NM N")
-    lo, hi, n = args.a_range
-    n = int(n)
-    if not 0 < lo < hi or n < 2:
-        raise ConfigError("--a-range needs 0 < LO < HI and N >= 2")
+    lo, hi, n = _grid_bounds("--a-range", *args.a_range)
     return [a * 1e-9 for a in np.linspace(lo, hi, n)]
 
 
@@ -153,13 +157,12 @@ def cmd_force(args) -> int:
         g = Geometry(cfg.sphere_radius, a)
         n0 = dtf = None
         if args.mode == "zero_T":
-            force = force_zero_T(g, eps, cfg.settings)
+            force = force_zero_T(g, eps)
         else:
-            result = force_finite_T(g, thermal, eps, cfg.prescription,
-                                    cfg.settings)
+            result = force_finite_T(g, thermal, eps, cfg.prescription)
             force, n0 = result.total, result.n0_term
             if args.mode == "both":
-                dtf = force - force_zero_T(g, eps, cfg.settings)
+                dtf = force - force_zero_T(g, eps)
         rows.append((a * 1e9, force, n0, dtf, force / ideal_force(g)))
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)
     return 0
@@ -177,7 +180,7 @@ def cmd_residuals(args) -> int:
 
     def theory(a: float) -> float:
         return force_finite_T(Geometry(cfg.sphere_radius, a), thermal, eps,
-                              cfg.prescription, cfg.settings).total
+                              cfg.prescription).total
 
     report = residual_report(records, theory, range_filter)
     rows = [(r.separation * 1e9, r.force_measured, r.force_theory, r.delta_f,
@@ -196,9 +199,8 @@ def cmd_residuals(args) -> int:
 def cmd_yukawa_limit(args) -> int:
     geom = ConstraintGeometry(args.separation * 1e-9,
                               args.film_thickness * 1e-9)
-    lo, hi, n = args.lambda_min, args.lambda_max, int(args.points)
-    if not 0 < lo < hi or n < 2:
-        raise ConfigError("need 0 < --lambda-min < --lambda-max and --points >= 2")
+    lo, hi, n = _grid_bounds("--lambda-min/--lambda-max/--points",
+                             args.lambda_min, args.lambda_max, args.points)
     grid = np.logspace(math.log10(lo * 1e-9), math.log10(hi * 1e-9), n)
     rows = [(lam * 1e9, alpha_lower_limit(float(lam), geom, args.residual_bound))
             for lam in grid]
@@ -209,8 +211,8 @@ def cmd_yukawa_limit(args) -> int:
         summary["lambda_star_nm"] = boundary.lambda_star * 1e9
         summary["boson_mass_ev"] = boundary.boson_mass_ev
     except ConvergenceError:
-        bracket_lo, bracket_hi = 5e-9, 500e-9
-        if alpha_lower_limit(bracket_lo, geom, args.residual_bound) < args.alpha_ceiling:
+        if (alpha_lower_limit(LAMBDA_BRACKET[0], geom, args.residual_bound)
+                < args.alpha_ceiling):
             summary["status"] = "unconstrained: limit below ceiling over the whole bracket"
         else:
             summary["status"] = "excluded: limit above ceiling over the whole bracket"

@@ -1,8 +1,8 @@
 """Run configuration: a flat key-value file with sections (INI syntax).
 
-A config pins everything a computation depends on -- dielectric model,
-geometry, temperature, prescription, and numerical tolerances -- so that a
-run is reproducible from the file alone.  Dataset paths are resolved
+A config pins the physics a computation depends on -- dielectric model,
+geometry, temperature and prescription -- so that a run is reproducible
+from the file alone; the numerical rules are the library's fixed defaults.  Dataset paths are resolved
 against the config file directory, the working directory, the
 CASIMIR_DATA_DIR environment variable, and finally the bundled package
 data, in that order.
@@ -20,13 +20,12 @@ from typing import Callable
 
 from .dielectric import DielectricModel, DrudeParameters, fit_drude
 from .errors import ConfigError
-from .lifshitz import QuadratureSettings
 from .optical import FrequencyBoundaries, OpticalDataset, load_dataset, merge_datasets
 
 DATA_DIR_ENV = "CASIMIR_DATA_DIR"
 
-#: the keys of each section; kk_epsrel, p_epsrel, zeta_epsrel,
-#: sum_consecutive and zeta_max are retired and load with no effect
+#: the keys of each section; kk_epsrel and every [numerics] key are retired
+#: and load with no effect
 _KEYS = {
     "dielectric": {"model", "omega_p", "omega_tau", "dataset", "fit_range",
                    "fit_fixed_omega_p", "omega0", "omega1", "tail_exponent",
@@ -78,7 +77,6 @@ class RunConfig:
     sphere_radius: float
     temperature: float
     prescription: str
-    settings: QuadratureSettings
 
     def load_dataset(self) -> OpticalDataset | None:
         """Merged optical dataset; earlier paths take precedence on overlap."""
@@ -102,7 +100,7 @@ class RunConfig:
                                        DielectricModel | None]:
         """(eps(i zeta) evaluator, Drude parameters, model or None).
 
-        The evaluator takes a scalar or an array of zeta.
+        The evaluator takes an array of zeta (a scalar is a 0-d array).
         """
         dataset = self.load_dataset()
         drude = self.drude_parameters(dataset)
@@ -126,13 +124,6 @@ def _get_float(cp, section, key, default=None):
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
     return value
-
-
-def _get_int(cp, section, key, default):
-    value = _get_float(cp, section, key, float(default))
-    if not value.is_integer():
-        raise ConfigError(f"[{section}] {key}: not an integer: {value!r}")
-    return int(value)
 
 
 def load_run_config(path) -> RunConfig:
@@ -212,24 +203,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"[force] prescription must be 'schwinger' or "
                           f"'halved', got {prescription!r}")
 
-    defaults = QuadratureSettings()
-    settings = QuadratureSettings(
-        zeta_min=_get_float(cp, "numerics", "zeta_min", defaults.zeta_min),
-        panels_per_decade=_get_int(cp, "numerics", "panels_per_decade",
-                                   defaults.panels_per_decade),
-        sum_rel_tol=_get_float(cp, "numerics", "sum_rel_tol", defaults.sum_rel_tol),
-        n_max=_get_int(cp, "numerics", "n_max", defaults.n_max))
-    if not 0.0 < settings.sum_rel_tol < 1.0:
-        raise ConfigError(f"[numerics] sum_rel_tol must be in (0, 1), "
-                          f"got {settings.sum_rel_tol}")
-    if not settings.zeta_min > 0:
-        raise ConfigError("[numerics] zeta_min must be positive")
-    if settings.panels_per_decade < 1 or settings.n_max < 1:
-        raise ConfigError("[numerics] counts must be >= 1")
-
     return RunConfig(model_kind=model_kind, drude=drude, fit_range=fit_range,
                      fit_fixed_omega_p=fit_fixed, dataset_paths=dataset_paths,
                      boundaries=boundaries, tail_exponent=tail_exponent,
                      sphere_radius=sphere_radius,
-                     temperature=temperature, prescription=prescription,
-                     settings=settings)
+                     temperature=temperature, prescription=prescription)

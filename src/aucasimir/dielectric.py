@@ -13,9 +13,10 @@ three spectral regions of the dispersion relation
 
 The numerical regions use a fixed Gauss-Legendre rule in ln omega that
 `DielectricModel` builds once, so eps(i zeta) for any number of zeta values
-is one broadcast sum over the nodes.  Every eps evaluator here takes a
-scalar or an array of zeta; an array element equals the scalar call
-bit for bit.
+is one broadcast sum over the nodes.  Every eps evaluator here takes an
+array of zeta, each element finite and positive, and returns an array of
+its shape; a scalar zeta is a 0-d array and gives a numpy float64 equal
+bit for bit to the matching array element.
 
 The low-frequency Drude parameters dominate the result and are either given
 directly or fitted to the data (`fit_drude`).
@@ -55,22 +56,12 @@ _TAIL_T_MIN = 1e-6
 _BLOCK = 16
 
 
-def _positive_zeta(zeta):
-    """zeta as a Python float (scalar input) or a float array.
-
-    Every element must be positive.  Scalars stay Python floats, so a
-    scalar call returns a float and pays little of numpy's per-call cost;
-    the arithmetic is the same IEEE operations either way, so array
-    elements equal scalar results.
-    """
+def _positive_zeta(zeta) -> np.ndarray:
+    """zeta as a float array (a scalar becomes a 0-d array); every element
+    must be finite and positive."""
     z = np.asarray(zeta, dtype=float)
-    if z.ndim == 0:
-        z = float(z)
-        positive = z > 0
-    else:
-        positive = (z > 0).all()
-    if not positive:
-        raise ValueError("zeta must be positive (static limit is singular)")
+    if not ((z > 0) & (z < math.inf)).all():
+        raise ValueError("zeta must be positive and finite (static limit is singular)")
     return z
 
 
@@ -96,7 +87,7 @@ class DrudeParameters:
         return cls(omega_p, rho_si * epsilon_0 * omega_p**2)
 
     def epsilon(self, zeta):
-        """eps(i zeta) for this pure Drude model; zeta scalar or array."""
+        """eps(i zeta) for this pure Drude model."""
         return drude_eps_imag_axis(self, zeta)
 
 
@@ -108,10 +99,7 @@ def drude_eps_real_axis(p: DrudeParameters, omega: float) -> complex:
 
 
 def drude_eps_imag_axis(p: DrudeParameters, zeta):
-    """Drude dielectric function at imaginary frequency: 1 + omega_p^2/(zeta(zeta + omega_tau)).
-
-    `zeta` may be a scalar or an array.
-    """
+    """Drude dielectric function at imaginary frequency: 1 + omega_p^2/(zeta(zeta + omega_tau))."""
     z = _positive_zeta(zeta)
     return 1.0 + p.omega_p**2 / (z * (z + p.omega_tau))
 
@@ -131,13 +119,12 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
 
     The point zeta = omega_tau is a removable singularity; near it the
     value is computed from a series expansion to keep full precision.
-    `zeta` may be a scalar or an array.
     """
-    z = np.asarray(_positive_zeta(zeta))
+    z = _positive_zeta(zeta)
     if omega0 < 0:
         raise ValueError("omega0 must be non-negative")
     if omega0 == 0.0:
-        return 0.0 if z.ndim == 0 else np.zeros_like(z)
+        return np.zeros_like(z)[()]
     wt = p.omega_tau
     arctan_wt = math.atan(omega0 / wt)
 
@@ -160,15 +147,14 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     near = ((2.0 / math.pi) * p.omega_p**2 * (n1 + t * (0.5 * n2 + t * n3 / 6.0))
             / (2.0 * wt + t))
     out = np.where(np.abs(t) >= _SINGULAR_SWITCH * wt, far, near)
-    return float(out) if z.ndim == 0 else out
+    return out[()]
 
 
 @dataclass(frozen=True)
 class EpsilonDecomposition:
     """eps(i zeta) split by spectral origin; total = 1 + sum of the parts.
 
-    The parts are floats for a scalar zeta and arrays of its shape for an
-    array of zeta.
+    The parts have the shape of zeta: numpy float64 for a scalar zeta.
     """
 
     eps1: float | np.ndarray       # analytic Drude segment, [0, omega0]
@@ -272,8 +258,8 @@ class DielectricModel:
                            (2.0 / math.pi) * eps2_at_max * _TAIL_T_MIN**q / q)
 
     def decompose(self, zeta) -> EpsilonDecomposition:
-        """eps(i zeta) by spectral region; zeta scalar or array."""
-        z = np.asarray(_positive_zeta(zeta))
+        """eps(i zeta) by spectral region."""
+        z = _positive_zeta(zeta)
         flat = z.ravel()
         data_low, data_high = self._split
         sums = np.empty((3, flat.size))   # data below / above omega1, tail panels
@@ -290,12 +276,10 @@ class DielectricModel:
             -(flat * (_TAIL_T_MIN / self.dataset.omega_max))**2)
         eps1 = epsilon1_analytic(self.drude, self.boundaries.omega0, flat)
         parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
-        if z.ndim == 0:
-            return EpsilonDecomposition(*(float(part[0]) for part in parts))
-        return EpsilonDecomposition(*(part.reshape(z.shape) for part in parts))
+        return EpsilonDecomposition(*(part.reshape(z.shape)[()] for part in parts))
 
     def epsilon(self, zeta):
-        """eps(i zeta); zeta scalar or array."""
+        """eps(i zeta)."""
         return self.decompose(zeta).total
 
 

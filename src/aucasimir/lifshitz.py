@@ -212,25 +212,6 @@ def _eps_at(eps: Callable, zeta: np.ndarray) -> np.ndarray:
     return values
 
 
-def matsubara_term(n: int, g: Geometry, t: ThermalState,
-                   eps: Callable,
-                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """Force contribution of the n-th Matsubara frequency (n >= 1), in pN.
-
-    `eps` maps an array of zeta [rad/s] to eps(i zeta), which must exceed
-    1.  This is the kernel of `force_finite_T` at a single frequency.
-    """
-    if n < 1:
-        raise ValueError("matsubara_term is defined for n >= 1")
-    if t.temperature <= 0:
-        raise ValueError("finite-temperature term needs temperature > 0")
-    zeta_n = np.array([matsubara_frequency(n, t)])
-    integral = _p_integral(_eps_at(eps, zeta_n), zeta_n * g.separation / c,
-                           settings.p_order)
-    return float(k_B * t.temperature * g.sphere_radius / c**2
-                 * zeta_n[0]**2 * integral[0] * _N_TO_PN)
-
-
 def _tail_bound(n, y1: float, scale: float):
     """Upper bound [pN] on the sum of the Matsubara terms after the n-th.
 

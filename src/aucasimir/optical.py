@@ -188,8 +188,9 @@ def merge_datasets(a: OpticalDataset, b: OpticalDataset,
 def interpolate_eps2(ds: OpticalDataset, omega):
     """eps''(omega) by linear interpolation on a log-log scale.
 
-    Exact at sample nodes.  `omega` may be a scalar or an array; every value
-    must lie inside [omega_min, omega_max] (no extrapolation here).
+    Exact at sample nodes.  `omega` is an array (a scalar is a 0-d array);
+    every value must lie inside [omega_min, omega_max] (no extrapolation
+    here).
     """
     w = np.asarray(omega, dtype=float)
     if not np.all((w >= ds.omega_min) & (w <= ds.omega_max)):
@@ -198,8 +199,7 @@ def interpolate_eps2(ds: OpticalDataset, omega):
     out = np.exp(np.interp(np.log(w), np.log(ds.omega), np.log(ds.eps2)))
     # return the stored value verbatim when omega hits a node
     idx = np.clip(np.searchsorted(ds.omega, w), 0, ds.omega.size - 1)
-    out = np.where(ds.omega[idx] == w, ds.eps2[idx], out)
-    return float(out) if np.isscalar(omega) else out
+    return np.where(ds.omega[idx] == w, ds.eps2[idx], out)[()]
 
 
 def fill_gap(ds: OpticalDataset, gap_lo: float, gap_hi: float,
@@ -235,15 +235,13 @@ def fill_gap(ds: OpticalDataset, gap_lo: float, gap_hi: float,
 def drude_eps2(omega_p: float, omega_tau: float, omega):
     """Drude absorptive part: omega_p^2 omega_tau / (omega (omega^2 + omega_tau^2))."""
     w = np.asarray(omega, dtype=float)
-    out = omega_p**2 * omega_tau / (w * (w * w + omega_tau**2))
-    return float(out) if np.isscalar(omega) else out
+    return omega_p**2 * omega_tau / (w * (w * w + omega_tau**2))
 
 
 def lorentz_eps2(strength: float, center: float, width: float, omega):
     """Lorentz oscillator absorptive part."""
     w = np.asarray(omega, dtype=float)
-    out = strength * center**2 * width * w / ((center**2 - w * w)**2 + (width * w)**2)
-    return float(out) if np.isscalar(omega) else out
+    return strength * center**2 * width * w / ((center**2 - w * w)**2 + (width * w)**2)
 
 
 def generate_synthetic_dataset(

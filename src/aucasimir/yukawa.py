@@ -27,6 +27,9 @@ BASELINE_RESIDUAL_BOUND_PN = 10.0
 #: ceiling on alpha from helium-burning stars
 ASTRO_ALPHA_CEILING = 1.5e-22
 
+#: wavelength interval [m] searched for the allowed-region boundary
+LAMBDA_BRACKET = (5e-9, 500e-9)
+
 
 @dataclass(frozen=True)
 class YukawaHypothesis:
@@ -50,8 +53,9 @@ class ConstraintGeometry:
     film_thickness: float = 96e-9
 
     def __post_init__(self):
-        if not self.separation_min > 0 or not self.film_thickness > 0:
-            raise ValueError("geometry lengths must be positive")
+        if not (0 < self.separation_min < math.inf
+                and 0 < self.film_thickness < math.inf):
+            raise ValueError("geometry lengths must be finite and positive")
 
 
 def alpha_lower_limit(lambda_: float,
@@ -89,10 +93,10 @@ class LambdaBoundary(NamedTuple):
 
 def allowed_lambda_boundary(geom: ConstraintGeometry = ConstraintGeometry(),
                             alpha_ceiling: float = ASTRO_ALPHA_CEILING,
-                            residual_bound_pn: float = BASELINE_RESIDUAL_BOUND_PN,
-                            bracket: tuple[float, float] = (5e-9, 500e-9)
+                            residual_bound_pn: float = BASELINE_RESIDUAL_BOUND_PN
                             ) -> LambdaBoundary:
-    """Wavelength where the lower limit meets `alpha_ceiling`, by bisection.
+    """Wavelength where the lower limit meets `alpha_ceiling`, by bisection
+    over LAMBDA_BRACKET.
 
     Below the returned lambda_star the hypothesis is excluded by the
     ceiling; above it the window is open.  Also reports the equivalent
@@ -104,7 +108,7 @@ def allowed_lambda_boundary(geom: ConstraintGeometry = ConstraintGeometry(),
     def excess(lam: float) -> float:
         return alpha_lower_limit(lam, geom, residual_bound_pn) - alpha_ceiling
 
-    lo, hi = bracket
+    lo, hi = LAMBDA_BRACKET
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo * f_hi > 0:
         raise ConvergenceError(

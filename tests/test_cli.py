@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,12 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aucasimir import (DrudeParameters, Geometry, QuadratureSettings,
-                       ThermalState, force_finite_T, force_zero_T,
+from aucasimir import (DrudeParameters, Geometry, ThermalState,
+                       force_finite_T, force_zero_T,
                        generate_synthetic_dataset)
 from aucasimir.cli import main
 from aucasimir.config import RunConfig, load_run_config, package_data_dir
+
+from conftest import drude_rows
 
 DRUDE_INI = """\
 [dielectric]
@@ -149,6 +154,13 @@ class TestEpsilon:
         assert code == 2
         assert "--config" in err
 
+    def test_infinite_zeta_rejected(self, drude_config, capsys):
+        code, out, err = run(capsys, ["epsilon", "--config", drude_config,
+                                      "--zeta", "inf"])
+        assert code == 2
+        assert out == ""
+        assert "zeta must be positive" in err
+
 
 class TestForce:
     def test_finite_T_matches_library(self, drude_config, capsys):
@@ -188,6 +200,29 @@ class TestForce:
         _, out1, _ = run(capsys, ["force", "--config", drude_config, "--a", "120"])
         _, out2, _ = run(capsys, ["force", "--config", drude_config, "--a", "120"])
         assert out1 == out2
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(drude_rows, st.floats(10.0, 400.0),
+           st.sampled_from(["schwinger", "halved"]))
+    def test_byte_identical_reruns_over_generated_configs(
+            self, tmp_path_factory, row, temperature, prescription):
+        path = tmp_path_factory.mktemp("generated") / "run.ini"
+        path.write_text(
+            f"[dielectric]\nmodel = drude\nomega_p = {row.omega_p!r}\n"
+            f"omega_tau = {row.omega_tau!r}\n\n[geometry]\n"
+            f"sphere_radius = 95.65e-6\n\n[thermal]\n"
+            f"temperature = {temperature!r}\n\n[force]\n"
+            f"prescription = {prescription}\n")
+        argv = ["force", "--config", str(path), "--mode", "both",
+                "--a-range", "60", "200", "3"]
+        outputs = []
+        for _ in range(2):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert main(argv) == 0
+            outputs.append(buffer.getvalue())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 4
 
     def test_json_output(self, drude_config, capsys):
         code, out, _ = run(capsys, ["force", "--config", drude_config,
@@ -289,24 +324,47 @@ class TestYukawaLimit:
         _, out2, _ = run(capsys, ["yukawa-limit", "--points", "7"])
         assert out1 == out2
 
+    def test_infinite_separation_rejected(self, capsys):
+        code, out, err = run(capsys, ["yukawa-limit", "--separation", "inf",
+                                      "--points", "3"])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["force", "--a-range", "63", "175", "2.5"], "--a-range"),
+    (["force", "--a-range", "60", "inf", "3"], "--a-range"),
+    (["force", "--a-range", "60", "200", "nan"], "--a-range"),
+    (["epsilon", "--zeta-range", "1e14", "1e15", "3.9"], "--zeta-range"),
+    (["epsilon", "--zeta-range", "1e14", "1e15", "inf"], "--zeta-range"),
+    (["yukawa-limit", "--lambda-max", "inf"], "--lambda-max"),
+], ids=["fractional-count", "infinite-bound", "nan-count", "fractional-zeta-count",
+        "infinite-zeta-count", "infinite-lambda"])
+def test_bad_grid_names_flag(drude_config, capsys, argv, flag):
+    # finite 0 < LO < HI and an integral N >= 2, or an input error naming
+    # the option; nothing is rounded or computed from a non-finite bound
+    code, out, err = run(capsys, argv + ["--config", drude_config])
+    assert code == 2
+    assert out == ""
+    assert flag in err and "integral N >= 2" in err
+
 
 class TestConfigHandling:
-    def test_invalid_tolerance_fails_fast(self, tmp_path, capsys):
-        path = tmp_path / "bad.ini"
-        path.write_text(DRUDE_INI + "\n[numerics]\nsum_rel_tol = 2.0\n")
-        code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
-        assert code == 2
-        assert "sum_rel_tol" in err
-
-    def test_retired_numerics_keys_still_load(self, tmp_path):
-        # keys of the former adaptive quadrature, stop rule and zero-T upper
-        # limit are ignored
+    def test_retired_numerics_keys_still_load(self, drude_config, tmp_path,
+                                              capsys):
+        # every retired key, each far from its former default, loads and
+        # leaves the output as it is without them
         path = tmp_path / "old.ini"
-        path.write_text(DRUDE_INI + "\n[numerics]\np_epsrel = 1e-9\n"
-                        "zeta_epsrel = 1e-9\nsum_consecutive = 3\n"
-                        "zeta_max = 1e15\nsum_rel_tol = 1e-11\n")
-        loaded = load_run_config(path)
-        assert loaded.settings == QuadratureSettings(sum_rel_tol=1e-11)
+        path.write_text(
+            DRUDE_INI.replace("[geometry]", "kk_epsrel = 1e-3\n\n[geometry]")
+            + "\n[numerics]\nzeta_min = 1e13\npanels_per_decade = 1\n"
+            "sum_rel_tol = 1e-6\nn_max = 5\np_epsrel = 1e-3\n"
+            "zeta_epsrel = 1e-3\nsum_consecutive = 1\nzeta_max = 1e15\n")
+        argv = ["force", "--mode", "both", "--a-range", "60", "200", "3"]
+        code, out, _ = run(capsys, argv + ["--config", str(path)])
+        assert code == 0
+        assert out == run(capsys, argv + ["--config", drude_config])[1]
 
     def test_bad_prescription_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -339,13 +397,6 @@ class TestConfigHandling:
         monkeypatch.setenv("CASIMIR_DATA_DIR", str(data_dir))
         loaded = load_run_config(cfg)
         assert loaded.dataset_paths[0] == data_dir / "env_only.csv"
-
-    def test_non_integral_count_rejected(self, tmp_path, capsys):
-        path = tmp_path / "bad.ini"
-        path.write_text(DRUDE_INI + "\n[numerics]\nn_max = 1.5\n")
-        code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
-        assert code == 2
-        assert "n_max" in err
 
     def test_malformed_fit_range_names_key(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -261,11 +261,24 @@ class TestFixedNodeTransform:
             [epsilon1_analytic(row2, OMEGA0_DEFAULT, float(z)) for z in zetas])
 
     def test_scalar_in_scalar_out(self, pure_drude_dataset, row2):
-        dec = DielectricModel(row2, pure_drude_dataset).decompose(1e15)
-        assert all(type(v) is float for v in (dec.eps1, dec.eps2_part, dec.eps3_part))
-        assert type(row2.epsilon(1e15)) is float
+        # a scalar zeta is a 0-d array: the result is a numpy float64 equal
+        # to the matching element of the array call
+        model = DielectricModel(row2, pure_drude_dataset)
+        zetas = np.array([1e14, 1e15, row2.omega_tau])
+        dec = model.decompose(zetas)
+        for i, zeta in enumerate(zetas):
+            one = model.decompose(float(zeta))
+            for name in ("eps1", "eps2_part", "eps3_part", "total"):
+                value = getattr(one, name)
+                assert type(value) is np.float64, name
+                assert value == getattr(dec, name)[i], name
+            for evaluate in (model.epsilon, row2.epsilon,
+                             lambda z: epsilon1_analytic(row2, OMEGA0_DEFAULT, z)):
+                value = evaluate(float(zeta))
+                assert type(value) is np.float64
+                assert value == evaluate(zetas)[i]
 
-    @pytest.mark.parametrize("bad", [0.0, -1e15, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1e15, np.nan, np.inf])
     def test_nonpositive_element_rejected(self, pure_drude_dataset, row2, bad):
         zetas = np.array([1e14, bad, 1e15])
         model = DielectricModel(row2, pure_drude_dataset)

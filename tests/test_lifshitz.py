@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B, c, hbar
 
-from aucasimir import (ConvergenceError, DielectricModel, DrudeParameters,
-                       Geometry, QuadratureSettings, ThermalState,
-                       classical_term, force_finite_T, force_zero_T,
-                       ideal_force, matsubara_frequency, matsubara_term,
+from aucasimir import (ConvergenceError, DielectricModel, DomainError,
+                       DrudeParameters, Geometry, QuadratureSettings,
+                       ThermalState, classical_term, force_finite_T,
+                       force_zero_T, ideal_force, matsubara_frequency,
                        reduction_factor, temperature_correction)
 from aucasimir.lifshitz import ZETA3, _tail_bound, round_trip_factors
 
@@ -87,30 +87,14 @@ class TestRoundTripFactors:
             ((1 - s) / (1 + s))**2 * math.exp(-2 * y), rel=1e-12)
 
 
-class TestMatsubaraTerm:
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_ideal_metal_oracle(self, n, geometry63, thermal300, ideal_eps):
-        oracle = ideal_matsubara_term_closed_form(n, geometry63, thermal300)
-        term = matsubara_term(n, geometry63, thermal300, ideal_eps)
-        assert term == pytest.approx(oracle, rel=1e-6)
-
-    def test_exponential_damping(self, geometry63, thermal300, single_crystal):
-        term1 = matsubara_term(1, geometry63, thermal300, single_crystal.epsilon)
-        term_far = matsubara_term(10_000, geometry63, thermal300,
-                                  single_crystal.epsilon)
-        assert term_far < 1e-12 * term1
-
-    def test_positive(self, geometry63, thermal300, single_crystal):
-        assert matsubara_term(3, geometry63, thermal300,
-                              single_crystal.epsilon) > 0
-
-    def test_bad_eps_rejected(self, geometry63, thermal300):
-        with pytest.raises(ValueError, match="exceed 1"):
-            matsubara_term(1, geometry63, thermal300, lambda z: 0.5)
-
-    def test_n_zero_rejected(self, geometry63, thermal300, ideal_eps):
-        with pytest.raises(ValueError):
-            matsubara_term(0, geometry63, thermal300, ideal_eps)
+class TestEpsCheck:
+    @pytest.mark.parametrize("force", [
+        lambda g, t, eps: force_finite_T(g, t, eps),
+        lambda g, t, eps: force_zero_T(g, eps)], ids=["finite_T", "zero_T"])
+    def test_bad_eps_rejected(self, force, geometry63, thermal300):
+        # eps(i zeta) <= 1 is no causal absorptive medium
+        with pytest.raises(DomainError, match="exceed 1"):
+            force(geometry63, thermal300, lambda z: 0.5)
 
 
 class TestTailBound:

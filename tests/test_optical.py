@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from aucasimir import (ColumnFormat, DataFormatError, DrudeParameters,
                        OpticalDataset, fill_gap, generate_synthetic_dataset,
                        interpolate_eps2, load_dataset, merge_datasets)
+from aucasimir.optical import drude_eps2, lorentz_eps2
 
 # 0.1 eV * e / hbar, evaluated by hand from CODATA values
 OMEGA_01EV = 1.519267e14
@@ -167,6 +168,18 @@ class TestInterpolate:
         ds = OpticalDataset([1e14, 1e15], [10.0, 1.0])
         out = interpolate_eps2(ds, np.array([1e14, 10**14.5, 1e15]))
         assert out[0] == 10.0 and out[2] == 1.0
+
+    def test_scalar_is_0d_array(self):
+        # a scalar omega gives a numpy float64 equal to the array element
+        ds = OpticalDataset([1e14, 1e15], [10.0, 1.0])
+        omega = np.array([1e14, 10**14.5, 1e15])
+        for evaluate in (lambda w: interpolate_eps2(ds, w),
+                         lambda w: drude_eps2(1.37e16, 4e13, w),
+                         lambda w: lorentz_eps2(2.0, 3e14, 1e14, w)):
+            for i, w in enumerate(omega):
+                value = evaluate(float(w))
+                assert type(value) is np.float64
+                assert value == evaluate(omega)[i]
 
     @pytest.mark.parametrize("slope", [-2.5, -1.0, 0.7])
     def test_colinear_property(self, slope):

@@ -156,3 +156,7 @@ class TestDomainTypes:
             ConstraintGeometry(-63e-9, 96e-9)
         with pytest.raises(ValueError):
             ConstraintGeometry(63e-9, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintGeometry(math.inf, 96e-9)
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintGeometry(63e-9, math.nan)
