@@ -5,12 +5,12 @@ Run:  python demos/dielectric_models.py
 """
 
 import numpy as np
-from scipy.constants import c
 
 from aucasimir import (DielectricModel, DrudeParameters, drude_eps_imag_axis,
                        drude_eps_real_axis, fit_drude,
                        generate_synthetic_dataset, load_dataset, resistivity)
 from aucasimir.config import package_data_dir
+from aucasimir.constants import c
 
 # ------------------------------------------------------- Drude parameters
 # three parameter sets spanning the spread between handbook extrapolations

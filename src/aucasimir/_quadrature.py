@@ -5,6 +5,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+# imported here, not looked up on first use: the lookup would import
+# numpy.polynomial inside whichever command builds the first rule
+from numpy.polynomial.legendre import leggauss
 
 
 @functools.lru_cache(maxsize=8)
@@ -12,7 +15,7 @@ def legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: every force
     needs a few rules, and building one costs more than a Drude force's
     arithmetic."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -197,6 +197,9 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_yukawa_limit(args) -> int:
+    if not 0 < args.residual_bound < math.inf:
+        raise ConfigError(f"--residual-bound needs a finite positive force "
+                          f"[pN], got {args.residual_bound:g}")
     geom = ConstraintGeometry(args.separation * 1e-9,
                               args.film_thickness * 1e-9)
     lo, hi, n = _grid_bounds("--lambda-min/--lambda-max/--points",
@@ -287,9 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: argparse's first build imports `locale` (through
+# gettext), which would otherwise load inside the first command
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConvergenceError, DomainError, ArithmeticError, RuntimeError) as exc:

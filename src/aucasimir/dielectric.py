@@ -28,12 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.constants import epsilon_0
-from scipy.special import hyp2f1
 
 from ._quadrature import gauss_legendre
-from .errors import ConvergenceError
+from .constants import epsilon_0
+from .errors import ConvergenceError, DomainError
 from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolate_eps2
 
 #: ohm m -> micro-ohm cm
@@ -52,8 +50,23 @@ _PANEL_WIDTH = 0.25
 #: the power-law tail is integrated on panels down to t = omega_max/omega =
 #: _TAIL_T_MIN and in closed form below it
 _TAIL_T_MIN = 1e-6
+#: the closed form is a power series in x^2 = (zeta _TAIL_T_MIN / omega_max)^2,
+#: summed for x^2 <= _TAIL_X2_MAX; above it eps(i zeta) is a DomainError
+_TAIL_X2_MAX = 0.5
+#: unit roundoff of a double: the series stops at a term below this share
+#: of its partial sum
+_UNIT_ROUNDOFF = 2.0**-53
 #: zeta values per block of the broadcast sum, to bound its temporary array
 _BLOCK = 16
+
+#: the Drude fit brackets ln omega_tau on a grid of this step, reaching this
+#: many decades below and above the fit range ...
+_FIT_GRID_STEP = 0.25
+_FIT_GRID_DECADES = 3.0
+#: ... then takes at most _FIT_MAX_STEPS Newton or bisection steps, and
+#: stops after one that moves ln omega_tau by at most _FIT_S_TOL relative
+_FIT_MAX_STEPS = 100
+_FIT_S_TOL = 1e-15
 
 
 def _positive_zeta(zeta) -> np.ndarray:
@@ -171,6 +184,31 @@ class EpsilonDecomposition:
         return 1.0 + self.eps1 + self.eps2_part + self.eps3_part
 
 
+def _tail_series(b: float, x2: np.ndarray) -> np.ndarray:
+    """2F1(1, b; 1 + b; -x2) = sum_k b / (b + k) (-x2)^k, elementwise for
+    0 <= x2 <= _TAIL_X2_MAX.
+
+    Each term comes from the previous one by the ratio of consecutive
+    hypergeometric terms, and an element's sum stops at the first term below
+    _UNIT_ROUNDOFF of its partial sum.  That is the power-series branch of
+    the Cephes hyp2f1 that scipy.special uses for -1/2 <= z < 0, so the
+    values agree with scipy's to the last bit there.
+    """
+    z = -x2
+    c = 1.0 + b
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    active = np.ones(z.shape, dtype=bool)
+    k = 0.0
+    while active.any():
+        term = np.where(active, term * ((1.0 + k) * (b + k) * z / ((c + k) * (k + 1.0))),
+                        term)
+        total = np.where(active, total + term, total)
+        active &= np.abs(term / total) > _UNIT_ROUNDOFF
+        k += 1.0
+    return total
+
+
 def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes in omega and weights in ln omega of the _ORDER-node
     Gauss-Legendre rule on every segment between consecutive `edges`.
@@ -203,7 +241,9 @@ class DielectricModel:
     _ORDER nodes on each panel of [max(omega0, omega_min), omega1] and
     [omega1, omega_max] between data samples (wider segments split), and
     on log-spaced panels of the tail in t = omega_max/omega over
-    [_TAIL_T_MIN, 1].  The tail below _TAIL_T_MIN is added in closed form.
+    [_TAIL_T_MIN, 1].  The tail below _TAIL_T_MIN is added in closed form
+    (`_tail_series`), which holds for zeta up to sqrt(_TAIL_X2_MAX)
+    omega_max / _TAIL_T_MIN; a larger zeta raises DomainError.
     The weights carry (2/pi) omega^2 eps''(omega), so eps(i zeta) is one
     sum of weight / (omega^2 + zeta^2) per region.
     """
@@ -261,6 +301,13 @@ class DielectricModel:
         """eps(i zeta) by spectral region."""
         z = _positive_zeta(zeta)
         flat = z.ravel()
+        x2 = (flat * (_TAIL_T_MIN / self.dataset.omega_max))**2
+        if (x2 > _TAIL_X2_MAX).any():
+            limit = math.sqrt(_TAIL_X2_MAX) * self.dataset.omega_max / _TAIL_T_MIN
+            raise DomainError(
+                f"zeta={flat.max():.4g} rad/s is above {limit:.4g} rad/s, the "
+                f"limit of the closed-form tail ({math.sqrt(_TAIL_X2_MAX):.4g} "
+                f"omega_max / {_TAIL_T_MIN:g})")
         data_low, data_high = self._split
         sums = np.empty((3, flat.size))   # data below / above omega1, tail panels
         for start in range(0, flat.size, _BLOCK):
@@ -270,10 +317,7 @@ class DielectricModel:
             sums[0, rows] = terms[:, :data_low].sum(axis=1)
             sums[1, rows] = terms[:, data_low:data_high].sum(axis=1)
             sums[2, rows] = terms[:, data_high:].sum(axis=1)
-        q = self.tail_exponent
-        rest = self._tail_rest * hyp2f1(
-            1.0, 0.5 * q, 1.0 + 0.5 * q,
-            -(flat * (_TAIL_T_MIN / self.dataset.omega_max))**2)
+        rest = self._tail_rest * _tail_series(0.5 * self.tail_exponent, x2)
         eps1 = epsilon1_analytic(self.drude, self.boundaries.omega0, flat)
         parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
         return EpsilonDecomposition(*(part.reshape(z.shape)[()] for part in parts))
@@ -293,14 +337,23 @@ class DrudeFit:
 
 
 def fit_drude(ds: OpticalDataset, fit_range: tuple[float, float],
-              omega_p_fixed: float | None = None,
-              max_evaluations: int = 500) -> DrudeFit:
+              omega_p_fixed: float | None = None) -> DrudeFit:
     """Least-squares fit of the Drude eps'' to the data over `fit_range`.
 
-    The objective is log eps''(model) - log eps''(data), which weights the
-    decades evenly.  With `omega_p_fixed` only omega_tau varies.  Requires
-    the range to lie inside the data coverage and to contain at least three
-    samples.
+    The objective is the sum of squares of ln eps''(model) - ln eps''(data),
+    which weights the decades evenly.  With `omega_p_fixed` only omega_tau
+    varies and omega_p is returned as given.  Requires the range to lie
+    inside the data coverage and to contain at least three samples.
+
+    By variable projection the fit is one-dimensional: ln eps''(model) =
+    2 ln omega_p + g(s) with s = ln omega_tau, so for each s the best
+    ln omega_p is the mean of (ln eps''(data) - g(s)) / 2.  The minimum of
+    what is left, phi(s), is evaluated on a grid of s over the physical
+    domain 0 < omega_tau < omega_p, _FIT_GRID_DECADES either side of the
+    fit range; the deepest grid point not above its neighbours brackets it,
+    and Newton steps on the analytic phi'(s) locate it, each replaced by a
+    bisection of the bracket when it would leave it.  Raises
+    ConvergenceError when phi has no minimum inside the grid.
     """
     lo, hi = fit_range
     if not 0 < lo < hi:
@@ -309,43 +362,63 @@ def fit_drude(ds: OpticalDataset, fit_range: tuple[float, float],
         raise ValueError(
             f"fit_range [{lo:.4g}, {hi:.4g}] not within data coverage "
             f"[{ds.omega_min:.4g}, {ds.omega_max:.4g}]")
+    if omega_p_fixed is not None and not 0 < omega_p_fixed < math.inf:
+        raise ValueError("omega_p_fixed must be finite and positive")
     mask = (ds.omega >= lo) & (ds.omega <= hi)
     w = ds.omega[mask]
     ln_data = np.log(ds.eps2[mask])
     if len(w) < 3:
         raise ValueError(f"need at least 3 samples in fit_range, got {len(w)}")
+    ln_w, w2 = np.log(w), w * w
 
-    def ln_model(omega_p, omega_tau):
-        return np.log(drude_eps2(omega_p, omega_tau, w))
+    def profile(s):
+        """(residuals, ln omega_p) at ln omega_tau = s; s is a float or a
+        column of them, one row of residuals each."""
+        raw = s - ln_w - np.log(w2 + np.exp(2.0 * s)) - ln_data
+        if omega_p_fixed is None:
+            ln_wp = -0.5 * raw.mean(axis=-1, keepdims=True)
+        else:
+            ln_wp = math.log(omega_p_fixed)
+        return raw + 2.0 * ln_wp, ln_wp
 
-    # log parametrization keeps both frequencies positive
-    w_mid = math.sqrt(lo * hi)
-    tau0 = min(w_mid, 5e13)
-    eps2_mid = float(np.exp(np.interp(math.log(w_mid), np.log(w), ln_data)))
-    wp0 = math.sqrt(eps2_mid * w_mid * (w_mid**2 + tau0**2) / tau0)
-
-    if omega_p_fixed is None:
-        def residuals(x):
-            return ln_model(math.exp(x[0]), math.exp(x[1])) - ln_data
-        x0 = [math.log(wp0), math.log(tau0)]
-    else:
-        if omega_p_fixed <= 0:
-            raise ValueError("omega_p_fixed must be positive")
-
-        def residuals(x):
-            return ln_model(omega_p_fixed, math.exp(x[0])) - ln_data
-        x0 = [math.log(tau0)]
-
-    result = optimize.least_squares(residuals, x0, method="lm",
-                                    xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                    max_nfev=max_evaluations)
-    if not result.success:
+    pad = _FIT_GRID_DECADES * math.log(10.0)
+    grid = np.arange(math.log(lo) - pad, math.log(hi) + pad, _FIT_GRID_STEP)[:, None]
+    r, ln_wp = profile(grid)
+    phi = np.where(grid < ln_wp, (r * r).sum(axis=1, keepdims=True), np.inf).ravel()
+    left, mid, right = phi[:-2], phi[1:-1], phi[2:]
+    minima = np.flatnonzero((mid <= left) & (mid <= right) & (right < np.inf)) + 1
+    if minima.size == 0:
         raise ConvergenceError(
-            f"Drude fit did not converge after {result.nfev} evaluations: "
-            f"{result.message}")
-    if omega_p_fixed is None:
-        params = DrudeParameters(math.exp(result.x[0]), math.exp(result.x[1]))
+            f"Drude fit over [{lo:.4g}, {hi:.4g}] has no minimum for "
+            f"omega_tau in [{math.exp(grid[0, 0]):.3g}, {math.exp(grid[-1, 0]):.3g}] "
+            f"below omega_p")
+    j = int(minima[np.argmin(phi[minima])])
+    a, b, s = grid[j - 1, 0], grid[j + 1, 0], grid[j, 0]
+    for _ in range(_FIT_MAX_STEPS):
+        r = profile(s)[0]
+        t2 = math.exp(2.0 * s)
+        h = (w2 - t2) / (w2 + t2)                      # dg/ds
+        slope = float(r @ h)                           # phi'/2
+        if omega_p_fixed is None:                      # omega_p follows s
+            h = h - h.mean()
+        curvature = float(h @ h - r @ (4.0 * w2 * t2 / (w2 + t2)**2))   # phi''/2
+        if slope < 0:
+            a = s
+        else:
+            b = s
+        step = slope / curvature if curvature > 0 else math.inf
+        new = s - step if a < s - step < b else 0.5 * (a + b)
+        done = abs(new - s) <= _FIT_S_TOL * abs(s)
+        s = new
+        if done:
+            break
     else:
-        params = DrudeParameters(omega_p_fixed, math.exp(result.x[0]))
-    rms = float(np.sqrt(np.mean(result.fun**2)))
-    return DrudeFit(params, rms, len(w))
+        raise ConvergenceError(
+            f"Drude fit did not converge in {_FIT_MAX_STEPS} steps; "
+            f"omega_tau in [{math.exp(a):.6g}, {math.exp(b):.6g}]")
+    if omega_p_fixed is None:
+        params = DrudeParameters(math.exp(float(profile(s)[1][0])), math.exp(s))
+    else:
+        params = DrudeParameters(omega_p_fixed, math.exp(s))
+    residual = np.log(drude_eps2(params.omega_p, params.omega_tau, w)) - ln_data
+    return DrudeFit(params, float(np.sqrt(np.mean(residual**2))), len(w))

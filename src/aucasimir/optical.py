@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.constants import e as _e_charge, hbar as _hbar
 
 from ._table import read_table
+from .constants import e as _e_charge, hbar as _hbar
 from .errors import DataFormatError
 
 if TYPE_CHECKING:

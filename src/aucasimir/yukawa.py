@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy import optimize
-from scipy.constants import c, e as _e_charge, h as _planck_h, hbar
-
+from .constants import c, e as _e_charge, h as _planck_h, hbar
 from .errors import ConvergenceError
 
 GOLD_DENSITY = 19300.0        # kg/m^3
@@ -29,6 +27,11 @@ ASTRO_ALPHA_CEILING = 1.5e-22
 
 #: wavelength interval [m] searched for the allowed-region boundary
 LAMBDA_BRACKET = (5e-9, 500e-9)
+#: the boundary's bisection stops once its step is below _XTOL + _RTOL *
+#: lambda [m], or gives up after _MAX_HALVINGS steps
+_XTOL = 1e-18
+_RTOL = 1e-8
+_MAX_HALVINGS = 100
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ def alpha_lower_limit(lambda_: float,
     """
     if not lambda_ > 0:
         raise ValueError("lambda must be positive")
-    if not residual_bound_pn > 0:
-        raise ValueError("residual_bound_pn must be positive")
+    if not 0 < residual_bound_pn < math.inf:
+        raise ValueError("residual_bound_pn must be finite and positive")
     x = math.exp(-geom.film_thickness / lambda_)
     denom = 1.0 - 1.74 * x + 0.75 * x * x
     if denom <= 0:
@@ -108,13 +111,29 @@ def allowed_lambda_boundary(geom: ConstraintGeometry = ConstraintGeometry(),
     def excess(lam: float) -> float:
         return alpha_lower_limit(lam, geom, residual_bound_pn) - alpha_ceiling
 
+    # scipy.optimize.bisect (its Zeros/bisect.c loop) step for step, so
+    # lambda_star is the float scipy returns for the same xtol and rtol
     lo, hi = LAMBDA_BRACKET
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo * f_hi > 0:
         raise ConvergenceError(
             f"no sign change in bracket [{lo:.3g}, {hi:.3g}] m: "
             f"excess({lo:.3g})={f_lo:.3e}, excess({hi:.3g})={f_hi:.3e}")
-    lam = float(optimize.bisect(excess, lo, hi, xtol=1e-18, rtol=1e-8))
+    lam = lo if f_lo == 0 else hi if f_hi == 0 else None
+    step, halvings = hi - lo, 0
+    while lam is None:
+        if halvings == _MAX_HALVINGS:
+            raise ConvergenceError(
+                f"bisection not converged after {_MAX_HALVINGS} halvings; "
+                f"bracket [{lo:.6g}, {lo + step:.6g}] m")
+        halvings += 1
+        step *= 0.5
+        mid = lo + step
+        f_mid = excess(mid)
+        if f_mid * f_lo >= 0:
+            lo = mid
+        if f_mid == 0 or abs(step) < _XTOL + _RTOL * abs(mid):
+            lam = mid
     mass_ev = _planck_h * c / (lam * _e_charge)
     return LambdaBoundary(lam, mass_ev)
 

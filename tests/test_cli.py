@@ -154,6 +154,18 @@ class TestEpsilon:
         assert code == 2
         assert "--config" in err
 
+    def test_zeta_above_tail_limit_is_compute_error(self, tabulated_config, capsys):
+        # the closed-form tail of the bundled data (omega_max = 1e18) holds
+        # up to sqrt(1/2) 1e24 rad/s
+        code, _, _ = run(capsys, ["epsilon", "--config", tabulated_config,
+                                  "--zeta", "7e23"])
+        assert code == 0
+        code, out, err = run(capsys, ["epsilon", "--config", tabulated_config,
+                                      "--zeta", "1e24"])
+        assert code == 1
+        assert out == ""
+        assert "zeta=1e+24 rad/s" in err and "7.071e+23 rad/s" in err
+
     def test_infinite_zeta_rejected(self, drude_config, capsys):
         code, out, err = run(capsys, ["epsilon", "--config", drude_config,
                                       "--zeta", "inf"])
@@ -331,6 +343,14 @@ class TestYukawaLimit:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("bound", ["inf", "nan", "0"])
+    def test_residual_bound_must_be_finite_and_positive(self, capsys, bound):
+        code, out, err = run(capsys, ["yukawa-limit", "--residual-bound", bound,
+                                      "--points", "2"])
+        assert code == 2
+        assert out == ""
+        assert "--residual-bound" in err
+
 
 @pytest.mark.parametrize("argv, flag", [
     (["force", "--a-range", "63", "175", "2.5"], "--a-range"),
@@ -490,13 +510,40 @@ class TestNonFiniteInput:
         assert f"{exp_file}:2: non-finite" in err
 
 
-def test_cli_import_leaves_quadpack_out():
-    # QUADPACK is a test oracle only; the library runs on its own rule
+def run_python(code):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, aucasimir.cli; print('scipy.integrate' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, timeout=120)
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_quadpack_out():
+    # the runtime needs numpy only: QUADPACK, hyp2f1, the root finders and
+    # the constants of scipy serve the tests as oracles
+    out = run_python("import sys, aucasimir.cli; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')))")
+    assert out == "[]"
+
+
+def test_commands_import_nothing_after_set_up():
+    # every import a command needs is paid when the CLI is imported, so a
+    # command's own time holds no module loading
+    out = run_python(f"""
+import contextlib, io, sys
+import aucasimir.cli as cli
+data = {str(package_data_dir())!r}
+config, experiment = data + "/sample_config.ini", data + "/experiment_sample.csv"
+before = set(sys.modules)
+for argv in (["force", "--config", config, "--a", "100", "--mode", "both"],
+             ["epsilon", "--config", config, "--zeta-range", "1e13", "1e18", "5"],
+             ["residuals", "--config", config, "--experiment", experiment],
+             ["yukawa-limit", "--points", "3"],
+             ["fit-drude", "--config", config, "--range", "2e14", "2e15"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(set(sys.modules) - before))
+""")
+    assert out == "[]"

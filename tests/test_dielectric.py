@@ -1,14 +1,22 @@
+import math
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.constants import c, epsilon_0
+from scipy.optimize import least_squares
+from scipy.special import hyp2f1
 
-from aucasimir import (DielectricModel, DrudeParameters,
-                       FrequencyBoundaries, drude_eps_imag_axis,
-                       drude_eps_real_axis, epsilon1_analytic, fit_drude,
-                       generate_synthetic_dataset, resistivity)
-from aucasimir.optical import OMEGA0_DEFAULT
+from aucasimir import (ConvergenceError, DielectricModel, DomainError,
+                       DrudeParameters, FrequencyBoundaries,
+                       drude_eps_imag_axis, drude_eps_real_axis,
+                       epsilon1_analytic, fit_drude,
+                       generate_synthetic_dataset, load_dataset, resistivity)
+from aucasimir.config import package_data_dir
+from aucasimir.dielectric import _TAIL_T_MIN, _TAIL_X2_MAX, _tail_series
+from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
 from conftest import drude_rows
 from kk_oracle import kk_epsilon
@@ -140,6 +148,130 @@ class TestFitDrude:
     def test_range_outside_coverage(self, pure_drude_dataset):
         with pytest.raises(ValueError, match="coverage"):
             fit_drude(pure_drude_dataset, (1e12, 1e13))
+
+    def test_knee_below_the_grid_has_no_minimum(self):
+        # omega_tau far below the range leaves only omega_p^2 omega_tau
+        # determined: phi(ln omega_tau) falls towards the grid's lower edge
+        ds = generate_synthetic_dataset(DrudeParameters(1.37e16, 1e9),
+                                        omega_range=(1e14, 1e16),
+                                        points_per_decade=10)
+        with pytest.raises(ConvergenceError, match="no minimum"):
+            fit_drude(ds, (2e14, 2e15))
+
+
+#: fit ranges on the bundled data, from the Drude region into the wing of
+#: the first interband (Lorentz) line
+BUNDLED_FIT_RANGES = [(1.52e14, 1e15), (1.6e14, 6e14), (2e14, 2e15), (3e14, 3e15)]
+FIXED_OMEGA_P = [None, 1.38e16]
+
+
+@pytest.fixture(scope="module")
+def bundled_dataset():
+    return load_dataset(package_data_dir() / "gold_synthetic.csv")
+
+
+def fit_samples(ds, fit_range):
+    lo, hi = fit_range
+    mask = (ds.omega >= lo) & (ds.omega <= hi)
+    return ds.omega[mask], np.log(ds.eps2[mask])
+
+
+def least_squares_fit(ds, fit_range, omega_p_fixed):
+    """(omega_p, omega_tau, rms) by scipy's Levenberg-Marquardt on
+    (ln omega_p, ln omega_tau), the fit as the library did it before it
+    went numpy-only."""
+    w, ln_data = fit_samples(ds, fit_range)
+    if omega_p_fixed is None:
+        def residuals(x):
+            return np.log(drude_eps2(math.exp(x[0]), math.exp(x[1]), w)) - ln_data
+        x0 = [math.log(1e16), math.log(5e13)]
+    else:
+        def residuals(x):
+            return np.log(drude_eps2(omega_p_fixed, math.exp(x[0]), w)) - ln_data
+        x0 = [math.log(5e13)]
+    result = least_squares(residuals, x0, method="lm", xtol=1e-15, ftol=1e-15,
+                           gtol=1e-15, max_nfev=500)
+    assert result.success
+    omega_p = omega_p_fixed if omega_p_fixed is not None else math.exp(result.x[0])
+    return omega_p, math.exp(result.x[-1]), float(np.sqrt(np.mean(result.fun**2)))
+
+
+def stationary_point(ds, fit_range, omega_p_fixed, start):
+    """(omega_p, omega_tau) where the gradient of the sum of squares in
+    (ln omega_p, ln omega_tau) vanishes, by mpmath's root finder at 40
+    digits from `start`."""
+    w, ln_data = fit_samples(ds, fit_range)
+    with mp.workdps(40):
+        w = [mp.mpf(float(x)) for x in w]
+        ln_data = [mp.mpf(float(x)) for x in ln_data]
+
+        def residuals_and_slopes(u, s):
+            t2 = mp.exp(2 * s)
+            r = [2 * u + s - mp.log(x) - mp.log(x * x + t2) - d
+                 for x, d in zip(w, ln_data)]
+            return r, [(x * x - t2) / (x * x + t2) for x in w]
+
+        if omega_p_fixed is None:
+            u, s = mp.findroot(
+                lambda u, s: (mp.fsum(residuals_and_slopes(u, s)[0]),
+                              mp.fdot(*residuals_and_slopes(u, s))),
+                (mp.log(start[0]), mp.log(start[1])))
+        else:
+            u = mp.log(omega_p_fixed)
+            s = mp.findroot(lambda s: mp.fdot(*residuals_and_slopes(u, s)),
+                            mp.log(start[1]))
+        return float(mp.exp(u)), float(mp.exp(s))
+
+
+@pytest.mark.parametrize("omega_p_fixed", FIXED_OMEGA_P, ids=["free", "fixed"])
+@pytest.mark.parametrize("fit_range", BUNDLED_FIT_RANGES, ids=str)
+class TestFitDrudeOracles:
+    def test_matches_least_squares(self, bundled_dataset, fit_range, omega_p_fixed):
+        # LM stops on ftol = 1e-15, a relative decrease of the sum of
+        # squares; at rms residuals up to 0.4 that leaves its parameters up
+        # to ~6e-8 short of the minimum (the 40-digit oracle below), so the
+        # parameters are compared at 1e-7 and the rms, flat at the minimum,
+        # at 1e-12
+        fit = fit_drude(bundled_dataset, fit_range, omega_p_fixed)
+        omega_p, omega_tau, rms = least_squares_fit(bundled_dataset, fit_range,
+                                                    omega_p_fixed)
+        assert fit.parameters.omega_p == pytest.approx(omega_p, rel=1e-7)
+        assert fit.parameters.omega_tau == pytest.approx(omega_tau, rel=1e-7)
+        assert fit.rms_log_residual == pytest.approx(rms, abs=1e-12)
+        if omega_p_fixed is not None:
+            assert fit.parameters.omega_p == omega_p_fixed   # as given, no log/exp
+
+    def test_matches_40_digit_stationary_point(self, bundled_dataset, fit_range,
+                                               omega_p_fixed):
+        # 1e-11 is the double-precision floor here: rounding in the ~1e2
+        # sized log terms moves phi' by ~1e-14 against curvatures down to 0.1
+        fit = fit_drude(bundled_dataset, fit_range, omega_p_fixed)
+        p = fit.parameters
+        omega_p, omega_tau = stationary_point(
+            bundled_dataset, fit_range, omega_p_fixed,
+            (p.omega_p * (1 + 1e-6), p.omega_tau * (1 - 1e-6)))
+        assert p.omega_p == pytest.approx(omega_p, rel=1e-11)
+        assert p.omega_tau == pytest.approx(omega_tau, rel=1e-11)
+
+
+class TestTailSeries:
+    """The closed-form tail remainder 2F1(1, b; 1 + b; -x^2) against scipy."""
+
+    @pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_matches_hyp2f1_up_to_the_limit(self, q):
+        x2 = np.concatenate(([0.0], np.logspace(-30, math.log10(_TAIL_X2_MAX), 400),
+                             np.linspace(0.3, _TAIL_X2_MAX, 400),
+                             [np.nextafter(_TAIL_X2_MAX, 0.0)]))
+        ref = hyp2f1(1.0, 0.5 * q, 1.0 + 0.5 * q, -x2)
+        assert np.max(np.abs(_tail_series(0.5 * q, x2) / ref - 1.0)) <= 2.2e-16
+
+    def test_zeta_above_the_limit_is_a_domain_error(self, pure_drude_dataset, row2):
+        model = DielectricModel(row2, pure_drude_dataset)
+        limit = math.sqrt(_TAIL_X2_MAX) * pure_drude_dataset.omega_max / _TAIL_T_MIN
+        assert model.epsilon(0.9999 * limit) > 1.0
+        with pytest.raises(DomainError,
+                           match=re.escape(f"above {limit:.4g} rad/s")):
+            model.decompose(np.array([1e15, 1.001 * limit]))
 
 
 class TestKKEpsilon:

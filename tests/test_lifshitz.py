@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B, c, hbar
@@ -10,7 +11,9 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        ThermalState, classical_term, force_finite_T,
                        force_zero_T, ideal_force, matsubara_frequency,
                        reduction_factor, temperature_correction)
-from aucasimir.lifshitz import ZETA3, _tail_bound, round_trip_factors
+from aucasimir._quadrature import gauss_legendre
+from aucasimir.lifshitz import (_BLOCK, _V_EDGES, ZETA3, _p_integral, _tail_bound,
+                                round_trip_factors)
 
 from conftest import SPHERE_RADIUS, drude_rows
 
@@ -85,6 +88,24 @@ class TestRoundTripFactors:
             ((eps - s) / (eps + s))**2 * math.exp(-2 * y), rel=1e-12)
         assert g_te == pytest.approx(
             ((1 - s) / (1 + s))**2 * math.exp(-2 * y), rel=1e-12)
+
+    def test_in_place_kernel_equals_the_formula_bitwise(self):
+        # _p_integral evaluates round_trip_factors operation for operation
+        # in preallocated arrays; over more than one block, and a last one
+        # that is partly filled, the results are the same floats
+        order = 16
+        v, w = gauss_legendre(_V_EDGES, order)
+        ln_u, weights = 3.0 * np.log(v), 3.0 * w / v
+        n = 2 * _BLOCK + 5
+        y = np.geomspace(1e-4, 40.0, n)
+        eps = 1.0 + np.geomspace(1e6, 1e-3, n)
+        p = 1.0 - ln_u / y[:, None]
+        g_te, g_tm = round_trip_factors(p, eps[:, None], y[:, None])
+        integrand = p * (np.log1p(-g_te) + np.log1p(-g_tm))
+        expected = np.concatenate([
+            -(integrand[i:i + _BLOCK] @ weights) / y[i:i + _BLOCK]
+            for i in range(0, n, _BLOCK)])
+        assert np.array_equal(_p_integral(eps, y, order), expected)
 
 
 class TestEpsCheck:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.constants import c, hbar
+from scipy.optimize import bisect
 
 from aucasimir import (ConstraintGeometry, ConvergenceError, YukawaHypothesis,
                        allowed_lambda_boundary, alpha_lower_limit,
                        yukawa_force_oracle)
+from aucasimir.yukawa import LAMBDA_BRACKET
 
 from conftest import SPHERE_RADIUS
 from quadpack import checked_quad
@@ -78,6 +80,11 @@ class TestAlphaLowerLimit:
         with pytest.raises(ValueError):
             alpha_lower_limit(100e-9, residual_bound_pn=-1.0)
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0])
+    def test_residual_bound_must_be_finite_and_positive(self, bound):
+        with pytest.raises(ValueError, match="finite and positive"):
+            alpha_lower_limit(100e-9, residual_bound_pn=bound)
+
 
 class TestAllowedLambdaBoundary:
     def test_boundary_and_mass(self):
@@ -103,6 +110,23 @@ class TestAllowedLambdaBoundary:
 
     def test_deterministic(self):
         assert allowed_lambda_boundary() == allowed_lambda_boundary()
+
+    def test_bitwise_equal_to_scipy_bisect(self):
+        geom = ConstraintGeometry()
+        compared = 0
+        for bound in (0.5, 1.0, 3.7, 10.0, 41.0, 250.0):
+            for ceiling in (3e-24, 2e-23, 1.5e-22, 1e-21, 7e-21):
+                def excess(lam):
+                    return alpha_lower_limit(lam, geom, bound) - ceiling
+                lo, hi = LAMBDA_BRACKET
+                if excess(lo) * excess(hi) > 0:
+                    with pytest.raises(ConvergenceError, match="sign change"):
+                        allowed_lambda_boundary(geom, ceiling, bound)
+                    continue
+                ref = bisect(excess, lo, hi, xtol=1e-18, rtol=1e-8)
+                assert allowed_lambda_boundary(geom, ceiling, bound).lambda_star == ref
+                compared += 1
+        assert compared >= 20
 
 
 class TestYukawaForceOracle:
