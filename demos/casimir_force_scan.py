@@ -5,7 +5,7 @@ Run:  python demos/casimir_force_scan.py   (a second or two)
 """
 
 from aucasimir import (DrudeParameters, Geometry, ThermalState, classical_term,
-                       force_finite_T, force_zero_T, ideal_force,
+                       force_finite_T, force_scan, force_zero_T, ideal_force,
                        reduction_factor)
 
 R = 95.65e-6
@@ -20,9 +20,12 @@ for a_nm in (63, 100, 200):
 
 print("\nDrude gold, finite T vs zero T (temperature correction dTF):")
 print("  a [nm]   F(300K) [pN]   F(0) [pN]   dTF [pN]    eta     terms")
-for a_nm in (60, 100, 150, 200):
-    g = Geometry(R, a_nm * 1e-9)
-    finite = force_finite_T(g, T, gold.epsilon)
+# the Matsubara frequencies depend only on T: one scan evaluates eps(i zeta)
+# once for every separation
+separations_nm = (60, 100, 150, 200)
+scan = [Geometry(R, a_nm * 1e-9) for a_nm in separations_nm]
+for a_nm, g, finite in zip(separations_nm, scan,
+                           force_scan(scan, T, gold.epsilon)):
     zero = force_zero_T(g, gold.epsilon)
     eta = reduction_factor(zero, g)
     print(f"  {a_nm:5d}   {finite.total:11.3f}   {zero:9.3f}   "

@@ -23,6 +23,7 @@ print(f"theory 477 pN -> dF = {row.delta_f:.1f} pN, "
 floor = residual_lower_bound(17.0, 3.5, confidence_sigmas=2.0)
 print(f"95% confidence residual floor: {floor:.0f} pN")
 
-# with the full force pipeline, theory comes from force_finite_T per point;
-# the CLI wires this end to end:
+# with the full force pipeline, theory is one force_scan over the selected
+# separations (residual_report calls it once, with all of them); the CLI
+# wires this end to end:
 #   aucasimir residuals --config <cfg.ini> --experiment <data.csv>

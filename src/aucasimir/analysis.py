@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._table import read_table
-from .errors import DataFormatError
+from .errors import DataFormatError, DomainError
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,16 @@ def load_experiment(path) -> list[ExperimentRecord]:
 
 
 def residual_report(records: Sequence[ExperimentRecord],
-                    theory: Callable[[float], float],
+                    theory: Callable[[np.ndarray], object],
                     range_filter: tuple[float, float] | None = None
                     ) -> ResidualReport:
-    """Residuals of the records against a theory evaluator (separation -> pN).
+    """Residuals of the records against a theory evaluator, in pN.
 
+    `theory` is called once, with the array of the selected separations
+    [m], and returns their forces; a scalar applies to every separation.
     `range_filter` = (a_lo, a_hi) in meters restricts the included rows
-    (inclusive).  Raises if no record survives the filter.
+    (inclusive).  Raises ValueError if no record survives the filter and
+    DomainError if a theory force is not finite.
     """
     selected = list(records)
     if range_filter is not None:
@@ -84,9 +89,16 @@ def residual_report(records: Sequence[ExperimentRecord],
         selected = [r for r in selected if a_lo <= r.separation <= a_hi]
     if not selected:
         raise ValueError("no experiment records in the requested range")
+    separations = np.array([r.separation for r in selected])
+    forces = np.broadcast_to(np.asarray(theory(separations), dtype=float),
+                             separations.shape)
+    bad = ~np.isfinite(forces)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"theory force {forces[i]} pN at a = "
+                          f"{separations[i] * 1e9:.6g} nm is not finite")
     rows = []
-    for rec in selected:
-        f_th = theory(rec.separation)
+    for rec, f_th in zip(selected, forces.tolist()):
         delta = rec.force_measured - f_th
         rows.append(ResidualRow(rec.separation, rec.force_measured, f_th,
                                 delta, delta / rec.sigma))
@@ -98,7 +110,8 @@ def residual_report(records: Sequence[ExperimentRecord],
 def residual_lower_bound(delta_f: float, sigma: float,
                          confidence_sigmas: float) -> float:
     """delta_f minus confidence_sigmas standard deviations, floored at zero."""
-    if delta_f <= 0 or sigma <= 0 or confidence_sigmas < 0:
-        raise ValueError("delta_f and sigma must be positive, "
-                         "confidence_sigmas non-negative")
+    if not (0 < delta_f < math.inf and 0 < sigma < math.inf
+            and 0 <= confidence_sigmas < math.inf):
+        raise ValueError("delta_f and sigma must be finite and positive, "
+                         "confidence_sigmas finite and non-negative")
     return max(0.0, delta_f - confidence_sigmas * sigma)

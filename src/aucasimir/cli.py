@@ -22,7 +22,7 @@ from .analysis import load_experiment, residual_report
 from .config import load_run_config, resolve_data_path
 from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import Geometry, ThermalState, force_finite_T, force_zero_T, ideal_force
+from .lifshitz import Geometry, ThermalState, force_scan, force_zero_T, ideal_force
 from .optical import load_dataset
 from .yukawa import (LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
                      alpha_lower_limit)
@@ -151,19 +151,21 @@ def _separations_m(args):
 def cmd_force(args) -> int:
     cfg = _require_config(args)
     eps, _, _ = cfg.build_evaluator()
-    thermal = ThermalState(cfg.temperature)
+    geometries = [Geometry(cfg.sphere_radius, a) for a in _separations_m(args)]
+    finite = [None] * len(geometries)
+    if args.mode != "zero_T":
+        finite = force_scan(geometries, ThermalState(cfg.temperature), eps,
+                            cfg.prescription)
     rows = []
-    for a in _separations_m(args):
-        g = Geometry(cfg.sphere_radius, a)
+    for g, result in zip(geometries, finite):
         n0 = dtf = None
-        if args.mode == "zero_T":
+        if result is None:
             force = force_zero_T(g, eps)
         else:
-            result = force_finite_T(g, thermal, eps, cfg.prescription)
             force, n0 = result.total, result.n0_term
             if args.mode == "both":
                 dtf = force - force_zero_T(g, eps)
-        rows.append((a * 1e9, force, n0, dtf, force / ideal_force(g)))
+        rows.append((g.separation * 1e9, force, n0, dtf, force / ideal_force(g)))
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)
     return 0
 
@@ -178,9 +180,10 @@ def cmd_residuals(args) -> int:
     eps, _, _ = cfg.build_evaluator()
     thermal = ThermalState(cfg.temperature)
 
-    def theory(a: float) -> float:
-        return force_finite_T(Geometry(cfg.sphere_radius, a), thermal, eps,
-                              cfg.prescription).total
+    def theory(separations):
+        geometries = [Geometry(cfg.sphere_radius, a) for a in separations.tolist()]
+        return [r.total for r in force_scan(geometries, thermal, eps,
+                                            cfg.prescription)]
 
     report = residual_report(records, theory, range_filter)
     rows = [(r.separation * 1e9, r.force_measured, r.force_theory, r.delta_f,

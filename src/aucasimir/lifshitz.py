@@ -18,8 +18,10 @@ as a switch.  The zero-temperature force replaces kT sum' by
 treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
-rule, evaluated for all frequencies of a force at once; each force makes
-one array call to the eps(i zeta) evaluator.
+rule.  The Matsubara frequencies depend only on T, so a scan over
+separations (`force_scan`) makes one array call to the eps(i zeta)
+evaluator and runs the kernel over all its separations at once, block of
+terms by block of terms; `force_finite_T` is a scan of one.
 
 Conventions: geometry in meters, temperature in kelvin, every force is the
 attraction magnitude in piconewtons.  All evaluations are pure functions of
@@ -29,10 +31,11 @@ in ascending n for reproducibility.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -175,7 +178,18 @@ def round_trip_factors(p, eps_value, y):
     return r_te * r_te * damping, r_tm * r_tm * damping
 
 
-def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _p_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ln u, weight) of the p-rule with `order` nodes per panel of
+    `_V_EDGES`, read-only (see `_p_integral`)."""
+    v, w = gauss_legendre(_V_EDGES, order)
+    ln_u, weights = 3.0 * np.log(v), 3.0 * w / v
+    ln_u.flags.writeable = weights.flags.writeable = False
+    return ln_u, weights
+
+
+def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int,
+                blocks=None) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
 
@@ -191,15 +205,23 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     temporary per operation and block makes the allocator trim and regrow
     the heap around every block, which cost 10-30 % of a 100-separation
     Drude scan in a fresh process.
+
+    The rows go through in consecutive blocks of at most `_BLOCK`;
+    `blocks` lists their lengths (by default `_BLOCK` each).  BLAS sums
+    the last rows of a matrix-vector product whose row count is not a
+    multiple of 4 in another order, so a row's bits depend on the length
+    of its block: a scan that passes each separation's block of terms as
+    one block gets the bits of that separation evaluated alone.
     """
-    v, w = gauss_legendre(_V_EDGES, order)
-    ln_u = 3.0 * np.log(v)
-    weights = 3.0 * w / v
+    ln_u, weights = _p_rule(order)
+    if blocks is None:
+        blocks = [min(_BLOCK, y.size - i) for i in range(0, y.size, _BLOCK)]
     out = np.empty(y.shape)
-    p, s, g_te, g_tm, work = np.empty((5, min(_BLOCK, y.size), v.size))
-    for i in range(0, y.size, _BLOCK):
-        yb, eps = y[i:i + _BLOCK, None], eps_values[i:i + _BLOCK, None]
-        rows = slice(0, yb.shape[0])
+    p, s, g_te, g_tm, work = np.empty((5, min(_BLOCK, y.size), ln_u.size))
+    i = 0
+    for n in blocks:
+        yb, eps = y[i:i + n, None], eps_values[i:i + n, None]
+        rows = slice(0, n)
         pb, sb, te, tm, tmp = p[rows], s[rows], g_te[rows], g_tm[rows], work[rows]
         chi = eps - 1.0
         np.subtract(1.0, np.divide(ln_u, yb, out=pb), out=pb)
@@ -218,7 +240,8 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
         np.log1p(np.negative(te, out=te), out=te)
         np.log1p(np.negative(tm, out=tm), out=tm)
         np.multiply(pb, np.add(te, tm, out=te), out=te)
-        out[i:i + _BLOCK] = -(te @ weights) / y[i:i + _BLOCK]
+        out[i:i + n] = -(te @ weights) / y[i:i + n]
+        i += n
     return out
 
 
@@ -234,7 +257,7 @@ def _eps_at(eps: Callable, zeta: np.ndarray) -> np.ndarray:
     return values
 
 
-def _tail_bound(n, y1: float, scale: float):
+def _tail_bound(n, y1, scale):
     """Upper bound [pN] on the sum of the Matsubara terms after the n-th.
 
     For eps > 1, |r_te| and |r_tm| are below 1, so each term is at most the
@@ -245,41 +268,44 @@ def _tail_bound(n, y1: float, scale: float):
 
         scale q^M / (1 - q^M) [2 y1 (M (1-q) + q) / (1-q)^2 + 1 / (1-q)].
 
-    `n` may be an array.
+    `n`, `y1` and `scale` broadcast against each other.
     """
     m = np.asarray(n, dtype=float) + 1.0
-    one_minus_q = -math.expm1(-2.0 * y1)
+    one_minus_q = -np.expm1(-2.0 * y1)
     q_m = np.exp(-2.0 * y1 * m)
-    series = (2.0 * y1 * (m * one_minus_q + 1.0 - one_minus_q) / one_minus_q**2
-              + 1.0 / one_minus_q)
+    series = (2.0 * y1 * (m * one_minus_q + 1.0 - one_minus_q)
+              / (one_minus_q * one_minus_q) + 1.0 / one_minus_q)
     return scale * q_m / -np.expm1(-2.0 * y1 * m) * series
 
 
-def _terms_needed(target: float, y1: float, scale: float, n_max: int) -> int:
-    """Smallest n <= n_max whose tail bound is at most `target`, else n_max."""
-    if _tail_bound(n_max, y1, scale) > target:
-        return n_max
-    lo, hi = 0, n_max            # the answer lies in (lo, hi]
-    while hi - lo > 1:
+def _terms_needed(target, y1, scale, n_max: int) -> np.ndarray:
+    """Smallest n <= n_max whose tail bound is at most `target`, else n_max;
+    elementwise over the broadcast arrays, bisecting them all at once."""
+    target, y1, scale = np.broadcast_arrays(target, y1, scale)
+    hi = np.full(target.shape, n_max)        # the answer lies in (lo, hi]
+    lo = np.where(_tail_bound(hi, y1, scale) > target, n_max - 1, 0)
+    while (open_ := hi - lo > 1).any():
         mid = (lo + hi) // 2
-        if _tail_bound(mid, y1, scale) > target:
-            lo = mid
-        else:
-            hi = mid
+        over = _tail_bound(mid, y1, scale) > target
+        lo = np.where(open_ & over, mid, lo)
+        hi = np.where(open_ & ~over, mid, hi)
     return hi
 
 
-def force_finite_T(g: Geometry, t: ThermalState,
-                   eps: Callable,
-                   prescription: str = "schwinger",
-                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> ForceResult:
-    """Finite-temperature sphere-plate force: n=0 term plus Matsubara sum.
+def force_scan(geometries: Iterable[Geometry], t: ThermalState,
+               eps: Callable,
+               prescription: str = "schwinger",
+               settings: QuadratureSettings = DEFAULT_SETTINGS
+               ) -> tuple[ForceResult, ...]:
+    """Finite-temperature sphere-plate forces, n=0 term plus Matsubara sum,
+    at every geometry of a scan; returned in input order.
 
     Parameters
     ----------
-    g, t : Geometry, ThermalState
-        Geometry and temperature; temperature must be positive (use
-        `force_zero_T` for T = 0).
+    geometries : iterable of Geometry
+        At least one; repeated geometries are computed once.
+    t : ThermalState
+        Temperature; must be positive (use `force_zero_T` for T = 0).
     eps : callable
         eps(i zeta) evaluator, taking an array of zeta in rad/s.
     prescription : str
@@ -289,44 +315,82 @@ def force_finite_T(g: Geometry, t: ThermalState,
 
     Returns
     -------
-    ForceResult
-        Total force and decomposition, in pN.
+    tuple of ForceResult
+        Total force and decomposition, in pN, one per geometry.
 
-    The sum stops at the first n whose tail bound (`_tail_bound`) is below
-    settings.sum_rel_tol times the running total.  Since the total exceeds
+    Each sum stops at the first n whose tail bound (`_tail_bound`) is below
+    settings.sum_rel_tol times its running total.  Since the total exceeds
     the n=0 term, the terms up to the count that bounds the tail by
-    sum_rel_tol * n0 always suffice: their eps values come from one eps
-    call, and the kernel runs over them in blocks until the stop.
+    sum_rel_tol * n0 always suffice.  The frequencies depend only on T, so
+    one eps call covers the largest such count of the scan.  The kernel
+    then runs in rounds of `_BLOCK` terms, each one call over every
+    geometry still summing; terms are added in ascending n, so each result
+    is, to the bit, that of the geometry alone.  A sum that reaches
+    settings.n_max terms unconverged raises ConvergenceError naming its
+    separation.
     """
     if t.temperature <= 0:
-        raise ValueError("force_finite_T needs temperature > 0")
-    a = g.separation
-    n0 = classical_term(g, t, prescription)
+        raise ValueError("force_scan needs temperature > 0")
+    geometries = tuple(geometries)
+    distinct = dict.fromkeys(geometries)     # a Geometry compares by value
+    if not distinct:
+        raise ValueError("force_scan needs at least one geometry")
+    n0 = np.array([classical_term(g, t, prescription) for g in distinct])
+    radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
     y1 = matsubara_frequency(1, t) * a / c
-    scale = k_B * t.temperature * g.sphere_radius / (2.0 * a * a) * _N_TO_PN
-    n_eval = _terms_needed(settings.sum_rel_tol * n0, y1, scale, settings.n_max)
+    scale = k_B * t.temperature * radius / (2.0 * a * a) * _N_TO_PN
+    prefactor = k_B * t.temperature * radius / c**2 * _N_TO_PN
+    tol = settings.sum_rel_tol
+    n_eval = _terms_needed(tol * n0, y1, scale, settings.n_max)
 
-    n = np.arange(1, n_eval + 1)
-    zeta = matsubara_frequency(n, t)
+    zeta = matsubara_frequency(np.arange(1, n_eval.max() + 1), t)
     eps_values = _eps_at(eps, zeta)
-    bound = _tail_bound(n, y1, scale)
-    prefactor = k_B * t.temperature * g.sphere_radius / c**2 * _N_TO_PN
-    tail = 0.0
-    for i in range(0, n_eval, _BLOCK):
-        block = slice(i, i + _BLOCK)
-        terms = prefactor * zeta[block]**2 * _p_integral(
-            eps_values[block], zeta[block] * a / c, settings.p_order)
-        tails = np.cumsum(np.concatenate(([tail], terms)))[1:]
-        done = bound[block] <= settings.sum_rel_tol * (n0 + tails)
-        if done.any():
-            k = int(np.argmax(done))
-            tail = float(tails[k])
-            return ForceResult(total=n0 + tail, n0_term=n0, sum_terms=tail,
-                               n_terms_used=i + k + 1, prescription=prescription)
-        tail = float(tails[-1])
-    raise ConvergenceError(
-        f"Matsubara sum not converged after {settings.n_max} terms "
-        f"(tail bound {bound[-1]:.3e} pN, accumulated {n0 + tail:.6e} pN)")
+    tail = np.zeros(n0.shape)               # sum of the n >= 1 terms so far
+    used = np.zeros(n0.shape, dtype=int)    # terms at the stop; 0 while summing
+    for start in range(0, int(n_eval.max()), _BLOCK):
+        summing = np.flatnonzero((used == 0) & (n_eval > start))
+        if not summing.size:
+            break
+        counts = np.minimum(n_eval[summing] - start, _BLOCK)
+        n = start + np.arange(_BLOCK)     # index of term n + 1 in zeta
+        live = n < start + counts[:, None]
+        k = np.broadcast_to(n, live.shape)[live]
+        sep = np.repeat(summing, counts)
+        terms = np.zeros(live.shape)
+        terms[live] = prefactor[sep] * zeta[k]**2 * _p_integral(
+            eps_values[k], zeta[k] * a[sep] / c, settings.p_order, counts.tolist())
+        tails = np.cumsum(np.column_stack((tail[summing], terms)), axis=1)[:, 1:]
+        bound = _tail_bound(n + 1, y1[summing, None], scale[summing, None])
+        done = live & (bound <= tol * (n0[summing, None] + tails))
+        stopped = done.any(axis=1)
+        last = np.where(stopped, done.argmax(axis=1), counts - 1)
+        tail[summing] = tails[np.arange(summing.size), last]
+        used[summing] = np.where(stopped, start + last + 1, 0)
+        exhausted = ~stopped & (start + counts == n_eval[summing])
+        if exhausted.any():
+            j = int(np.argmax(exhausted))
+            i = summing[j]
+            raise ConvergenceError(
+                f"Matsubara sum at a = {a[i] * 1e9:.6g} nm not converged after "
+                f"{n_eval[i]} terms (tail bound {bound[j, counts[j] - 1]:.3e} pN, "
+                f"accumulated {n0[i] + tail[i]:.6e} pN)")
+    results = {g: ForceResult(total=float(n0[i]) + float(tail[i]),
+                              n0_term=float(n0[i]), sum_terms=float(tail[i]),
+                              n_terms_used=int(used[i]), prescription=prescription)
+               for i, g in enumerate(distinct)}
+    return tuple(results[g] for g in geometries)
+
+
+def force_finite_T(g: Geometry, t: ThermalState,
+                   eps: Callable,
+                   prescription: str = "schwinger",
+                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> ForceResult:
+    """Finite-temperature sphere-plate force: n=0 term plus Matsubara sum.
+
+    `force_scan` at the one geometry `g`; see there for the arguments and
+    the stop rule.
+    """
+    return force_scan((g,), t, eps, prescription, settings)[0]
 
 
 def force_zero_T(g: Geometry, eps: Callable,

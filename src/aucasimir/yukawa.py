@@ -42,10 +42,10 @@ class YukawaHypothesis:
     lambda_: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if not self.lambda_ > 0:
-            raise ValueError("lambda must be positive")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and non-negative")
+        if not 0 < self.lambda_ < math.inf:
+            raise ValueError("lambda must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def alpha_lower_limit(lambda_: float,
     normalized to a 10 pN residual floor; the limit scales linearly with
     `residual_bound_pn` since the Yukawa force is linear in alpha.
     """
-    if not lambda_ > 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lambda_ < math.inf:
+        raise ValueError("lambda must be finite and positive")
     if not 0 < residual_bound_pn < math.inf:
         raise ValueError("residual_bound_pn must be finite and positive")
     x = math.exp(-geom.film_thickness / lambda_)
@@ -154,8 +154,8 @@ def yukawa_force_oracle(h: YukawaHypothesis, geom: ConstraintGeometry,
 
     Attraction magnitude.
     """
-    if sphere_radius <= 0:
-        raise ValueError("sphere_radius must be positive")
+    if not 0 < sphere_radius < math.inf:
+        raise ValueError("sphere_radius must be finite and positive")
     lam = h.lambda_
     n = GOLD_DENSITY / NUCLEON_MASS
     film = -math.expm1(-geom.film_thickness / lam)

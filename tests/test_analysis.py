@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from aucasimir import (DataFormatError, ExperimentRecord, load_experiment,
-                       residual_lower_bound, residual_report)
+from aucasimir import (DataFormatError, DomainError, ExperimentRecord,
+                       load_experiment, residual_lower_bound, residual_report)
 from aucasimir.config import package_data_dir
 
 
@@ -74,8 +74,9 @@ class TestResidualReport:
     def test_theory_equal_to_measurement(self):
         records = [ExperimentRecord(63e-9, 491.0, 3.5),
                    ExperimentRecord(100e-9, 150.0, 2.0)]
+        measured = {63e-9: 491.0, 100e-9: 150.0}
         report = residual_report(records,
-                                 {63e-9: 491.0, 100e-9: 150.0}.__getitem__)
+                                 lambda a: [measured[x] for x in a.tolist()])
         assert all(r.delta_f == 0.0 for r in report.rows)
         assert report.rms_deviation == 0.0
 
@@ -112,6 +113,28 @@ class TestResidualReport:
         assert len(report.rows) == 1
         assert report.rows[0].separation == 60e-9
 
+    def test_theory_called_once_with_the_selected_separations(self):
+        records = [ExperimentRecord(60e-9, 103.0, 1.0),
+                   ExperimentRecord(80e-9, 104.0, 1.0),
+                   ExperimentRecord(120e-9, 90.0, 1.0)]
+        calls = []
+
+        def theory(a):
+            calls.append(a.tolist())
+            return 1e-21 / a**2
+
+        report = residual_report(records, theory, range_filter=(50e-9, 100e-9))
+        assert calls == [[60e-9, 80e-9]]
+        assert [r.force_theory for r in report.rows] == [1e-21 / 60e-9**2,
+                                                         1e-21 / 80e-9**2]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theory_names_the_separation(self, value):
+        records = [ExperimentRecord(60e-9, 103.0, 1.0),
+                   ExperimentRecord(80e-9, 104.0, 1.0)]
+        with pytest.raises(DomainError, match="a = 80 nm"):
+            residual_report(records, lambda a: [100.0, value])
+
     def test_empty_filter_rejected(self):
         records = [ExperimentRecord(60e-9, 103.0, 1.0)]
         with pytest.raises(ValueError, match="no experiment records"):
@@ -122,6 +145,14 @@ class TestResidualReport:
 class TestResidualLowerBound:
     def test_anchor(self):
         assert residual_lower_bound(17.0, 3.5, 2.0) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 3.5, 2.0), (math.inf, 3.5, 2.0), (0.0, 3.5, 2.0),
+        (17.0, math.nan, 2.0), (17.0, math.inf, 2.0), (17.0, 0.0, 2.0),
+        (17.0, 3.5, math.nan), (17.0, 3.5, math.inf), (17.0, 3.5, -1.0)])
+    def test_rejects_non_finite_or_out_of_range(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            residual_lower_bound(*args)
 
     def test_floored_at_zero(self):
         assert residual_lower_bound(5.0, 3.5, 2.0) == 0.0

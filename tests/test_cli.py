@@ -314,6 +314,56 @@ class TestResiduals:
         assert float(fields[0]) == pytest.approx(100.0)
 
 
+class TestOneEpsCall:
+    """A command evaluates eps(i zeta) in one array call, whatever the
+    number of separations: a count, so it needs no timing."""
+
+    SAMPLE = str(package_data_dir() / "sample_config.ini")
+    EXPERIMENT = str(package_data_dir() / "experiment_sample.csv")
+
+    @pytest.fixture
+    def eps_calls(self, monkeypatch):
+        calls = []
+        build = RunConfig.build_evaluator
+
+        def counting(config):
+            eps, drude, model = build(config)
+
+            def counted(zeta):
+                calls.append(zeta)
+                return eps(zeta)
+            return counted, drude, model
+
+        monkeypatch.setattr(RunConfig, "build_evaluator", counting)
+        return calls
+
+    def test_force_scan(self, eps_calls, capsys):
+        code, out, _ = run(capsys, ["force", "--config", self.SAMPLE,
+                                    "--mode", "finite_T",
+                                    "--a-range", "60", "200", "15"])
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 15
+        assert len(eps_calls) == 1
+
+    def test_residuals(self, eps_calls, capsys):
+        code, _, _ = run(capsys, ["residuals", "--config", self.SAMPLE,
+                                  "--experiment", self.EXPERIMENT])
+        assert code == 0
+        assert len(eps_calls) == 1
+
+    def test_residuals_over_repeated_separations(self, eps_calls, tmp_path,
+                                                 capsys):
+        exp_file = tmp_path / "exp.csv"
+        exp_file.write_text("63,491,3.5\n100,150,2\n63,489,3.5\n150,45,1\n")
+        code, out, _ = run(capsys, ["residuals", "--config", self.SAMPLE,
+                                    "--experiment", str(exp_file)])
+        assert code == 0
+        rows = parse_csv(out)[1]
+        assert [r[0] for r in rows] == [63.0, 63.0, 100.0, 150.0]
+        assert rows[0][2] == rows[1][2]
+        assert len(eps_calls) == 1
+
+
 class TestYukawaLimit:
     def test_defaults_boundary_and_mass(self, capsys):
         code, out, _ = run(capsys, ["yukawa-limit", "--points", "5"])

@@ -9,11 +9,13 @@ from scipy.constants import Boltzmann as k_B, c, hbar
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, Geometry, QuadratureSettings,
                        ThermalState, classical_term, force_finite_T,
-                       force_zero_T, ideal_force, matsubara_frequency,
-                       reduction_factor, temperature_correction)
+                       force_scan, force_zero_T, ideal_force,
+                       matsubara_frequency, reduction_factor,
+                       temperature_correction)
 from aucasimir._quadrature import gauss_legendre
+from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_BLOCK, _V_EDGES, ZETA3, _p_integral, _tail_bound,
-                                round_trip_factors)
+                                _terms_needed, round_trip_factors)
 
 from conftest import SPHERE_RADIUS, drude_rows
 
@@ -107,6 +109,18 @@ class TestRoundTripFactors:
             for i in range(0, n, _BLOCK)])
         assert np.array_equal(_p_integral(eps, y, order), expected)
 
+    def test_blocks_keep_the_bits_of_separate_calls(self):
+        # given block lengths, each block gets the floats of a call of its
+        # own (a scan's blocks are those of each separation alone)
+        blocks = [_BLOCK, 23, 17, 5, _BLOCK, 1, 62, 3]
+        n = sum(blocks)
+        y = np.geomspace(1e-4, 40.0, n)
+        eps = 1.0 + np.geomspace(1e6, 1e-3, n)
+        edges = np.cumsum([0] + blocks)
+        expected = np.concatenate([_p_integral(eps[i:j], y[i:j], 16)
+                                   for i, j in zip(edges[:-1], edges[1:])])
+        assert np.array_equal(_p_integral(eps, y, 16, blocks), expected)
+
 
 class TestEpsCheck:
     @pytest.mark.parametrize("force", [
@@ -135,6 +149,29 @@ class TestTailBound:
             assert bound >= remainder
             if n >= 100:
                 assert bound == pytest.approx(remainder, rel=1e-4)
+
+    def test_terms_needed_bisects_arrays_elementwise(self):
+        def scalar(target, y1, scale, n_max):
+            if _tail_bound(n_max, y1, scale) > target:
+                return n_max
+            lo, hi = 0, n_max
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _tail_bound(mid, y1, scale) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        rng = np.random.default_rng(9)
+        y1 = 10.0 ** rng.uniform(-4, 0.5, 200)
+        scale = 10.0 ** rng.uniform(-1, 3, 200)
+        target = 10.0 ** rng.uniform(-14, 1, 200)
+        for n_max in (1, 7, 1000, 1_000_000):
+            counts = _terms_needed(target, y1, scale, n_max)
+            assert counts.tolist() == [scalar(*args, n_max) for args
+                                       in zip(target.tolist(), y1.tolist(),
+                                              scale.tolist())]
 
 
 class TestForceFiniteT:
@@ -192,6 +229,67 @@ class TestForceFiniteT:
         with pytest.raises(ConvergenceError, match="Matsubara"):
             force_finite_T(geometry63, thermal300, single_crystal.epsilon,
                            settings=settings)
+
+
+#: lists of separations, unsorted and with repeats
+scans = st.lists(st.floats(20e-9, 500e-9), min_size=1, max_size=15).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=30))
+
+
+class TestForceScan:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(drude_rows, scans, st.floats(10.0, 400.0),
+           st.sampled_from(("schwinger", "halved")))
+    def test_equals_force_finite_T_per_separation(self, row, a, temperature,
+                                                   prescription):
+        t = ThermalState(temperature)
+        geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
+        scan = force_scan(geometries, t, row.epsilon, prescription)
+        # ForceResult equality compares every field with ==
+        assert scan == tuple(force_finite_T(g, t, row.epsilon, prescription)
+                             for g in geometries)
+
+    @pytest.mark.parametrize("prescription", ["schwinger", "halved"])
+    def test_tabulated_scan_equals_force_finite_T(self, prescription):
+        cfg = load_run_config(package_data_dir() / "sample_config.ini")
+        eps, _, _ = cfg.build_evaluator()
+        t = ThermalState(cfg.temperature)
+        geometries = [Geometry(cfg.sphere_radius, a_nm * 1e-9)
+                      for a_nm in [63] + list(range(200, 149, -1))]
+        scan = force_scan(geometries, t, eps, prescription)
+        assert scan == tuple(force_finite_T(g, t, eps, prescription)
+                             for g in geometries)
+
+    def test_one_eps_call_over_the_largest_count(self, single_crystal,
+                                                 thermal300):
+        calls = []
+
+        def eps(zeta):
+            calls.append(zeta.size)
+            return single_crystal.epsilon(zeta)
+
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                      for a_nm in (200, 60, 100, 60)]
+        scan = force_scan(geometries, thermal300, eps)
+        assert len(calls) == 1
+        assert calls[0] >= max(r.n_terms_used for r in scan)
+        assert scan[1] == scan[3]
+
+    def test_non_convergence_names_the_separation(self, single_crystal,
+                                                  thermal300):
+        # 150 nm stops after 105 terms, 63 nm would need 255
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
+        with pytest.raises(ConvergenceError, match="at a = 63 nm"):
+            force_scan(geometries, thermal300, single_crystal.epsilon,
+                       settings=QuadratureSettings(n_max=200))
+
+    def test_needs_positive_temperature(self, geometry63, single_crystal):
+        with pytest.raises(ValueError, match="temperature"):
+            force_scan([geometry63], ThermalState(0.0), single_crystal.epsilon)
+
+    def test_needs_a_geometry(self, thermal300, single_crystal):
+        with pytest.raises(ValueError, match="geometry"):
+            force_scan([], thermal300, single_crystal.epsilon)
 
 
 class TestForceZeroT:

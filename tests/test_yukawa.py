@@ -80,6 +80,11 @@ class TestAlphaLowerLimit:
         with pytest.raises(ValueError):
             alpha_lower_limit(100e-9, residual_bound_pn=-1.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
+    def test_lambda_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="finite and positive"):
+            alpha_lower_limit(lam)
+
     @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0])
     def test_residual_bound_must_be_finite_and_positive(self, bound):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -167,6 +172,12 @@ class TestYukawaForceOracle:
         alpha_star = 1e-24 * 10.0 / f_unit
         assert alpha_star == pytest.approx(alpha_lower_limit(100e-9), rel=0.25)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_sphere_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            yukawa_force_oracle(YukawaHypothesis(1e-24, 100e-9),
+                                ConstraintGeometry(), radius)
+
 
 class TestDomainTypes:
     def test_hypothesis_validation(self):
@@ -174,6 +185,13 @@ class TestDomainTypes:
             YukawaHypothesis(-1e-24, 100e-9)
         with pytest.raises(ValueError):
             YukawaHypothesis(1e-24, 0.0)
+
+    @pytest.mark.parametrize("alpha, lam", [
+        (math.nan, 100e-9), (math.inf, 100e-9), (1e-24, math.inf),
+        (1e-24, math.nan)])
+    def test_hypothesis_rejects_non_finite(self, alpha, lam):
+        with pytest.raises(ValueError, match="finite"):
+            YukawaHypothesis(alpha, lam)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
