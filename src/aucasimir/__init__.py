@@ -22,8 +22,8 @@ from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        matsubara_frequency, reduction_factor,
                        temperature_correction)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
-                      ColumnFormat, FrequencyBoundaries, OpticalDataset,
-                      fill_gap, generate_synthetic_dataset, interpolate_eps2,
+                      FrequencyBoundaries, OpticalDataset, fill_gap,
+                      generate_synthetic_dataset, interpolate_eps2,
                       load_dataset, merge_datasets)
 from .yukawa import (ASTRO_ALPHA_CEILING, ConstraintGeometry, LambdaBoundary,
                      YukawaHypothesis, allowed_lambda_boundary,

@@ -107,6 +107,14 @@ def cmd_fit_drude(args) -> int:
     return 0
 
 
+def _require_temperature(cfg, command):
+    """A Matsubara sum needs T > 0: fail before the dielectric model is built."""
+    if cfg.temperature == 0:
+        raise ConfigError(f"{command} needs [thermal] temperature > 0, the "
+                          f"config sets 0; the zero-temperature force is "
+                          f"'force --mode zero_T'")
+
+
 def _grid_bounds(flag, lo, hi, n):
     """(LO, HI, N) of a grid option, checked: finite 0 < LO < HI and an
     integral N >= 2."""
@@ -150,6 +158,8 @@ def _separations_m(args):
 
 def cmd_force(args) -> int:
     cfg = _require_config(args)
+    if args.mode != "zero_T":
+        _require_temperature(cfg, f"force --mode {args.mode}")
     eps, _, _ = cfg.build_evaluator()
     geometries = [Geometry(cfg.sphere_radius, a) for a in _separations_m(args)]
     finite = [None] * len(geometries)
@@ -172,6 +182,7 @@ def cmd_force(args) -> int:
 
 def cmd_residuals(args) -> int:
     cfg = _require_config(args)
+    _require_temperature(cfg, "residuals")
     records = load_experiment(resolve_data_path(args.experiment))
     range_filter = None
     if args.a_min is not None or args.a_max is not None:

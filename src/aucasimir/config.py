@@ -84,7 +84,7 @@ class RunConfig:
             return None
         merged = load_dataset(self.dataset_paths[0])
         for path in self.dataset_paths[1:]:
-            merged = merge_datasets(merged, load_dataset(path), precedence="a")
+            merged = merge_datasets(merged, load_dataset(path))
         return merged
 
     def drude_parameters(self, dataset: OpticalDataset | None) -> DrudeParameters:

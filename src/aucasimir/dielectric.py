@@ -6,7 +6,8 @@ three spectral regions of the dispersion relation
     eps(i zeta) = 1 + (2/pi) int_0^inf  omega eps''(omega) / (omega^2 + zeta^2) d omega
 
   * [0, omega0]   : no tabulated data; a Drude extrapolation integrated in
-                    closed form (`epsilon1_analytic`),
+                    closed form (`epsilon1_analytic`), one formula of
+                    positive terms for every zeta,
   * [omega0, omega1] and [omega1, omega_max] : tabulated eps'' integrated
                     numerically with log-log interpolation,
   * above omega_max : a power-law tail eps'' ~ omega^(-tail_exponent).
@@ -36,10 +37,6 @@ from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolat
 
 #: ohm m -> micro-ohm cm
 _OHM_M_TO_UOHM_CM = 1e8
-
-#: relative distance from zeta = omega_tau below which the removable
-#: singularity in epsilon1_analytic is evaluated by series expansion
-_SINGULAR_SWITCH = 1e-4
 
 #: Gauss-Legendre nodes per panel of the dispersion integral
 _ORDER = 16
@@ -125,41 +122,33 @@ def resistivity(p: DrudeParameters) -> float:
 def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     """Low-frequency Drude contribution to eps(i zeta) from [0, omega0].
 
-    Closed form of the dispersion integral with the Drude eps'':
+    The dispersion integral with the Drude eps'' is
 
         (2/pi) omega_p^2/(zeta^2 - omega_tau^2)
-            * [ atan(omega0/omega_tau) - (omega_tau/zeta) atan(omega0/zeta) ]
+            * [ atan(omega0/omega_tau) - (omega_tau/zeta) atan(omega0/zeta) ],
 
-    The point zeta = omega_tau is a removable singularity; near it the
-    value is computed from a series expansion to keep full precision.
+    with a removable singularity at zeta = omega_tau.  By
+    atan(omega0/omega_tau) - atan(omega0/zeta) = atan(x), with
+    x = omega0 (zeta - omega_tau) / (omega_tau zeta + omega0^2), the factor
+    zeta - omega_tau cancels:
+
+        (2/pi) omega_p^2 [ atan(omega0/omega_tau)
+                           + omega_tau omega0 T(x) / (omega_tau zeta + omega0^2) ]
+            / (zeta (zeta + omega_tau)),
+
+    with T(x) = atan(x)/x and T(0) = 1.  Every term is positive, so the
+    one formula holds to rounding for every zeta, omega_tau included.
     """
     z = _positive_zeta(zeta)
     if omega0 < 0:
         raise ValueError("omega0 must be non-negative")
-    if omega0 == 0.0:
-        return np.zeros_like(z)[()]
     wt = p.omega_tau
-    arctan_wt = math.atan(omega0 / wt)
-
-    t = z - wt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = arctan_wt - (wt / z) * np.arctan(omega0 / z)
-        far = (2.0 / math.pi) * p.omega_p**2 / (z * z - wt**2) * bracket
-
-    # Series around zeta = omega_tau.  With N(zeta) the bracket above and
-    # D = zeta^2 - omega_tau^2, N(omega_tau) = 0, so
-    #   N/D = (N' + N'' t/2 + N''' t^2/6 + O(t^3)) / (2 omega_tau + t).
-    w2 = wt * wt + omega0 * omega0
-    n1 = arctan_wt / wt + omega0 / w2
-    n2 = (-omega0 / (wt * w2)
-          - 2.0 * arctan_wt / (wt * wt)
-          - omega0 * (3.0 * wt * wt + omega0 * omega0) / (wt * w2 * w2))
-    n3 = (6.0 * arctan_wt / wt**3 + 6.0 * omega0 / (wt * wt * w2)
-          + 6.0 * omega0 / (w2 * w2)
-          - 2.0 * omega0 * (omega0 * omega0 - 3.0 * wt * wt) / w2**3)
-    near = ((2.0 / math.pi) * p.omega_p**2 * (n1 + t * (0.5 * n2 + t * n3 / 6.0))
-            / (2.0 * wt + t))
-    out = np.where(np.abs(t) >= _SINGULAR_SWITCH * wt, far, near)
+    denom = wt * z + omega0 * omega0
+    x = omega0 * (z - wt) / denom
+    atan_ratio = np.divide(np.arctan(x), x, out=np.ones_like(x), where=x != 0)
+    out = ((2.0 / math.pi) * p.omega_p**2
+           * (math.atan(omega0 / wt) + wt * omega0 * atan_ratio / denom)
+           / (z * (z + wt)))
     return out[()]
 
 

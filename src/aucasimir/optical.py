@@ -3,9 +3,10 @@
 The absorptive part of the dielectric function, eps''(omega), is the
 empirical input to every dispersion integral in this package.  Handbook
 tables come in different units and from different sources, so this module
-covers loading, merging with a source precedence, interpolation (linear on
-a log-log scale, the standard choice for optical tables), gap filling, and
-a synthetic Drude + Lorentz generator used as a hermetic test fixture.
+covers loading, merging (one dataset wins where two overlap), interpolation
+(linear on a log-log scale, the standard choice for optical tables), gap
+filling, and a synthetic Drude + Lorentz generator used as a hermetic test
+fixture.
 
 Internal canonical frequency unit is rad/s; file inputs may be in eV.
 """
@@ -104,40 +105,25 @@ class OpticalDataset:
                 f"omega=[{self.omega_min:.4g}, {self.omega_max:.4g}] rad/s)")
 
 
-@dataclass(frozen=True)
-class ColumnFormat:
-    """Column schema for optical data files: frequency unit and source tag."""
-
-    frequency_unit: str  # "rad_s" or "eV"
-    source: str = ""
-
-    def __post_init__(self):
-        if self.frequency_unit not in ("rad_s", "eV"):
-            raise ValueError(f"unknown frequency unit {self.frequency_unit!r}")
-
-
-def load_dataset(path, fmt: ColumnFormat | None = None) -> OpticalDataset:
+def load_dataset(path) -> OpticalDataset:
     """Load an optical dataset from a delimited text file.
 
-    Expected layout: an optional header comment ``# unit=<eV|rad_s>
-    source=<label>``, further ``#`` comment lines, then two numeric columns
-    (frequency, eps2) separated by whitespace or commas.  An explicit `fmt`
-    overrides the file header.  eV frequencies are converted to rad/s.
+    Expected layout: a header comment ``# unit=<eV|rad_s> source=<label>``,
+    further ``#`` comment lines, then two numeric columns (frequency, eps2)
+    separated by whitespace or commas.  eV frequencies are converted to
+    rad/s.
     """
     values, lines, comments = read_table(path, 2, "optical data")
-    unit = fmt.frequency_unit if fmt is not None else None
-    source = fmt.source if fmt is not None else ""
     header = next(((n, c) for n, c in comments if "unit=" in c), None)
-    if fmt is None and header is not None:
-        tokens = dict(chunk.split("=", 1) for chunk in header[1].lstrip("#").split()
-                      if "=" in chunk)
-        unit, source = tokens.get("unit"), tokens.get("source", "")
-        if unit not in ("rad_s", "eV"):
-            raise DataFormatError(f"{path}:{header[0]}: unknown unit {unit!r}")
-    if unit is None:
+    if header is None:
         raise DataFormatError(
             f"{path}: frequency unit not declared (header '# unit=eV' or "
-            f"'# unit=rad_s', or pass a ColumnFormat)")
+            f"'# unit=rad_s')")
+    tokens = dict(chunk.split("=", 1) for chunk in header[1].lstrip("#").split()
+                  if "=" in chunk)
+    unit, source = tokens.get("unit"), tokens.get("source", "")
+    if unit not in ("rad_s", "eV"):
+        raise DataFormatError(f"{path}:{header[0]}: unknown unit {unit!r}")
     bad = np.flatnonzero(np.any(values <= 0, axis=1))
     if bad.size:
         raise DataFormatError(f"{path}:{lines[bad[0]]}: values must be positive")
@@ -148,41 +134,15 @@ def load_dataset(path, fmt: ColumnFormat | None = None) -> OpticalDataset:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def merge_datasets(a: OpticalDataset, b: OpticalDataset,
-                   precedence: str = "a") -> OpticalDataset:
-    """Merge two datasets.
-
-    With precedence "a" or "b" the winning dataset keeps all of its samples
-    and the other contributes only samples outside the winner's frequency
-    span.  With "equal", identical duplicate samples collapse and
-    conflicting duplicates (same omega, different eps2) are an error.
-    """
-    if precedence == "equal":
-        order = np.argsort(np.concatenate((a.omega, b.omega)), kind="stable")
-        omega, eps2, source = (np.concatenate(pair)[order] for pair in (
-            (a.omega, b.omega), (a.eps2, b.eps2), (a.source, b.source)))
-        repeated = omega[1:] == omega[:-1]
-        conflict = np.flatnonzero(repeated & (eps2[1:] != eps2[:-1]))
-        if conflict.size:
-            i = conflict[0]
-            raise DataFormatError(
-                f"conflicting duplicate at omega={omega[i]}: "
-                f"{eps2[i]} vs {eps2[i + 1]} (equal precedence)")
-        keep = np.append(~repeated, True)   # of a duplicate pair, b's sample
-        return OpticalDataset(omega[keep], eps2[keep], source[keep])
-
-    if precedence == "a":
-        winner, loser = a, b
-    elif precedence == "b":
-        winner, loser = b, a
-    else:
-        raise ValueError(f"precedence must be 'a', 'b' or 'equal', got {precedence!r}")
-    lo = np.searchsorted(loser.omega, winner.omega_min, side="left")
-    hi = np.searchsorted(loser.omega, winner.omega_max, side="right")
-    return OpticalDataset(*(np.concatenate((lose[:lo], win, lose[hi:]))
-                            for win, lose in ((winner.omega, loser.omega),
-                                              (winner.eps2, loser.eps2),
-                                              (winner.source, loser.source))))
+def merge_datasets(winner: OpticalDataset, other: OpticalDataset) -> OpticalDataset:
+    """Merge two datasets: `winner` keeps all of its samples and `other`
+    contributes only its samples outside the winner's frequency span."""
+    lo = np.searchsorted(other.omega, winner.omega_min, side="left")
+    hi = np.searchsorted(other.omega, winner.omega_max, side="right")
+    return OpticalDataset(*(np.concatenate((rest[:lo], win, rest[hi:]))
+                            for win, rest in ((winner.omega, other.omega),
+                                              (winner.eps2, other.eps2),
+                                              (winner.source, other.source))))
 
 
 def interpolate_eps2(ds: OpticalDataset, omega):

@@ -80,10 +80,8 @@ def alpha_lower_limit(lambda_: float,
     if not 0 < residual_bound_pn < math.inf:
         raise ValueError("residual_bound_pn must be finite and positive")
     x = math.exp(-geom.film_thickness / lambda_)
+    # for 0 < x <= 1 the film factor falls from 1 to 0.01: never zero
     denom = 1.0 - 1.74 * x + 0.75 * x * x
-    if denom <= 0:
-        raise ValueError("film-factor denominator not positive; the closed "
-                         "form is outside its validity range")
     scale = residual_bound_pn / BASELINE_RESIDUAL_BOUND_PN
     return (scale * 6.27e-25 * math.exp(geom.separation_min / lambda_)
             / denom * (100e-9 / lambda_)**3)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -525,6 +526,82 @@ class TestConfigHandling:
         code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
         assert code == 2
         assert "unknown section [numeric]" in err
+
+
+class TestZeroTemperature:
+    """A Matsubara sum needs T > 0; with [thermal] temperature = 0 the
+    finite-T commands fail before the dielectric model is built."""
+
+    @pytest.fixture
+    def zero_config(self, tmp_path, monkeypatch):
+        path = tmp_path / "cold.ini"
+        path.write_text(DRUDE_INI.replace("temperature = 300.0",
+                                          "temperature = 0"))
+        build = RunConfig.build_evaluator
+        built = []
+
+        def tracked(config):
+            built.append(config)
+            return build(config)
+        monkeypatch.setattr(RunConfig, "build_evaluator", tracked)
+        return str(path), built
+
+    @pytest.mark.parametrize("argv", [
+        ["force", "--a", "100"],
+        ["force", "--a", "100", "--mode", "both"],
+        ["residuals", "--experiment",
+         str(package_data_dir() / "experiment_sample.csv")]],
+        ids=["force-finite_T", "force-both", "residuals"])
+    def test_finite_T_command_names_key_and_zero_T_mode(self, zero_config,
+                                                        capsys, argv):
+        path, built = zero_config
+        code, out, err = run(capsys, argv + ["--config", path])
+        assert code == 2
+        assert out == ""
+        assert "[thermal] temperature" in err and "--mode zero_T" in err
+        assert "force_scan" not in err
+        assert built == []
+
+    def test_zero_T_mode_runs(self, zero_config, capsys):
+        path, built = zero_config
+        code, out, _ = run(capsys, ["force", "--config", path, "--a", "100",
+                                    "--mode", "zero_T"])
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 1
+        assert len(built) == 1
+
+
+def write_optical(path, omega, eps2):
+    path.write_text("# unit=rad_s\n" + "".join(
+        f"{w:.17g} {e:.17g}\n" for w, e in zip(omega, eps2)))
+
+
+def test_earlier_dataset_wins_on_overlap(tmp_path, capsys):
+    # dataset = low.csv, high.csv: the earlier file keeps every sample and
+    # the later adds only those outside its span
+    low = generate_synthetic_dataset(DrudeParameters(1.38e16, 5.38e13),
+                                     omega_range=(1.5e14, 1e16))
+    high = generate_synthetic_dataset(DrudeParameters(1.28e16, 3.29e13),
+                                      omega_range=(1e15, 1e18))
+    write_optical(tmp_path / "low.csv", low.omega, low.eps2)
+    write_optical(tmp_path / "high.csv", high.omega, high.eps2)
+    above = high.omega > low.omega_max
+    write_optical(tmp_path / "merged.csv",
+                  np.concatenate((low.omega, high.omega[above])),
+                  np.concatenate((low.eps2, high.eps2[above])))
+    outputs = {}
+    for name, datasets in (("merged", "merged.csv"),
+                           ("low first", "low.csv, high.csv"),
+                           ("high first", "high.csv, low.csv")):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TABULATED_INI
+                       .replace("gold_synthetic.csv", datasets)
+                       .replace("omega0 = 1.519267448e14", "omega0 = 1.5e14"))
+        code, outputs[name], err = run(capsys, ["epsilon", "--config", str(cfg),
+                                              "--zeta-range", "1e13", "1e17", "5"])
+        assert code == 0, err
+    assert outputs["low first"] == outputs["merged"]
+    assert outputs["high first"] != outputs["merged"]
 
 
 def bundled_data_with_row(tmp_path, lineno, row):

@@ -1,6 +1,10 @@
-"""Smoke tests: demos run to completion against the package in src/."""
+"""Smoke tests: demos and the README's Python blocks run to completion
+against the package in src/."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +34,14 @@ def test_make_gold_synthetic_reproduces_bundled_file(tmp_path):
     run_demo("make_gold_synthetic.py", str(out))
     bundled = ROOT / "src" / "aucasimir" / "data" / "gold_synthetic.csv"
     assert out.read_bytes() == bundled.read_bytes()
+
+
+def test_readme_python_blocks_run_in_order():
+    # the quick start is three blocks, each building on the one before
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)

@@ -110,16 +110,17 @@ class TestEpsilon1Analytic:
         assert eps1 == pytest.approx(drude_eps_imag_axis(row1, zeta) - 1.0, rel=1e-6)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-7, -1e-7, 1e-5, -1e-5,
-                                        5e-5, 9.99e-5, -9.99e-5, 2e-4, 1e-3])
+                                        5e-5, 9.99e-5, -9.99e-5, 1.0001e-4,
+                                        -1.0001e-4, 2e-4, 1e-3])
     def test_removable_singularity(self, row1, offset):
-        # series path near zeta = omega_tau against a 50-digit evaluation
+        # the closed form near zeta = omega_tau against a 50-digit evaluation
         zeta = row1.omega_tau * (1.0 + offset)
         if offset == 0.0:
             reference = eps1_mpmath(row1, OMEGA0_DEFAULT, rel_offset="1e-30")
         else:
             reference = eps1_mpmath(row1, OMEGA0_DEFAULT, zeta)
         assert epsilon1_analytic(row1, OMEGA0_DEFAULT, zeta) == pytest.approx(
-            reference, rel=1e-10)
+            reference, rel=1e-14)
 
     def test_invalid_zeta(self, row1):
         with pytest.raises(ValueError):

@@ -283,6 +283,15 @@ class TestForceScan:
             force_scan(geometries, thermal300, single_crystal.epsilon,
                        settings=QuadratureSettings(n_max=200))
 
+    def test_hopeless_sum_raises_before_eps(self):
+        # at 0.05 K the tail bound after n_max terms exceeds sum_rel_tol
+        # times the largest total the force can reach
+        def eps(zeta):
+            raise AssertionError("eps called")
+
+        with pytest.raises(ConvergenceError, match="at a = 63 nm, T = 0.05 K"):
+            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(0.05), eps)
+
     def test_needs_positive_temperature(self, geometry63, single_crystal):
         with pytest.raises(ValueError, match="temperature"):
             force_scan([geometry63], ThermalState(0.0), single_crystal.epsilon)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aucasimir import (ColumnFormat, DataFormatError, DrudeParameters,
-                       OpticalDataset, fill_gap, generate_synthetic_dataset,
-                       interpolate_eps2, load_dataset, merge_datasets)
+from aucasimir import (DataFormatError, DrudeParameters, OpticalDataset,
+                       fill_gap, generate_synthetic_dataset, interpolate_eps2,
+                       load_dataset, merge_datasets)
 from aucasimir.optical import drude_eps2, lorentz_eps2
 
 # 0.1 eV * e / hbar, evaluated by hand from CODATA values
@@ -74,12 +74,6 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="unit"):
             load_dataset(write(tmp_path, "1e15 2.0\n"))
 
-    def test_explicit_format_overrides_header(self, tmp_path):
-        path = write(tmp_path, "# unit=eV\n1e15 2.0\n")
-        ds = load_dataset(path, fmt=ColumnFormat("rad_s", "forced"))
-        assert ds.omega[0] == 1e15
-        assert ds.source[0] == "forced"
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.csv"):
             load_dataset(tmp_path / "nope.csv")
@@ -93,7 +87,7 @@ class TestMergeDatasets:
 
     def test_precedence_drops_overlapping_loser_samples(self):
         a, b = self.a_and_b()
-        merged = merge_datasets(a, b, precedence="a")
+        merged = merge_datasets(a, b)
         omegas = merged.omega.tolist()
         assert omegas == [1e14, 5e14, 1e15, 2e15, 1e16]
         # b's 8e14 and 9e14 fall inside a's span and are gone
@@ -102,38 +96,19 @@ class TestMergeDatasets:
     def test_disjoint_ranges_concatenate(self):
         a = OpticalDataset([1e14, 2e14], [1, 2], "a")
         b = OpticalDataset([1e15, 2e15], [3, 4], "b")
-        merged = merge_datasets(a, b, precedence="a")
+        merged = merge_datasets(a, b)
         assert merged.omega.tolist() == [1e14, 2e14, 1e15, 2e15]
 
     def test_idempotent(self):
         a, _ = self.a_and_b()
-        assert samples(merge_datasets(a, a, precedence="a")) == samples(a)
-        assert samples(merge_datasets(a, a, precedence="equal")) == samples(a)
-
-    def test_equal_precedence_collapses_identical_duplicates(self):
-        a = OpticalDataset([1e14, 2e14], [3.0, 2.0], "a")
-        b = OpticalDataset([2e14, 3e14], [2.0, 1.0], "b")
-        # of an identical pair, the second dataset's sample (and tag) stays
-        assert samples(merge_datasets(a, b, precedence="equal")) == [
-            (1e14, 3.0, "a"), (2e14, 2.0, "b"), (3e14, 1.0, "b")]
-
-    def test_equal_precedence_conflict(self):
-        a = OpticalDataset([1e14], [1.0], "a")
-        b = OpticalDataset([1e14], [2.0], "b")
-        with pytest.raises(DataFormatError, match="conflict"):
-            merge_datasets(a, b, precedence="equal")
+        assert samples(merge_datasets(a, a)) == samples(a)
 
     def test_output_satisfies_invariants(self):
         a, b = self.a_and_b()
-        merged = merge_datasets(b, a, precedence="b")
+        merged = merge_datasets(a, b)
         omega = merged.omega.tolist()
         assert omega == sorted(omega)
         assert len(set(omega)) == len(omega)
-
-    def test_unknown_precedence(self):
-        a, b = self.a_and_b()
-        with pytest.raises(ValueError, match="precedence"):
-            merge_datasets(a, b, precedence="c")
 
 
 class TestInterpolate:
@@ -332,15 +307,14 @@ properties = settings(max_examples=50, deadline=None, derandomize=True)
 
 class TestProperties:
     @properties
-    @given(tables("a"), tables("b"), st.sampled_from(["a", "b"]))
-    def test_merge_keeps_winner_verbatim(self, a, b, precedence):
-        winner, loser = (a, b) if precedence == "a" else (b, a)
-        merged = merge_datasets(a, b, precedence=precedence)
+    @given(tables("winner"), tables("other"))
+    def test_merge_keeps_winner_verbatim(self, winner, other):
+        merged = merge_datasets(winner, other)
         assert np.all(np.diff(merged.omega) > 0)
         assert set(samples(winner)) <= set(samples(merged))
-        # the loser adds exactly its samples outside the winner's span
+        # the other adds exactly its samples outside the winner's span
         assert [s for s in samples(merged) if s not in samples(winner)] == [
-            s for s in samples(loser)
+            s for s in samples(other)
             if not winner.omega_min <= s[0] <= winner.omega_max]
 
     @properties

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c, hbar
 from scipy.optimize import bisect
 
@@ -73,6 +74,15 @@ class TestAlphaLowerLimit:
         assert all(v > 0 and math.isfinite(v) for v in values)
         # smooth: neighbouring grid points stay within a bounded ratio
         assert all(0.01 < a / b < 100 for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(-9.0, 3.0), st.floats(-12.0, -3.0))
+    def test_finite_positive_for_any_film(self, log_lambda, log_h):
+        # the film factor 1 - 1.74 x + 0.75 x^2, x = exp(-h/lambda), falls
+        # from 1 to 0.01 on 0 <= x <= 1, so the limit never blows up
+        geom = ConstraintGeometry(film_thickness=10.0 ** log_h)
+        alpha = alpha_lower_limit(10.0 ** log_lambda, geom)
+        assert 0 < alpha < math.inf
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
