@@ -22,7 +22,7 @@ from .analysis import load_experiment, residual_report
 from .config import load_run_config, resolve_data_path
 from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import Geometry, ThermalState, force_scan, force_zero_T, ideal_force
+from .lifshitz import Geometry, ThermalState, force_scan, ideal_force, zero_T_scan
 from .optical import load_dataset
 from .yukawa import (LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
                      alpha_lower_limit)
@@ -162,20 +162,18 @@ def cmd_force(args) -> int:
         _require_temperature(cfg, f"force --mode {args.mode}")
     eps, _, _ = cfg.build_evaluator()
     geometries = [Geometry(cfg.sphere_radius, a) for a in _separations_m(args)]
-    finite = [None] * len(geometries)
-    if args.mode != "zero_T":
+    n0 = dtf = [None] * len(geometries)
+    if args.mode == "zero_T":
+        force = zero_T_scan(geometries, eps)
+    else:
         finite = force_scan(geometries, ThermalState(cfg.temperature), eps,
                             cfg.prescription)
-    rows = []
-    for g, result in zip(geometries, finite):
-        n0 = dtf = None
-        if result is None:
-            force = force_zero_T(g, eps)
-        else:
-            force, n0 = result.total, result.n0_term
-            if args.mode == "both":
-                dtf = force - force_zero_T(g, eps)
-        rows.append((g.separation * 1e9, force, n0, dtf, force / ideal_force(g)))
+        force = [r.total for r in finite]
+        n0 = [r.n0_term for r in finite]
+        if args.mode == "both":
+            dtf = [f - z for f, z in zip(force, zero_T_scan(geometries, eps))]
+    rows = [(g.separation * 1e9, f, n, d, f / ideal_force(g))
+            for g, f, n, d in zip(geometries, force, n0, dtf)]
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)
     return 0
 

@@ -100,9 +100,12 @@ class RunConfig:
                                        DielectricModel | None]:
         """(eps(i zeta) evaluator, Drude parameters, model or None).
 
-        The evaluator takes an array of zeta (a scalar is a 0-d array).
+        The evaluator takes an array of zeta (a scalar is a 0-d array).  The
+        dataset is parsed only when the model or a Drude fit reads it.
         """
-        dataset = self.load_dataset()
+        dataset = None
+        if self.model_kind == "tabulated" or self.drude is None:
+            dataset = self.load_dataset()
         drude = self.drude_parameters(dataset)
         if self.model_kind == "drude":
             return drude.epsilon, drude, None

@@ -18,10 +18,12 @@ as a switch.  The zero-temperature force replaces kT sum' by
 treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
-rule.  The Matsubara frequencies depend only on T, so a scan over
-separations (`force_scan`) makes one array call to the eps(i zeta)
-evaluator and runs the kernel over all its separations at once, block of
-terms by block of terms; `force_finite_T` is a scan of one.
+rule.  The Matsubara frequencies depend only on T, and the zero-temperature
+frequency rule of each separation is a prefix of one rule that does not
+depend on it.  So a scan over separations, `force_scan` at finite T and
+`zero_T_scan` at T = 0, makes one array call to the eps(i zeta) evaluator
+and runs the kernel over all its separations at once; `force_finite_T` and
+`force_zero_T` are scans of one.
 
 Conventions: geometry in meters, temperature in kelvin, every force is the
 attraction magnitude in piconewtons.  All evaluations are pure functions of
@@ -88,9 +90,9 @@ class QuadratureSettings:
 
     p_order is the number of Gauss-Legendre nodes on each of the panels of
     the p-rule (see `_V_EDGES`); zeta_order the number on each panel of
-    the zero-temperature frequency integral (`force_zero_T`): one panel
-    [0, zeta_min], then log-spaced panels from zeta_min to 45 c / a at
-    panels_per_decade.  The Matsubara sum stops at the first n whose
+    the zero-temperature frequency integral, whose panel edges, 0 and
+    zeta_min 10^(k / panels_per_decade), depend on these settings only
+    (`zero_T_scan`).  The Matsubara sum stops at the first n whose
     analytic tail bound (`force_scan`) is below sum_rel_tol times the
     accumulated total; a sum that would need more than n_max terms raises.
     """
@@ -151,27 +153,10 @@ def classical_term(g: Geometry, t: ThermalState,
     """
     if prescription not in ("schwinger", "halved"):
         raise ValueError(f"unknown prescription {prescription!r}")
-    if t.temperature == 0:
-        return 0.0
     f = k_B * t.temperature * g.sphere_radius * ZETA3 / (4.0 * g.separation**2)
     if prescription == "halved":
         f *= 0.5
     return f * _N_TO_PN
-
-
-def round_trip_factors(p, eps_value, y):
-    """(g_te, g_tm) at momentum parameter p, with y = zeta a / c.
-
-    The arguments broadcast against each other.  With chi = eps - 1 the
-    reflection coefficients are written without cancellation,
-    r_te = -chi / (p + s)^2 and r_tm = chi ((eps + 1) p^2 - 1) / (eps p + s)^2.
-    """
-    chi = eps_value - 1.0
-    s = np.sqrt(chi + p * p)
-    r_te = -chi / (p + s) ** 2
-    r_tm = chi * ((eps_value + 1.0) * p * p - 1.0) / (eps_value * p + s) ** 2
-    damping = np.exp(-2.0 * y * p)
-    return r_te * r_te * damping, r_tm * r_tm * damping
 
 
 @functools.lru_cache(maxsize=4)
@@ -185,7 +170,7 @@ def _p_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int,
-                blocks=None) -> np.ndarray:
+                blocks: list[int]) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
 
@@ -195,23 +180,23 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int,
     (v y).  The rule is composite Gauss-Legendre on `_V_EDGES`, so the
     endpoints are never evaluated.
 
-    The round-trip factors are those of `round_trip_factors`, operation for
-    operation, so the values are the same to the bit; they are computed in
+    The round-trip factors g = r^2 exp(-2 y p) use the reflection
+    coefficients written without cancellation, with chi = eps - 1 and
+    s = sqrt(chi + p^2): r_te = -chi / (p + s)^2 and
+    r_tm = chi ((eps + 1) p^2 - 1) / (eps p + s)^2.  They are computed in
     (block x node) work arrays allocated once per call.  A fresh ~57 kB
     temporary per operation and block makes the allocator trim and regrow
     the heap around every block, which cost 10-30 % of a 100-separation
     Drude scan in a fresh process.
 
     The rows go through in consecutive blocks of at most `_BLOCK`;
-    `blocks` lists their lengths (by default `_BLOCK` each).  BLAS sums
+    `blocks` lists their lengths.  BLAS sums
     the last rows of a matrix-vector product whose row count is not a
     multiple of 4 in another order, so a row's bits depend on the length
-    of its block: a scan that passes each separation's block of terms as
-    one block gets the bits of that separation evaluated alone.
+    of its block: a scan that passes each separation's rows as blocks of
+    their own gets the bits of that separation evaluated alone.
     """
     ln_u, weights = _p_rule(order)
-    if blocks is None:
-        blocks = [min(_BLOCK, y.size - i) for i in range(0, y.size, _BLOCK)]
     out = np.empty(y.shape)
     p, s, g_te, g_tm, work = np.empty((5, min(_BLOCK, y.size), ln_u.size))
     i = 0
@@ -301,7 +286,7 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
     geometries : iterable of Geometry
         At least one; repeated geometries are computed once.
     t : ThermalState
-        Temperature; must be positive (use `force_zero_T` for T = 0).
+        Temperature; must be positive (use `zero_T_scan` for T = 0).
     eps : callable
         eps(i zeta) evaluator, taking an array of zeta in rad/s.
     prescription : str
@@ -403,35 +388,75 @@ def force_finite_T(g: Geometry, t: ThermalState,
     return force_scan((g,), t, eps, prescription, settings)[0]
 
 
+def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
+                settings: QuadratureSettings = DEFAULT_SETTINGS
+                ) -> tuple[float, ...]:
+    """Zero-temperature forces, the Matsubara sum replaced by an integral,
+    at every geometry of a scan, in pN; returned in input order.
+
+    Parameters
+    ----------
+    geometries : iterable of Geometry
+        At least one; repeated geometries are computed once.
+    eps : callable
+        eps(i zeta) evaluator, taking an array of zeta in rad/s.
+    settings : QuadratureSettings
+        Accuracy knobs; see the class docstring.
+
+    The zeta-integral is one composite Gauss-Legendre rule with
+    settings.zeta_order nodes per panel: a first panel [0, zeta_min],
+    where the integrand levels off (for a Drude metal the
+    transverse-electric part has died off and the transverse-magnetic part
+    tends to its static value), then panels between the edges
+    zeta_min 10^(k / panels_per_decade), k = 0, 1, ..., up to the first
+    edge at or above max(45 c / a, 10 zeta_min).  The rule never evaluates
+    zeta = 0.  The edges do not depend on a, so each separation's rule is
+    a prefix of the closest one's and one eps call covers the scan.  The
+    kernel takes each separation's nodes in blocks of their own, so each
+    result is, to the bit, that of the geometry alone.  At the default
+    settings a result agrees with an independent k-space integral to
+    1e-11 relative or better at 60-200 nm for a Drude metal.
+    """
+    geometries = tuple(geometries)
+    distinct = dict.fromkeys(geometries)     # a Geometry compares by value
+    if not distinct:
+        raise ValueError("zero_T_scan needs at least one geometry")
+    radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
+    zeta_min, per_decade = settings.zeta_min, settings.panels_per_decade
+    # Above zeta a / c ~ 45 the damping exp(-2 p zeta a / c) leaves less
+    # than ~1e-39 of the integrand.
+    tops = np.maximum(45.0 * c / a, 10.0 * zeta_min)
+    # one edge to spare: the last edge lies a panel above the highest top
+    n_edges = math.ceil(per_decade * math.log10(tops.max() / zeta_min)) + 2
+    edges = zeta_min * 10.0 ** (np.arange(n_edges) / per_decade)
+    last = np.searchsorted(edges, tops)      # first edge at or above each top
+    zeta, weights = gauss_legendre(np.concatenate(([0.0], edges[:last.max() + 1])),
+                                   settings.zeta_order)
+    eps_values = _eps_at(eps, zeta)
+    sizes = ((last + 1) * settings.zeta_order).tolist()
+    p_integrals = _p_integral(
+        np.concatenate([eps_values[:n] for n in sizes]),
+        np.concatenate([zeta[:n] * x / c for n, x in zip(sizes, a)]),
+        settings.p_order,
+        [min(_BLOCK, n - i) for n in sizes for i in range(0, n, _BLOCK)])
+    forces, start = [], 0
+    for n, r in zip(sizes, radius.tolist()):
+        integrand = zeta[:n] * zeta[:n] * p_integrals[start:start + n]
+        forces.append(hbar * r / (2.0 * math.pi * c**2)
+                      * float(integrand @ weights[:n]) * _N_TO_PN)
+        start += n
+    results = dict(zip(distinct, forces))
+    return tuple(results[g] for g in geometries)
+
+
 def force_zero_T(g: Geometry, eps: Callable,
                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Zero-temperature force: the Matsubara sum replaced by an integral, in pN.
 
-    The zeta-integral is one composite Gauss-Legendre rule with
-    settings.zeta_order nodes per panel: a first panel [0, zeta_min], then
-    log-spaced panels from zeta_min to 45 c / a (at least ten times
-    zeta_min) at settings.panels_per_decade.  The rule never evaluates
-    zeta = 0.  Below zeta_min the integrand levels off (for a Drude metal
-    the transverse-electric part has died off and the transverse-magnetic
-    part tends to its static value), so one panel covers [0, zeta_min].
-    All nodes go through one eps call and one kernel call.  At the default
-    settings the result agrees with an independent k-space integral to
-    1e-11 relative or better at 60-200 nm for a Drude metal.
+    `zero_T_scan` at the one geometry `g`; see there for the arguments and
+    the frequency rule.
     """
-    a = g.separation
-    # Above zeta a / c ~ 45 the damping exp(-2 p zeta a / c) leaves less
-    # than ~1e-39 of the integrand.
-    zeta_top = max(45.0 * c / a, 10.0 * settings.zeta_min)
-    n_decades = math.log10(zeta_top / settings.zeta_min)
-    n_panels = max(1, int(math.ceil(settings.panels_per_decade * n_decades)))
-    edges = np.logspace(math.log10(settings.zeta_min),
-                        math.log10(zeta_top), n_panels + 1)
-    zeta, weights = gauss_legendre(np.concatenate(([0.0], edges)),
-                                   settings.zeta_order)
-    integrand = zeta * zeta * _p_integral(_eps_at(eps, zeta), zeta * a / c,
-                                          settings.p_order)
-    return (hbar * g.sphere_radius / (2.0 * math.pi * c**2)
-            * float(integrand @ weights) * _N_TO_PN)
+    return zero_T_scan((g,), eps, settings)[0]
 
 
 def reduction_factor(force_pn: float, g: Geometry) -> float:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from aucasimir import (DrudeParameters, Geometry, ThermalState,
                        force_finite_T, force_zero_T,
                        generate_synthetic_dataset)
+from aucasimir import config
 from aucasimir.cli import main
 from aucasimir.config import RunConfig, load_run_config, package_data_dir
 
@@ -316,8 +317,8 @@ class TestResiduals:
 
 
 class TestOneEpsCall:
-    """A command evaluates eps(i zeta) in one array call, whatever the
-    number of separations: a count, so it needs no timing."""
+    """A command evaluates eps(i zeta) in one array call per temperature,
+    whatever the number of separations: a count, so it needs no timing."""
 
     SAMPLE = str(package_data_dir() / "sample_config.ini")
     EXPERIMENT = str(package_data_dir() / "experiment_sample.csv")
@@ -345,6 +346,15 @@ class TestOneEpsCall:
         assert code == 0
         assert len(parse_csv(out)[1]) == 15
         assert len(eps_calls) == 1
+
+    @pytest.mark.parametrize("mode, calls", [("both", 2), ("zero_T", 1)])
+    def test_force_scan_with_zero_T(self, eps_calls, capsys, mode, calls):
+        code, out, _ = run(capsys, ["force", "--config", self.SAMPLE,
+                                    "--mode", mode,
+                                    "--a-range", "60", "200", "15"])
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 15
+        assert len(eps_calls) == calls
 
     def test_residuals(self, eps_calls, capsys):
         code, _, _ = run(capsys, ["residuals", "--config", self.SAMPLE,
@@ -451,6 +461,23 @@ class TestConfigHandling:
                                     "--zeta", "1e15"])
         assert code == 2
         assert "gone.csv" in err
+
+    def test_drude_model_leaves_its_dataset_unread(self, tmp_path,
+                                                   monkeypatch):
+        # the dataset path still resolves at load; with explicit Drude
+        # parameters nothing reads the file
+        path = tmp_path / "drude.ini"
+        path.write_text(DRUDE_INI.replace(
+            "omega_tau = 3.7e13", "omega_tau = 3.7e13\ndataset = gold_synthetic.csv"))
+        cfg = load_run_config(path)
+        assert cfg.model_kind == "drude" and cfg.dataset_paths
+
+        def unread(path):
+            raise AssertionError(f"dataset {path} parsed")
+        monkeypatch.setattr(config, "load_dataset", unread)
+        eps, drude, model = cfg.build_evaluator()
+        assert model is None and drude == cfg.drude
+        assert eps(np.array([1e15])) == drude.epsilon(np.array([1e15]))
 
     def test_data_dir_env_resolution(self, tmp_path, monkeypatch, capsys):
         data_dir = tmp_path / "store"

@@ -14,8 +14,10 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        drude_eps_imag_axis, drude_eps_real_axis,
                        epsilon1_analytic, fit_drude,
                        generate_synthetic_dataset, load_dataset, resistivity)
+from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import package_data_dir
-from aucasimir.dielectric import _TAIL_T_MIN, _TAIL_X2_MAX, _tail_series
+from aucasimir.dielectric import (_ORDER, _PANEL_WIDTH, _TAIL_T_MIN, _TAIL_X2_MAX,
+                                  _log_panels, _tail_series)
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
 from conftest import drude_rows
@@ -375,6 +377,19 @@ class TestFixedNodeTransform:
         ds = coarse_dataset(row2, np.nextafter(OMEGA0_DEFAULT, np.inf))
         assert ds.omega_min > OMEGA0_DEFAULT
         self.assert_matches_oracle(DielectricModel(row2, ds))
+
+    def test_panel_cuts_equal_one_linspace_per_segment(self):
+        # the cuts are np.linspace's own arithmetic over every segment at
+        # once: the same floats as one linspace call per segment
+        rng = np.random.default_rng(4)
+        edges = np.exp(30.0 + np.cumsum(rng.uniform(0.01, 3.5, 40)))
+        ln_edges = np.log(edges)
+        cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)[:-1]
+                for lo, hi in zip(ln_edges[:-1], ln_edges[1:])]
+        nodes, weights = gauss_legendre(np.concatenate(cuts + [ln_edges[-1:]]), _ORDER)
+        got_nodes, got_weights = _log_panels(edges)
+        assert np.array_equal(got_nodes, np.exp(nodes))
+        assert np.array_equal(got_weights, weights)
 
     def test_array_equals_scalar_calls_bitwise(self, pure_drude_dataset, row2):
         model = DielectricModel(row2, pure_drude_dataset)

@@ -6,18 +6,33 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B, c, hbar
 
-from aucasimir import (ConvergenceError, DielectricModel, DomainError,
-                       DrudeParameters, Geometry, QuadratureSettings,
+from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
+                       DomainError, DrudeParameters, Geometry, QuadratureSettings,
                        ThermalState, classical_term, force_finite_T,
                        force_scan, force_zero_T, ideal_force,
                        matsubara_frequency, reduction_factor,
-                       temperature_correction)
+                       temperature_correction, zero_T_scan)
 from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_BLOCK, _V_EDGES, ZETA3, _p_integral, _tail_bound,
-                                _terms_needed, round_trip_factors)
+                                _terms_needed)
 
 from conftest import SPHERE_RADIUS, drude_rows
+
+
+def round_trip_factors(p, eps_value, y):
+    """(g_te, g_tm) at momentum parameter p, with y = zeta a / c.
+
+    The arguments broadcast against each other.  With chi = eps - 1 the
+    reflection coefficients are written without cancellation,
+    r_te = -chi / (p + s)^2 and r_tm = chi ((eps + 1) p^2 - 1) / (eps p + s)^2.
+    """
+    chi = eps_value - 1.0
+    s = np.sqrt(chi + p * p)
+    r_te = -chi / (p + s) ** 2
+    r_tm = chi * ((eps_value + 1.0) * p * p - 1.0) / (eps_value * p + s) ** 2
+    damping = np.exp(-2.0 * y * p)
+    return r_te * r_te * damping, r_tm * r_tm * damping
 
 
 def ideal_matsubara_term_closed_form(n, g, t):
@@ -107,7 +122,8 @@ class TestRoundTripFactors:
         expected = np.concatenate([
             -(integrand[i:i + _BLOCK] @ weights) / y[i:i + _BLOCK]
             for i in range(0, n, _BLOCK)])
-        assert np.array_equal(_p_integral(eps, y, order), expected)
+        blocks = [_BLOCK, _BLOCK, 5]
+        assert np.array_equal(_p_integral(eps, y, order, blocks), expected)
 
     def test_blocks_keep_the_bits_of_separate_calls(self):
         # given block lengths, each block gets the floats of a call of its
@@ -117,7 +133,7 @@ class TestRoundTripFactors:
         y = np.geomspace(1e-4, 40.0, n)
         eps = 1.0 + np.geomspace(1e6, 1e-3, n)
         edges = np.cumsum([0] + blocks)
-        expected = np.concatenate([_p_integral(eps[i:j], y[i:j], 16)
+        expected = np.concatenate([_p_integral(eps[i:j], y[i:j], 16, [j - i])
                                    for i, j in zip(edges[:-1], edges[1:])])
         assert np.array_equal(_p_integral(eps, y, 16, blocks), expected)
 
@@ -314,6 +330,80 @@ class TestForceZeroT:
         for a_nm, force in zero_forces.items():
             g = Geometry(SPHERE_RADIUS, a_nm * 1e-9)
             assert 0.0 < reduction_factor(force, g) < 1.0
+
+
+class TestZeroTScan:
+    SEPARATIONS_NM = (63, 200, 60, 150.5, 63, 20, 500, 100, 200)
+
+    @staticmethod
+    def tabulated_eps():
+        return load_run_config(package_data_dir() / "sample_config.ini"
+                               ).build_evaluator()[0]
+
+    @pytest.mark.parametrize("settings_", [DEFAULT_SETTINGS,
+                                           DEFAULT_SETTINGS.tightened()],
+                             ids=["default", "tightened"])
+    @pytest.mark.parametrize("model", ["tabulated", "drude"])
+    def test_equals_force_zero_T_per_separation(self, model, settings_,
+                                                single_crystal):
+        # mixed, unsorted and repeated separations
+        eps = self.tabulated_eps() if model == "tabulated" else single_crystal.epsilon
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                      for a_nm in self.SEPARATIONS_NM]
+        scan = zero_T_scan(geometries, eps, settings_)
+        assert scan == tuple(force_zero_T(g, eps, settings_) for g in geometries)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(drude_rows, scans)
+    def test_equals_force_zero_T_over_drude_scans(self, row, a):
+        geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
+        assert zero_T_scan(geometries, row.epsilon) == tuple(
+            force_zero_T(g, row.epsilon) for g in geometries)
+
+    def test_one_eps_call_over_the_closest_rule(self, single_crystal):
+        def recorder(calls):
+            def eps(zeta):
+                calls.append(zeta)
+                return single_crystal.epsilon(zeta)
+            return eps
+
+        scan_calls, near, far = [], [], []
+        zero_T_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                     for a_nm in (200, 60, 100, 60)], recorder(scan_calls))
+        force_zero_T(Geometry(SPHERE_RADIUS, 60e-9), recorder(near))
+        force_zero_T(Geometry(SPHERE_RADIUS, 200e-9), recorder(far))
+        assert len(scan_calls) == len(near) == len(far) == 1
+        assert np.array_equal(scan_calls[0], near[0])
+        # the farther separation's rule is a prefix of the nearer one's
+        assert 0 < far[0].size < near[0].size
+        assert np.array_equal(far[0], near[0][:far[0].size])
+
+    @pytest.mark.parametrize("settings_", [DEFAULT_SETTINGS,
+                                           DEFAULT_SETTINGS.tightened()],
+                             ids=["default", "tightened"])
+    @pytest.mark.parametrize("a_nm", [20, 60, 200, 1e7])
+    def test_rule_ends_at_the_first_edge_above_45_c_over_a(self, a_nm,
+                                                           settings_):
+        # edges zeta_min 10^(k / panels_per_decade); the rule stops at the
+        # first one at or above max(45 c / a, 10 zeta_min), which is the
+        # second bound at 1 cm
+        calls = []
+        force_zero_T(Geometry(1e3 * a_nm * 1e-9, a_nm * 1e-9),
+                     lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
+                     settings_)
+        zeta_min, per_decade = settings_.zeta_min, settings_.panels_per_decade
+        top = max(45.0 * c / (a_nm * 1e-9), 10.0 * zeta_min)
+        k = 0
+        while zeta_min * 10.0 ** (k / per_decade) < top:
+            k += 1
+        nodes = calls[0]
+        assert nodes.size == (k + 1) * settings_.zeta_order
+        assert (zeta_min * 10.0 ** ((k - 1) / per_decade) < nodes[-1]
+                < zeta_min * 10.0 ** (k / per_decade))
+
+    def test_needs_a_geometry(self, single_crystal):
+        with pytest.raises(ValueError, match="geometry"):
+            zero_T_scan([], single_crystal.epsilon)
 
 
 class TestTabulatedPath:

@@ -11,7 +11,8 @@ from scipy.constants import Boltzmann, c, hbar
 from scipy.special import zeta as riemann_zeta
 
 from aucasimir import (DrudeParameters, Geometry, ThermalState,
-                       force_finite_T, force_zero_T)
+                       force_finite_T, force_scan, force_zero_T, zero_T_scan)
+from aucasimir.config import load_run_config, package_data_dir
 
 import lifshitz_oracle
 from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS
@@ -73,3 +74,17 @@ def test_library_forces_match_oracle(row, temperature, a_nm):
     finite = force_finite_T(g, ThermalState(temperature), eps)
     assert finite.total == pytest.approx(oracle.n0 + oracle.matsubara, rel=1e-10)
     assert force_zero_T(g, eps) == pytest.approx(oracle.zero_T, rel=1e-10)
+
+
+def test_tabulated_path_matches_independent_anchor():
+    # `tabulated_anchor.py` (QUADPACK Kramers-Kronig eps fed to the k-space
+    # oracle, about 2.5 minutes) printed these for the bundled config at 63 nm
+    finite_anchor, zero_anchor = 446.4266477652371, 435.0460975108947
+    cfg = load_run_config(package_data_dir() / "sample_config.ini")
+    eps, _, _ = cfg.build_evaluator()
+    g = Geometry(cfg.sphere_radius, 63e-9)
+    (finite,) = force_scan([g], ThermalState(cfg.temperature), eps,
+                           cfg.prescription)
+    (zero,) = zero_T_scan([g], eps)
+    assert finite.total == pytest.approx(finite_anchor, rel=1e-10)
+    assert zero == pytest.approx(zero_anchor, rel=1e-10)
