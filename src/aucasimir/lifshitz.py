@@ -18,12 +18,15 @@ as a switch.  The zero-temperature force replaces kT sum' by
 treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
-rule.  The Matsubara frequencies depend only on T, and the zero-temperature
-frequency rule of each separation is a prefix of one rule that does not
-depend on it.  So a scan over separations, `force_scan` at finite T and
-`zero_T_scan` at T = 0, makes one array call to the eps(i zeta) evaluator
-and runs the kernel over all its separations at once; `force_finite_T` and
-`force_zero_T` are scans of one.
+rule in u = exp(-(p - 1) zeta a / c), which also supplies the damping.  The
+kernel sums each frequency's nodes on their own, so a p-integral is the
+same floats whatever others share its call.  The Matsubara frequencies
+depend only on T, and the zero-temperature frequency rule of each
+separation is a prefix of one rule that does not depend on it.  So a scan
+over separations, `force_scan` at finite T and `zero_T_scan` at T = 0,
+makes one array call to the eps(i zeta) evaluator and runs the kernel over
+all its separations at once; `force_finite_T` and `force_zero_T` are scans
+of one.
 
 Conventions: geometry in meters, temperature in kelvin, every force is the
 attraction magnitude in piconewtons.  All evaluations are pure functions of
@@ -51,7 +54,8 @@ _N_TO_PN = 1e12
 #: cluster towards v = 1 (p -> 1): at small y both the transverse-electric
 #: feature at p ~ sqrt(eps - 1) and the ln(1 - u^2) endpoint sit there.
 _V_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 0.96, 0.99, 1.0])
-#: frequencies per block of the kernel, to bound its temporary arrays
+#: rows (frequencies) per chunk of the kernel, to bound its work arrays,
+#: and Matsubara terms per round of `force_scan`
 _BLOCK = 64
 
 
@@ -160,70 +164,57 @@ def classical_term(g: Geometry, t: ThermalState,
 
 
 @functools.lru_cache(maxsize=4)
-def _p_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ln u, weight) of the p-rule with `order` nodes per panel of
+def _p_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln u, u, weight) of the p-rule with `order` nodes per panel of
     `_V_EDGES`, read-only (see `_p_integral`)."""
     v, w = gauss_legendre(_V_EDGES, order)
-    ln_u, weights = 3.0 * np.log(v), 3.0 * w / v
-    ln_u.flags.writeable = weights.flags.writeable = False
-    return ln_u, weights
+    ln_u, u, weights = 3.0 * np.log(v), v * v * v, 3.0 * w / v
+    ln_u.flags.writeable = u.flags.writeable = weights.flags.writeable = False
+    return ln_u, u, weights
 
 
-def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int,
-                blocks: list[int]) -> np.ndarray:
+def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
 
     Substituting u = exp(-(p-1) y) = v^3 maps the infinite range onto
-    (0, 1], absorbs the exponential damping (exp(-2 p y) = exp(-2y) v^6)
-    and makes the integrand vanish like v^5 ln v at v -> 0; dp = -3 dv /
-    (v y).  The rule is composite Gauss-Legendre on `_V_EDGES`, so the
-    endpoints are never evaluated.
+    (0, 1] and makes the integrand vanish like v^5 ln v at v -> 0;
+    dp = -3 dv / (v y).  The rule is composite Gauss-Legendre on
+    `_V_EDGES`, so the endpoints are never evaluated.
 
-    The round-trip factors g = r^2 exp(-2 y p) use the reflection
-    coefficients written without cancellation, with chi = eps - 1 and
-    s = sqrt(chi + p^2): r_te = -chi / (p + s)^2 and
-    r_tm = chi ((eps + 1) p^2 - 1) / (eps p + s)^2.  They are computed in
-    (block x node) work arrays allocated once per call.  A fresh ~57 kB
-    temporary per operation and block makes the allocator trim and regrow
-    the heap around every block, which cost 10-30 % of a 100-separation
-    Drude scan in a fresh process.
-
-    The rows go through in consecutive blocks of at most `_BLOCK`;
-    `blocks` lists their lengths.  BLAS sums
-    the last rows of a matrix-vector product whose row count is not a
-    multiple of 4 in another order, so a row's bits depend on the length
-    of its block: a scan that passes each separation's rows as blocks of
-    their own gets the bits of that separation evaluated alone.
+    With chi = eps - 1, s = sqrt(chi + p^2) and d = chi exp(-y) u, the
+    damping exp(-2 y p) = (exp(-y) u)^2 comes from the rule and the
+    reflection coefficients are written without cancellation:
+    g_te = (d / (p + s)^2)^2, g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2
+    and ln(1 - g_te) + ln(1 - g_tm) = log1p(g_te g_tm - g_te - g_tm).  The
+    rows go through in chunks of at most `_BLOCK`, in work arrays allocated
+    once per call (a fresh temporary per operation and chunk makes the
+    allocator trim and regrow the heap, 10-30 % of a Drude scan).  Each row
+    is summed on its own, so its floats do not depend on the other rows.
     """
-    ln_u, weights = _p_rule(order)
+    ln_u, u, weights = _p_rule(order)
     out = np.empty(y.shape)
     p, s, g_te, g_tm, work = np.empty((5, min(_BLOCK, y.size), ln_u.size))
-    i = 0
-    for n in blocks:
-        yb, eps = y[i:i + n, None], eps_values[i:i + n, None]
-        rows = slice(0, n)
+    for i in range(0, y.size, _BLOCK):
+        yb, eps = y[i:i + _BLOCK, None], eps_values[i:i + _BLOCK, None]
+        rows = slice(0, yb.shape[0])
         pb, sb, te, tm, tmp = p[rows], s[rows], g_te[rows], g_tm[rows], work[rows]
         chi = eps - 1.0
         np.subtract(1.0, np.divide(ln_u, yb, out=pb), out=pb)
-        np.sqrt(np.add(chi, np.multiply(pb, pb, out=sb), out=sb), out=sb)
-        # r_te = -chi / (p + s)^2
-        np.divide(-chi, np.square(np.add(pb, sb, out=te), out=te), out=te)
-        # r_tm = chi ((eps + 1) p p - 1) / (eps p + s)^2
-        np.multiply(np.multiply(eps + 1.0, pb, out=tm), pb, out=tm)
-        np.multiply(chi, np.subtract(tm, 1.0, out=tm), out=tm)
-        np.divide(tm, np.square(np.add(np.multiply(eps, pb, out=tmp), sb, out=tmp),
-                                out=tmp), out=tm)
-        # g = r^2 exp(-2 y p); the integrand is p (ln(1 - g_te) + ln(1 - g_tm))
-        np.exp(np.multiply(-2.0 * yb, pb, out=tmp), out=tmp)
-        np.multiply(np.multiply(te, te, out=te), tmp, out=te)
-        np.multiply(np.multiply(tm, tm, out=tm), tmp, out=tm)
-        np.log1p(np.negative(te, out=te), out=te)
-        np.log1p(np.negative(tm, out=tm), out=tm)
-        np.multiply(pb, np.add(te, tm, out=te), out=te)
-        out[i:i + n] = -(te @ weights) / y[i:i + n]
-        i += n
-    return out
+        np.sqrt(np.add(chi, np.multiply(pb, pb, out=tm), out=sb), out=sb)
+        np.multiply(chi * np.exp(-yb), u, out=tmp)                      # d
+        # g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2, g_te = (d / (p + s)^2)^2
+        np.subtract(np.multiply(eps + 1.0, tm, out=tm), 1.0, out=tm)
+        np.multiply(tm, tmp, out=tm)
+        np.divide(tmp, np.square(np.add(pb, sb, out=te), out=te), out=te)
+        np.add(np.multiply(eps, pb, out=tmp), sb, out=tmp)
+        np.square(np.divide(tm, np.square(tmp, out=tmp), out=tm), out=tm)
+        np.square(te, out=te)
+        # the integrand p log1p(g_te g_tm - g_te - g_tm), times the weights
+        np.subtract(np.subtract(np.multiply(te, tm, out=tmp), te, out=tmp), tm, out=tmp)
+        np.multiply(pb, np.log1p(tmp, out=tmp), out=tmp)
+        np.add.reduce(np.multiply(tmp, weights, out=tmp), axis=1, out=out[i:i + _BLOCK])
+    return np.divide(out, -y, out=out)
 
 
 def _eps_at(eps: Callable, zeta: np.ndarray) -> np.ndarray:
@@ -353,7 +344,7 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
         sep = np.repeat(summing, counts)
         terms = np.zeros(live.shape)
         terms[live] = prefactor[sep] * zeta[k]**2 * _p_integral(
-            eps_values[k], zeta[k] * a[sep] / c, settings.p_order, counts.tolist())
+            eps_values[k], zeta[k] * a[sep] / c, settings.p_order)
         tails = np.cumsum(np.column_stack((tail[summing], terms)), axis=1)[:, 1:]
         bound = _tail_bound(n + 1, y1[summing, None], scale[summing, None])
         done = live & (bound <= tol * (n0[summing, None] + tails))
@@ -412,8 +403,8 @@ def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
     edge at or above max(45 c / a, 10 zeta_min).  The rule never evaluates
     zeta = 0.  The edges do not depend on a, so each separation's rule is
     a prefix of the closest one's and one eps call covers the scan.  The
-    kernel takes each separation's nodes in blocks of their own, so each
-    result is, to the bit, that of the geometry alone.  At the default
+    kernel gives each node the floats it gives it alone, so each result
+    is, to the bit, that of the geometry alone.  At the default
     settings a result agrees with an independent k-space integral to
     1e-11 relative or better at 60-200 nm for a Drude metal.
     """
@@ -437,13 +428,12 @@ def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
     p_integrals = _p_integral(
         np.concatenate([eps_values[:n] for n in sizes]),
         np.concatenate([zeta[:n] * x / c for n, x in zip(sizes, a)]),
-        settings.p_order,
-        [min(_BLOCK, n - i) for n in sizes for i in range(0, n, _BLOCK)])
+        settings.p_order)
     forces, start = [], 0
     for n, r in zip(sizes, radius.tolist()):
         integrand = zeta[:n] * zeta[:n] * p_integrals[start:start + n]
         forces.append(hbar * r / (2.0 * math.pi * c**2)
-                      * float(integrand @ weights[:n]) * _N_TO_PN)
+                      * float(np.sum(integrand * weights[:n])) * _N_TO_PN)
         start += n
     results = dict(zip(distinct, forces))
     return tuple(results[g] for g in geometries)

@@ -268,6 +268,27 @@ class TestTailSeries:
         ref = hyp2f1(1.0, 0.5 * q, 1.0 + 0.5 * q, -x2)
         assert np.max(np.abs(_tail_series(0.5 * q, x2) / ref - 1.0)) <= 2.2e-16
 
+    # x^2 from 1e-12 to the limit, denser towards it, where the series is longest
+    closed_form_x2 = np.concatenate((np.geomspace(1e-12, _TAIL_X2_MAX, 300),
+                                     np.linspace(0.3, _TAIL_X2_MAX, 100)))
+
+    def test_q2_is_log1p_over_x2(self):
+        # 2F1(1, 1; 2; -x^2) = ln(1 + x^2) / x^2; measured 6.8e-16
+        x2 = self.closed_form_x2
+        np.testing.assert_allclose(_tail_series(1.0, x2), np.log1p(x2) / x2,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_matches_mpmath_hyp2f1(self, q):
+        # measured 6.6e-16, 9.7e-16 and 7.3e-16.  The float closed form of
+        # q = 4, 2 (x^2 - ln(1 + x^2)) / x^4, cancels and is no reference
+        x2 = self.closed_form_x2
+        with mp.workdps(40):
+            b = mp.mpf(q) / 2
+            ref = np.array([float(mp.hyp2f1(1, b, 1 + b, -mp.mpf(float(v))))
+                            for v in x2])
+        np.testing.assert_allclose(_tail_series(0.5 * q, x2), ref, rtol=1e-15, atol=0)
+
     def test_zeta_above_the_limit_is_a_domain_error(self, pure_drude_dataset, row2):
         model = DielectricModel(row2, pure_drude_dataset)
         limit = math.sqrt(_TAIL_X2_MAX) * pure_drude_dataset.omega_max / _TAIL_T_MIN

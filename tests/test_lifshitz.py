@@ -12,9 +12,8 @@ from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
                        force_scan, force_zero_T, ideal_force,
                        matsubara_frequency, reduction_factor,
                        temperature_correction, zero_T_scan)
-from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_BLOCK, _V_EDGES, ZETA3, _p_integral, _tail_bound,
+from aucasimir.lifshitz import (_BLOCK, ZETA3, _p_integral, _p_rule, _tail_bound,
                                 _terms_needed)
 
 from conftest import SPHERE_RADIUS, drude_rows
@@ -33,6 +32,35 @@ def round_trip_factors(p, eps_value, y):
     r_tm = chi * ((eps_value + 1.0) * p * p - 1.0) / (eps_value * p + s) ** 2
     damping = np.exp(-2.0 * y * p)
     return r_te * r_te * damping, r_tm * r_tm * damping
+
+
+def p_integral_transcribed(eps_value, y, order):
+    """`_p_integral` as plain allocating numpy, operation for operation.
+
+    eps_value and y are 1-D.  The damping comes from the rule,
+    exp(-2 y p) = (exp(-y) u)^2 with u = exp(-(p - 1) y), and the two
+    logarithms are one, ln[(1 - g_te)(1 - g_tm)] = log1p(g_te g_tm - g_te - g_tm).
+    """
+    ln_u, u, weights = _p_rule(order)
+    y, eps_value = y[:, None], eps_value[:, None]
+    chi = eps_value - 1.0
+    p = 1.0 - ln_u / y
+    pp = p * p
+    s = np.sqrt(chi + pp)
+    d = chi * np.exp(-y) * u
+    g_te = np.square(d / np.square(p + s))
+    g_tm = np.square(((eps_value + 1.0) * pp - 1.0) * d / np.square(eps_value * p + s))
+    integrand = p * np.log1p(g_te * g_tm - g_te - g_tm)
+    return np.sum(integrand * weights, axis=1) / -y[:, 0]
+
+
+def p_integral_textbook(eps_value, y, order):
+    """The p-integral of `_p_integral` with `round_trip_factors` on the
+    same rule: exp(-2 y p) and two log1p."""
+    ln_u, _, weights = _p_rule(order)
+    p = 1.0 - ln_u / y[:, None]
+    g_te, g_tm = round_trip_factors(p, eps_value[:, None], y[:, None])
+    return -((p * (np.log1p(-g_te) + np.log1p(-g_tm))) @ weights) / y
 
 
 def ideal_matsubara_term_closed_form(n, g, t):
@@ -107,35 +135,58 @@ class TestRoundTripFactors:
             ((1 - s) / (1 + s))**2 * math.exp(-2 * y), rel=1e-12)
 
     def test_in_place_kernel_equals_the_formula_bitwise(self):
-        # _p_integral evaluates round_trip_factors operation for operation
-        # in preallocated arrays; over more than one block, and a last one
-        # that is partly filled, the results are the same floats
+        # over more than one chunk, and a last one that is partly filled,
+        # the in-place kernel gives the floats of its transcription
         order = 16
-        v, w = gauss_legendre(_V_EDGES, order)
-        ln_u, weights = 3.0 * np.log(v), 3.0 * w / v
         n = 2 * _BLOCK + 5
         y = np.geomspace(1e-4, 40.0, n)
         eps = 1.0 + np.geomspace(1e6, 1e-3, n)
-        p = 1.0 - ln_u / y[:, None]
-        g_te, g_tm = round_trip_factors(p, eps[:, None], y[:, None])
-        integrand = p * (np.log1p(-g_te) + np.log1p(-g_tm))
-        expected = np.concatenate([
-            -(integrand[i:i + _BLOCK] @ weights) / y[i:i + _BLOCK]
-            for i in range(0, n, _BLOCK)])
-        blocks = [_BLOCK, _BLOCK, 5]
-        assert np.array_equal(_p_integral(eps, y, order, blocks), expected)
+        assert np.array_equal(_p_integral(eps, y, order),
+                              p_integral_transcribed(eps, y, order))
+
+    def test_kernel_matches_the_textbook_factors(self):
+        # the damping from the rule and the one log1p agree with
+        # exp(-2 y p) and two log1p over the whole range the forces reach
+        y, chi = np.meshgrid(np.geomspace(1e-4, 300.0, 120),
+                             np.geomspace(1e-3, 1e6, 60))
+        y, eps = y.ravel(), 1.0 + chi.ravel()
+        expected = p_integral_textbook(eps, y, 16)
+        assert expected.min() > 0
+        np.testing.assert_allclose(_p_integral(eps, y, 16), expected,
+                                   rtol=1e-14, atol=0)
+
+    def test_rule_is_consistent_and_read_only(self):
+        # u = v^3 and ln u = 3 ln v: exp(ln u) carries the rounding of
+        # ln u, |ln u| <= 20, times about 1e-16
+        ln_u, u, weights = _p_rule(16)
+        np.testing.assert_allclose(u, np.exp(ln_u), rtol=3e-15)
+        for values in (ln_u, u, weights):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
     def test_blocks_keep_the_bits_of_separate_calls(self):
-        # given block lengths, each block gets the floats of a call of its
-        # own (a scan's blocks are those of each separation alone)
+        # each row's result depends on that row only, so one call gives the
+        # floats of separate calls on consecutive blocks of its rows
         blocks = [_BLOCK, 23, 17, 5, _BLOCK, 1, 62, 3]
         n = sum(blocks)
         y = np.geomspace(1e-4, 40.0, n)
         eps = 1.0 + np.geomspace(1e6, 1e-3, n)
         edges = np.cumsum([0] + blocks)
-        expected = np.concatenate([_p_integral(eps[i:j], y[i:j], 16, [j - i])
+        expected = np.concatenate([_p_integral(eps[i:j], y[i:j], 16)
                                    for i, j in zip(edges[:-1], edges[1:])])
-        assert np.array_equal(_p_integral(eps, y, 16, blocks), expected)
+        assert np.array_equal(_p_integral(eps, y, 16), expected)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 3 * _BLOCK), min_size=1, max_size=8),
+           st.sampled_from([4, 16]))
+    def test_any_split_keeps_the_bits_of_one_call(self, pieces, order):
+        n = sum(pieces)
+        y = np.geomspace(1e-4, 300.0, n)
+        eps = 1.0 + np.geomspace(1e6, 1e-3, n)
+        edges = np.cumsum([0] + pieces)
+        expected = np.concatenate([_p_integral(eps[i:j], y[i:j], order)
+                                   for i, j in zip(edges[:-1], edges[1:])])
+        assert np.array_equal(_p_integral(eps, y, order), expected)
 
 
 class TestEpsCheck:
