@@ -18,15 +18,18 @@ as a switch.  The zero-temperature force replaces kT sum' by
 treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
-rule in u = exp(-(p - 1) zeta a / c), which also supplies the damping.  The
-kernel sums each frequency's nodes on their own, so a p-integral is the
-same floats whatever others share its call.  The Matsubara frequencies
-depend only on T, and the zero-temperature frequency rule of each
-separation is a prefix of one rule that does not depend on it.  So a scan
-over separations, `force_scan` at finite T and `zero_T_scan` at T = 0,
-makes one array call to the eps(i zeta) evaluator and runs the kernel over
-all its separations at once; `force_finite_T` and `force_zero_T` are scans
-of one.
+rule in u = exp(-(p - 1) zeta a / c), which also supplies the damping.  Each
+frequency's row takes one of two rules by its own y = zeta a / c: seven
+panels clustered towards p = 1 below `_Y_FAR` = 0.5, one panel from there
+on, where most Matsubara terms lie (32 nodes in place of 112 at the
+default order).  The kernel sums each row's nodes on their own, so a
+p-integral is the same floats whatever others share its call.  The
+Matsubara frequencies depend only on T, and the zero-temperature frequency
+rule of each separation is a prefix of one rule that does not depend on
+it.  So a scan over separations, `force_scan` at finite T and
+`zero_T_scan` at T = 0, makes one array call to the eps(i zeta) evaluator
+and runs the kernel over all its separations at once; `force_finite_T`
+and `force_zero_T` are scans of one.
 
 Conventions: geometry in meters, temperature in kelvin, every force is the
 attraction magnitude in piconewtons.  All evaluations are pure functions of
@@ -50,12 +53,19 @@ from .errors import ConvergenceError, DomainError
 
 _N_TO_PN = 1e12
 
-#: panel edges of the p-rule in v, where u = v^3 = exp(-(p - 1) y).  They
-#: cluster towards v = 1 (p -> 1): at small y both the transverse-electric
-#: feature at p ~ sqrt(eps - 1) and the ln(1 - u^2) endpoint sit there.
+#: panel edges of the near p-rule in v, where u = v^3 = exp(-(p - 1) y).
+#: They cluster towards v = 1 (p -> 1): at small y both the
+#: transverse-electric feature at p ~ sqrt(eps - 1) and the ln(1 - u^2)
+#: endpoint sit there.
 _V_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 0.96, 0.99, 1.0])
-#: rows (frequencies) per chunk of the kernel, to bound its work arrays,
-#: and Matsubara terms per round of `force_scan`
+#: rows with y at or above this take the far p-rule, one panel [0, 1]: both
+#: features have left v = 1, and the far rule is good to 1e-14 relative
+#: from y ~ 0.27 on
+_Y_FAR = 0.5
+#: elements (rows times nodes) per chunk of the kernel, to bound its work
+#: arrays: 64 near rows or 224 far rows at the default p_order
+_CHUNK = 64 * 112
+#: Matsubara terms per round of `force_scan`
 _BLOCK = 64
 
 
@@ -92,8 +102,10 @@ class ThermalState:
 class QuadratureSettings:
     """Accuracy knobs for the p-integral, the zeta-integral and the sum.
 
-    p_order is the number of Gauss-Legendre nodes on each of the panels of
-    the p-rule (see `_V_EDGES`); zeta_order the number on each panel of
+    p_order is the number of Gauss-Legendre nodes on each of the seven
+    panels of the near p-rule (see `_V_EDGES`); the far rule, which takes
+    the rows with zeta a / c at or above `_Y_FAR`, has 2 p_order nodes on
+    its one panel.  zeta_order is the number on each panel of
     the zero-temperature frequency integral, whose panel edges, 0 and
     zeta_min 10^(k / panels_per_decade), depend on these settings only
     (`zero_T_scan`).  The Matsubara sum stops at the first n whose
@@ -163,11 +175,14 @@ def classical_term(g: Geometry, t: ThermalState,
     return f * _N_TO_PN
 
 
-@functools.lru_cache(maxsize=4)
-def _p_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln u, u, weight) of the p-rule with `order` nodes per panel of
-    `_V_EDGES`, read-only (see `_p_integral`)."""
-    v, w = gauss_legendre(_V_EDGES, order)
+@functools.lru_cache(maxsize=8)
+def _p_rule(order: int, far: bool = False
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln u, u, weight) of the p-rule for `order`, read-only (see
+    `_p_integral`): the near rule has `order` nodes on each panel of
+    `_V_EDGES`, the far rule 2 `order` nodes on the one panel [0, 1]."""
+    v, w = gauss_legendre((0.0, 1.0), 2 * order) if far else gauss_legendre(
+        _V_EDGES, order)
     ln_u, u, weights = 3.0 * np.log(v), v * v * v, 3.0 * w / v
     ln_u.flags.writeable = u.flags.writeable = weights.flags.writeable = False
     return ln_u, u, weights
@@ -179,41 +194,51 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
 
     Substituting u = exp(-(p-1) y) = v^3 maps the infinite range onto
     (0, 1] and makes the integrand vanish like v^5 ln v at v -> 0;
-    dp = -3 dv / (v y).  The rule is composite Gauss-Legendre on
-    `_V_EDGES`, so the endpoints are never evaluated.
+    dp = -3 dv / (v y).  The rule is Gauss-Legendre in v, so the endpoints
+    are never evaluated, and each row takes it by its own y: rows below
+    `_Y_FAR` the near rule on the panels of `_V_EDGES` (112 nodes at the
+    default order), the others the far rule, one panel (32 nodes).
 
     With chi = eps - 1, s = sqrt(chi + p^2) and d = chi exp(-y) u, the
     damping exp(-2 y p) = (exp(-y) u)^2 comes from the rule and the
     reflection coefficients are written without cancellation:
     g_te = (d / (p + s)^2)^2, g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2
     and ln(1 - g_te) + ln(1 - g_tm) = log1p(g_te g_tm - g_te - g_tm).  The
-    rows go through in chunks of at most `_BLOCK`, in work arrays allocated
-    once per call (a fresh temporary per operation and chunk makes the
-    allocator trim and regrow the heap, 10-30 % of a Drude scan).  Each row
-    is summed on its own, so its floats do not depend on the other rows.
+    rows of each rule go through in chunks of at most `_CHUNK` elements,
+    in work arrays allocated once per call (a fresh temporary per operation
+    and chunk makes the allocator trim and regrow the heap, 10-30 % of a
+    Drude scan).  Each row is summed on its own, so its floats do not
+    depend on the other rows.
     """
-    ln_u, u, weights = _p_rule(order)
     out = np.empty(y.shape)
-    p, s, g_te, g_tm, work = np.empty((5, min(_BLOCK, y.size), ln_u.size))
-    for i in range(0, y.size, _BLOCK):
-        yb, eps = y[i:i + _BLOCK, None], eps_values[i:i + _BLOCK, None]
-        rows = slice(0, yb.shape[0])
-        pb, sb, te, tm, tmp = p[rows], s[rows], g_te[rows], g_tm[rows], work[rows]
-        chi = eps - 1.0
-        np.subtract(1.0, np.divide(ln_u, yb, out=pb), out=pb)
-        np.sqrt(np.add(chi, np.multiply(pb, pb, out=tm), out=sb), out=sb)
-        np.multiply(chi * np.exp(-yb), u, out=tmp)                      # d
-        # g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2, g_te = (d / (p + s)^2)^2
-        np.subtract(np.multiply(eps + 1.0, tm, out=tm), 1.0, out=tm)
-        np.multiply(tm, tmp, out=tm)
-        np.divide(tmp, np.square(np.add(pb, sb, out=te), out=te), out=te)
-        np.add(np.multiply(eps, pb, out=tmp), sb, out=tmp)
-        np.square(np.divide(tm, np.square(tmp, out=tmp), out=tm), out=tm)
-        np.square(te, out=te)
-        # the integrand p log1p(g_te g_tm - g_te - g_tm), times the weights
-        np.subtract(np.subtract(np.multiply(te, tm, out=tmp), te, out=tmp), tm, out=tmp)
-        np.multiply(pb, np.log1p(tmp, out=tmp), out=tmp)
-        np.add.reduce(np.multiply(tmp, weights, out=tmp), axis=1, out=out[i:i + _BLOCK])
+    far = y >= _Y_FAR
+    groups = [(rows, _p_rule(order, is_far)) for is_far in (False, True)
+              if (rows := np.flatnonzero(far == is_far)).size]
+    work = np.empty((5, max((min(_CHUNK, rows.size * rule[0].size)
+                             for rows, rule in groups), default=0)))
+    for rows, (ln_u, u, weights) in groups:
+        step = _CHUNK // ln_u.size
+        for i in range(0, rows.size, step):
+            chunk = rows[i:i + step]
+            pb, sb, te, tm, tmp = work[:, :chunk.size * ln_u.size].reshape(
+                5, chunk.size, -1)
+            yb, eps = y[chunk, None], eps_values[chunk, None]
+            chi = eps - 1.0
+            np.subtract(1.0, np.divide(ln_u, yb, out=pb), out=pb)
+            np.sqrt(np.add(chi, np.multiply(pb, pb, out=tm), out=sb), out=sb)
+            np.multiply(chi * np.exp(-yb), u, out=tmp)                      # d
+            # g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2, g_te = (d / (p + s)^2)^2
+            np.subtract(np.multiply(eps + 1.0, tm, out=tm), 1.0, out=tm)
+            np.multiply(tm, tmp, out=tm)
+            np.divide(tmp, np.square(np.add(pb, sb, out=te), out=te), out=te)
+            np.add(np.multiply(eps, pb, out=tmp), sb, out=tmp)
+            np.square(np.divide(tm, np.square(tmp, out=tmp), out=tm), out=tm)
+            np.square(te, out=te)
+            # the integrand p log1p(g_te g_tm - g_te - g_tm), times the weights
+            np.subtract(np.subtract(np.multiply(te, tm, out=tmp), te, out=tmp), tm,
+                        out=tmp)
+            np.multiply(pb, np.log1p(tmp, out=tmp), out=tmp)
+            out[chunk] = np.add.reduce(np.multiply(tmp, weights, out=tmp), axis=1)
     return np.divide(out, -y, out=out)
 
 

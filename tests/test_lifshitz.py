@@ -13,8 +13,8 @@ from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
                        matsubara_frequency, reduction_factor,
                        temperature_correction, zero_T_scan)
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_BLOCK, ZETA3, _p_integral, _p_rule, _tail_bound,
-                                _terms_needed)
+from aucasimir.lifshitz import (_BLOCK, _CHUNK, _Y_FAR, ZETA3, _p_integral,
+                                _p_rule, _tail_bound, _terms_needed)
 
 from conftest import SPHERE_RADIUS, drude_rows
 
@@ -34,14 +34,28 @@ def round_trip_factors(p, eps_value, y):
     return r_te * r_te * damping, r_tm * r_tm * damping
 
 
-def p_integral_transcribed(eps_value, y, order):
-    """`_p_integral` as plain allocating numpy, operation for operation.
+def by_rule(p_integral_on):
+    """The p-integral of `p_integral_on(rule, eps_value, y)`, each row on
+    the rule `_p_integral` picks for it: the far rule from y = `_Y_FAR` on,
+    the near rule below."""
+    def p_integral(eps_value, y, order):
+        out = np.empty(y.shape)
+        for far in (False, True):
+            rows = (y >= _Y_FAR) == far
+            out[rows] = p_integral_on(_p_rule(order, far), eps_value[rows], y[rows])
+        return out
+    return p_integral
+
+
+def p_integral_transcribed_on(rule, eps_value, y):
+    """`_p_integral` on one rule as plain allocating numpy, operation for
+    operation.
 
     eps_value and y are 1-D.  The damping comes from the rule,
     exp(-2 y p) = (exp(-y) u)^2 with u = exp(-(p - 1) y), and the two
     logarithms are one, ln[(1 - g_te)(1 - g_tm)] = log1p(g_te g_tm - g_te - g_tm).
     """
-    ln_u, u, weights = _p_rule(order)
+    ln_u, u, weights = rule
     y, eps_value = y[:, None], eps_value[:, None]
     chi = eps_value - 1.0
     p = 1.0 - ln_u / y
@@ -54,13 +68,24 @@ def p_integral_transcribed(eps_value, y, order):
     return np.sum(integrand * weights, axis=1) / -y[:, 0]
 
 
-def p_integral_textbook(eps_value, y, order):
-    """The p-integral of `_p_integral` with `round_trip_factors` on the
-    same rule: exp(-2 y p) and two log1p."""
-    ln_u, _, weights = _p_rule(order)
+def p_integral_textbook_on(rule, eps_value, y):
+    """The p-integral of `_p_integral` with `round_trip_factors` on one
+    rule: exp(-2 y p) and two log1p, in long double.
+
+    In double, exp(-2 y p) carries the rounding of its argument, up to
+    2 y p ulp: about 2e-14 of a far-rule row at y ~ 250, where the kernel's
+    (exp(-y) u)^2 is good to 1e-16 (mpmath on the same nodes).  The 80-bit
+    long double of x86-64 brings that below 1e-17.
+    """
+    ln_u, _, weights = (np.asarray(x, dtype=np.longdouble) for x in rule)
+    eps_value, y = eps_value.astype(np.longdouble), y.astype(np.longdouble)
     p = 1.0 - ln_u / y[:, None]
     g_te, g_tm = round_trip_factors(p, eps_value[:, None], y[:, None])
     return -((p * (np.log1p(-g_te) + np.log1p(-g_tm))) @ weights) / y
+
+
+p_integral_transcribed = by_rule(p_integral_transcribed_on)
+p_integral_textbook = by_rule(p_integral_textbook_on)
 
 
 def ideal_matsubara_term_closed_form(n, g, t):
@@ -175,6 +200,46 @@ class TestRoundTripFactors:
         expected = np.concatenate([_p_integral(eps[i:j], y[i:j], 16)
                                    for i, j in zip(edges[:-1], edges[1:])])
         assert np.array_equal(_p_integral(eps, y, 16), expected)
+
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_rows_at_the_threshold_keep_the_bits_of_lone_calls(self, order):
+        # rows at _Y_FAR and one float below it, shuffled among rows that
+        # fill more than one chunk of each rule, give the floats of lone
+        # calls; the one at _Y_FAR takes the far rule, the one below the
+        # near rule
+        below = np.nextafter(_Y_FAR, 0.0)
+        n = 2 * _CHUNK // _p_rule(order, True)[0].size
+        y = np.concatenate(([_Y_FAR, below] * 3, np.geomspace(1e-3, 300.0, n)))
+        eps = 1.0 + np.geomspace(1e6, 1e-3, y.size)
+        shuffle = np.random.default_rng(3).permutation(y.size)
+        y, eps = y[shuffle], eps[shuffle]
+        assert (y < _Y_FAR).sum() > _CHUNK // _p_rule(order, False)[0].size
+        alone = [_p_integral(eps[i:i + 1], y[i:i + 1], order)[0]
+                 for i in range(y.size)]
+        assert np.array_equal(_p_integral(eps, y, order), alone)
+        for far, y_ in ((True, _Y_FAR), (False, below)):
+            row = np.array([1.5]), np.array([y_])
+            assert np.array_equal(_p_integral(*row, order),
+                                  p_integral_transcribed_on(_p_rule(order, far), *row))
+
+    def test_tightened_doubles_both_rules(self):
+        default, tight = DEFAULT_SETTINGS, DEFAULT_SETTINGS.tightened()
+        assert _p_rule(default.p_order, True)[0].size == 32
+        assert _p_rule(default.p_order, False)[0].size == 112
+        for far in (False, True):
+            assert (_p_rule(tight.p_order, far)[0].size
+                    == 2 * _p_rule(default.p_order, far)[0].size)
+
+    def test_far_rule_matches_the_order_32_near_rule(self):
+        # from _Y_FAR on the one 32-node panel is as good as seven panels of
+        # 32 nodes: the TE feature and the ln(1 - u^2) endpoint have left v = 1
+        y, chi = np.meshgrid(np.geomspace(_Y_FAR, 300.0, 150),
+                             np.geomspace(1e-6, 1e18, 100))
+        y, eps = y.ravel(), 1.0 + chi.ravel()
+        np.testing.assert_allclose(
+            _p_integral(eps, y, 16),
+            p_integral_transcribed_on(_p_rule(32, False), eps, y),
+            rtol=1e-14, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 3 * _BLOCK), min_size=1, max_size=8),

@@ -6,6 +6,7 @@ so its own pieces are checked here against closed forms and mpmath.
 
 import math
 
+import numpy as np
 import pytest
 from scipy.constants import Boltzmann, c, hbar
 from scipy.special import zeta as riemann_zeta
@@ -13,6 +14,7 @@ from scipy.special import zeta as riemann_zeta
 from aucasimir import (DrudeParameters, Geometry, ThermalState,
                        force_finite_T, force_scan, force_zero_T, zero_T_scan)
 from aucasimir.config import load_run_config, package_data_dir
+from aucasimir.lifshitz import DEFAULT_SETTINGS, _Y_FAR, _p_integral
 
 import lifshitz_oracle
 from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS
@@ -49,7 +51,33 @@ def test_k_integral_matches_mpmath(n):
                          + mp.log(1 - r_tm**2 * damping))
 
         reference = mp.quad(integrand, [0, ym, 1, 4, 16, mp.inf])
-    assert value == pytest.approx(float(reference), rel=1e-13)
+    assert value == pytest.approx(float(reference), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
+@pytest.mark.parametrize("y", [_Y_FAR, 2.0, 20.0])
+def test_far_p_rule_matches_mpmath(y, eps):
+    # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule
+    mp = pytest.importorskip("mpmath")
+    value = _p_integral(np.array([eps]), np.array([y]), DEFAULT_SETTINGS.p_order)[0]
+
+    with mp.workdps(30):
+        e, ym = mp.mpf(eps), mp.mpf(y)
+
+        def integrand(p):
+            s = mp.sqrt(e - 1 + p * p)
+            damping = mp.exp(-2 * p * ym)
+            g_te = ((p - s) / (p + s))**2 * damping
+            g_tm = ((e * p - s) / (e * p + s))**2 * damping
+            return -p * (mp.log1p(-g_te) + mp.log1p(-g_tm))
+
+        # quad stops on an absolute error, so the integrand is scaled to 1
+        # at p = 1 (it is below 1e-30 there at y = 20, eps = 1 + 1e-6)
+        scale = integrand(mp.mpf(1))
+        reference = scale * mp.quad(lambda p: integrand(p) / scale,
+                                    [1, 1 + 1 / ym, 1 + 4 / ym, 1 + 16 / ym,
+                                     1 + 64 / ym, mp.inf])
+    assert value == pytest.approx(float(reference), rel=1e-14, abs=0)
 
 
 def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
