@@ -23,13 +23,18 @@ frequency's row takes one of two rules by its own y = zeta a / c: seven
 panels clustered towards p = 1 below `_Y_FAR` = 0.5, one panel from there
 on, where most Matsubara terms lie (32 nodes in place of 112 at the
 default order).  The kernel sums each row's nodes on their own, so a
-p-integral is the same floats whatever others share its call.  The
-Matsubara frequencies depend only on T, and the zero-temperature frequency
-rule of each separation is a prefix of one rule that does not depend on
-it.  So a scan over separations, `force_scan` at finite T and
-`zero_T_scan` at T = 0, makes one array call to the eps(i zeta) evaluator
-and runs the kernel over all its separations at once; `force_finite_T`
-and `force_zero_T` are scans of one.
+p-integral is the same floats whatever others share its call.
+
+Both temperatures take one frequency rule per scan, fixed before eps is
+called: the first n_eval Matsubara frequencies at finite T (n_eval the
+smallest count whose analytic tail bound is at most sum_rel_tol times the
+n=0 term), the composite Gauss-Legendre rule in zeta at T = 0.  Each
+separation sums over its own prefix of that rule, so a scan over
+separations, `force_scan` at finite T and `zero_T_scan` at T = 0, makes
+one array call to the eps(i zeta) evaluator, and one helper,
+`_frequency_sums`, runs the kernel over all its separations in rounds
+that bound memory only; `force_finite_T` and `force_zero_T` are scans of
+one.
 
 Conventions: geometry in meters, temperature in kelvin, every force is the
 attraction magnitude in piconewtons.  All evaluations are pure functions of
@@ -65,8 +70,11 @@ _Y_FAR = 0.5
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
 #: arrays: 64 near rows or 224 far rows at the default p_order
 _CHUNK = 64 * 112
-#: Matsubara terms per round of `force_scan`
-_BLOCK = 64
+#: frequencies and separations per round of `_frequency_sums`, bounds on its
+#: memory only (at most 8192 kernel rows a round): the default zero-T rule
+#: and a 300 K Matsubara sum each take one round of frequencies
+_BLOCK = 512
+_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -108,9 +116,11 @@ class QuadratureSettings:
     its one panel.  zeta_order is the number on each panel of
     the zero-temperature frequency integral, whose panel edges, 0 and
     zeta_min 10^(k / panels_per_decade), depend on these settings only
-    (`zero_T_scan`).  The Matsubara sum stops at the first n whose
-    analytic tail bound (`force_scan`) is below sum_rel_tol times the
-    accumulated total; a sum that would need more than n_max terms raises.
+    (`zero_T_scan`).  The Matsubara sum takes, up front, the smallest
+    number of terms whose analytic tail bound (`force_scan`) is at most
+    sum_rel_tol times the n=0 term: sum_rel_tol is relative to n0, so the
+    neglected tail is a smaller share still of the total.  A sum that
+    would need more than n_max terms raises before eps is called.
     """
 
     zeta_min: float = 1e11
@@ -289,6 +299,39 @@ def _terms_needed(target, y1, scale, n_max: int) -> np.ndarray:
     return hi
 
 
+def _frequency_sums(zeta: np.ndarray, weights: np.ndarray,
+                    eps_values: np.ndarray, a: np.ndarray, counts: np.ndarray,
+                    order: int) -> np.ndarray:
+    """sum_{k < counts[i]} weights[k] zeta[k]^2 P(zeta[k] a[i] / c) for every
+    separation a[i], where P is the p-integral (`_p_integral`) at
+    eps(i zeta[k]) = eps_values[k]: the frequency sum or integral of each
+    separation over its prefix of one shared frequency rule.
+
+    The kernel runs in rounds of at most `_BLOCK` frequencies and `_GROUP`
+    separations whose prefixes reach them, which bounds its memory whatever
+    the scan and the temperature.  Each separation's terms are added one by
+    one in ascending k, so its sum is, to the bit, that of the separation
+    alone.
+    """
+    sums = np.zeros(a.shape)
+    end = int(counts.max())
+    for start in range(0, end, _BLOCK):
+        active = np.flatnonzero(counts > start)
+        n = np.arange(start, min(start + _BLOCK, end))
+        for i in range(0, active.size, _GROUP):
+            group = active[i:i + _GROUP]
+            live = n < counts[group, None]
+            k = np.broadcast_to(n, live.shape)[live]
+            z = zeta[k]
+            integrals = _p_integral(
+                eps_values[k], z * a[group].repeat(live.sum(axis=1)) / c, order)
+            terms = np.zeros(live.shape)
+            terms[live] = z * z * integrals * weights[k]
+            terms[:, 0] += sums[group]
+            sums[group] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return sums
+
+
 def force_scan(geometries: Iterable[Geometry], t: ThermalState,
                eps: Callable,
                prescription: str = "schwinger",
@@ -308,25 +351,22 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
     prescription : str
         Handling of the n=0 term, "schwinger" or "halved".
     settings : QuadratureSettings
-        Accuracy knobs; see the class docstring for the stop rule.
+        Accuracy knobs; see the class docstring for the term count.
 
     Returns
     -------
     tuple of ForceResult
         Total force and decomposition, in pN, one per geometry.
 
-    Each sum stops at the first n whose tail bound (`_tail_bound`) is below
-    settings.sum_rel_tol times its running total.  Since the total exceeds
-    the n=0 term, the terms up to the count that bounds the tail by
-    sum_rel_tol * n0 always suffice.  The frequencies depend only on T, so
-    one eps call covers the largest such count of the scan.  The kernel
-    then runs in rounds of `_BLOCK` terms, each one call over every
-    geometry still summing; terms are added in ascending n, so each result
-    is, to the bit, that of the geometry alone.  A sum that reaches
-    settings.n_max terms unconverged raises ConvergenceError naming its
-    separation; where the tail bound after n_max terms exceeds
-    settings.sum_rel_tol times n0 plus `ideal_force` (a ceiling on the
-    total), that is certain, and it raises before eps is called.
+    Each geometry sums the n >= 1 terms up to the smallest count whose tail
+    bound (`_tail_bound`) is at most settings.sum_rel_tol times its n=0
+    term; the total exceeds that term, so the neglected tail is below
+    sum_rel_tol times the total.  The counts are known before eps is
+    called, and the frequencies depend only on T, so one eps call covers
+    the largest count of the scan and `_frequency_sums` adds each
+    geometry's terms on its own.  Where the tail bound after settings.n_max
+    terms still exceeds sum_rel_tol times n0, the sum cannot converge: it
+    raises ConvergenceError naming the separation, before eps is called.
     """
     if t.temperature <= 0:
         raise ValueError("force_scan needs temperature > 0")
@@ -338,56 +378,22 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
     radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
     y1 = matsubara_frequency(1, t) * a / c
     scale = k_B * t.temperature * radius / (2.0 * a * a) * _N_TO_PN
-    prefactor = k_B * t.temperature * radius / c**2 * _N_TO_PN
-    tol = settings.sum_rel_tol
-    # the n >= 1 terms sum to at most the perfect-conductor zero-T force
-    # (each is at most its perfect-conductor term, and those fall with n),
-    # so no sum stops within n_max terms where even that total cannot
-    ceiling = n0 + np.array([ideal_force(g) for g in distinct])
-    last_bound = _tail_bound(settings.n_max, y1, scale)
-    hopeless = last_bound > tol * ceiling
+    target = settings.sum_rel_tol * n0
+    n_eval = _terms_needed(target, y1, scale, settings.n_max)
+    last_bound = _tail_bound(n_eval, y1, scale)
+    hopeless = last_bound > target
     if hopeless.any():
         i = int(np.argmax(hopeless))
         raise ConvergenceError(
             f"Matsubara sum at a = {a[i] * 1e9:.6g} nm, T = {t.temperature:g} K "
             f"cannot converge within n_max = {settings.n_max} terms (tail bound "
-            f"{last_bound[i]:.3e} pN, total at most {ceiling[i]:.6e} pN)")
-    n_eval = _terms_needed(tol * n0, y1, scale, settings.n_max)
-
+            f"{last_bound[i]:.3e} pN, sum_rel_tol times n0 {target[i]:.3e} pN)")
     zeta = matsubara_frequency(np.arange(1, n_eval.max() + 1), t)
-    eps_values = _eps_at(eps, zeta)
-    tail = np.zeros(n0.shape)               # sum of the n >= 1 terms so far
-    used = np.zeros(n0.shape, dtype=int)    # terms at the stop; 0 while summing
-    for start in range(0, int(n_eval.max()), _BLOCK):
-        summing = np.flatnonzero((used == 0) & (n_eval > start))
-        if not summing.size:
-            break
-        counts = np.minimum(n_eval[summing] - start, _BLOCK)
-        n = start + np.arange(_BLOCK)     # index of term n + 1 in zeta
-        live = n < start + counts[:, None]
-        k = np.broadcast_to(n, live.shape)[live]
-        sep = np.repeat(summing, counts)
-        terms = np.zeros(live.shape)
-        terms[live] = prefactor[sep] * zeta[k]**2 * _p_integral(
-            eps_values[k], zeta[k] * a[sep] / c, settings.p_order)
-        tails = np.cumsum(np.column_stack((tail[summing], terms)), axis=1)[:, 1:]
-        bound = _tail_bound(n + 1, y1[summing, None], scale[summing, None])
-        done = live & (bound <= tol * (n0[summing, None] + tails))
-        stopped = done.any(axis=1)
-        last = np.where(stopped, done.argmax(axis=1), counts - 1)
-        tail[summing] = tails[np.arange(summing.size), last]
-        used[summing] = np.where(stopped, start + last + 1, 0)
-        exhausted = ~stopped & (start + counts == n_eval[summing])
-        if exhausted.any():
-            j = int(np.argmax(exhausted))
-            i = summing[j]
-            raise ConvergenceError(
-                f"Matsubara sum at a = {a[i] * 1e9:.6g} nm not converged after "
-                f"{n_eval[i]} terms (tail bound {bound[j, counts[j] - 1]:.3e} pN, "
-                f"accumulated {n0[i] + tail[i]:.6e} pN)")
+    tail = k_B * t.temperature * radius / c**2 * _N_TO_PN * _frequency_sums(
+        zeta, np.ones(zeta.size), _eps_at(eps, zeta), a, n_eval, settings.p_order)
     results = {g: ForceResult(total=float(n0[i]) + float(tail[i]),
                               n0_term=float(n0[i]), sum_terms=float(tail[i]),
-                              n_terms_used=int(used[i]), prescription=prescription)
+                              n_terms_used=int(n_eval[i]), prescription=prescription)
                for i, g in enumerate(distinct)}
     return tuple(results[g] for g in geometries)
 
@@ -399,7 +405,7 @@ def force_finite_T(g: Geometry, t: ThermalState,
     """Finite-temperature sphere-plate force: n=0 term plus Matsubara sum.
 
     `force_scan` at the one geometry `g`; see there for the arguments and
-    the stop rule.
+    the term count.
     """
     return force_scan((g,), t, eps, prescription, settings)[0]
 
@@ -427,9 +433,10 @@ def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
     zeta_min 10^(k / panels_per_decade), k = 0, 1, ..., up to the first
     edge at or above max(45 c / a, 10 zeta_min).  The rule never evaluates
     zeta = 0.  The edges do not depend on a, so each separation's rule is
-    a prefix of the closest one's and one eps call covers the scan.  The
-    kernel gives each node the floats it gives it alone, so each result
-    is, to the bit, that of the geometry alone.  At the default
+    a prefix of the closest one's: one eps call covers the scan, and
+    `_frequency_sums`, which both scans share, adds each
+    separation's nodes on their own, so each result is, to the bit, that
+    of the geometry alone.  At the default
     settings a result agrees with an independent k-space integral to
     1e-11 relative or better at 60-200 nm for a Drude metal.
     """
@@ -448,18 +455,9 @@ def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
     last = np.searchsorted(edges, tops)      # first edge at or above each top
     zeta, weights = gauss_legendre(np.concatenate(([0.0], edges[:last.max() + 1])),
                                    settings.zeta_order)
-    eps_values = _eps_at(eps, zeta)
-    sizes = ((last + 1) * settings.zeta_order).tolist()
-    p_integrals = _p_integral(
-        np.concatenate([eps_values[:n] for n in sizes]),
-        np.concatenate([zeta[:n] * x / c for n, x in zip(sizes, a)]),
-        settings.p_order)
-    forces, start = [], 0
-    for n, r in zip(sizes, radius.tolist()):
-        integrand = zeta[:n] * zeta[:n] * p_integrals[start:start + n]
-        forces.append(hbar * r / (2.0 * math.pi * c**2)
-                      * float(np.sum(integrand * weights[:n])) * _N_TO_PN)
-        start += n
+    sums = _frequency_sums(zeta, weights, _eps_at(eps, zeta), a,
+                           (last + 1) * settings.zeta_order, settings.p_order)
+    forces = (hbar * radius / (2.0 * math.pi * c**2) * sums * _N_TO_PN).tolist()
     results = dict(zip(distinct, forces))
     return tuple(results[g] for g in geometries)
 

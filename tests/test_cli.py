@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aucasimir import (DrudeParameters, Geometry, ThermalState,
-                       force_finite_T, force_zero_T,
-                       generate_synthetic_dataset)
+from aucasimir import (DielectricModel, DrudeParameters, FrequencyBoundaries,
+                       Geometry, ThermalState, fit_drude, force_finite_T,
+                       force_zero_T, generate_synthetic_dataset, load_dataset)
 from aucasimir import config
 from aucasimir.cli import main
 from aucasimir.config import RunConfig, load_run_config, package_data_dir
@@ -553,6 +553,71 @@ class TestConfigHandling:
         code, _, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
         assert code == 2
         assert "unknown section [numeric]" in err
+
+
+#: a tabulated config whose Drude parameters come from a fit to its dataset
+FIT_INI = TABULATED_INI.replace("omega_p = 1.38e16\nomega_tau = 5.38e13\n",
+                                "fit_range = 2e14 2e15\n")
+
+
+class TestConfigDrudeFit:
+    def test_force_uses_the_fitted_parameters(self, tmp_path, capsys):
+        path = tmp_path / "fit.ini"
+        path.write_text(FIT_INI)
+        code, out, err = run(capsys, ["force", "--config", str(path), "--a", "63"])
+        assert code == 0, err
+        ds = load_dataset(package_data_dir() / "gold_synthetic.csv")
+        model = DielectricModel(fit_drude(ds, (2e14, 2e15)).parameters, ds,
+                                FrequencyBoundaries(1.519267448e14, 3.2e15))
+        expected = force_finite_T(Geometry(95.65e-6, 63e-9), ThermalState(300.0),
+                                  model.epsilon)
+        assert out.splitlines()[1].split(",")[1] == f"{expected.total:.9e}"
+
+    def test_fit_drude_from_config_equals_from_dataset(self, tmp_path, capsys):
+        path = tmp_path / "fit.ini"
+        path.write_text(FIT_INI)
+        argv = ["fit-drude", "--range", "2e14", "2e15"]
+        code, out, err = run(capsys, argv + ["--config", str(path)])
+        assert code == 0, err
+        assert out == run(capsys, argv + ["--dataset", "gold_synthetic.csv"])[1]
+
+
+@pytest.mark.parametrize("ini, argv, fragment", [
+    (TABULATED_INI.replace("model = tabulated", "model = lorentz"),
+     ["force", "--a", "63"], "[dielectric] model"),
+    (TABULATED_INI.replace("dataset = gold_synthetic.csv\n", ""),
+     ["force", "--a", "63"], "model=tabulated needs a dataset"),
+    (FIT_INI.replace("fit_range = 2e14 2e15", "fit_range = 2e14"),
+     ["force", "--a", "63"], "[dielectric] fit_range"),
+    (FIT_INI.replace("fit_range = 2e14 2e15", "fit_range = 2e15 2e14"),
+     ["force", "--a", "63"], "[dielectric] fit_range"),
+    (TABULATED_INI.replace("omega1 = 3.2e15", "omega1 = 1e14"),
+     ["force", "--a", "63"], "[dielectric] boundaries"),
+    (TABULATED_INI.replace("omega1 = 3.2e15", "omega1 = 3.2e15\ntail_exponent = 1"),
+     ["force", "--a", "63"], "[dielectric] tail_exponent"),
+    (TABULATED_INI.replace("sphere_radius = 95.65e-6", "sphere_radius = 0"),
+     ["force", "--a", "63"], "[geometry] sphere_radius"),
+    (TABULATED_INI + "\n[thermal]\ntemperature = -1\n",
+     ["force", "--a", "63"], "[thermal] temperature"),
+    ("[geometry]" + TABULATED_INI.split("[geometry]")[1],
+     ["force", "--a", "63"], "[dielectric] section"),
+    (TABULATED_INI.replace("sphere_radius = 95.65e-6", ""),
+     ["force", "--a", "63"], "[geometry] sphere_radius"),
+    ("sphere_radius = 95.65e-6\n", ["force", "--a", "63"], "no section headers"),
+    (TABULATED_INI, ["epsilon"], "--zeta"),
+    (TABULATED_INI, ["force"], "--a"),
+], ids=["unknown-model", "tabulated-without-dataset", "one-value-fit-range",
+        "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1",
+        "zero-radius", "negative-temperature", "no-dielectric-section",
+        "no-sphere-radius", "unparsable", "epsilon-without-zeta",
+        "force-without-separation"])
+def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):
+    path = tmp_path / "bad.ini"
+    path.write_text(ini)
+    code, out, err = run(capsys, argv + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert fragment in err
 
 
 class TestZeroTemperature:

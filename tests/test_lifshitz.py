@@ -13,10 +13,13 @@ from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
                        matsubara_frequency, reduction_factor,
                        temperature_correction, zero_T_scan)
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_BLOCK, _CHUNK, _Y_FAR, ZETA3, _p_integral,
-                                _p_rule, _tail_bound, _terms_needed)
+from aucasimir.lifshitz import (_BLOCK, _CHUNK, _GROUP, _Y_FAR, ZETA3,
+                                _p_integral, _p_rule, _tail_bound, _terms_needed)
 
 from conftest import SPHERE_RADIUS, drude_rows
+
+#: a row count for the kernel tests' arrays
+ROWS = 64
 
 
 def round_trip_factors(p, eps_value, y):
@@ -163,7 +166,7 @@ class TestRoundTripFactors:
         # over more than one chunk, and a last one that is partly filled,
         # the in-place kernel gives the floats of its transcription
         order = 16
-        n = 2 * _BLOCK + 5
+        n = 2 * ROWS + 5
         y = np.geomspace(1e-4, 40.0, n)
         eps = 1.0 + np.geomspace(1e6, 1e-3, n)
         assert np.array_equal(_p_integral(eps, y, order),
@@ -192,7 +195,7 @@ class TestRoundTripFactors:
     def test_blocks_keep_the_bits_of_separate_calls(self):
         # each row's result depends on that row only, so one call gives the
         # floats of separate calls on consecutive blocks of its rows
-        blocks = [_BLOCK, 23, 17, 5, _BLOCK, 1, 62, 3]
+        blocks = [ROWS, 23, 17, 5, ROWS, 1, 62, 3]
         n = sum(blocks)
         y = np.geomspace(1e-4, 40.0, n)
         eps = 1.0 + np.geomspace(1e6, 1e-3, n)
@@ -242,7 +245,7 @@ class TestRoundTripFactors:
             rtol=1e-14, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(st.lists(st.integers(1, 3 * _BLOCK), min_size=1, max_size=8),
+    @given(st.lists(st.integers(1, 3 * ROWS), min_size=1, max_size=8),
            st.sampled_from([4, 16]))
     def test_any_split_keeps_the_bits_of_one_call(self, pieces, order):
         n = sum(pieces)
@@ -392,6 +395,17 @@ class TestForceScan:
         assert scan == tuple(force_finite_T(g, t, eps, prescription)
                              for g in geometries)
 
+    def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
+        # at 20 K the closest separations need more than one round of
+        # frequencies, and the scan more than one group of separations
+        t = ThermalState(20.0)
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                      for a_nm in np.linspace(60, 200, 2 * _GROUP + 3)]
+        scan = force_scan(geometries, t, single_crystal.epsilon)
+        assert scan[0].n_terms_used > 2 * _BLOCK
+        assert scan == tuple(force_finite_T(g, t, single_crystal.epsilon)
+                             for g in geometries)
+
     def test_one_eps_call_over_the_largest_count(self, single_crystal,
                                                  thermal300):
         calls = []
@@ -407,9 +421,52 @@ class TestForceScan:
         assert calls[0] >= max(r.n_terms_used for r in scan)
         assert scan[1] == scan[3]
 
+    @pytest.mark.parametrize("temperature", [10.0, 77.0, 300.0])
+    def test_sums_the_up_front_count_in_order(self, single_crystal,
+                                              temperature):
+        # a plain loop: the count is the smallest n whose tail bound is at
+        # most sum_rel_tol times n0, and its terms, one kernel row each,
+        # are added in ascending n
+        t = ThermalState(temperature)
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                      for a_nm in (200, 60, 137.5)]
+        scan = force_scan(geometries, t, single_crystal.epsilon)
+        for g, result in zip(geometries, scan):
+            a, radius = g.separation, g.sphere_radius
+            y1 = matsubara_frequency(1, t) * a / c
+            scale = k_B * temperature * radius / (2 * a * a) * 1e12
+            target = DEFAULT_SETTINGS.sum_rel_tol * result.n0_term
+            n = 1
+            while _tail_bound(n, y1, scale) > target:
+                n += 1
+            assert result.n_terms_used == n
+            total = 0.0
+            for m in range(1, n + 1):
+                zeta = matsubara_frequency(m, t)
+                total += zeta**2 * _p_integral(
+                    single_crystal.epsilon(np.array([zeta])),
+                    np.array([zeta * a / c]), 16)[0]
+            assert result.sum_terms == pytest.approx(
+                k_B * temperature * radius / c**2 * 1e12 * total, rel=1e-15, abs=0)
+
+    def test_unreachable_count_raises_before_eps(self):
+        # eps barely above 1 leaves the force at about its n=0 term; 63 nm
+        # at 300 K needs more than 260 terms to bound the tail by
+        # sum_rel_tol times n0
+        calls = []
+
+        def eps(zeta):
+            calls.append(zeta.size)
+            return np.full(zeta.shape, 1.0 + 1e-6)
+
+        with pytest.raises(ConvergenceError, match="at a = 63 nm, T = 300 K"):
+            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(300.0),
+                       eps, settings=QuadratureSettings(n_max=260))
+        assert calls == []
+
     def test_non_convergence_names_the_separation(self, single_crystal,
                                                   thermal300):
-        # 150 nm stops after 105 terms, 63 nm would need 255
+        # 150 nm takes 115 terms, 63 nm would need 282
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
         with pytest.raises(ConvergenceError, match="at a = 63 nm"):
             force_scan(geometries, thermal300, single_crystal.epsilon,
@@ -417,7 +474,7 @@ class TestForceScan:
 
     def test_hopeless_sum_raises_before_eps(self):
         # at 0.05 K the tail bound after n_max terms exceeds sum_rel_tol
-        # times the largest total the force can reach
+        # times the n=0 term
         def eps(zeta):
             raise AssertionError("eps called")
 
@@ -475,6 +532,19 @@ class TestZeroTScan:
         geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
         assert zero_T_scan(geometries, row.epsilon) == tuple(
             force_zero_T(g, row.epsilon) for g in geometries)
+
+    def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
+        # the tightened rule at 20 nm needs more than one round of
+        # frequencies, and the scan more than one group of separations
+        tight = DEFAULT_SETTINGS.tightened()
+        calls = []
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                      for a_nm in np.geomspace(20, 500, 2 * _GROUP + 3)]
+        scan = zero_T_scan(geometries, lambda zeta: calls.append(zeta.size)
+                           or single_crystal.epsilon(zeta), tight)
+        assert calls[0] > _BLOCK
+        assert scan == tuple(force_zero_T(g, single_crystal.epsilon, tight)
+                             for g in geometries)
 
     def test_one_eps_call_over_the_closest_rule(self, single_crystal):
         def recorder(calls):

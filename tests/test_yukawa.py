@@ -51,13 +51,13 @@ def film_force_by_quadpack(h, geom, sphere_radius):
 
 class TestAlphaLowerLimit:
     def test_hand_value_at_100nm(self):
-        assert alpha_lower_limit(100e-9) == pytest.approx(2.65315e-24, rel=1e-4)
+        assert alpha_lower_limit(100e-9) == pytest.approx(2.65315e-24, rel=1e-4, abs=0)
 
     def test_value_near_astro_ceiling_at_33nm(self):
         alpha = alpha_lower_limit(33e-9)
-        assert alpha == pytest.approx(1.29735e-22, rel=1e-4)
+        assert alpha == pytest.approx(1.29735e-22, rel=1e-4, abs=0)
         # the published boundary rounds this to the 1.5e-22 ceiling
-        assert alpha == pytest.approx(1.5e-22, rel=0.15)
+        assert alpha == pytest.approx(1.5e-22, rel=0.15, abs=0)
 
     def test_long_range_limit_vanishes(self):
         assert alpha_lower_limit(1e-3) < 1e-30
@@ -66,7 +66,7 @@ class TestAlphaLowerLimit:
     def test_scales_linearly_with_residual_bound(self):
         base = alpha_lower_limit(100e-9, residual_bound_pn=10.0)
         assert alpha_lower_limit(100e-9, residual_bound_pn=20.0) == pytest.approx(
-            2 * base, rel=1e-12)
+            2 * base, rel=1e-12, abs=0)
 
     def test_continuous_positive_over_range(self):
         values = [alpha_lower_limit(float(lam))
@@ -110,9 +110,9 @@ class TestAllowedLambdaBoundary:
     def test_inverse_identity(self):
         ceiling = alpha_lower_limit(100e-9)
         boundary = allowed_lambda_boundary(alpha_ceiling=ceiling)
-        assert boundary.lambda_star == pytest.approx(100e-9, rel=1e-5)
+        assert boundary.lambda_star == pytest.approx(100e-9, rel=1e-5, abs=0)
         assert alpha_lower_limit(boundary.lambda_star) == pytest.approx(
-            ceiling, rel=1e-5)
+            ceiling, rel=1e-5, abs=0)
 
     def test_mass_is_hc_over_lambda(self):
         boundary = allowed_lambda_boundary()
@@ -180,7 +180,8 @@ class TestYukawaForceOracle:
         f_unit = yukawa_force_oracle(YukawaHypothesis(1e-24, 100e-9), geom,
                                      SPHERE_RADIUS)
         alpha_star = 1e-24 * 10.0 / f_unit
-        assert alpha_star == pytest.approx(alpha_lower_limit(100e-9), rel=0.25)
+        assert alpha_star == pytest.approx(alpha_lower_limit(100e-9), rel=0.25,
+                                           abs=0)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
     def test_sphere_radius_must_be_finite_and_positive(self, radius):
