@@ -6,7 +6,7 @@ Run:  python demos/casimir_force_scan.py   (a second or two)
 
 from aucasimir import (DrudeParameters, Geometry, ThermalState, classical_term,
                        force_finite_T, force_scan, ideal_force,
-                       reduction_factor, zero_T_scan)
+                       reduction_factor)
 
 R = 95.65e-6
 T = ThermalState(300.0)
@@ -21,15 +21,16 @@ for a_nm in (63, 100, 200):
 print("\nDrude gold, finite T vs zero T (temperature correction dTF):")
 print("  a [nm]   F(300K) [pN]   F(0) [pN]   dTF [pN]    eta     terms")
 # neither the Matsubara frequencies nor the zero-T frequency rule depend on
-# the separation: each scan evaluates eps(i zeta) once for every separation
+# the separation: each scan evaluates eps(i zeta) once for every separation,
+# and at T = 0 the Matsubara sum is the frequency integral
 separations_nm = (60, 100, 150, 200)
 scan = [Geometry(R, a_nm * 1e-9) for a_nm in separations_nm]
 for a_nm, g, finite, zero in zip(separations_nm, scan,
                                  force_scan(scan, T, gold.epsilon),
-                                 zero_T_scan(scan, gold.epsilon)):
-    eta = reduction_factor(zero, g)
-    print(f"  {a_nm:5d}   {finite.total:11.3f}   {zero:9.3f}   "
-          f"{finite.total - zero:7.3f}   {eta:.3f}   {finite.n_terms_used:5d}")
+                                 force_scan(scan, ThermalState(0.0), gold.epsilon)):
+    eta = reduction_factor(zero.total, g)
+    print(f"  {a_nm:5d}   {finite.total:11.3f}   {zero.total:9.3f}   "
+          f"{finite.total - zero.total:7.3f}   {eta:.3f}   {finite.n_terms_used:5d}")
 
 # the alternative static-term prescription halves the n=0 contribution and
 # lowers every force by exactly half the classical term

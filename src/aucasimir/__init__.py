@@ -20,7 +20,7 @@ from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        QuadratureSettings, ThermalState, classical_term,
                        force_finite_T, force_scan, force_zero_T, ideal_force,
                        matsubara_frequency, reduction_factor,
-                       temperature_correction, zero_T_scan)
+                       temperature_correction)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
                       FrequencyBoundaries, OpticalDataset, fill_gap,
                       generate_synthetic_dataset, interpolate_eps2,

@@ -22,7 +22,7 @@ from .analysis import load_experiment, residual_report
 from .config import load_run_config, resolve_data_path
 from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import Geometry, ThermalState, force_scan, ideal_force, zero_T_scan
+from .lifshitz import Geometry, ThermalState, force_scan, ideal_force
 from .optical import load_dataset
 from .yukawa import (LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
                      alpha_lower_limit)
@@ -108,7 +108,8 @@ def cmd_fit_drude(args) -> int:
 
 
 def _require_temperature(cfg, command):
-    """A Matsubara sum needs T > 0: fail before the dielectric model is built."""
+    """A finite-T command needs T > 0 (at T = 0 it would repeat the zero-T
+    force): fail before the dielectric model is built."""
     if cfg.temperature == 0:
         raise ConfigError(f"{command} needs [thermal] temperature > 0, the "
                           f"config sets 0; the zero-temperature force is "
@@ -162,16 +163,16 @@ def cmd_force(args) -> int:
         _require_temperature(cfg, f"force --mode {args.mode}")
     eps, _, _ = cfg.build_evaluator()
     geometries = [Geometry(cfg.sphere_radius, a) for a in _separations_m(args)]
+    temperature = 0.0 if args.mode == "zero_T" else cfg.temperature
+    results = force_scan(geometries, ThermalState(temperature), eps,
+                         cfg.prescription)
+    force = [r.total for r in results]
     n0 = dtf = [None] * len(geometries)
-    if args.mode == "zero_T":
-        force = zero_T_scan(geometries, eps)
-    else:
-        finite = force_scan(geometries, ThermalState(cfg.temperature), eps,
-                            cfg.prescription)
-        force = [r.total for r in finite]
-        n0 = [r.n0_term for r in finite]
-        if args.mode == "both":
-            dtf = [f - z for f, z in zip(force, zero_T_scan(geometries, eps))]
+    if args.mode != "zero_T":
+        n0 = [r.n0_term for r in results]
+    if args.mode == "both":
+        zero = force_scan(geometries, ThermalState(0.0), eps)
+        dtf = [f - z.total for f, z in zip(force, zero)]
     rows = [(g.separation * 1e9, f, n, d, f / ideal_force(g))
             for g, f, n, d in zip(geometries, force, n0, dtf)]
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)

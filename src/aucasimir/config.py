@@ -20,6 +20,7 @@ from typing import Callable
 
 from .dielectric import DielectricModel, DrudeParameters, fit_drude
 from .errors import ConfigError
+from .lifshitz import check_prescription
 from .optical import FrequencyBoundaries, OpticalDataset, load_dataset, merge_datasets
 
 DATA_DIR_ENV = "CASIMIR_DATA_DIR"
@@ -90,8 +91,6 @@ class RunConfig:
     def drude_parameters(self, dataset: OpticalDataset | None) -> DrudeParameters:
         if self.drude is not None:
             return self.drude
-        if dataset is None:
-            raise ConfigError("a Drude fit needs a dataset")
         fit = fit_drude(dataset, self.fit_range,
                         omega_p_fixed=self.fit_fixed_omega_p)
         return fit.parameters
@@ -129,16 +128,32 @@ def _get_float(cp, section, key, default=None):
     return value
 
 
+def _read_error(path: Path, exc: configparser.Error) -> str:
+    """One line for an error of configparser's read: file, line and cause."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        cause = "no [section] header above it"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        cause = f"section [{exc.section}] appears twice"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        cause = f"key [{exc.section}] {exc.option} appears twice"
+    else:
+        cause = "not a 'key = value' line"
+    lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+    return f"{path}: line {lineno}: {cause}"
+
+
 def load_run_config(path) -> RunConfig:
     """Parse and fully validate a config file (fail fast, before computing)."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is a plain character
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         cp.read(path)
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(_read_error(path, exc)) from None
     if not cp.has_section("dielectric"):
         raise ConfigError(f"{path}: missing [dielectric] section")
     for section in cp.sections():
@@ -175,13 +190,21 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError("[dielectric] fit_range must be finite with 0 < lo < hi")
     fixed_raw = cp.get("dielectric", "fit_fixed_omega_p", fallback="").strip()
     fit_fixed = _get_float(cp, "dielectric", "fit_fixed_omega_p") if fixed_raw else None
+    if fit_fixed is not None and fit_fixed <= 0:
+        raise ConfigError("[dielectric] fit_fixed_omega_p must be positive")
 
     drude = None
     if cp.has_option("dielectric", "omega_p"):
-        drude = DrudeParameters(_get_float(cp, "dielectric", "omega_p"),
-                                _get_float(cp, "dielectric", "omega_tau"))
+        omega_p = _get_float(cp, "dielectric", "omega_p")
+        omega_tau = _get_float(cp, "dielectric", "omega_tau")
+        try:
+            drude = DrudeParameters(omega_p, omega_tau)
+        except ValueError as exc:
+            raise ConfigError(f"[dielectric] {exc}") from None
     elif fit_range is None:
         raise ConfigError("[dielectric] needs omega_p/omega_tau or fit_range")
+    elif not dataset_paths:
+        raise ConfigError("[dielectric] fit_range needs a dataset to fit")
 
     try:
         boundaries = FrequencyBoundaries(
@@ -202,9 +225,10 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError("[thermal] temperature must be non-negative")
 
     prescription = cp.get("force", "prescription", fallback="schwinger").strip()
-    if prescription not in ("schwinger", "halved"):
-        raise ConfigError(f"[force] prescription must be 'schwinger' or "
-                          f"'halved', got {prescription!r}")
+    try:
+        check_prescription(prescription)
+    except ValueError as exc:
+        raise ConfigError(f"[force] {exc}") from None
 
     return RunConfig(model_kind=model_kind, drude=drude, fit_range=fit_range,
                      fit_fixed_omega_p=fit_fixed, dataset_paths=dataset_paths,

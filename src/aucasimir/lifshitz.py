@@ -25,16 +25,12 @@ on, where most Matsubara terms lie (32 nodes in place of 112 at the
 default order).  The kernel sums each row's nodes on their own, so a
 p-integral is the same floats whatever others share its call.
 
-Both temperatures take one frequency rule per scan, fixed before eps is
-called: the first n_eval Matsubara frequencies at finite T (n_eval the
-smallest count whose analytic tail bound is at most sum_rel_tol times the
-n=0 term), the composite Gauss-Legendre rule in zeta at T = 0.  Each
-separation sums over its own prefix of that rule, so a scan over
-separations, `force_scan` at finite T and `zero_T_scan` at T = 0, makes
-one array call to the eps(i zeta) evaluator, and one helper,
-`_frequency_sums`, runs the kernel over all its separations in rounds
-that bound memory only; `force_finite_T` and `force_zero_T` are scans of
-one.
+One scan, `force_scan`, serves both temperatures (`force_finite_T` and
+`force_zero_T` are scans of one): at T = 0 the n=0 term is zero and the
+sum is the frequency integral.  Only the frequency rule depends on T
+(`_matsubara_rule`, `_zero_T_rule`).  It is fixed before eps is called and
+each separation sums over its own prefix of it, so a scan makes one eps
+call and one `_frequency_sums` call, whose rounds bound memory only.
 
 Conventions: geometry in meters, temperature in kelvin, every force is the
 attraction magnitude in piconewtons.  All evaluations are pure functions of
@@ -113,11 +109,11 @@ class QuadratureSettings:
     p_order is the number of Gauss-Legendre nodes on each of the seven
     panels of the near p-rule (see `_V_EDGES`); the far rule, which takes
     the rows with zeta a / c at or above `_Y_FAR`, has 2 p_order nodes on
-    its one panel.  zeta_order is the number on each panel of
-    the zero-temperature frequency integral, whose panel edges, 0 and
+    its one panel.  zeta_order is the number on each panel of the
+    zero-temperature frequency integral, whose panel edges, 0 and
     zeta_min 10^(k / panels_per_decade), depend on these settings only
-    (`zero_T_scan`).  The Matsubara sum takes, up front, the smallest
-    number of terms whose analytic tail bound (`force_scan`) is at most
+    (`_zero_T_rule`).  The Matsubara sum takes, up front, the smallest
+    number of terms whose analytic tail bound (`_matsubara_rule`) is at most
     sum_rel_tol times the n=0 term: sum_rel_tol is relative to n0, so the
     neglected tail is a smaller share still of the total.  A sum that
     would need more than n_max terms raises before eps is called.
@@ -130,10 +126,10 @@ class QuadratureSettings:
     p_order: int = 16
     zeta_order: int = 8
 
-    def tightened(self, factor: float = 10.0) -> "QuadratureSettings":
+    def tightened(self) -> "QuadratureSettings":
         """Strictly more demanding settings, for convergence checks."""
         return replace(self,
-                       sum_rel_tol=self.sum_rel_tol / factor,
+                       sum_rel_tol=self.sum_rel_tol / 10.0,
                        zeta_min=self.zeta_min / 10.0,
                        panels_per_decade=2 * self.panels_per_decade,
                        p_order=2 * self.p_order,
@@ -145,10 +141,11 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 @dataclass(frozen=True)
 class ForceResult:
-    """Finite-temperature force [pN] and its decomposition.
+    """Sphere-plate force [pN] and its decomposition.
 
-    total = n0_term + sum_terms; n_terms_used counts the n >= 1 Matsubara
-    terms actually summed.
+    total = n0_term + sum_terms.  At T > 0, n_terms_used counts the n >= 1
+    Matsubara terms summed; at T = 0, n0_term is 0, sum_terms is the
+    frequency integral and n_terms_used counts its nodes.
     """
 
     total: float
@@ -169,6 +166,17 @@ def ideal_force(g: Geometry) -> float:
             * g.sphere_radius / g.separation**3 * _N_TO_PN)
 
 
+#: the n=0 prescriptions of `classical_term`
+PRESCRIPTIONS = ("schwinger", "halved")
+
+
+def check_prescription(prescription: str) -> None:
+    """Raise ValueError unless `prescription` is one of PRESCRIPTIONS."""
+    if prescription not in PRESCRIPTIONS:
+        raise ValueError(f"prescription must be one of "
+                         f"{', '.join(map(repr, PRESCRIPTIONS))}, got {prescription!r}")
+
+
 def classical_term(g: Geometry, t: ThermalState,
                    prescription: str = "schwinger") -> float:
     """The n=0 (static) term of the Matsubara sum, in pN.
@@ -177,8 +185,7 @@ def classical_term(g: Geometry, t: ThermalState,
     "halved": half of that, the alternative prescription for nonideal
     metals.  Returns 0 at zero temperature.
     """
-    if prescription not in ("schwinger", "halved"):
-        raise ValueError(f"unknown prescription {prescription!r}")
+    check_prescription(prescription)
     f = k_B * t.temperature * g.sphere_radius * ZETA3 / (4.0 * g.separation**2)
     if prescription == "halved":
         f *= 0.5
@@ -332,50 +339,18 @@ def _frequency_sums(zeta: np.ndarray, weights: np.ndarray,
     return sums
 
 
-def force_scan(geometries: Iterable[Geometry], t: ThermalState,
-               eps: Callable,
-               prescription: str = "schwinger",
-               settings: QuadratureSettings = DEFAULT_SETTINGS
-               ) -> tuple[ForceResult, ...]:
-    """Finite-temperature sphere-plate forces, n=0 term plus Matsubara sum,
-    at every geometry of a scan; returned in input order.
+def _matsubara_rule(t: ThermalState, radius: np.ndarray, a: np.ndarray,
+                    n0: np.ndarray, settings: QuadratureSettings):
+    """(zeta, weights, counts, prefactor) of the Matsubara sum at T > 0:
+    separation a[i] sums its first counts[i] frequencies zeta_n, n >= 1,
+    with weight 1 and prefactor[i] = kT R / c^2 [pN].
 
-    Parameters
-    ----------
-    geometries : iterable of Geometry
-        At least one; repeated geometries are computed once.
-    t : ThermalState
-        Temperature; must be positive (use `zero_T_scan` for T = 0).
-    eps : callable
-        eps(i zeta) evaluator, taking an array of zeta in rad/s.
-    prescription : str
-        Handling of the n=0 term, "schwinger" or "halved".
-    settings : QuadratureSettings
-        Accuracy knobs; see the class docstring for the term count.
-
-    Returns
-    -------
-    tuple of ForceResult
-        Total force and decomposition, in pN, one per geometry.
-
-    Each geometry sums the n >= 1 terms up to the smallest count whose tail
-    bound (`_tail_bound`) is at most settings.sum_rel_tol times its n=0
-    term; the total exceeds that term, so the neglected tail is below
-    sum_rel_tol times the total.  The counts are known before eps is
-    called, and the frequencies depend only on T, so one eps call covers
-    the largest count of the scan and `_frequency_sums` adds each
-    geometry's terms on its own.  Where the tail bound after settings.n_max
-    terms still exceeds sum_rel_tol times n0, the sum cannot converge: it
-    raises ConvergenceError naming the separation, before eps is called.
+    counts[i] is the smallest count whose tail bound (`_tail_bound`) is at
+    most settings.sum_rel_tol times n0[i], so the neglected tail is below
+    sum_rel_tol times the total.  Where even settings.n_max terms leave a
+    larger bound, the sum cannot converge: ConvergenceError names the
+    separation.
     """
-    if t.temperature <= 0:
-        raise ValueError("force_scan needs temperature > 0")
-    geometries = tuple(geometries)
-    distinct = dict.fromkeys(geometries)     # a Geometry compares by value
-    if not distinct:
-        raise ValueError("force_scan needs at least one geometry")
-    n0 = np.array([classical_term(g, t, prescription) for g in distinct])
-    radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
     y1 = matsubara_frequency(1, t) * a / c
     scale = k_B * t.temperature * radius / (2.0 * a * a) * _N_TO_PN
     target = settings.sum_rel_tol * n0
@@ -389,62 +364,28 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
             f"cannot converge within n_max = {settings.n_max} terms (tail bound "
             f"{last_bound[i]:.3e} pN, sum_rel_tol times n0 {target[i]:.3e} pN)")
     zeta = matsubara_frequency(np.arange(1, n_eval.max() + 1), t)
-    tail = k_B * t.temperature * radius / c**2 * _N_TO_PN * _frequency_sums(
-        zeta, np.ones(zeta.size), _eps_at(eps, zeta), a, n_eval, settings.p_order)
-    results = {g: ForceResult(total=float(n0[i]) + float(tail[i]),
-                              n0_term=float(n0[i]), sum_terms=float(tail[i]),
-                              n_terms_used=int(n_eval[i]), prescription=prescription)
-               for i, g in enumerate(distinct)}
-    return tuple(results[g] for g in geometries)
+    return (zeta, np.ones(zeta.size), n_eval,
+            k_B * t.temperature * radius / c**2 * _N_TO_PN)
 
 
-def force_finite_T(g: Geometry, t: ThermalState,
-                   eps: Callable,
-                   prescription: str = "schwinger",
-                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> ForceResult:
-    """Finite-temperature sphere-plate force: n=0 term plus Matsubara sum.
+def _zero_T_rule(radius: np.ndarray, a: np.ndarray,
+                 settings: QuadratureSettings):
+    """(zeta, weights, counts, prefactor) of the frequency integral at T = 0:
+    separation a[i] sums its first counts[i] nodes with prefactor[i] =
+    hbar R / (2 pi c^2) [pN].
 
-    `force_scan` at the one geometry `g`; see there for the arguments and
-    the term count.
+    One composite Gauss-Legendre rule with settings.zeta_order nodes per
+    panel: a first panel [0, zeta_min], where the integrand levels off
+    (for a Drude metal the transverse-electric part has died off and the
+    transverse-magnetic part tends to its static value), then panels
+    between the edges zeta_min 10^(k / panels_per_decade),
+    k = 0, 1, ..., up to the first edge at or above max(45 c / a[i],
+    10 zeta_min) for separation a[i].  The rule never evaluates zeta = 0.
+    The edges do not depend on a, so each separation's rule is a prefix of
+    the closest one's.  At the default settings a force agrees with an
+    independent k-space integral to 1e-11 relative or better at 60-200 nm
+    for a Drude metal.
     """
-    return force_scan((g,), t, eps, prescription, settings)[0]
-
-
-def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
-                settings: QuadratureSettings = DEFAULT_SETTINGS
-                ) -> tuple[float, ...]:
-    """Zero-temperature forces, the Matsubara sum replaced by an integral,
-    at every geometry of a scan, in pN; returned in input order.
-
-    Parameters
-    ----------
-    geometries : iterable of Geometry
-        At least one; repeated geometries are computed once.
-    eps : callable
-        eps(i zeta) evaluator, taking an array of zeta in rad/s.
-    settings : QuadratureSettings
-        Accuracy knobs; see the class docstring.
-
-    The zeta-integral is one composite Gauss-Legendre rule with
-    settings.zeta_order nodes per panel: a first panel [0, zeta_min],
-    where the integrand levels off (for a Drude metal the
-    transverse-electric part has died off and the transverse-magnetic part
-    tends to its static value), then panels between the edges
-    zeta_min 10^(k / panels_per_decade), k = 0, 1, ..., up to the first
-    edge at or above max(45 c / a, 10 zeta_min).  The rule never evaluates
-    zeta = 0.  The edges do not depend on a, so each separation's rule is
-    a prefix of the closest one's: one eps call covers the scan, and
-    `_frequency_sums`, which both scans share, adds each
-    separation's nodes on their own, so each result is, to the bit, that
-    of the geometry alone.  At the default
-    settings a result agrees with an independent k-space integral to
-    1e-11 relative or better at 60-200 nm for a Drude metal.
-    """
-    geometries = tuple(geometries)
-    distinct = dict.fromkeys(geometries)     # a Geometry compares by value
-    if not distinct:
-        raise ValueError("zero_T_scan needs at least one geometry")
-    radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
     zeta_min, per_decade = settings.zeta_min, settings.panels_per_decade
     # Above zeta a / c ~ 45 the damping exp(-2 p zeta a / c) leaves less
     # than ~1e-39 of the integrand.
@@ -455,21 +396,83 @@ def zero_T_scan(geometries: Iterable[Geometry], eps: Callable,
     last = np.searchsorted(edges, tops)      # first edge at or above each top
     zeta, weights = gauss_legendre(np.concatenate(([0.0], edges[:last.max() + 1])),
                                    settings.zeta_order)
-    sums = _frequency_sums(zeta, weights, _eps_at(eps, zeta), a,
-                           (last + 1) * settings.zeta_order, settings.p_order)
-    forces = (hbar * radius / (2.0 * math.pi * c**2) * sums * _N_TO_PN).tolist()
-    results = dict(zip(distinct, forces))
+    return (zeta, weights, (last + 1) * settings.zeta_order,
+            hbar * radius / (2.0 * math.pi * c**2) * _N_TO_PN)
+
+
+def force_scan(geometries: Iterable[Geometry], t: ThermalState,
+               eps: Callable,
+               prescription: str = "schwinger",
+               settings: QuadratureSettings = DEFAULT_SETTINGS
+               ) -> tuple[ForceResult, ...]:
+    """Sphere-plate forces, n=0 term plus frequency sum, at every geometry
+    of a scan, in input order; at T = 0 the n=0 term is 0 and the sum is
+    the frequency integral.
+
+    Parameters
+    ----------
+    geometries : iterable of Geometry
+        At least one; repeated geometries are computed once.
+    t : ThermalState
+        Temperature, zero or positive.
+    eps : callable
+        eps(i zeta) evaluator, taking an array of zeta in rad/s.
+    prescription : str
+        Handling of the n=0 term, one of PRESCRIPTIONS.
+    settings : QuadratureSettings
+        Accuracy knobs; see the class docstring.
+
+    Returns
+    -------
+    tuple of ForceResult
+        Total force and decomposition, in pN, one per geometry.
+
+    The frequency rule, `_matsubara_rule` at T > 0 and `_zero_T_rule` at
+    T = 0, is fixed before eps is called (an unreachable Matsubara count
+    raises ConvergenceError there), and each geometry's rule is a prefix
+    of the closest one's: one eps call covers the scan, and
+    `_frequency_sums` adds each geometry's terms on its own, so each result
+    is, to the bit, that of the geometry alone.
+    """
+    geometries = tuple(geometries)
+    distinct = dict.fromkeys(geometries)     # a Geometry compares by value
+    if not distinct:
+        raise ValueError("force_scan needs at least one geometry")
+    n0 = np.array([classical_term(g, t, prescription) for g in distinct])
+    radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
+    zeta, weights, counts, prefactor = (
+        _matsubara_rule(t, radius, a, n0, settings) if t.temperature > 0
+        else _zero_T_rule(radius, a, settings))
+    sums = prefactor * _frequency_sums(
+        zeta, weights, _eps_at(eps, zeta), a, counts, settings.p_order)
+    results = {g: ForceResult(total=float(n0[i]) + float(sums[i]),
+                              n0_term=float(n0[i]), sum_terms=float(sums[i]),
+                              n_terms_used=int(counts[i]), prescription=prescription)
+               for i, g in enumerate(distinct)}
     return tuple(results[g] for g in geometries)
+
+
+def force_finite_T(g: Geometry, t: ThermalState,
+                   eps: Callable,
+                   prescription: str = "schwinger",
+                   settings: QuadratureSettings = DEFAULT_SETTINGS) -> ForceResult:
+    """Sphere-plate force: n=0 term plus Matsubara sum (at T = 0, the
+    frequency integral).
+
+    `force_scan` at the one geometry `g`; see there for the arguments and
+    the frequency rule.
+    """
+    return force_scan((g,), t, eps, prescription, settings)[0]
 
 
 def force_zero_T(g: Geometry, eps: Callable,
                  settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
     """Zero-temperature force: the Matsubara sum replaced by an integral, in pN.
 
-    `zero_T_scan` at the one geometry `g`; see there for the arguments and
-    the frequency rule.
+    The total of `force_scan` at T = 0 and the one geometry `g`; see there
+    for the arguments and the frequency rule.
     """
-    return zero_T_scan((g,), eps, settings)[0]
+    return force_scan((g,), ThermalState(0.0), eps, settings=settings)[0].total
 
 
 def reduction_factor(force_pn: float, g: Geometry) -> float:

@@ -603,14 +603,28 @@ class TestConfigDrudeFit:
      ["force", "--a", "63"], "[dielectric] section"),
     (TABULATED_INI.replace("sphere_radius = 95.65e-6", ""),
      ["force", "--a", "63"], "[geometry] sphere_radius"),
-    ("sphere_radius = 95.65e-6\n", ["force", "--a", "63"], "no section headers"),
+    ("sphere_radius = 95.65e-6\n", ["force", "--a", "63"],
+     "bad.ini: line 1: no [section] header"),
+    (TABULATED_INI.replace("[geometry]", "[geometry]\nsphere_radius = 1"),
+     ["force", "--a", "63"], "line 11: key [geometry] sphere_radius appears twice"),
+    (TABULATED_INI.replace("omega_p = 1.38e16", "omega_p = -1.38e16"),
+     ["force", "--a", "63"], "[dielectric] omega_p must be positive"),
+    (FIT_INI.replace("fit_range = 2e14 2e15", "fit_range = 2e14 2e15\n"
+                     "fit_fixed_omega_p = -3"),
+     ["force", "--a", "63"], "[dielectric] fit_fixed_omega_p"),
+    (FIT_INI.replace("model = tabulated\n", "").replace(
+        "dataset = gold_synthetic.csv\n", ""),
+     ["force", "--a", "63"], "[dielectric] fit_range needs a dataset"),
+    (TABULATED_INI + "\n[force]\nprescription = 50%\n",
+     ["force", "--a", "63"], "got '50%'"),
     (TABULATED_INI, ["epsilon"], "--zeta"),
     (TABULATED_INI, ["force"], "--a"),
 ], ids=["unknown-model", "tabulated-without-dataset", "one-value-fit-range",
         "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1",
         "zero-radius", "negative-temperature", "no-dielectric-section",
-        "no-sphere-radius", "unparsable", "epsilon-without-zeta",
-        "force-without-separation"])
+        "no-sphere-radius", "unparsable", "repeated-key", "negative-omega-p",
+        "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",
+        "epsilon-without-zeta", "force-without-separation"])
 def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):
     path = tmp_path / "bad.ini"
     path.write_text(ini)
@@ -618,10 +632,13 @@ def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):
     assert code == 2
     assert out == ""
     assert fragment in err
+    # one line, with no repr of a path in it
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "PosixPath" not in err
 
 
 class TestZeroTemperature:
-    """A Matsubara sum needs T > 0; with [thermal] temperature = 0 the
+    """A finite-T command needs T > 0; with [thermal] temperature = 0 the
     finite-T commands fail before the dielectric model is built."""
 
     @pytest.fixture

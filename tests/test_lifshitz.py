@@ -11,7 +11,7 @@ from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
                        ThermalState, classical_term, force_finite_T,
                        force_scan, force_zero_T, ideal_force,
                        matsubara_frequency, reduction_factor,
-                       temperature_correction, zero_T_scan)
+                       temperature_correction)
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_BLOCK, _CHUNK, _GROUP, _Y_FAR, ZETA3,
                                 _p_integral, _p_rule, _tail_bound, _terms_needed)
@@ -354,9 +354,10 @@ class TestForceFiniteT:
         b = force_finite_T(geometry63, thermal300, single_crystal.epsilon)
         assert a == b
 
-    def test_needs_positive_temperature(self, geometry63, single_crystal):
-        with pytest.raises(ValueError, match="temperature"):
-            force_finite_T(geometry63, ThermalState(0.0), single_crystal.epsilon)
+    def test_zero_temperature_is_force_zero_T(self, geometry63, single_crystal):
+        assert force_finite_T(geometry63, ThermalState(0.0),
+                              single_crystal.epsilon).total == force_zero_T(
+            geometry63, single_crystal.epsilon)
 
     def test_non_convergence_reported(self, geometry63, thermal300,
                                       single_crystal):
@@ -481,10 +482,6 @@ class TestForceScan:
         with pytest.raises(ConvergenceError, match="at a = 63 nm, T = 0.05 K"):
             force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(0.05), eps)
 
-    def test_needs_positive_temperature(self, geometry63, single_crystal):
-        with pytest.raises(ValueError, match="temperature"):
-            force_scan([geometry63], ThermalState(0.0), single_crystal.epsilon)
-
     def test_needs_a_geometry(self, thermal300, single_crystal):
         with pytest.raises(ValueError, match="geometry"):
             force_scan([], thermal300, single_crystal.epsilon)
@@ -506,7 +503,15 @@ class TestForceZeroT:
 
 
 class TestZeroTScan:
+    """`force_scan` at T = 0."""
+
     SEPARATIONS_NM = (63, 200, 60, 150.5, 63, 20, 500, 100, 200)
+
+    @staticmethod
+    def scan(geometries, eps, settings_=DEFAULT_SETTINGS):
+        """The zero-T forces of a scan, in input order."""
+        return tuple(r.total for r in force_scan(geometries, ThermalState(0.0),
+                                                 eps, settings=settings_))
 
     @staticmethod
     def tabulated_eps():
@@ -523,14 +528,14 @@ class TestZeroTScan:
         eps = self.tabulated_eps() if model == "tabulated" else single_crystal.epsilon
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
                       for a_nm in self.SEPARATIONS_NM]
-        scan = zero_T_scan(geometries, eps, settings_)
+        scan = self.scan(geometries, eps, settings_)
         assert scan == tuple(force_zero_T(g, eps, settings_) for g in geometries)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(drude_rows, scans)
     def test_equals_force_zero_T_over_drude_scans(self, row, a):
         geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
-        assert zero_T_scan(geometries, row.epsilon) == tuple(
+        assert self.scan(geometries, row.epsilon) == tuple(
             force_zero_T(g, row.epsilon) for g in geometries)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
@@ -540,8 +545,8 @@ class TestZeroTScan:
         calls = []
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
                       for a_nm in np.geomspace(20, 500, 2 * _GROUP + 3)]
-        scan = zero_T_scan(geometries, lambda zeta: calls.append(zeta.size)
-                           or single_crystal.epsilon(zeta), tight)
+        scan = self.scan(geometries, lambda zeta: calls.append(zeta.size)
+                         or single_crystal.epsilon(zeta), tight)
         assert calls[0] > _BLOCK
         assert scan == tuple(force_zero_T(g, single_crystal.epsilon, tight)
                              for g in geometries)
@@ -554,12 +559,15 @@ class TestZeroTScan:
             return eps
 
         scan_calls, near, far = [], [], []
-        zero_T_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                     for a_nm in (200, 60, 100, 60)], recorder(scan_calls))
+        scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9)
+                           for a_nm in (200, 60, 100, 60)], ThermalState(0.0),
+                          recorder(scan_calls))
         force_zero_T(Geometry(SPHERE_RADIUS, 60e-9), recorder(near))
         force_zero_T(Geometry(SPHERE_RADIUS, 200e-9), recorder(far))
         assert len(scan_calls) == len(near) == len(far) == 1
         assert np.array_equal(scan_calls[0], near[0])
+        assert scan_calls[0].size == max(r.n_terms_used for r in scan)
+        assert scan[1] == scan[3]
         # the farther separation's rule is a prefix of the nearer one's
         assert 0 < far[0].size < near[0].size
         assert np.array_equal(far[0], near[0][:far[0].size])
@@ -574,9 +582,10 @@ class TestZeroTScan:
         # first one at or above max(45 c / a, 10 zeta_min), which is the
         # second bound at 1 cm
         calls = []
-        force_zero_T(Geometry(1e3 * a_nm * 1e-9, a_nm * 1e-9),
-                     lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
-                     settings_)
+        (result,) = force_scan([Geometry(1e3 * a_nm * 1e-9, a_nm * 1e-9)],
+                               ThermalState(0.0),
+                               lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
+                               settings=settings_)
         zeta_min, per_decade = settings_.zeta_min, settings_.panels_per_decade
         top = max(45.0 * c / (a_nm * 1e-9), 10.0 * zeta_min)
         k = 0
@@ -584,12 +593,16 @@ class TestZeroTScan:
             k += 1
         nodes = calls[0]
         assert nodes.size == (k + 1) * settings_.zeta_order
+        # at T = 0 the force is all frequency integral, over those nodes
+        assert result.n0_term == 0.0
+        assert result.sum_terms == result.total
+        assert result.n_terms_used == (k + 1) * settings_.zeta_order
         assert (zeta_min * 10.0 ** ((k - 1) / per_decade) < nodes[-1]
                 < zeta_min * 10.0 ** (k / per_decade))
 
     def test_needs_a_geometry(self, single_crystal):
         with pytest.raises(ValueError, match="geometry"):
-            zero_T_scan([], single_crystal.epsilon)
+            force_scan([], ThermalState(0.0), single_crystal.epsilon)
 
 
 class TestTabulatedPath:
