@@ -6,9 +6,9 @@ Run:  python demos/dielectric_models.py
 
 import numpy as np
 
-from aucasimir import (DielectricModel, DrudeParameters, drude_eps_imag_axis,
-                       drude_eps_real_axis, fit_drude,
-                       generate_synthetic_dataset, load_dataset, resistivity)
+from aucasimir import (DielectricModel, DrudeParameters, drude_eps_real_axis,
+                       fit_drude, generate_synthetic_dataset, load_dataset,
+                       resistivity)
 from aucasimir.config import package_data_dir
 from aucasimir.constants import c
 
@@ -32,7 +32,7 @@ print(f"\nreal axis at {omega:.1e} rad/s: eps' = {eps.real:.2f}, "
       f"eps'' = {eps.imag:.3f}")
 zeta = c / (2 * 63e-9)  # the frequency scale that dominates at a = 63 nm
 print(f"imaginary axis at zeta = c/2a = {zeta:.3e} rad/s: "
-      f"eps(i zeta) = {drude_eps_imag_axis(p1, zeta):.2f}")
+      f"eps(i zeta) = {p1.epsilon(zeta):.2f}")
 
 # -------------------------------------------------------------- Drude fit
 clean = generate_synthetic_dataset(rows[1], omega_range=(1e14, 1e16),
@@ -59,7 +59,7 @@ print(f"  [0, omega0]       (Drude, analytic): {dec.eps1:8.3f}")
 print(f"  [omega0, omega1]  (data):            {dec.eps2_part:8.3f}")
 print(f"  [omega1, inf)     (data + tail):     {dec.eps3_part:8.3f}")
 print(f"  total eps(i zeta) = {dec.total:.3f}")
-print(f"pure-Drude value for comparison: {drude_eps_imag_axis(p1, zeta):.3f}")
+print(f"pure-Drude value for comparison: {p1.epsilon(zeta):.3f}")
 
 # the model takes whole arrays of zeta: one broadcast sum over the nodes of
 # its Kramers-Kronig rule, each element equal to the scalar call

@@ -12,9 +12,8 @@ same pipeline for reproducible runs.
 from .analysis import (ExperimentRecord, ResidualReport, ResidualRow,
                        load_experiment, residual_lower_bound, residual_report)
 from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,
-                         EpsilonDecomposition, drude_eps_imag_axis,
-                         drude_eps_real_axis, epsilon1_analytic, fit_drude,
-                         resistivity)
+                         EpsilonDecomposition, drude_eps_real_axis,
+                         epsilon1_analytic, fit_drude, resistivity)
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        QuadratureSettings, ThermalState, classical_term,

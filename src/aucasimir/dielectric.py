@@ -98,8 +98,10 @@ class DrudeParameters:
         return cls(omega_p, rho_si * epsilon_0 * omega_p**2)
 
     def epsilon(self, zeta):
-        """eps(i zeta) for this pure Drude model."""
-        return drude_eps_imag_axis(self, zeta)
+        """eps(i zeta) = 1 + omega_p^2 / (zeta (zeta + omega_tau)) for this
+        pure Drude model."""
+        z = _positive_zeta(zeta)
+        return 1.0 + self.omega_p**2 / (z * (z + self.omega_tau))
 
 
 def drude_eps_real_axis(p: DrudeParameters, omega: float) -> complex:
@@ -107,12 +109,6 @@ def drude_eps_real_axis(p: DrudeParameters, omega: float) -> complex:
     if omega <= 0:
         raise ValueError("omega must be positive (omega=0 is singular)")
     return 1.0 - p.omega_p**2 / (omega * (omega + 1j * p.omega_tau))
-
-
-def drude_eps_imag_axis(p: DrudeParameters, zeta):
-    """Drude dielectric function at imaginary frequency: 1 + omega_p^2/(zeta(zeta + omega_tau))."""
-    z = _positive_zeta(zeta)
-    return 1.0 + p.omega_p**2 / (z * (z + p.omega_tau))
 
 
 def resistivity(p: DrudeParameters) -> float:

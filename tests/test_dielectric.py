@@ -11,8 +11,7 @@ from scipy.special import hyp2f1
 
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, FrequencyBoundaries,
-                       drude_eps_imag_axis, drude_eps_real_axis,
-                       epsilon1_analytic, fit_drude,
+                       drude_eps_real_axis, epsilon1_analytic, fit_drude,
                        generate_synthetic_dataset, load_dataset, resistivity)
 from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import package_data_dir
@@ -44,27 +43,27 @@ class TestDrudeRealAxis:
 
 class TestDrudeImagAxis:
     def test_hand_value(self, row1):
-        assert drude_eps_imag_axis(row1, 2.379e15) == pytest.approx(33.90465, rel=1e-5)
+        assert row1.epsilon(2.379e15) == pytest.approx(33.90465, rel=1e-5)
 
     def test_above_one_and_decreasing(self, row1):
         grid = np.logspace(11, 18, 30)
-        values = [drude_eps_imag_axis(row1, z) for z in grid]
+        values = [row1.epsilon(z) for z in grid]
         assert all(v > 1.0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_high_frequency_limit(self, row1):
-        assert drude_eps_imag_axis(row1, 1e22) == pytest.approx(1.0, abs=1e-9)
+        assert row1.epsilon(1e22) == pytest.approx(1.0, abs=1e-9)
 
     def test_static_limit_resistivity(self, row1):
         # zeta (eps - 1) eps0 rho -> 1 as zeta -> 0
         rho_si = resistivity(row1) / 1e8
         zeta = 1e10
-        product = zeta * (drude_eps_imag_axis(row1, zeta) - 1.0) * epsilon_0 * rho_si
+        product = zeta * (row1.epsilon(zeta) - 1.0) * epsilon_0 * rho_si
         assert product == pytest.approx(1.0, rel=1e-3)
 
     def test_zero_rejected(self, row1):
         with pytest.raises(ValueError):
-            drude_eps_imag_axis(row1, 0.0)
+            row1.epsilon(0.0)
 
 
 class TestResistivity:
@@ -109,7 +108,7 @@ class TestEpsilon1Analytic:
     @pytest.mark.parametrize("zeta", [1e14, 1e15, 2.4e15])
     def test_wide_interval_recovers_drude(self, row1, zeta):
         eps1 = epsilon1_analytic(row1, 1e25, zeta)
-        assert eps1 == pytest.approx(drude_eps_imag_axis(row1, zeta) - 1.0, rel=1e-6)
+        assert eps1 == pytest.approx(row1.epsilon(zeta) - 1.0, rel=1e-6)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-7, -1e-7, 1e-5, -1e-5,
                                         5e-5, 9.99e-5, -9.99e-5, 1.0001e-4,

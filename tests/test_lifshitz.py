@@ -13,8 +13,8 @@ from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
                        matsubara_frequency, reduction_factor,
                        temperature_correction)
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_BLOCK, _CHUNK, _GROUP, _Y_FAR, ZETA3,
-                                _p_integral, _p_rule, _tail_bound, _terms_needed)
+from aucasimir.lifshitz import (_BLOCK, _CHUNK, _GROUP, _Y_FAR, _Y_MAX, ZETA3,
+                                _p_integral, _p_rule)
 
 from conftest import SPHERE_RADIUS, drude_rows
 
@@ -268,45 +268,19 @@ class TestEpsCheck:
 
 
 class TestTailBound:
-    def test_perfect_conductor_remainder(self, geometry63, thermal300):
-        # the bound sums the perfect-conductor terms with Li_s(x) replaced
-        # by x / (1 - x): never below their remainder, and tight once the
-        # terms decay fast
-        terms = [ideal_matsubara_term_closed_form(m, geometry63, thermal300)
-                 for m in range(1, 300)]
-        assert terms[-1] < 1e-9 * math.fsum(terms[100:])   # cut-off negligible
-        y1 = matsubara_frequency(1, thermal300) * geometry63.separation / c
-        scale = (k_B * thermal300.temperature * geometry63.sphere_radius
-                 / (2 * geometry63.separation**2) * 1e12)
-        for n in (1, 10, 100):
-            remainder = math.fsum(terms[n:])
-            bound = _tail_bound(n, y1, scale)
-            assert bound >= remainder
-            if n >= 100:
-                assert bound == pytest.approx(remainder, rel=1e-4)
-
-    def test_terms_needed_bisects_arrays_elementwise(self):
-        def scalar(target, y1, scale, n_max):
-            if _tail_bound(n_max, y1, scale) > target:
-                return n_max
-            lo, hi = 0, n_max
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _tail_bound(mid, y1, scale) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
-
-        rng = np.random.default_rng(9)
-        y1 = 10.0 ** rng.uniform(-4, 0.5, 200)
-        scale = 10.0 ** rng.uniform(-1, 3, 200)
-        target = 10.0 ** rng.uniform(-14, 1, 200)
-        for n_max in (1, 7, 1000, 1_000_000):
-            counts = _terms_needed(target, y1, scale, n_max)
-            assert counts.tolist() == [scalar(*args, n_max) for args
-                                       in zip(target.tolist(), y1.tolist(),
-                                              scale.tolist())]
+    def test_perfect_conductor_remainder(self, ideal_eps):
+        # every term is at most the perfect-conductor one, so the terms the
+        # sum leaves out, those past zeta_n a / c = _Y_MAX, add up to at
+        # most their perfect-conductor remainder; both scale with R
+        for temperature in (77.0, 300.0):
+            for a_nm in (20, 60, 200, 1000):
+                g, t = Geometry(1e-2, a_nm * 1e-9), ThermalState(temperature)
+                n = force_finite_T(g, t, ideal_eps).n_terms_used
+                terms = []
+                while not terms or terms[-1] > 1e-12 * math.fsum(terms):
+                    n += 1
+                    terms.append(ideal_matsubara_term_closed_form(n, g, t))
+                assert math.fsum(terms) <= 3.4e-12 * ideal_force(g)
 
 
 class TestForceFiniteT:
@@ -425,20 +399,16 @@ class TestForceScan:
     @pytest.mark.parametrize("temperature", [10.0, 77.0, 300.0])
     def test_sums_the_up_front_count_in_order(self, single_crystal,
                                               temperature):
-        # a plain loop: the count is the smallest n whose tail bound is at
-        # most sum_rel_tol times n0, and its terms, one kernel row each,
-        # are added in ascending n
+        # a plain loop: the sum takes every n with zeta_n a / c <= 15, and
+        # its terms, one kernel row each, are added in ascending n
         t = ThermalState(temperature)
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
                       for a_nm in (200, 60, 137.5)]
         scan = force_scan(geometries, t, single_crystal.epsilon)
         for g, result in zip(geometries, scan):
             a, radius = g.separation, g.sphere_radius
-            y1 = matsubara_frequency(1, t) * a / c
-            scale = k_B * temperature * radius / (2 * a * a) * 1e12
-            target = DEFAULT_SETTINGS.sum_rel_tol * result.n0_term
-            n = 1
-            while _tail_bound(n, y1, scale) > target:
+            n = 0
+            while matsubara_frequency(n + 1, t) * a / c <= 15.0:
                 n += 1
             assert result.n_terms_used == n
             total = 0.0
@@ -450,37 +420,44 @@ class TestForceScan:
             assert result.sum_terms == pytest.approx(
                 k_B * temperature * radius / c**2 * 1e12 * total, rel=1e-15, abs=0)
 
-    def test_unreachable_count_raises_before_eps(self):
-        # eps barely above 1 leaves the force at about its n=0 term; 63 nm
-        # at 300 K needs more than 260 terms to bound the tail by
-        # sum_rel_tol times n0
-        calls = []
-
+    @pytest.mark.parametrize("temperature, settings_, count", [
+        (300.0, QuadratureSettings(n_max=260), 289),
+        (0.05, DEFAULT_SETTINGS, 1_735_459)], ids=["300K-n_max-260", "0.05K"])
+    def test_unreachable_count_raises_before_eps(self, temperature, settings_,
+                                                 count):
+        # 63 nm takes every n with zeta_n a / c <= _Y_MAX: 289 terms at
+        # 300 K, more than a million at 0.05 K
         def eps(zeta):
-            calls.append(zeta.size)
-            return np.full(zeta.shape, 1.0 + 1e-6)
+            raise AssertionError("eps called")
 
-        with pytest.raises(ConvergenceError, match="at a = 63 nm, T = 300 K"):
-            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(300.0),
-                       eps, settings=QuadratureSettings(n_max=260))
-        assert calls == []
+        with pytest.raises(ConvergenceError,
+                           match=f"at a = 63 nm, T = {temperature:g} K needs "
+                                 f"{count} terms"):
+            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(temperature),
+                       eps, settings=settings_)
 
     def test_non_convergence_names_the_separation(self, single_crystal,
                                                   thermal300):
-        # 150 nm takes 115 terms, 63 nm would need 282
+        # 150 nm takes 121 terms, 63 nm would need 289
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
         with pytest.raises(ConvergenceError, match="at a = 63 nm"):
             force_scan(geometries, thermal300, single_crystal.epsilon,
                        settings=QuadratureSettings(n_max=200))
 
-    def test_hopeless_sum_raises_before_eps(self):
-        # at 0.05 K the tail bound after n_max terms exceeds sum_rel_tol
-        # times the n=0 term
-        def eps(zeta):
-            raise AssertionError("eps called")
-
-        with pytest.raises(ConvergenceError, match="at a = 63 nm, T = 0.05 K"):
-            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(0.05), eps)
+    def test_empty_sum_where_zeta_1_exceeds_y_max(self, single_crystal,
+                                                  thermal300):
+        # at 300 K and 20 um, zeta_1 a / c is above _Y_MAX: no Matsubara
+        # term is summed, alone or next to a separation that sums many
+        far = Geometry(1e-2, 20e-6)
+        near = Geometry(SPHERE_RADIUS, 60e-9)
+        assert matsubara_frequency(1, thermal300) * far.separation / c > _Y_MAX
+        (alone,) = force_scan([far], thermal300, single_crystal.epsilon)
+        assert alone.n_terms_used == 0
+        assert alone.total == alone.n0_term == classical_term(far, thermal300)
+        scan = force_scan([far, near, far], thermal300, single_crystal.epsilon)
+        assert scan == (alone, force_finite_T(near, thermal300,
+                                              single_crystal.epsilon), alone)
+        assert scan[1].n_terms_used > 0
 
     def test_needs_a_geometry(self, thermal300, single_crystal):
         with pytest.raises(ValueError, match="geometry"):
@@ -579,7 +556,7 @@ class TestZeroTScan:
     def test_rule_ends_at_the_first_edge_above_45_c_over_a(self, a_nm,
                                                            settings_):
         # edges zeta_min 10^(k / panels_per_decade); the rule stops at the
-        # first one at or above max(45 c / a, 10 zeta_min), which is the
+        # first one at or above max(_Y_MAX c / a, 10 zeta_min), which is the
         # second bound at 1 cm
         calls = []
         (result,) = force_scan([Geometry(1e3 * a_nm * 1e-9, a_nm * 1e-9)],
@@ -587,7 +564,7 @@ class TestZeroTScan:
                                lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
                                settings=settings_)
         zeta_min, per_decade = settings_.zeta_min, settings_.panels_per_decade
-        top = max(45.0 * c / (a_nm * 1e-9), 10.0 * zeta_min)
+        top = max(_Y_MAX * c / (a_nm * 1e-9), 10.0 * zeta_min)
         k = 0
         while zeta_min * 10.0 ** (k / per_decade) < top:
             k += 1
