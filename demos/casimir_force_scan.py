@@ -5,8 +5,7 @@ Run:  python demos/casimir_force_scan.py   (a second or two)
 """
 
 from aucasimir import (DrudeParameters, Geometry, ThermalState, classical_term,
-                       force_finite_T, force_scan, ideal_force,
-                       reduction_factor)
+                       force_scan, ideal_force, reduction_factor)
 
 R = 95.65e-6
 T = ThermalState(300.0)
@@ -35,8 +34,8 @@ for a_nm, g, finite, zero in zip(separations_nm, scan,
 # the alternative static-term prescription halves the n=0 contribution and
 # lowers every force by exactly half the classical term
 g = Geometry(R, 63e-9)
-schwinger = force_finite_T(g, T, gold.epsilon, "schwinger")
-halved = force_finite_T(g, T, gold.epsilon, "halved")
+(schwinger,) = force_scan([g], T, gold.epsilon, "schwinger")
+(halved,) = force_scan([g], T, gold.epsilon, "halved")
 print(f"\nat 63 nm: schwinger n=0 gives {schwinger.total:.2f} pN, "
       f"halved n=0 gives {halved.total:.2f} pN "
       f"(difference {schwinger.total - halved.total:.2f} pN "

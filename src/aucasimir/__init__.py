@@ -17,9 +17,8 @@ from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
                        QuadratureSettings, ThermalState, classical_term,
-                       force_finite_T, force_scan, force_zero_T, ideal_force,
-                       matsubara_frequency, reduction_factor,
-                       temperature_correction)
+                       force_scan, ideal_force, matsubara_frequency,
+                       reduction_factor)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
                       FrequencyBoundaries, OpticalDataset, fill_gap,
                       generate_synthetic_dataset, interpolate_eps2,

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from aucasimir import (DrudeParameters, Geometry, ThermalState,
-                       force_finite_T, force_zero_T,
+from aucasimir import (DrudeParameters, Geometry, ThermalState, force_scan,
                        generate_synthetic_dataset)
 from aucasimir.optical import OMEGA0_DEFAULT
 
@@ -68,18 +67,16 @@ def ideal_eps():
 @pytest.fixture(scope="session")
 def finite_forces(single_crystal, thermal300):
     """Finite-T ForceResults on a separation grid, keyed by nm."""
-    out = {}
-    for a_nm in (60, 100, 150, 200):
-        g = Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-        out[a_nm] = force_finite_T(g, thermal300, single_crystal.epsilon)
-    return out
+    grid = (60, 100, 150, 200)
+    scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in grid],
+                      thermal300, single_crystal.epsilon)
+    return dict(zip(grid, scan))
 
 
 @pytest.fixture(scope="session")
 def zero_forces(single_crystal):
     """Zero-T forces on a separation grid, keyed by nm."""
-    out = {}
-    for a_nm in (60, 100, 200):
-        g = Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-        out[a_nm] = force_zero_T(g, single_crystal.epsilon)
-    return out
+    grid = (60, 100, 200)
+    scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in grid],
+                      ThermalState(0.0), single_crystal.epsilon)
+    return {a_nm: r.total for a_nm, r in zip(grid, scan)}

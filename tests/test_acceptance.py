@@ -13,10 +13,10 @@ import pytest
 from scipy.constants import c
 
 from aucasimir import (DielectricModel, DrudeParameters, ExperimentRecord,
-                       Geometry, allowed_lambda_boundary, epsilon1_analytic,
-                       fill_gap, force_finite_T, force_zero_T, ideal_force,
+                       Geometry, ThermalState, allowed_lambda_boundary,
+                       epsilon1_analytic, fill_gap, force_scan, ideal_force,
                        load_dataset, load_experiment, reduction_factor,
-                       residual_report, resistivity, temperature_correction)
+                       residual_report, resistivity)
 from aucasimir.config import package_data_dir
 from aucasimir.lifshitz import DEFAULT_SETTINGS
 from aucasimir.optical import OMEGA0_DEFAULT
@@ -52,7 +52,9 @@ def test_c2_analytic_eps1_anchor():
 
 def test_c3_temperature_correction_100nm(single_crystal, thermal300):
     g = Geometry(SPHERE_RADIUS, 100e-9)
-    dtf = temperature_correction(g, thermal300, single_crystal.epsilon)
+    finite, zero = (force_scan([g], t, single_crystal.epsilon)[0].total
+                    for t in (thermal300, ThermalState(0.0)))
+    dtf = finite - zero
     ok = abs(dtf - 4.0) <= 1.0
     report("C3a temperature correction at 100 nm", ok,
            f"dTF = {dtf:.3f} pN vs 4 +- 1")
@@ -64,7 +66,9 @@ def test_c3_temperature_correction_60nm(single_crystal, thermal300):
     # reference is an independent k-space Lifshitz computation run here;
     # the paper's claim checked is that dTF exceeds the experimental error.
     g = Geometry(SPHERE_RADIUS, 60e-9)
-    dtf = temperature_correction(g, thermal300, single_crystal.epsilon)
+    finite, zero = (force_scan([g], t, single_crystal.epsilon)[0].total
+                    for t in (thermal300, ThermalState(0.0)))
+    dtf = finite - zero
     oracle, shift = lifshitz_oracle.temperature_correction(
         SPHERE_RADIUS, 60e-9, thermal300.temperature,
         lifshitz_oracle.drude_chi(*SINGLE_CRYSTAL))
@@ -78,8 +82,8 @@ def test_c3_temperature_correction_60nm(single_crystal, thermal300):
 
 
 def test_c4_perfect_conductor_limits(geometry63, thermal300, ideal_eps):
-    zero = force_zero_T(geometry63, ideal_eps)
-    finite = force_finite_T(geometry63, thermal300, ideal_eps).total
+    finite, zero = (force_scan([geometry63], t, ideal_eps)[0].total
+                    for t in (thermal300, ThermalState(0.0)))
     reference = ideal_force(geometry63)
     rel_zero = abs(zero / reference - 1)
     rel_finite = abs(finite / reference - 1)
@@ -146,7 +150,7 @@ def test_c8_handbook_forces(thermal300):
             pass  # no empty gap to fill in this file
         drude = DrudeParameters(*params)
         model = DielectricModel(drude, ds)
-        force = force_finite_T(g63, thermal300, model.epsilon).total
+        force = force_scan([g63], thermal300, model.epsilon)[0].total
         results.append((force, expected))
         assert force == pytest.approx(expected, abs=2.0)
 
@@ -156,7 +160,8 @@ def test_c8_handbook_forces(thermal300):
                 (DrudeParameters.from_resistivity(1.37e16, 2.3), 0.559)]
     for drude, expected in eta_rows:
         model = DielectricModel(drude, ds1)
-        eta = reduction_factor(force_zero_T(g100, model.epsilon), g100)
+        (zero,) = force_scan([g100], ThermalState(0.0), model.epsilon)
+        eta = reduction_factor(zero.total, g100)
         assert eta == pytest.approx(expected, abs=0.005)
     report("C8 handbook forces", True,
            "forces " + ", ".join(f"{f:.1f}/{e:.0f}" for f, e in results))
@@ -164,12 +169,9 @@ def test_c8_handbook_forces(thermal300):
 
 def test_c9_oracle_stability(row1, geometry63, thermal300):
     tight = DEFAULT_SETTINGS.tightened()
-    finite_default = force_finite_T(geometry63, thermal300, row1.epsilon,
-                                    settings=DEFAULT_SETTINGS).total
-    finite_tight = force_finite_T(geometry63, thermal300, row1.epsilon,
-                                  settings=tight).total
-    zero_default = force_zero_T(geometry63, row1.epsilon, DEFAULT_SETTINGS)
-    zero_tight = force_zero_T(geometry63, row1.epsilon, tight)
+    finite_default, finite_tight, zero_default, zero_tight = (
+        force_scan([geometry63], t, row1.epsilon, settings=s)[0].total
+        for t in (thermal300, ThermalState(0.0)) for s in (DEFAULT_SETTINGS, tight))
     d_finite = abs(finite_tight - finite_default)
     d_zero = abs(zero_tight - zero_default)
     ok = d_finite < 0.1 and d_zero < 0.1

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aucasimir import (DielectricModel, DrudeParameters, FrequencyBoundaries,
-                       Geometry, ThermalState, fit_drude, force_finite_T,
-                       force_zero_T, generate_synthetic_dataset, load_dataset)
+                       Geometry, ThermalState, fit_drude, force_scan,
+                       generate_synthetic_dataset, load_dataset)
 from aucasimir import config
 from aucasimir.cli import main
 from aucasimir.config import RunConfig, load_run_config, package_data_dir
@@ -184,8 +184,8 @@ class TestForce:
         _, rows = parse_csv(out)
         a_nm, force, n0, dtf, eta = rows[0]
         params = DrudeParameters(1.37e16, 3.7e13)
-        expected = force_finite_T(Geometry(95.65e-6, 100e-9), ThermalState(300.0),
-                                  params.epsilon)
+        (expected,) = force_scan([Geometry(95.65e-6, 100e-9)], ThermalState(300.0),
+                                 params.epsilon)
         assert force == pytest.approx(expected.total, rel=1e-9)
         assert n0 == pytest.approx(expected.n0_term, rel=1e-9)
         assert dtf is None
@@ -198,8 +198,9 @@ class TestForce:
         _, rows = parse_csv(out)
         _, force, n0, dtf, _ = rows[0]
         params = DrudeParameters(1.37e16, 3.7e13)
-        zero = force_zero_T(Geometry(95.65e-6, 150e-9), params.epsilon)
-        assert dtf == pytest.approx(force - zero, rel=1e-6)
+        (zero,) = force_scan([Geometry(95.65e-6, 150e-9)], ThermalState(0.0),
+                             params.epsilon)
+        assert dtf == pytest.approx(force - zero.total, rel=1e-6)
 
     def test_range_monotone_decreasing(self, drude_config, capsys):
         code, out, _ = run(capsys, ["force", "--config", drude_config,
@@ -280,8 +281,8 @@ class TestForce:
 class TestResiduals:
     def test_known_offset_reproduced(self, drude_config, tmp_path, capsys):
         params = DrudeParameters(1.37e16, 3.7e13)
-        theory = force_finite_T(Geometry(95.65e-6, 100e-9), ThermalState(300.0),
-                                params.epsilon).total
+        theory = force_scan([Geometry(95.65e-6, 100e-9)], ThermalState(300.0),
+                            params.epsilon)[0].total
         exp_file = tmp_path / "exp.csv"
         exp_file.write_text("# columns=a_nm,F_pN,sigma_pN\n"
                             f"100,{theory + 14.0:.9e},3.5\n")
@@ -569,8 +570,8 @@ class TestConfigDrudeFit:
         ds = load_dataset(package_data_dir() / "gold_synthetic.csv")
         model = DielectricModel(fit_drude(ds, (2e14, 2e15)).parameters, ds,
                                 FrequencyBoundaries(1.519267448e14, 3.2e15))
-        expected = force_finite_T(Geometry(95.65e-6, 63e-9), ThermalState(300.0),
-                                  model.epsilon)
+        (expected,) = force_scan([Geometry(95.65e-6, 63e-9)], ThermalState(300.0),
+                                 model.epsilon)
         assert out.splitlines()[1].split(",")[1] == f"{expected.total:.9e}"
 
     def test_fit_drude_from_config_equals_from_dataset(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -8,10 +9,9 @@ from scipy.constants import Boltzmann as k_B, c, hbar
 
 from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
                        DomainError, DrudeParameters, Geometry, QuadratureSettings,
-                       ThermalState, classical_term, force_finite_T,
-                       force_scan, force_zero_T, ideal_force,
-                       matsubara_frequency, reduction_factor,
-                       temperature_correction)
+                       ThermalState, classical_term, force_scan, ideal_force,
+                       matsubara_frequency, reduction_factor)
+from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_BLOCK, _CHUNK, _GROUP, _Y_FAR, _Y_MAX, ZETA3,
                                 _p_integral, _p_rule)
@@ -106,7 +106,7 @@ def ideal_matsubara_term_closed_form(n, g, t):
     return value * 1e12
 
 
-def ideal_force_finite_T_closed_form(g, t):
+def ideal_finite_T_force_closed_form(g, t):
     """Perfect-conductor finite-T force: classical term plus the series."""
     total = k_B * t.temperature * g.sphere_radius * ZETA3 / (4 * g.separation**2) * 1e12
     n = 0
@@ -258,16 +258,15 @@ class TestRoundTripFactors:
 
 
 class TestEpsCheck:
-    @pytest.mark.parametrize("force", [
-        lambda g, t, eps: force_finite_T(g, t, eps),
-        lambda g, t, eps: force_zero_T(g, eps)], ids=["finite_T", "zero_T"])
-    def test_bad_eps_rejected(self, force, geometry63, thermal300):
+    @pytest.mark.parametrize("temperature", [300.0, 0.0],
+                             ids=["finite_T", "zero_T"])
+    def test_bad_eps_rejected(self, temperature, geometry63):
         # eps(i zeta) <= 1 is no causal absorptive medium
         with pytest.raises(DomainError, match="exceed 1"):
-            force(geometry63, thermal300, lambda z: 0.5)
+            force_scan([geometry63], ThermalState(temperature), lambda z: 0.5)
 
 
-class TestTailBound:
+class TestFrequencyCutoff:
     def test_perfect_conductor_remainder(self, ideal_eps):
         # every term is at most the perfect-conductor one, so the terms the
         # sum leaves out, those past zeta_n a / c = _Y_MAX, add up to at
@@ -275,7 +274,7 @@ class TestTailBound:
         for temperature in (77.0, 300.0):
             for a_nm in (20, 60, 200, 1000):
                 g, t = Geometry(1e-2, a_nm * 1e-9), ThermalState(temperature)
-                n = force_finite_T(g, t, ideal_eps).n_terms_used
+                n = force_scan([g], t, ideal_eps)[0].n_terms_used
                 terms = []
                 while not terms or terms[-1] > 1e-12 * math.fsum(terms):
                     n += 1
@@ -286,14 +285,14 @@ class TestTailBound:
 class TestForceFiniteT:
     def test_ideal_metal_against_closed_form(self, geometry63, thermal300,
                                              ideal_eps):
-        oracle = ideal_force_finite_T_closed_form(geometry63, thermal300)
-        result = force_finite_T(geometry63, thermal300, ideal_eps)
+        oracle = ideal_finite_T_force_closed_form(geometry63, thermal300)
+        (result,) = force_scan([geometry63], thermal300, ideal_eps)
         assert result.total == pytest.approx(oracle, rel=1e-6)
 
     def test_ideal_metal_near_zero_T_limit(self, geometry63, thermal300,
                                            ideal_eps):
         # thermal correction for a perfect conductor is tiny at 300 K
-        result = force_finite_T(geometry63, thermal300, ideal_eps)
+        (result,) = force_scan([geometry63], thermal300, ideal_eps)
         assert result.total == pytest.approx(ideal_force(geometry63), rel=1.5e-2)
 
     def test_decomposition_identity(self, finite_forces):
@@ -309,36 +308,31 @@ class TestForceFiniteT:
         g = Geometry(SPHERE_RADIUS, 100e-9)
         small = DrudeParameters(1.28e16, 5.38e13)
         large = DrudeParameters(1.38e16, 5.38e13)
-        f_small = force_finite_T(g, thermal300, small.epsilon).total
-        f_large = force_finite_T(g, thermal300, large.epsilon).total
+        f_small = force_scan([g], thermal300, small.epsilon)[0].total
+        f_large = force_scan([g], thermal300, large.epsilon)[0].total
         assert f_large > f_small
 
     def test_halved_prescription_shifts_by_half_classical(
             self, geometry63, thermal300, single_crystal):
-        schwinger = force_finite_T(geometry63, thermal300, single_crystal.epsilon,
-                                   "schwinger")
-        halved = force_finite_T(geometry63, thermal300, single_crystal.epsilon,
-                                "halved")
+        (schwinger,) = force_scan([geometry63], thermal300,
+                                  single_crystal.epsilon, "schwinger")
+        (halved,) = force_scan([geometry63], thermal300, single_crystal.epsilon,
+                               "halved")
         assert halved.sum_terms == pytest.approx(schwinger.sum_terms, rel=1e-12)
         assert schwinger.total - halved.total == pytest.approx(
             classical_term(geometry63, thermal300) / 2, rel=1e-12)
 
     def test_deterministic(self, geometry63, thermal300, single_crystal):
-        a = force_finite_T(geometry63, thermal300, single_crystal.epsilon)
-        b = force_finite_T(geometry63, thermal300, single_crystal.epsilon)
+        a = force_scan([geometry63], thermal300, single_crystal.epsilon)
+        b = force_scan([geometry63], thermal300, single_crystal.epsilon)
         assert a == b
-
-    def test_zero_temperature_is_force_zero_T(self, geometry63, single_crystal):
-        assert force_finite_T(geometry63, ThermalState(0.0),
-                              single_crystal.epsilon).total == force_zero_T(
-            geometry63, single_crystal.epsilon)
 
     def test_non_convergence_reported(self, geometry63, thermal300,
                                       single_crystal):
         settings = QuadratureSettings(n_max=5)
         with pytest.raises(ConvergenceError, match="Matsubara"):
-            force_finite_T(geometry63, thermal300, single_crystal.epsilon,
-                           settings=settings)
+            force_scan([geometry63], thermal300, single_crystal.epsilon,
+                       settings=settings)
 
 
 #: lists of separations, unsorted and with repeats
@@ -350,24 +344,24 @@ class TestForceScan:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(drude_rows, scans, st.floats(10.0, 400.0),
            st.sampled_from(("schwinger", "halved")))
-    def test_equals_force_finite_T_per_separation(self, row, a, temperature,
-                                                   prescription):
+    def test_equals_lone_scans_per_separation(self, row, a, temperature,
+                                              prescription):
         t = ThermalState(temperature)
         geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
         scan = force_scan(geometries, t, row.epsilon, prescription)
         # ForceResult equality compares every field with ==
-        assert scan == tuple(force_finite_T(g, t, row.epsilon, prescription)
+        assert scan == tuple(force_scan([g], t, row.epsilon, prescription)[0]
                              for g in geometries)
 
     @pytest.mark.parametrize("prescription", ["schwinger", "halved"])
-    def test_tabulated_scan_equals_force_finite_T(self, prescription):
+    def test_tabulated_scan_equals_lone_scans(self, prescription):
         cfg = load_run_config(package_data_dir() / "sample_config.ini")
         eps, _, _ = cfg.build_evaluator()
         t = ThermalState(cfg.temperature)
         geometries = [Geometry(cfg.sphere_radius, a_nm * 1e-9)
                       for a_nm in [63] + list(range(200, 149, -1))]
         scan = force_scan(geometries, t, eps, prescription)
-        assert scan == tuple(force_finite_T(g, t, eps, prescription)
+        assert scan == tuple(force_scan([g], t, eps, prescription)[0]
                              for g in geometries)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
@@ -378,7 +372,7 @@ class TestForceScan:
                       for a_nm in np.linspace(60, 200, 2 * _GROUP + 3)]
         scan = force_scan(geometries, t, single_crystal.epsilon)
         assert scan[0].n_terms_used > 2 * _BLOCK
-        assert scan == tuple(force_finite_T(g, t, single_crystal.epsilon)
+        assert scan == tuple(force_scan([g], t, single_crystal.epsilon)[0]
                              for g in geometries)
 
     def test_one_eps_call_over_the_largest_count(self, single_crystal,
@@ -455,8 +449,8 @@ class TestForceScan:
         assert alone.n_terms_used == 0
         assert alone.total == alone.n0_term == classical_term(far, thermal300)
         scan = force_scan([far, near, far], thermal300, single_crystal.epsilon)
-        assert scan == (alone, force_finite_T(near, thermal300,
-                                              single_crystal.epsilon), alone)
+        assert scan == (alone, force_scan([near], thermal300,
+                                          single_crystal.epsilon)[0], alone)
         assert scan[1].n_terms_used > 0
 
     def test_needs_a_geometry(self, thermal300, single_crystal):
@@ -466,8 +460,8 @@ class TestForceScan:
 
 class TestForceZeroT:
     def test_perfect_conductor_limit(self, geometry63, ideal_eps):
-        assert force_zero_T(geometry63, ideal_eps) == pytest.approx(
-            ideal_force(geometry63), rel=1e-6)
+        (result,) = force_scan([geometry63], ThermalState(0.0), ideal_eps)
+        assert result.total == pytest.approx(ideal_force(geometry63), rel=1e-6)
 
     def test_finite_T_exceeds_zero_T_for_drude(self, finite_forces, zero_forces):
         for a_nm in (60, 100, 200):
@@ -499,21 +493,21 @@ class TestZeroTScan:
                                            DEFAULT_SETTINGS.tightened()],
                              ids=["default", "tightened"])
     @pytest.mark.parametrize("model", ["tabulated", "drude"])
-    def test_equals_force_zero_T_per_separation(self, model, settings_,
-                                                single_crystal):
+    def test_equals_lone_scans_per_separation(self, model, settings_,
+                                              single_crystal):
         # mixed, unsorted and repeated separations
         eps = self.tabulated_eps() if model == "tabulated" else single_crystal.epsilon
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
                       for a_nm in self.SEPARATIONS_NM]
         scan = self.scan(geometries, eps, settings_)
-        assert scan == tuple(force_zero_T(g, eps, settings_) for g in geometries)
+        assert scan == tuple(self.scan([g], eps, settings_)[0] for g in geometries)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(drude_rows, scans)
-    def test_equals_force_zero_T_over_drude_scans(self, row, a):
+    def test_equals_lone_scans_over_drude_scans(self, row, a):
         geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
         assert self.scan(geometries, row.epsilon) == tuple(
-            force_zero_T(g, row.epsilon) for g in geometries)
+            self.scan([g], row.epsilon)[0] for g in geometries)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
         # the tightened rule at 20 nm needs more than one round of
@@ -525,7 +519,7 @@ class TestZeroTScan:
         scan = self.scan(geometries, lambda zeta: calls.append(zeta.size)
                          or single_crystal.epsilon(zeta), tight)
         assert calls[0] > _BLOCK
-        assert scan == tuple(force_zero_T(g, single_crystal.epsilon, tight)
+        assert scan == tuple(self.scan([g], single_crystal.epsilon, tight)[0]
                              for g in geometries)
 
     def test_one_eps_call_over_the_closest_rule(self, single_crystal):
@@ -539,8 +533,8 @@ class TestZeroTScan:
         scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9)
                            for a_nm in (200, 60, 100, 60)], ThermalState(0.0),
                           recorder(scan_calls))
-        force_zero_T(Geometry(SPHERE_RADIUS, 60e-9), recorder(near))
-        force_zero_T(Geometry(SPHERE_RADIUS, 200e-9), recorder(far))
+        self.scan([Geometry(SPHERE_RADIUS, 60e-9)], recorder(near))
+        self.scan([Geometry(SPHERE_RADIUS, 200e-9)], recorder(far))
         assert len(scan_calls) == len(near) == len(far) == 1
         assert np.array_equal(scan_calls[0], near[0])
         assert scan_calls[0].size == max(r.n_terms_used for r in scan)
@@ -553,8 +547,8 @@ class TestZeroTScan:
                                            DEFAULT_SETTINGS.tightened()],
                              ids=["default", "tightened"])
     @pytest.mark.parametrize("a_nm", [20, 60, 200, 1e7])
-    def test_rule_ends_at_the_first_edge_above_45_c_over_a(self, a_nm,
-                                                           settings_):
+    def test_rule_ends_at_the_first_edge_above_y_max_c_over_a(self, a_nm,
+                                                              settings_):
         # edges zeta_min 10^(k / panels_per_decade); the rule stops at the
         # first one at or above max(_Y_MAX c / a, 10 zeta_min), which is the
         # second bound at 1 cm
@@ -589,33 +583,44 @@ class TestTabulatedPath:
 
     def test_finite_T(self, row2, pure_drude_dataset, geometry63, thermal300):
         model = DielectricModel(row2, pure_drude_dataset)
-        tabulated = force_finite_T(geometry63, thermal300, model.epsilon)
-        drude = force_finite_T(geometry63, thermal300, row2.epsilon)
+        (tabulated,) = force_scan([geometry63], thermal300, model.epsilon)
+        (drude,) = force_scan([geometry63], thermal300, row2.epsilon)
         assert tabulated.n_terms_used == drude.n_terms_used
         assert tabulated.total == pytest.approx(drude.total, rel=1e-5)
 
     def test_zero_T(self, row2, pure_drude_dataset, geometry63):
         model = DielectricModel(row2, pure_drude_dataset)
-        assert force_zero_T(geometry63, model.epsilon) == pytest.approx(
-            force_zero_T(geometry63, row2.epsilon), rel=1e-5)
+        tabulated, drude = (force_scan([geometry63], ThermalState(0.0), eps)[0]
+                            for eps in (model.epsilon, row2.epsilon))
+        assert tabulated.total == pytest.approx(drude.total, rel=1e-5)
 
 
 class TestTemperatureCorrection:
-    def test_matches_difference_of_parts(self, geometry63, thermal300,
-                                         single_crystal):
-        dtf = temperature_correction(geometry63, thermal300,
-                                     single_crystal.epsilon)
-        finite = force_finite_T(geometry63, thermal300, single_crystal.epsilon)
-        zero = force_zero_T(geometry63, single_crystal.epsilon)
-        assert dtf == pytest.approx(finite.total - zero, rel=1e-12)
-        assert dtf > 0
+    def test_matches_difference_of_parts(self, capsys):
+        # the CLI's dTF column is the finite-T total minus the T = 0 total;
+        # json keeps every bit of each float
+        config = package_data_dir() / "sample_config.ini"
+        assert main(["force", "--config", str(config), "--a", "63",
+                     "--mode", "both", "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        row = dict(zip(payload["columns"], payload["rows"][0]))
+        cfg = load_run_config(config)
+        eps, _, _ = cfg.build_evaluator()
+        g = Geometry(cfg.sphere_radius, 63 * 1e-9)   # --a NM, as the CLI reads it
+        (finite,) = force_scan([g], ThermalState(cfg.temperature), eps,
+                               cfg.prescription)
+        (zero,) = force_scan([g], ThermalState(0.0), eps)
+        assert row["F_pN"] == finite.total
+        assert row["dTF_pN"] == finite.total - zero.total
+        assert row["dTF_pN"] > 0
 
     def test_vanishes_as_T_to_zero(self, single_crystal):
         # at 1 K the sum step resolves the integral almost perfectly
         g = Geometry(SPHERE_RADIUS, 100e-9)
-        dtf = temperature_correction(g, ThermalState(1.0),
-                                     single_crystal.epsilon)
-        assert abs(dtf) < 0.1
+        finite, zero = (force_scan([g], ThermalState(temperature),
+                                   single_crystal.epsilon)[0].total
+                        for temperature in (1.0, 0.0))
+        assert abs(finite - zero) < 0.1
 
 
 # separations and temperatures around the experiment; derandomized so that
@@ -631,30 +636,29 @@ class TestProperties:
     def test_decreasing_in_separation(self, row, a1, a2, temperature):
         a_near, a_far = sorted((a1, a2))
         assume(a_far > 1.01 * a_near)
-        near, far = Geometry(SPHERE_RADIUS, a_near), Geometry(SPHERE_RADIUS, a_far)
-        t = ThermalState(temperature)
-        assert (force_finite_T(near, t, row.epsilon).total
-                > force_finite_T(far, t, row.epsilon).total)
-        assert force_zero_T(near, row.epsilon) > force_zero_T(far, row.epsilon)
+        geometries = [Geometry(SPHERE_RADIUS, a_near), Geometry(SPHERE_RADIUS, a_far)]
+        for t in (ThermalState(temperature), ThermalState(0.0)):
+            near, far = force_scan(geometries, t, row.epsilon)
+            assert near.total > far.total
 
     @properties
     @given(drude_rows, st.floats(1.01, 1.5), separations, temperatures)
     def test_increasing_with_plasma_frequency(self, row, factor, a,
                                               temperature):
         brighter = DrudeParameters(factor * row.omega_p, row.omega_tau)
-        g, t = Geometry(SPHERE_RADIUS, a), ThermalState(temperature)
-        assert (force_finite_T(g, t, brighter.epsilon).total
-                > force_finite_T(g, t, row.epsilon).total)
-        assert force_zero_T(g, brighter.epsilon) > force_zero_T(g, row.epsilon)
+        g = Geometry(SPHERE_RADIUS, a)
+        for t in (ThermalState(temperature), ThermalState(0.0)):
+            assert (force_scan([g], t, brighter.epsilon)[0].total
+                    > force_scan([g], t, row.epsilon)[0].total)
 
     @properties
     @given(drude_rows, separations, temperatures)
     def test_finite_T_exceeds_zero_T_under_schwinger(self, row, a,
                                                      temperature):
         g = Geometry(SPHERE_RADIUS, a)
-        finite = force_finite_T(g, ThermalState(temperature), row.epsilon,
-                                "schwinger")
-        assert finite.total >= force_zero_T(g, row.epsilon)
+        finite, zero = (force_scan([g], ThermalState(t), row.epsilon, "schwinger")[0]
+                        for t in (temperature, 0.0))
+        assert finite.total >= zero.total
 
 
 class TestDomainTypes:
@@ -672,8 +676,10 @@ class TestDomainTypes:
             Geometry(radius, separation)
 
     def test_geometry_warns_when_curvature_matters(self):
-        with pytest.warns(UserWarning, match="R >> a"):
+        with pytest.warns(UserWarning, match="R >> a") as record:
             Geometry(1e-6, 5e-8)
+        # the warning names the caller's line, not the generated __init__
+        assert record[0].filename == __file__
 
     def test_thermal_state_validation(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,7 @@ import pytest
 from scipy.constants import Boltzmann, c, hbar
 from scipy.special import zeta as riemann_zeta
 
-from aucasimir import (DrudeParameters, Geometry, ThermalState,
-                       force_finite_T, force_scan, force_zero_T)
+from aucasimir import DrudeParameters, Geometry, ThermalState, force_scan
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import DEFAULT_SETTINGS, _Y_FAR, _p_integral
 
@@ -99,11 +98,11 @@ def test_library_forces_match_oracle(row, temperature, a_nm):
     a = a_nm * 1e-9
     oracle = lifshitz_oracle.forces(SPHERE_RADIUS, a, temperature,
                                     lifshitz_oracle.drude_chi(*row))
-    g = Geometry(SPHERE_RADIUS, a)
-    eps = DrudeParameters(*row).epsilon
-    finite = force_finite_T(g, ThermalState(temperature), eps)
+    finite, zero = (force_scan([Geometry(SPHERE_RADIUS, a)], ThermalState(t),
+                               DrudeParameters(*row).epsilon)[0]
+                    for t in (temperature, 0.0))
     assert finite.total == pytest.approx(oracle.n0 + oracle.matsubara, rel=1e-10)
-    assert force_zero_T(g, eps) == pytest.approx(oracle.zero_T, rel=1e-10)
+    assert zero.total == pytest.approx(oracle.zero_T, rel=1e-10)
 
 
 def test_tabulated_path_matches_independent_anchor():

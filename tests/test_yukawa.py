@@ -49,6 +49,25 @@ def film_force_by_quadpack(h, geom, sphere_radius):
     return 2.0 * math.pi * sphere_radius * abs(energy_per_area) * 1e12
 
 
+def film_on_substrate_force(lam, geom, sphere_radius):
+    """Yukawa force [pN] at alpha = 1 of the film-on-substrate law
+    behind `alpha_lower_limit`:
+
+        F1 = 4 pi^2 hbar c n^2 lambda^3 R exp(-a/lambda) (1 - d1 x)(1 - d2 x),
+
+    x = exp(-h/lambda), d1,2 = (1.74 +- sqrt(1.74^2 - 3)) / 2, so that
+    (1 - d1 x)(1 - d2 x) = 1 - 1.74 x + 0.75 x^2.  Each factor 1 - d x is
+    a gold film on a substrate of density (1 - d) 19.3 g/cm^3, i.e. 0.906
+    and 4.112 g/cm^3; d1 = d2 = 1 is the film-film oracle.
+    """
+    root = math.sqrt(1.74**2 - 3.0)
+    d1, d2 = (1.74 + root) / 2.0, (1.74 - root) / 2.0
+    x = math.exp(-geom.film_thickness / lam)
+    return (4.0 * math.pi**2 * hbar * c * NUCLEON_DENSITY**2 * lam**3
+            * sphere_radius * math.exp(-geom.separation_min / lam)
+            * (1.0 - d1 * x) * (1.0 - d2 * x) * 1e12)
+
+
 class TestAlphaLowerLimit:
     def test_hand_value_at_100nm(self):
         assert alpha_lower_limit(100e-9) == pytest.approx(2.65315e-24, rel=1e-4, abs=0)
@@ -67,6 +86,19 @@ class TestAlphaLowerLimit:
         base = alpha_lower_limit(100e-9, residual_bound_pn=10.0)
         assert alpha_lower_limit(100e-9, residual_bound_pn=20.0) == pytest.approx(
             2 * base, rel=1e-12, abs=0)
+
+    def test_lambda_shape_is_the_film_on_substrate_law(self):
+        # over the CLI's default grid the limit is 10 pN / F1 up to one
+        # constant, the typed prefactor 6.27e-25 over the 6.200e-25 that
+        # F1 gives at R = 95.65 um (notes/decisions.md)
+        geom = ConstraintGeometry()
+        ratios = [alpha_lower_limit(float(lam), geom)
+                  / (10.0 / film_on_substrate_force(float(lam), geom,
+                                                    SPHERE_RADIUS))
+                  for lam in np.logspace(math.log10(10e-9),
+                                         math.log10(1000e-9), 30)]
+        assert max(ratios) - min(ratios) <= 1e-12 * min(ratios)
+        assert ratios[0] == pytest.approx(1.01122, rel=1e-5, abs=0)
 
     def test_continuous_positive_over_range(self):
         values = [alpha_lower_limit(float(lam))
@@ -175,7 +207,8 @@ class TestYukawaForceOracle:
     def test_cross_validates_closed_form_limit(self):
         # solve F(alpha) = 10 pN at lambda = 100 nm; the closed-form limit
         # carries substrate terms the film-film oracle does not, hence the
-        # loose band
+        # loose band (the oracle's alpha over the closed form is 0.99,
+        # 1.15, 2.42 and 4.51 at 10, 100, 500 and 1000 nm)
         geom = ConstraintGeometry()
         f_unit = yukawa_force_oracle(YukawaHypothesis(1e-24, 100e-9), geom,
                                      SPHERE_RADIUS)
