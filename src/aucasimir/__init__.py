@@ -15,8 +15,7 @@ from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,
                          EpsilonDecomposition, drude_eps_real_axis,
                          epsilon1_analytic, fit_drude, resistivity)
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import (DEFAULT_SETTINGS, ForceResult, Geometry,
-                       QuadratureSettings, ThermalState, classical_term,
+from .lifshitz import (ForceResult, Geometry, ThermalState, classical_term,
                        force_scan, ideal_force, matsubara_frequency,
                        reduction_factor)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,

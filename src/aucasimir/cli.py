@@ -139,8 +139,10 @@ def cmd_epsilon(args) -> int:
     _, drude, model = cfg.build_evaluator()
     zetas = np.array(_zeta_grid(args))
     if model is None:
-        eps1 = drude.epsilon(zetas) - 1.0
-        rows = [(z, e, 0.0, 0.0, 1.0 + e) for z, e in zip(zetas, eps1)]
+        # eps - 1 would lose the digits of eps1 that 1 + eps1 rounds away
+        eps1 = drude.omega_p**2 / (zetas * (zetas + drude.omega_tau))
+        rows = [(z, e, 0.0, 0.0, total)
+                for z, e, total in zip(zetas, eps1, drude.epsilon(zetas))]
     else:
         dec = model.decompose(zetas)
         rows = list(zip(zetas, dec.eps1, dec.eps2_part, dec.eps3_part, dec.total))

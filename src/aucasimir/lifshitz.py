@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -65,13 +65,11 @@ _V_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 0.96, 0.99, 1.0])
 #: from y ~ 0.27 on
 _Y_FAR = 0.5
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
-#: arrays: 64 near rows or 224 far rows at the default p_order
+#: arrays: 64 near rows or 224 far rows at order `_P_ORDER`
 _CHUNK = 64 * 112
-#: frequencies and separations per round of `_frequency_sums`, bounds on its
-#: memory only (at most 8192 kernel rows a round): the default zero-T rule
-#: and a 300 K Matsubara sum each take one round of frequencies
-_BLOCK = 512
-_GROUP = 16
+#: kernel rows (frequencies times separations) per round of
+#: `_frequency_sums`, a bound on its memory only
+_ROWS = 8192
 #: both frequency rules stop at y = zeta a / c = _Y_MAX: the Matsubara sum
 #: takes every n with zeta_n a / c <= _Y_MAX, the zero-T integral ends at
 #: the first panel edge at or above _Y_MAX c / a.  Every term is at most
@@ -80,6 +78,17 @@ _GROUP = 16
 #: `ideal_force` at 10-300 K and 60-200 nm, and to 3.0e-12 wherever
 #: zeta_1 a / c <= 1; the zero-T integral leaves out at most 1.4e-12 of it
 _Y_MAX = 15.0
+#: the default rules: Gauss-Legendre nodes per panel of the near p-rule
+#: (`_p_rule`) and of the zero-T frequency rule, whose panel edges are 0 and
+#: _ZETA_MIN 10^(k / _PER_DECADE) (`_zero_T_rule`).  force_scan(...,
+#: tightened=True) doubles both orders and the panels per decade and divides
+#: _ZETA_MIN by 10, for convergence checks.
+_P_ORDER = 16
+_ZETA_ORDER = 8
+_ZETA_MIN = 1e11
+_PER_DECADE = 4
+#: a Matsubara sum that would need more terms raises before eps is called
+_N_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -112,41 +121,6 @@ class ThermalState:
 
 
 @dataclass(frozen=True)
-class QuadratureSettings:
-    """Accuracy knobs for the p-integral, the zeta-integral and the sum.
-
-    p_order is the number of Gauss-Legendre nodes on each of the seven
-    panels of the near p-rule (see `_V_EDGES`); the far rule, which takes
-    the rows with zeta a / c at or above `_Y_FAR`, has 2 p_order nodes on
-    its one panel.  zeta_order is the number on each panel of the
-    zero-temperature frequency integral, whose panel edges, 0 and
-    zeta_min 10^(k / panels_per_decade), depend on these settings only
-    (`_zero_T_rule`).  Both frequency rules stop at zeta a / c = `_Y_MAX`,
-    which no setting moves.  A Matsubara sum that would need more than
-    n_max terms raises before eps is called.  At these defaults a zero-T
-    force is good to 9.4e-10, 9.7e-9 and 7.9e-8 relative at 500 nm, 1 um
-    and 2 um (omega_tau = 1e13 rad/s, the worst row; `_zero_T_rule`).
-    """
-
-    zeta_min: float = 1e11
-    panels_per_decade: int = 4
-    n_max: int = 1_000_000
-    p_order: int = 16
-    zeta_order: int = 8
-
-    def tightened(self) -> "QuadratureSettings":
-        """Strictly more demanding settings, for convergence checks."""
-        return replace(self,
-                       zeta_min=self.zeta_min / 10.0,
-                       panels_per_decade=2 * self.panels_per_decade,
-                       p_order=2 * self.p_order,
-                       zeta_order=2 * self.zeta_order)
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
-
-
-@dataclass(frozen=True)
 class ForceResult:
     """Sphere-plate force [pN] and its decomposition.
 
@@ -161,7 +135,6 @@ class ForceResult:
     n0_term: float
     sum_terms: float
     n_terms_used: int
-    prescription: str
 
 
 def matsubara_frequency(n, t: ThermalState):
@@ -288,96 +261,95 @@ def _frequency_sums(zeta: np.ndarray, weights: np.ndarray,
     eps(i zeta[k]) = eps_values[k]: the frequency sum or integral of each
     separation over its prefix of one shared frequency rule.
 
-    The kernel runs in rounds of at most `_BLOCK` frequencies and `_GROUP`
-    separations whose prefixes reach them, which bounds its memory whatever
-    the scan and the temperature.  Each separation's terms are added one by
-    one in ascending k, so its sum is, to the bit, that of the separation
-    alone.
+    The kernel runs in rounds of at most `_ROWS` rows: each round takes the
+    next max(1, _ROWS // m) frequencies for the m separations whose
+    prefixes reach them, which bounds its memory whatever the scan and the
+    temperature.  Each separation's terms are added one by one in ascending
+    k, so its sum is, to the bit, that of the separation alone.
     """
     sums = np.zeros(a.shape)
-    end = int(counts.max())
-    for start in range(0, end, _BLOCK):
+    start, end = 0, int(counts.max())
+    while start < end:
         active = np.flatnonzero(counts > start)
-        n = np.arange(start, min(start + _BLOCK, end))
-        for i in range(0, active.size, _GROUP):
-            group = active[i:i + _GROUP]
-            live = n < counts[group, None]
-            k = np.broadcast_to(n, live.shape)[live]
-            z = zeta[k]
-            integrals = _p_integral(
-                eps_values[k], z * a[group].repeat(live.sum(axis=1)) / c, order)
-            terms = np.zeros(live.shape)
-            terms[live] = z * z * integrals * weights[k]
-            terms[:, 0] += sums[group]
-            sums[group] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        n = np.arange(start, min(start + max(1, _ROWS // active.size), end))
+        live = n < counts[active, None]
+        k = np.broadcast_to(n, live.shape)[live]
+        z = zeta[k]
+        integrals = _p_integral(
+            eps_values[k], z * a[active].repeat(live.sum(axis=1)) / c, order)
+        terms = np.zeros(live.shape)
+        terms[live] = z * z * integrals * weights[k]
+        terms[:, 0] += sums[active]
+        sums[active] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        start += n.size
     return sums
 
 
-def _matsubara_rule(t: ThermalState, radius: np.ndarray, a: np.ndarray,
-                    settings: QuadratureSettings):
+def _matsubara_rule(t: ThermalState, radius: np.ndarray, a: np.ndarray):
     """(zeta, weights, counts, prefactor) of the Matsubara sum at T > 0:
     separation a[i] sums its first counts[i] frequencies zeta_n, n >= 1,
     with weight 1 and prefactor[i] = kT R / c^2 [pN].
 
     counts[i] = floor(_Y_MAX c / (zeta_1 a[i])) takes every n with
     zeta_n a[i] / c <= _Y_MAX, and none where zeta_1 a[i] / c exceeds it.
-    A count above settings.n_max raises ConvergenceError naming the
-    separation.
+    A count above `_N_MAX` raises ConvergenceError naming the separation.
     """
     counts = np.floor(_Y_MAX * c / (matsubara_frequency(1, t) * a))
-    over = counts > settings.n_max
+    over = counts > _N_MAX
     if over.any():
         i = int(np.argmax(over))
         raise ConvergenceError(
             f"Matsubara sum at a = {a[i] * 1e9:.6g} nm, T = {t.temperature:g} K "
-            f"needs {counts[i]:.0f} terms, more than n_max = {settings.n_max}")
+            f"needs {counts[i]:.0f} terms, more than {_N_MAX}")
     counts = counts.astype(int)
     zeta = matsubara_frequency(np.arange(1, counts.max() + 1), t)
     return (zeta, np.ones(zeta.size), counts,
             k_B * t.temperature * radius / c**2 * _N_TO_PN)
 
 
-def _zero_T_rule(radius: np.ndarray, a: np.ndarray,
-                 settings: QuadratureSettings):
+def _zero_T_rule(radius: np.ndarray, a: np.ndarray, tightened: bool):
     """(zeta, weights, counts, prefactor) of the frequency integral at T = 0:
     separation a[i] sums its first counts[i] nodes with prefactor[i] =
     hbar R / (2 pi c^2) [pN].
 
-    One composite Gauss-Legendre rule with settings.zeta_order nodes per
-    panel: a first panel [0, zeta_min], where the integrand levels off up
-    to 200 nm (for a Drude metal the transverse-electric part has died off
-    and the transverse-magnetic part tends to its static value), then panels
-    between the edges zeta_min 10^(k / panels_per_decade),
+    One composite Gauss-Legendre rule with `_ZETA_ORDER` nodes per panel: a
+    first panel [0, zeta_min], zeta_min = `_ZETA_MIN`, where the integrand
+    levels off up to 200 nm (for a Drude metal the transverse-electric part
+    has died off and the transverse-magnetic part tends to its static
+    value), then panels between the edges zeta_min 10^(k / `_PER_DECADE`),
     k = 0, 1, ..., up to the first edge at or above max(_Y_MAX c / a[i],
-    10 zeta_min) for separation a[i].  The rule never evaluates zeta = 0.
-    The edges do not depend on a, so each separation's rule is a prefix of
-    the closest one's.  At the default settings a force agrees with an
-    independent k-space integral at 60-200 nm to 6.4e-12 relative for the
-    Drude rows (1.37e16, 3.7e13) and (1.38e16, 5.38e13) rad/s, and to
-    3.8e-11 for (1.37e16, 1e13), whose worst is at 200 nm.  Farther out,
-    the transverse-electric feature near omega_tau c^2 / (omega_p a)^2
-    falls inside the first panel: for omega_p = 1.37e16 rad/s the gaps at
-    500 nm, 1 um and 2 um are 9.4e-10, 9.7e-9 and 7.9e-8 (omega_tau =
-    1e13), 1.6e-10, 1.9e-9 and 2.1e-8 (3.7e13) and 4.0e-11, 5.2e-10 and
-    6.2e-9 (1e14 rad/s); `tightened()` is within 3e-11 there.
+    10 zeta_min) for separation a[i].  The tightened rule doubles the order
+    and the panels per decade and divides zeta_min by 10.  The rule never
+    evaluates zeta = 0.  The edges do not depend on a, so each separation's
+    rule is a prefix of the closest one's.  The default rule gives a force
+    that agrees with an independent k-space integral at 60-200 nm to
+    6.4e-12 relative for the Drude rows (1.37e16, 3.7e13) and
+    (1.38e16, 5.38e13) rad/s, and to 3.8e-11 for (1.37e16, 1e13), whose
+    worst is at 200 nm.  Farther out, the transverse-electric feature near
+    omega_tau c^2 / (omega_p a)^2 falls inside the first panel: for
+    omega_p = 1.37e16 rad/s the gaps at 500 nm, 1 um and 2 um are 9.4e-10,
+    9.7e-9 and 7.9e-8 (omega_tau = 1e13), 1.6e-10, 1.9e-9 and 2.1e-8
+    (3.7e13) and 4.0e-11, 5.2e-10 and 6.2e-9 (1e14 rad/s); the tightened
+    rule is within 3e-11 there.
     """
-    zeta_min, per_decade = settings.zeta_min, settings.panels_per_decade
+    zeta_min = _ZETA_MIN / 10.0 if tightened else _ZETA_MIN
+    scale = 2 if tightened else 1
+    per_decade, order = scale * _PER_DECADE, scale * _ZETA_ORDER
     tops = np.maximum(_Y_MAX * c / a, 10.0 * zeta_min)
     # one edge to spare: the last edge lies a panel above the highest top
     n_edges = math.ceil(per_decade * math.log10(tops.max() / zeta_min)) + 2
     edges = zeta_min * 10.0 ** (np.arange(n_edges) / per_decade)
     last = np.searchsorted(edges, tops)      # first edge at or above each top
     zeta, weights = gauss_legendre(np.concatenate(([0.0], edges[:last.max() + 1])),
-                                   settings.zeta_order)
-    return (zeta, weights, (last + 1) * settings.zeta_order,
+                                   order)
+    return (zeta, weights, (last + 1) * order,
             hbar * radius / (2.0 * math.pi * c**2) * _N_TO_PN)
 
 
 def force_scan(geometries: Iterable[Geometry], t: ThermalState,
                eps: Callable,
                prescription: str = "schwinger",
-               settings: QuadratureSettings = DEFAULT_SETTINGS
-               ) -> tuple[ForceResult, ...]:
+               tightened: bool = False) -> tuple[ForceResult, ...]:
     """Sphere-plate forces [pN], n=0 term plus frequency sum, one
     `ForceResult` per geometry, in input order; at T = 0 the n=0 term is 0
     and the sum is the frequency integral.  One geometry is
@@ -386,8 +358,11 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
 
     geometries holds at least one Geometry, a repeated one computed once;
     eps is the eps(i zeta) evaluator, taking an array of zeta in rad/s;
-    prescription, one of PRESCRIPTIONS, handles the n=0 term; settings
-    holds the accuracy knobs (`QuadratureSettings`).
+    prescription, one of PRESCRIPTIONS, handles the n=0 term.  tightened
+    selects strictly more demanding rules, for convergence checks: both
+    node orders and the zero-T panels per decade doubled and `_ZETA_MIN`
+    divided by 10; the Matsubara terms (`_Y_MAX`) and their cap (`_N_MAX`)
+    stay.
 
     The frequency rule, `_matsubara_rule` at T > 0 and `_zero_T_rule` at
     T = 0, is fixed before eps is called (an unreachable Matsubara count
@@ -403,13 +378,14 @@ def force_scan(geometries: Iterable[Geometry], t: ThermalState,
     n0 = np.array([classical_term(g, t, prescription) for g in distinct])
     radius, a = np.array([(g.sphere_radius, g.separation) for g in distinct]).T
     zeta, weights, counts, prefactor = (
-        _matsubara_rule(t, radius, a, settings) if t.temperature > 0
-        else _zero_T_rule(radius, a, settings))
+        _matsubara_rule(t, radius, a) if t.temperature > 0
+        else _zero_T_rule(radius, a, tightened))
     sums = prefactor * _frequency_sums(
-        zeta, weights, _eps_at(eps, zeta), a, counts, settings.p_order)
+        zeta, weights, _eps_at(eps, zeta), a, counts,
+        2 * _P_ORDER if tightened else _P_ORDER)
     results = {g: ForceResult(total=float(n0[i]) + float(sums[i]),
                               n0_term=float(n0[i]), sum_terms=float(sums[i]),
-                              n_terms_used=int(counts[i]), prescription=prescription)
+                              n_terms_used=int(counts[i]))
                for i, g in enumerate(distinct)}
     return tuple(results[g] for g in geometries)
 

@@ -18,7 +18,6 @@ from aucasimir import (DielectricModel, DrudeParameters, ExperimentRecord,
                        load_dataset, load_experiment, reduction_factor,
                        residual_report, resistivity)
 from aucasimir.config import package_data_dir
-from aucasimir.lifshitz import DEFAULT_SETTINGS
 from aucasimir.optical import OMEGA0_DEFAULT
 
 import lifshitz_oracle
@@ -168,10 +167,9 @@ def test_c8_handbook_forces(thermal300):
 
 
 def test_c9_oracle_stability(row1, geometry63, thermal300):
-    tight = DEFAULT_SETTINGS.tightened()
     finite_default, finite_tight, zero_default, zero_tight = (
-        force_scan([geometry63], t, row1.epsilon, settings=s)[0].total
-        for t in (thermal300, ThermalState(0.0)) for s in (DEFAULT_SETTINGS, tight))
+        force_scan([geometry63], t, row1.epsilon, tightened=tightened)[0].total
+        for t in (thermal300, ThermalState(0.0)) for tightened in (False, True))
     d_finite = abs(finite_tight - finite_default)
     d_zero = abs(zero_tight - zero_default)
     ok = d_finite < 0.1 and d_zero < 0.1

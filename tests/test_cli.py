@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,20 @@ class TestEpsilon:
         closed = 1.0 + 1.37e16**2 / (1e15 * (1e15 + 3.7e13))
         assert values["total"] == pytest.approx(closed, rel=1e-9)
         assert values["eps2_part"] == 0.0
+
+    @pytest.mark.parametrize("zeta", ["1e20", "1e22"])
+    def test_drude_eps1_keeps_its_digits_far_above_omega_p(self, drude_config,
+                                                           capsys, zeta):
+        # eps1 = omega_p^2 / (zeta (zeta + omega_tau)) is far below the
+        # rounding of 1 + eps1 here
+        code, out, _ = run(capsys, ["epsilon", "--config", drude_config,
+                                    "--zeta", zeta, "--output", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        values = dict(zip(payload["columns"], payload["rows"][0]))
+        z = Fraction(float(zeta))
+        exact = Fraction(1.37e16)**2 / (z * (z + Fraction(3.7e13)))
+        assert values["eps1"] == pytest.approx(float(exact), rel=1e-15, abs=0)
 
     def test_tabulated_model_decomposition(self, tabulated_config, capsys):
         code, out, _ = run(capsys, ["epsilon", "--config", tabulated_config,

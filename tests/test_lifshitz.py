@@ -7,13 +7,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B, c, hbar
 
-from aucasimir import (DEFAULT_SETTINGS, ConvergenceError, DielectricModel,
-                       DomainError, DrudeParameters, Geometry, QuadratureSettings,
-                       ThermalState, classical_term, force_scan, ideal_force,
-                       matsubara_frequency, reduction_factor)
+from aucasimir import (ConvergenceError, DielectricModel, DomainError,
+                       DrudeParameters, Geometry, ThermalState, classical_term,
+                       force_scan, ideal_force, matsubara_frequency,
+                       reduction_factor)
+from aucasimir import lifshitz
 from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_BLOCK, _CHUNK, _GROUP, _Y_FAR, _Y_MAX, ZETA3,
+from aucasimir.lifshitz import (_CHUNK, _P_ORDER, _PER_DECADE, _ROWS, _Y_FAR,
+                                _Y_MAX, _ZETA_MIN, _ZETA_ORDER, ZETA3,
                                 _p_integral, _p_rule)
 
 from conftest import SPHERE_RADIUS, drude_rows
@@ -225,13 +227,22 @@ class TestRoundTripFactors:
             assert np.array_equal(_p_integral(*row, order),
                                   p_integral_transcribed_on(_p_rule(order, far), *row))
 
-    def test_tightened_doubles_both_rules(self):
-        default, tight = DEFAULT_SETTINGS, DEFAULT_SETTINGS.tightened()
-        assert _p_rule(default.p_order, True)[0].size == 32
-        assert _p_rule(default.p_order, False)[0].size == 112
+    def test_tightened_doubles_both_rules(self, monkeypatch, single_crystal):
+        assert _p_rule(_P_ORDER, True)[0].size == 32
+        assert _p_rule(_P_ORDER, False)[0].size == 112
         for far in (False, True):
-            assert (_p_rule(tight.p_order, far)[0].size
-                    == 2 * _p_rule(default.p_order, far)[0].size)
+            assert (_p_rule(2 * _P_ORDER, far)[0].size
+                    == 2 * _p_rule(_P_ORDER, far)[0].size)
+        # force_scan's switch takes the doubled order at both temperatures
+        orders = []
+        monkeypatch.setattr(lifshitz, "_p_integral", lambda eps, y, order:
+                            orders.append(order) or _p_integral(eps, y, order))
+        for temperature in (300.0, 0.0):
+            for tightened in (False, True):
+                force_scan([Geometry(SPHERE_RADIUS, 100e-9)],
+                           ThermalState(temperature), single_crystal.epsilon,
+                           tightened=tightened)
+        assert orders == [_P_ORDER, 2 * _P_ORDER] * 2
 
     def test_far_rule_matches_the_order_32_near_rule(self):
         # from _Y_FAR on the one 32-node panel is as good as seven panels of
@@ -327,12 +338,14 @@ class TestForceFiniteT:
         b = force_scan([geometry63], thermal300, single_crystal.epsilon)
         assert a == b
 
-    def test_non_convergence_reported(self, geometry63, thermal300,
-                                      single_crystal):
-        settings = QuadratureSettings(n_max=5)
+    def test_non_convergence_reported(self):
+        # at 0.05 K, 150 nm takes 728892 terms, 63 nm would need 1735459
+        def eps(zeta):
+            raise AssertionError("eps called")
+
+        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
         with pytest.raises(ConvergenceError, match="Matsubara"):
-            force_scan([geometry63], thermal300, single_crystal.epsilon,
-                       settings=settings)
+            force_scan(geometries, ThermalState(0.05), eps)
 
 
 #: lists of separations, unsorted and with repeats
@@ -365,15 +378,25 @@ class TestForceScan:
                              for g in geometries)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
-        # at 20 K the closest separations need more than one round of
-        # frequencies, and the scan more than one group of separations
+        # at 20 K the closest separations need many rounds of frequencies,
+        # which widen as the farther separations drop out
         t = ThermalState(20.0)
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in np.linspace(60, 200, 2 * _GROUP + 3)]
+                      for a_nm in np.linspace(60, 200, 35)]
         scan = force_scan(geometries, t, single_crystal.epsilon)
-        assert scan[0].n_terms_used > 2 * _BLOCK
+        assert scan[0].n_terms_used > 2 * _ROWS // len(geometries)
         assert scan == tuple(force_scan([g], t, single_crystal.epsilon)[0]
                              for g in geometries)
+
+    def test_more_separations_than_rows_take_one_frequency_a_round(
+            self, single_crystal, thermal300):
+        # 1-5 um at 300 K sum 3 to 18 terms each
+        geometries = [Geometry(1e-2, a) for a in np.linspace(1e-6, 5e-6, _ROWS + 7)]
+        scan = force_scan(geometries, thermal300, single_crystal.epsilon)
+        assert min(r.n_terms_used for r in scan) > 1
+        for i in range(0, len(geometries), 1000):
+            assert scan[i] == force_scan([geometries[i]], thermal300,
+                                         single_crystal.epsilon)[0]
 
     def test_one_eps_call_over_the_largest_count(self, single_crystal,
                                                  thermal300):
@@ -414,29 +437,24 @@ class TestForceScan:
             assert result.sum_terms == pytest.approx(
                 k_B * temperature * radius / c**2 * 1e12 * total, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("temperature, settings_, count", [
-        (300.0, QuadratureSettings(n_max=260), 289),
-        (0.05, DEFAULT_SETTINGS, 1_735_459)], ids=["300K-n_max-260", "0.05K"])
-    def test_unreachable_count_raises_before_eps(self, temperature, settings_,
-                                                 count):
-        # 63 nm takes every n with zeta_n a / c <= _Y_MAX: 289 terms at
-        # 300 K, more than a million at 0.05 K
+    def test_unreachable_count_raises_before_eps(self):
+        # 63 nm takes every n with zeta_n a / c <= _Y_MAX: more than a
+        # million terms at 0.05 K
         def eps(zeta):
             raise AssertionError("eps called")
 
         with pytest.raises(ConvergenceError,
-                           match=f"at a = 63 nm, T = {temperature:g} K needs "
-                                 f"{count} terms"):
-            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(temperature),
-                       eps, settings=settings_)
+                           match="at a = 63 nm, T = 0.05 K needs 1735459 terms"):
+            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(0.05), eps)
 
-    def test_non_convergence_names_the_separation(self, single_crystal,
-                                                  thermal300):
-        # 150 nm takes 121 terms, 63 nm would need 289
+    def test_non_convergence_names_the_separation(self):
+        # at 0.05 K, 150 nm takes 728892 terms, 63 nm would need 1735459
+        def eps(zeta):
+            raise AssertionError("eps called")
+
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
         with pytest.raises(ConvergenceError, match="at a = 63 nm"):
-            force_scan(geometries, thermal300, single_crystal.epsilon,
-                       settings=QuadratureSettings(n_max=200))
+            force_scan(geometries, ThermalState(0.05), eps)
 
     def test_empty_sum_where_zeta_1_exceeds_y_max(self, single_crystal,
                                                   thermal300):
@@ -479,28 +497,27 @@ class TestZeroTScan:
     SEPARATIONS_NM = (63, 200, 60, 150.5, 63, 20, 500, 100, 200)
 
     @staticmethod
-    def scan(geometries, eps, settings_=DEFAULT_SETTINGS):
+    def scan(geometries, eps, tightened=False):
         """The zero-T forces of a scan, in input order."""
         return tuple(r.total for r in force_scan(geometries, ThermalState(0.0),
-                                                 eps, settings=settings_))
+                                                 eps, tightened=tightened))
 
     @staticmethod
     def tabulated_eps():
         return load_run_config(package_data_dir() / "sample_config.ini"
                                ).build_evaluator()[0]
 
-    @pytest.mark.parametrize("settings_", [DEFAULT_SETTINGS,
-                                           DEFAULT_SETTINGS.tightened()],
+    @pytest.mark.parametrize("tightened", [False, True],
                              ids=["default", "tightened"])
     @pytest.mark.parametrize("model", ["tabulated", "drude"])
-    def test_equals_lone_scans_per_separation(self, model, settings_,
+    def test_equals_lone_scans_per_separation(self, model, tightened,
                                               single_crystal):
         # mixed, unsorted and repeated separations
         eps = self.tabulated_eps() if model == "tabulated" else single_crystal.epsilon
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
                       for a_nm in self.SEPARATIONS_NM]
-        scan = self.scan(geometries, eps, settings_)
-        assert scan == tuple(self.scan([g], eps, settings_)[0] for g in geometries)
+        scan = self.scan(geometries, eps, tightened)
+        assert scan == tuple(self.scan([g], eps, tightened)[0] for g in geometries)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(drude_rows, scans)
@@ -510,16 +527,15 @@ class TestZeroTScan:
             self.scan([g], row.epsilon)[0] for g in geometries)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
-        # the tightened rule at 20 nm needs more than one round of
-        # frequencies, and the scan more than one group of separations
-        tight = DEFAULT_SETTINGS.tightened()
+        # the tightened rule at 20 nm needs many rounds of frequencies,
+        # which widen as the farther separations drop out
         calls = []
         geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in np.geomspace(20, 500, 2 * _GROUP + 3)]
+                      for a_nm in np.geomspace(20, 500, 35)]
         scan = self.scan(geometries, lambda zeta: calls.append(zeta.size)
-                         or single_crystal.epsilon(zeta), tight)
-        assert calls[0] > _BLOCK
-        assert scan == tuple(self.scan([g], single_crystal.epsilon, tight)[0]
+                         or single_crystal.epsilon(zeta), True)
+        assert calls[0] > 2 * _ROWS // len(geometries)
+        assert scan == tuple(self.scan([g], single_crystal.epsilon, True)[0]
                              for g in geometries)
 
     def test_one_eps_call_over_the_closest_rule(self, single_crystal):
@@ -543,31 +559,33 @@ class TestZeroTScan:
         assert 0 < far[0].size < near[0].size
         assert np.array_equal(far[0], near[0][:far[0].size])
 
-    @pytest.mark.parametrize("settings_", [DEFAULT_SETTINGS,
-                                           DEFAULT_SETTINGS.tightened()],
+    @pytest.mark.parametrize("tightened", [False, True],
                              ids=["default", "tightened"])
     @pytest.mark.parametrize("a_nm", [20, 60, 200, 1e7])
     def test_rule_ends_at_the_first_edge_above_y_max_c_over_a(self, a_nm,
-                                                              settings_):
-        # edges zeta_min 10^(k / panels_per_decade); the rule stops at the
-        # first one at or above max(_Y_MAX c / a, 10 zeta_min), which is the
-        # second bound at 1 cm
+                                                              tightened):
+        # edges zeta_min 10^(k / per_decade); the rule stops at the first one
+        # at or above max(_Y_MAX c / a, 10 zeta_min), which is the second
+        # bound at 1 cm.  The tightened rule doubles the order and the
+        # panels per decade, and starts a decade lower.
         calls = []
         (result,) = force_scan([Geometry(1e3 * a_nm * 1e-9, a_nm * 1e-9)],
                                ThermalState(0.0),
                                lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
-                               settings=settings_)
-        zeta_min, per_decade = settings_.zeta_min, settings_.panels_per_decade
+                               tightened=tightened)
+        factor = 2 if tightened else 1
+        zeta_min = _ZETA_MIN / 10.0 if tightened else _ZETA_MIN
+        per_decade, order = factor * _PER_DECADE, factor * _ZETA_ORDER
         top = max(_Y_MAX * c / (a_nm * 1e-9), 10.0 * zeta_min)
         k = 0
         while zeta_min * 10.0 ** (k / per_decade) < top:
             k += 1
         nodes = calls[0]
-        assert nodes.size == (k + 1) * settings_.zeta_order
+        assert nodes.size == (k + 1) * order
         # at T = 0 the force is all frequency integral, over those nodes
         assert result.n0_term == 0.0
         assert result.sum_terms == result.total
-        assert result.n_terms_used == (k + 1) * settings_.zeta_order
+        assert result.n_terms_used == (k + 1) * order
         assert (zeta_min * 10.0 ** ((k - 1) / per_decade) < nodes[-1]
                 < zeta_min * 10.0 ** (k / per_decade))
 

@@ -13,7 +13,7 @@ from scipy.special import zeta as riemann_zeta
 
 from aucasimir import DrudeParameters, Geometry, ThermalState, force_scan
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import DEFAULT_SETTINGS, _Y_FAR, _p_integral
+from aucasimir.lifshitz import _P_ORDER, _Y_FAR, _p_integral
 
 import lifshitz_oracle
 from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS
@@ -58,7 +58,7 @@ def test_k_integral_matches_mpmath(n):
 def test_far_p_rule_matches_mpmath(y, eps):
     # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule
     mp = pytest.importorskip("mpmath")
-    value = _p_integral(np.array([eps]), np.array([y]), DEFAULT_SETTINGS.p_order)[0]
+    value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
 
     with mp.workdps(30):
         e, ym = mp.mpf(eps), mp.mpf(y)
