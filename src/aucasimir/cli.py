@@ -136,16 +136,9 @@ def _zeta_grid(args):
 
 def cmd_epsilon(args) -> int:
     cfg = _require_config(args)
-    _, drude, model = cfg.build_evaluator()
     zetas = np.array(_zeta_grid(args))
-    if model is None:
-        # eps - 1 would lose the digits of eps1 that 1 + eps1 rounds away
-        eps1 = drude.omega_p**2 / (zetas * (zetas + drude.omega_tau))
-        rows = [(z, e, 0.0, 0.0, total)
-                for z, e, total in zip(zetas, eps1, drude.epsilon(zetas))]
-    else:
-        dec = model.decompose(zetas)
-        rows = list(zip(zetas, dec.eps1, dec.eps2_part, dec.eps3_part, dec.total))
+    dec = cfg.build_evaluator().decompose(zetas)
+    rows = list(zip(zetas, dec.eps1, dec.eps2_part, dec.eps3_part, dec.total))
     _emit(args, ("zeta_rad_s", "eps1", "eps2_part", "eps3_part", "total"), rows)
     return 0
 
@@ -163,7 +156,7 @@ def cmd_force(args) -> int:
     cfg = _require_config(args)
     if args.mode != "zero_T":
         _require_temperature(cfg, f"force --mode {args.mode}")
-    eps, _, _ = cfg.build_evaluator()
+    eps = cfg.build_evaluator().epsilon
     geometries = [Geometry(cfg.sphere_radius, a) for a in _separations_m(args)]
     temperature = 0.0 if args.mode == "zero_T" else cfg.temperature
     results = force_scan(geometries, ThermalState(temperature), eps,
@@ -189,7 +182,7 @@ def cmd_residuals(args) -> int:
     if args.a_min is not None or args.a_max is not None:
         range_filter = ((args.a_min or 0.0) * 1e-9,
                         (args.a_max if args.a_max is not None else math.inf) * 1e-9)
-    eps, _, _ = cfg.build_evaluator()
+    eps = cfg.build_evaluator().epsilon
     thermal = ThermalState(cfg.temperature)
 
     def theory(separations):
@@ -263,16 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epsilon", parents=[common],
                        help="eps(i zeta) table with decomposition")
-    p.add_argument("--zeta", type=float, help="single zeta [rad/s]")
-    p.add_argument("--zeta-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
-                   help="log-spaced zeta grid [rad/s]")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--zeta", type=float, help="single zeta [rad/s]")
+    grid.add_argument("--zeta-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
+                      help="log-spaced zeta grid [rad/s]")
     p.set_defaults(func=cmd_epsilon)
 
     p = sub.add_parser("force", parents=[common],
                        help="sphere-plate force table")
-    p.add_argument("--a", type=float, help="separation [nm]")
-    p.add_argument("--a-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
-                   help="linear separation grid [nm]")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--a", type=float, help="separation [nm]")
+    grid.add_argument("--a-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
+                      help="linear separation grid [nm]")
     p.add_argument("--mode", choices=("finite_T", "zero_T", "both"),
                    default="finite_T")
     p.set_defaults(func=cmd_force)

@@ -2,10 +2,14 @@
 
 A config pins the physics a computation depends on -- dielectric model,
 geometry, temperature and prescription -- so that a run is reproducible
-from the file alone; the numerical rules are the library's fixed defaults.  Dataset paths are resolved
-against the config file directory, the working directory, the
-CASIMIR_DATA_DIR environment variable, and finally the bundled package
-data, in that order.
+from the file alone; the numerical rules are the library's fixed defaults.
+The Drude parameters are given (omega_p, omega_tau) or fitted to the data
+(fit_range, optionally fit_fixed_omega_p), never both.
+`RunConfig.build_evaluator` returns the dielectric model, a
+`DrudeParameters` or a `DielectricModel`; both answer `epsilon(zeta)` and
+`decompose(zeta)`.  Dataset paths are resolved against the config file
+directory, the working directory, the CASIMIR_DATA_DIR environment
+variable, and finally the bundled package data, in that order.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 from .dielectric import DielectricModel, DrudeParameters, fit_drude
 from .errors import ConfigError
@@ -88,29 +91,23 @@ class RunConfig:
             merged = merge_datasets(merged, load_dataset(path))
         return merged
 
-    def drude_parameters(self, dataset: OpticalDataset | None) -> DrudeParameters:
-        if self.drude is not None:
-            return self.drude
-        fit = fit_drude(dataset, self.fit_range,
-                        omega_p_fixed=self.fit_fixed_omega_p)
-        return fit.parameters
-
-    def build_evaluator(self) -> tuple[Callable, DrudeParameters,
-                                       DielectricModel | None]:
-        """(eps(i zeta) evaluator, Drude parameters, model or None).
-
-        The evaluator takes an array of zeta (a scalar is a 0-d array).  The
-        dataset is parsed only when the model or a Drude fit reads it.
+    def build_evaluator(self) -> DrudeParameters | DielectricModel:
+        """The dielectric model: `epsilon(zeta)` is the eps(i zeta) evaluator
+        (an array of zeta in, an array out) and `decompose(zeta)` its split
+        by spectral region.  The dataset is parsed only when the model or a
+        Drude fit reads it.
         """
         dataset = None
         if self.model_kind == "tabulated" or self.drude is None:
             dataset = self.load_dataset()
-        drude = self.drude_parameters(dataset)
+        drude = self.drude
+        if drude is None:
+            drude = fit_drude(dataset, self.fit_range,
+                              omega_p_fixed=self.fit_fixed_omega_p).parameters
         if self.model_kind == "drude":
-            return drude.epsilon, drude, None
-        model = DielectricModel(drude, dataset, self.boundaries,
-                                self.tail_exponent)
-        return model.epsilon, drude, model
+            return drude
+        return DielectricModel(drude, dataset, self.boundaries,
+                               self.tail_exponent)
 
 
 def _get_float(cp, section, key, default=None):
@@ -195,6 +192,10 @@ def load_run_config(path) -> RunConfig:
 
     drude = None
     if cp.has_option("dielectric", "omega_p"):
+        for key in ("fit_range", "fit_fixed_omega_p"):
+            if cp.has_option("dielectric", key):
+                raise ConfigError(f"[dielectric] {key} conflicts with omega_p: "
+                                  f"give omega_p/omega_tau or a fit_range, not both")
         omega_p = _get_float(cp, "dielectric", "omega_p")
         omega_tau = _get_float(cp, "dielectric", "omega_tau")
         try:
@@ -205,6 +206,10 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError("[dielectric] needs omega_p/omega_tau or fit_range")
     elif not dataset_paths:
         raise ConfigError("[dielectric] fit_range needs a dataset to fit")
+    elif cp.has_option("dielectric", "omega_tau"):
+        raise ConfigError("[dielectric] omega_tau conflicts with fit_range, "
+                          "which fits it: give omega_p/omega_tau or a "
+                          "fit_range, not both")
 
     try:
         boundaries = FrequencyBoundaries(

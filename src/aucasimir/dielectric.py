@@ -14,7 +14,12 @@ three spectral regions of the dispersion relation
 
 The numerical regions use a fixed Gauss-Legendre rule in ln omega that
 `DielectricModel` builds once, so eps(i zeta) for any number of zeta values
-is one broadcast sum over the nodes.  Every eps evaluator here takes an
+is one broadcast sum over the nodes.
+
+Both dielectric models, the pure Drude `DrudeParameters` and the tabulated
+`DielectricModel`, answer one contract: `decompose(zeta)` gives eps(i zeta)
+by spectral region (an `EpsilonDecomposition`; a Drude model has no data
+parts) and `epsilon(zeta)` is its total.  Every eps evaluator here takes an
 array of zeta, each element finite and positive, and returns an array of
 its shape; a scalar zeta is a 0-d array and gives a numpy float64 equal
 bit for bit to the matching array element.
@@ -97,11 +102,24 @@ class DrudeParameters:
         rho_si = rho_micro_ohm_cm / _OHM_M_TO_UOHM_CM
         return cls(omega_p, rho_si * epsilon_0 * omega_p**2)
 
-    def epsilon(self, zeta):
-        """eps(i zeta) = 1 + omega_p^2 / (zeta (zeta + omega_tau)) for this
-        pure Drude model."""
+    def decompose(self, zeta) -> EpsilonDecomposition:
+        """eps(i zeta) of this pure Drude model: eps1 = omega_p^2 /
+        (zeta (zeta + omega_tau)) and no data parts.  A zeta so large that
+        eps1 rounds to 0 is a DomainError."""
         z = _positive_zeta(zeta)
-        return 1.0 + self.omega_p**2 / (z * (z + self.omega_tau))
+        with np.errstate(over="ignore"):
+            eps1 = self.omega_p**2 / (z * (z + self.omega_tau))
+        if not np.all(eps1 > 0):
+            raise DomainError(
+                f"zeta={z.max():.4g} rad/s is too large for the Drude model: "
+                f"omega_p^2 / (zeta (zeta + omega_tau)) rounds to 0, so "
+                f"eps(i zeta) = 1")
+        zero = np.zeros(z.shape)[()]
+        return EpsilonDecomposition(eps1, zero, zero)
+
+    def epsilon(self, zeta):
+        """eps(i zeta)."""
+        return self.decompose(zeta).total
 
 
 def drude_eps_real_axis(p: DrudeParameters, omega: float) -> complex:
@@ -153,17 +171,20 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
 class EpsilonDecomposition:
     """eps(i zeta) split by spectral origin; total = 1 + sum of the parts.
 
-    The parts have the shape of zeta: numpy float64 for a scalar zeta.
+    The parts have the shape of zeta: numpy float64 for a scalar zeta.  The
+    Drude part is positive; the data parts are 0 for a model without data.
     """
 
-    eps1: float | np.ndarray       # analytic Drude segment, [0, omega0]
+    eps1: float | np.ndarray       # Drude: [0, omega0], or every frequency
     eps2_part: float | np.ndarray  # tabulated data, [omega0, omega1]
     eps3_part: float | np.ndarray  # tabulated data above omega1 plus the power-law tail
 
     def __post_init__(self):
-        for name in ("eps1", "eps2_part", "eps3_part"):
-            if not np.all(getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+        if not np.all(self.eps1 > 0):
+            raise DomainError("eps1 must be positive")
+        for name in ("eps2_part", "eps3_part"):
+            if not np.all(getattr(self, name) >= 0):
+                raise DomainError(f"{name} must be non-negative")
 
     @property
     def total(self):
@@ -195,9 +216,10 @@ def _tail_series(b: float, x2: np.ndarray) -> np.ndarray:
     return total
 
 
-def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes in omega and weights in ln omega of the _ORDER-node
-    Gauss-Legendre rule on every segment between consecutive `edges`.
+    Gauss-Legendre rule on every segment between consecutive `edges`, and
+    the number of nodes up to the end of each segment.
 
     A segment wider than _PANEL_WIDTH in ln omega is split into equal
     panels; data nodes are segment edges, so the log-log interpolant is
@@ -211,7 +233,7 @@ def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # np.linspace's own arithmetic, for every segment at once
     cuts = k * (width / panels)[seg] + lo[seg]
     nodes, weights = gauss_legendre(np.append(cuts, ln_edges[-1]), _ORDER)
-    return np.exp(nodes), weights
+    return np.exp(nodes), weights, _ORDER * np.cumsum(panels)
 
 
 @dataclass(frozen=True)
@@ -265,23 +287,22 @@ class DielectricModel:
         # rule starts where the data do
         lower = max(self.boundaries.omega0, ds.omega_min)
         data = ds.omega
-        low_nodes, low_weights = _log_panels(np.concatenate(
-            ([lower], data[(data > lower) & (data < omega1)], [omega1])))
-        high_nodes, high_weights = _log_panels(np.concatenate(
-            ([omega1], data[(data > omega1) & (data < w_max)], [w_max])))
-        tail_nodes, tail_weights = _log_panels(np.array([w_max, w_max / _TAIL_T_MIN]))
+        low = data[(data > lower) & (data < omega1)]
+        high = data[(data > omega1) & (data < w_max)]
+        omega, weights, ends = _log_panels(np.concatenate(
+            ([lower], low, [omega1], high, [w_max, w_max / _TAIL_T_MIN])))
+        # nodes up to omega1 and up to omega_max, counted by segment: a node
+        # value can round onto omega1
+        split = (int(ends[low.size]), int(ends[low.size + 1 + high.size]))
 
-        data_nodes = np.clip(np.concatenate((low_nodes, high_nodes)),
-                             ds.omega_min, w_max)
-        eps2 = np.concatenate((interpolate_eps2(ds, data_nodes),
-                               eps2_at_max * (w_max / tail_nodes)**q))
-        omega = np.concatenate((data_nodes, tail_nodes))
-        weights = np.concatenate((low_weights, high_weights, tail_weights))
+        data_end = split[1]
+        np.clip(omega[:data_end], ds.omega_min, w_max, out=omega[:data_end])
+        eps2 = np.concatenate((interpolate_eps2(ds, omega[:data_end]),
+                               eps2_at_max * (w_max / omega[data_end:])**q))
         object.__setattr__(self, "_omega_sq", omega * omega)
         object.__setattr__(self, "_weights",
                            (2.0 / math.pi) * weights * omega * omega * eps2)
-        object.__setattr__(self, "_split",
-                           (low_weights.size, low_weights.size + high_weights.size))
+        object.__setattr__(self, "_split", split)
         # int_0^T t^(q-1) / (1 + (zeta t / w_max)^2) dt
         #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
         object.__setattr__(self, "_tail_rest",

@@ -28,7 +28,7 @@ SEPARATION = 63e-9
 
 def anchor() -> lifshitz_oracle.Forces:
     cfg = load_run_config(package_data_dir() / "sample_config.ini")
-    _, _, model = cfg.build_evaluator()
+    model = cfg.build_evaluator()
 
     def chi(zeta):
         parts = [kk_epsilon(model, float(z)) for z in np.ravel(zeta)]

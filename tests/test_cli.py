@@ -183,6 +183,30 @@ class TestEpsilon:
         assert out == ""
         assert "zeta=1e+24 rad/s" in err and "7.071e+23 rad/s" in err
 
+    def test_zeta_with_zeta_range_is_usage_error(self, drude_config, capsys):
+        # one zeta grid per command: argparse refuses the second
+        with pytest.raises(SystemExit) as exit_info:
+            main(["epsilon", "--config", drude_config, "--zeta", "1e15",
+                  "--zeta-range", "1e13", "1e18", "3"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--zeta-range: not allowed with argument --zeta" in err
+
+    def test_drude_eps1_rounding_to_zero_is_compute_error(self):
+        # zeta (zeta + omega_tau) overflows, so eps1 would read 0 and eps 1
+        root = Path(__file__).resolve().parents[1]
+        config = root / "perfbench" / "drude_config.ini"
+        done = subprocess.run(
+            [sys.executable, "-m", "aucasimir.cli", "epsilon", "--config",
+             str(config), "--zeta", "1e200"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "compute error: zeta=1e+200 rad/s" in done.stderr
+        assert "Warning" not in done.stderr
+
     def test_infinite_zeta_rejected(self, drude_config, capsys):
         code, out, err = run(capsys, ["epsilon", "--config", drude_config,
                                       "--zeta", "inf"])
@@ -276,13 +300,22 @@ class TestForce:
     def test_eps_below_one_is_compute_error(self, drude_config, monkeypatch,
                                             capsys):
         # eps(i zeta) <= 1 is found while computing, not in the input
-        monkeypatch.setattr(RunConfig, "build_evaluator",
-                            lambda self: (lambda zeta: 0.5, self.drude, None))
+        monkeypatch.setattr(DrudeParameters, "epsilon", lambda self, zeta: 0.5)
         code, out, err = run(capsys, ["force", "--config", drude_config,
                                       "--a", "100"])
         assert code == 1
         assert out == ""
         assert "compute error" in err and "exceed 1" in err
+
+    def test_a_with_a_range_is_usage_error(self, drude_config, capsys):
+        # one separation grid per command: argparse refuses the second
+        with pytest.raises(SystemExit) as exit_info:
+            main(["force", "--config", drude_config, "--a", "63",
+                  "--a-range", "100", "200", "2"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--a-range: not allowed with argument --a" in err
 
     def test_out_file(self, drude_config, tmp_path, capsys):
         target = tmp_path / "force.csv"
@@ -342,17 +375,13 @@ class TestOneEpsCall:
     @pytest.fixture
     def eps_calls(self, monkeypatch):
         calls = []
-        build = RunConfig.build_evaluator
+        epsilon = DielectricModel.epsilon
 
-        def counting(config):
-            eps, drude, model = build(config)
+        def counted(model, zeta):
+            calls.append(zeta)
+            return epsilon(model, zeta)
 
-            def counted(zeta):
-                calls.append(zeta)
-                return eps(zeta)
-            return counted, drude, model
-
-        monkeypatch.setattr(RunConfig, "build_evaluator", counting)
+        monkeypatch.setattr(DielectricModel, "epsilon", counted)
         return calls
 
     def test_force_scan(self, eps_calls, capsys):
@@ -491,9 +520,7 @@ class TestConfigHandling:
         def unread(path):
             raise AssertionError(f"dataset {path} parsed")
         monkeypatch.setattr(config, "load_dataset", unread)
-        eps, drude, model = cfg.build_evaluator()
-        assert model is None and drude == cfg.drude
-        assert eps(np.array([1e15])) == drude.epsilon(np.array([1e15]))
+        assert cfg.build_evaluator() == cfg.drude
 
     def test_data_dir_env_resolution(self, tmp_path, monkeypatch, capsys):
         data_dir = tmp_path / "store"
@@ -635,12 +662,20 @@ class TestConfigDrudeFit:
      ["force", "--a", "63"], "got '50%'"),
     (TABULATED_INI, ["epsilon"], "--zeta"),
     (TABULATED_INI, ["force"], "--a"),
+    (TABULATED_INI.replace("omega1", "fit_range = 2e14 2e15\nomega1"),
+     ["force", "--a", "63"], "[dielectric] fit_range conflicts with omega_p"),
+    (TABULATED_INI.replace("omega1", "fit_fixed_omega_p = 1.38e16\nomega1"),
+     ["force", "--a", "63"], "[dielectric] fit_fixed_omega_p conflicts with omega_p"),
+    (FIT_INI.replace("omega1", "omega_tau = 5.38e13\nomega1"),
+     ["force", "--a", "63"], "[dielectric] omega_tau conflicts with fit_range"),
 ], ids=["unknown-model", "tabulated-without-dataset", "one-value-fit-range",
         "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1",
         "zero-radius", "negative-temperature", "no-dielectric-section",
         "no-sphere-radius", "unparsable", "repeated-key", "negative-omega-p",
         "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",
-        "epsilon-without-zeta", "force-without-separation"])
+        "epsilon-without-zeta", "force-without-separation",
+        "fit-range-with-omega-p", "fixed-omega-p-with-omega-p",
+        "omega-tau-with-fit-range"])
 def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):
     path = tmp_path / "bad.ini"
     path.write_text(ini)

@@ -10,11 +10,11 @@ from scipy.optimize import least_squares
 from scipy.special import hyp2f1
 
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
-                       DrudeParameters, FrequencyBoundaries,
+                       DrudeParameters, EpsilonDecomposition, FrequencyBoundaries,
                        drude_eps_real_axis, epsilon1_analytic, fit_drude,
                        generate_synthetic_dataset, load_dataset, resistivity)
 from aucasimir._quadrature import gauss_legendre
-from aucasimir.config import package_data_dir
+from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.dielectric import (_ORDER, _PANEL_WIDTH, _TAIL_T_MIN, _TAIL_X2_MAX,
                                   _log_panels, _tail_series)
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
@@ -407,7 +407,7 @@ class TestFixedNodeTransform:
         cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)[:-1]
                 for lo, hi in zip(ln_edges[:-1], ln_edges[1:])]
         nodes, weights = gauss_legendre(np.concatenate(cuts + [ln_edges[-1:]]), _ORDER)
-        got_nodes, got_weights = _log_panels(edges)
+        got_nodes, got_weights, _ = _log_panels(edges)
         assert np.array_equal(got_nodes, np.exp(nodes))
         assert np.array_equal(got_weights, weights)
 
@@ -454,6 +454,55 @@ class TestFixedNodeTransform:
                          lambda z: epsilon1_analytic(row2, OMEGA0_DEFAULT, z)):
             with pytest.raises(ValueError, match="zeta must be positive"):
                 evaluate(zetas)
+
+
+class TestModelContract:
+    """Both dielectric models answer `decompose` and `epsilon`, and
+    `epsilon` is the decomposition's total."""
+
+    ZETAS = np.logspace(11, 20, 301)
+
+    @pytest.fixture(scope="class")
+    def bundled_model(self):
+        model = load_run_config(package_data_dir() / "sample_config.ini"
+                                ).build_evaluator()
+        assert isinstance(model, DielectricModel)
+        return model
+
+    def test_epsilon_is_the_total_bitwise(self, bundled_model, row2):
+        for model in (row2, bundled_model):
+            assert np.array_equal(model.epsilon(self.ZETAS),
+                                  model.decompose(self.ZETAS).total)
+            assert model.epsilon(2.4e15) == model.decompose(2.4e15).total
+
+    def test_drude_has_no_data_parts(self, row2):
+        dec = row2.decompose(self.ZETAS.reshape(7, 43))
+        closed = row2.omega_p**2 / (self.ZETAS * (self.ZETAS + row2.omega_tau))
+        assert np.array_equal(dec.eps1.ravel(), closed)
+        for part in (dec.eps2_part, dec.eps3_part):
+            assert part.shape == (7, 43) and not part.any()
+        # adding the zero parts leaves 1 + eps1 as it is
+        assert np.array_equal(dec.total.ravel(), 1.0 + closed)
+        one = row2.decompose(1e15)
+        assert type(one.eps2_part) is np.float64 and one.eps2_part == 0.0
+
+    def test_tabulated_parts_positive(self, bundled_model):
+        dec = bundled_model.decompose(np.logspace(13, 18, 51))
+        for name in ("eps1", "eps2_part", "eps3_part"):
+            assert (getattr(dec, name) > 0).all(), name
+
+    def test_drude_eps1_rounding_to_zero_is_a_domain_error(self, row2):
+        # zeta (zeta + omega_tau) overflows; RuntimeWarnings are errors here
+        assert row2.decompose(1e150).eps1 > 0
+        for evaluate in (row2.decompose, row2.epsilon):
+            with pytest.raises(DomainError, match=re.escape("zeta=1e+200 rad/s")):
+                evaluate(np.array([1e15, 1e200]))
+
+    @pytest.mark.parametrize("parts", [(0.0, 1.0, 1.0), (1.0, -1e-300, 0.0),
+                                       (1.0, 0.0, np.nan)])
+    def test_parts_out_of_domain(self, parts):
+        with pytest.raises(DomainError):
+            EpsilonDecomposition(*parts)
 
 
 class TestDrudeParameters:

@@ -369,7 +369,7 @@ class TestForceScan:
     @pytest.mark.parametrize("prescription", ["schwinger", "halved"])
     def test_tabulated_scan_equals_lone_scans(self, prescription):
         cfg = load_run_config(package_data_dir() / "sample_config.ini")
-        eps, _, _ = cfg.build_evaluator()
+        eps = cfg.build_evaluator().epsilon
         t = ThermalState(cfg.temperature)
         geometries = [Geometry(cfg.sphere_radius, a_nm * 1e-9)
                       for a_nm in [63] + list(range(200, 149, -1))]
@@ -505,7 +505,7 @@ class TestZeroTScan:
     @staticmethod
     def tabulated_eps():
         return load_run_config(package_data_dir() / "sample_config.ini"
-                               ).build_evaluator()[0]
+                               ).build_evaluator().epsilon
 
     @pytest.mark.parametrize("tightened", [False, True],
                              ids=["default", "tightened"])
@@ -623,7 +623,7 @@ class TestTemperatureCorrection:
         payload = json.loads(capsys.readouterr().out)
         row = dict(zip(payload["columns"], payload["rows"][0]))
         cfg = load_run_config(config)
-        eps, _, _ = cfg.build_evaluator()
+        eps = cfg.build_evaluator().epsilon
         g = Geometry(cfg.sphere_radius, 63 * 1e-9)   # --a NM, as the CLI reads it
         (finite,) = force_scan([g], ThermalState(cfg.temperature), eps,
                                cfg.prescription)

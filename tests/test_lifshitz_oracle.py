@@ -105,12 +105,32 @@ def test_library_forces_match_oracle(row, temperature, a_nm):
     assert zero.total == pytest.approx(oracle.zero_T, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore:sphere_radius / separation < 100")
+def test_zero_T_beyond_200_nm_matches_oracle():
+    # the default rule's first panel [0, zeta_min] holds the transverse-
+    # electric feature near omega_tau c^2 / (omega_p a)^2 out here: measured
+    # gaps 9.4e-10, 9.7e-9 and 7.9e-8 at 500 nm, 1 um and 2 um, and
+    # 1.6e-13 to 2.7e-11 with the tightened rule
+    row = (1.37e16, 1e13)
+    bounds = {500: 1e-9, 1000: 1e-8, 2000: 1e-7}
+    geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in bounds]
+    default, tightened = (force_scan(geometries, ThermalState(0.0),
+                                     DrudeParameters(*row).epsilon,
+                                     tightened=tight) for tight in (False, True))
+    for g, bound, coarse, fine in zip(geometries, bounds.values(), default,
+                                      tightened):
+        oracle = lifshitz_oracle.forces(SPHERE_RADIUS, g.separation, 300.0,
+                                        lifshitz_oracle.drude_chi(*row)).zero_T
+        assert coarse.total == pytest.approx(oracle, rel=bound, abs=0)
+        assert fine.total == pytest.approx(oracle, rel=3e-11, abs=0)
+
+
 def test_tabulated_path_matches_independent_anchor():
     # `tabulated_anchor.py` (QUADPACK Kramers-Kronig eps fed to the k-space
     # oracle, about 2.5 minutes) printed these for the bundled config at 63 nm
     finite_anchor, zero_anchor = 446.4266477652371, 435.0460975108947
     cfg = load_run_config(package_data_dir() / "sample_config.ini")
-    eps, _, _ = cfg.build_evaluator()
+    eps = cfg.build_evaluator().epsilon
     g = Geometry(cfg.sphere_radius, 63e-9)
     (finite,) = force_scan([g], ThermalState(cfg.temperature), eps,
                            cfg.prescription)
