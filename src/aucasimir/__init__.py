@@ -15,9 +15,8 @@ from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,
                          EpsilonDecomposition, drude_eps_real_axis,
                          epsilon1_analytic, fit_drude, resistivity)
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import (ForceResult, Geometry, ThermalState, classical_term,
-                       force_scan, ideal_force, matsubara_frequency,
-                       reduction_factor)
+from .lifshitz import (ForceResult, classical_term, force_scan, ideal_force,
+                       matsubara_frequency)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
                       FrequencyBoundaries, OpticalDataset, fill_gap,
                       generate_synthetic_dataset, interpolate_eps2,

@@ -22,7 +22,7 @@ from .analysis import load_experiment, residual_report
 from .config import load_run_config, resolve_data_path
 from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import Geometry, ThermalState, force_scan, ideal_force
+from .lifshitz import force_scan, ideal_force
 from .optical import load_dataset
 from .yukawa import (LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
                      alpha_lower_limit)
@@ -157,19 +157,20 @@ def cmd_force(args) -> int:
     if args.mode != "zero_T":
         _require_temperature(cfg, f"force --mode {args.mode}")
     eps = cfg.build_evaluator().epsilon
-    geometries = [Geometry(cfg.sphere_radius, a) for a in _separations_m(args)]
-    temperature = 0.0 if args.mode == "zero_T" else cfg.temperature
-    results = force_scan(geometries, ThermalState(temperature), eps,
-                         cfg.prescription)
-    force = [r.total for r in results]
-    n0 = dtf = [None] * len(geometries)
+    separations = _separations_m(args)
+    temperatures = {"finite_T": (cfg.temperature,), "zero_T": (0.0,),
+                    "both": (cfg.temperature, 0.0)}[args.mode]
+    # one call site for every temperature: an R/a warning shows once
+    scans = [force_scan(cfg.sphere_radius, separations, t, eps, cfg.prescription)
+             for t in temperatures]
+    force = [r.total for r in scans[0]]
+    n0 = dtf = [None] * len(separations)
     if args.mode != "zero_T":
-        n0 = [r.n0_term for r in results]
+        n0 = [r.n0_term for r in scans[0]]
     if args.mode == "both":
-        zero = force_scan(geometries, ThermalState(0.0), eps)
-        dtf = [f - z.total for f, z in zip(force, zero)]
-    rows = [(g.separation * 1e9, f, n, d, f / ideal_force(g))
-            for g, f, n, d in zip(geometries, force, n0, dtf)]
+        dtf = [f - z.total for f, z in zip(force, scans[1])]
+    rows = [(a * 1e9, f, n, d, f / ideal_force(cfg.sphere_radius, a))
+            for a, f, n, d in zip(separations, force, n0, dtf)]
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)
     return 0
 
@@ -183,12 +184,10 @@ def cmd_residuals(args) -> int:
         range_filter = ((args.a_min or 0.0) * 1e-9,
                         (args.a_max if args.a_max is not None else math.inf) * 1e-9)
     eps = cfg.build_evaluator().epsilon
-    thermal = ThermalState(cfg.temperature)
 
     def theory(separations):
-        geometries = [Geometry(cfg.sphere_radius, a) for a in separations.tolist()]
-        return [r.total for r in force_scan(geometries, thermal, eps,
-                                            cfg.prescription)]
+        return [r.total for r in force_scan(cfg.sphere_radius, separations,
+                                            cfg.temperature, eps, cfg.prescription)]
 
     report = residual_report(records, theory, range_filter)
     rows = [(r.separation * 1e9, r.force_measured, r.force_theory, r.delta_f,
@@ -232,11 +231,13 @@ def cmd_yukawa_limit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="run configuration file (INI)")
-    common.add_argument("--output", choices=("csv", "json", "table"),
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("csv", "json", "table"),
                         help="output format (default csv; fit-drude: table)")
-    common.add_argument("--out", help="write output to this file instead of stdout")
+    output.add_argument("--out", help="write output to this file instead of stdout")
+    # yukawa-limit reads no config, so it takes `output` alone
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
+    common.add_argument("--config", help="run configuration file (INI)")
 
     parser = argparse.ArgumentParser(
         prog="aucasimir",
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-out", help="also write two-column (a_nm, dF_pN) file")
     p.set_defaults(func=cmd_residuals)
 
-    p = sub.add_parser("yukawa-limit", parents=[common],
+    p = sub.add_parser("yukawa-limit", parents=[output],
                        help="Yukawa coupling lower limit vs wavelength")
     p.add_argument("--residual-bound", type=float, default=10.0,
                    help="residual force floor [pN] (default 10)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import c, e as _e_charge, h as _planck_h, hbar
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 GOLD_DENSITY = 19300.0        # kg/m^3
 NUCLEON_MASS = 1.6605e-27     # kg
@@ -73,7 +73,8 @@ def alpha_lower_limit(lambda_: float,
                 * (100 nm / lambda)^3,
 
     normalized to a 10 pN residual floor; the limit scales linearly with
-    `residual_bound_pn` since the Yukawa force is linear in alpha.
+    `residual_bound_pn` since the Yukawa force is linear in alpha.  A limit
+    beyond the float range (lambda < a / 709.78 at 10 pN) is a DomainError.
     """
     if not 0 < lambda_ < math.inf:
         raise ValueError("lambda must be finite and positive")
@@ -83,8 +84,15 @@ def alpha_lower_limit(lambda_: float,
     # for 0 < x <= 1 the film factor falls from 1 to 0.01: never zero
     denom = 1.0 - 1.74 * x + 0.75 * x * x
     scale = residual_bound_pn / BASELINE_RESIDUAL_BOUND_PN
-    return (scale * 6.27e-25 * math.exp(geom.separation_min / lambda_)
-            / denom * (100e-9 / lambda_)**3)
+    try:
+        limit = (scale * 6.27e-25 * math.exp(geom.separation_min / lambda_)
+                 / denom * (100e-9 / lambda_)**3)
+    except OverflowError:
+        limit = math.inf
+    if limit == math.inf:
+        raise DomainError(f"alpha_min at lambda = {lambda_ * 1e9:.6g} nm and a = "
+                          f"{geom.separation_min * 1e9:.6g} nm exceeds the float range")
+    return limit
 
 
 class LambdaBoundary(NamedTuple):

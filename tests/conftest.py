@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from aucasimir import (DrudeParameters, Geometry, ThermalState, force_scan,
-                       generate_synthetic_dataset)
+from aucasimir import DrudeParameters, force_scan, generate_synthetic_dataset
 from aucasimir.optical import OMEGA0_DEFAULT
 
 SPHERE_RADIUS = 95.65e-6
@@ -42,16 +41,6 @@ def single_crystal():
 
 
 @pytest.fixture(scope="session")
-def thermal300():
-    return ThermalState(300.0)
-
-
-@pytest.fixture(scope="session")
-def geometry63():
-    return Geometry(SPHERE_RADIUS, 63e-9)
-
-
-@pytest.fixture(scope="session")
 def pure_drude_dataset(row2):
     """Exact Drude eps'' sampled densely over a wide range."""
     return generate_synthetic_dataset(row2, omega_range=(OMEGA0_DEFAULT, 1e18),
@@ -65,11 +54,11 @@ def ideal_eps():
 
 
 @pytest.fixture(scope="session")
-def finite_forces(single_crystal, thermal300):
+def finite_forces(single_crystal):
     """Finite-T ForceResults on a separation grid, keyed by nm."""
     grid = (60, 100, 150, 200)
-    scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in grid],
-                      thermal300, single_crystal.epsilon)
+    scan = force_scan(SPHERE_RADIUS, [a_nm * 1e-9 for a_nm in grid], 300.0,
+                      single_crystal.epsilon)
     return dict(zip(grid, scan))
 
 
@@ -77,6 +66,6 @@ def finite_forces(single_crystal, thermal300):
 def zero_forces(single_crystal):
     """Zero-T forces on a separation grid, keyed by nm."""
     grid = (60, 100, 200)
-    scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in grid],
-                      ThermalState(0.0), single_crystal.epsilon)
+    scan = force_scan(SPHERE_RADIUS, [a_nm * 1e-9 for a_nm in grid], 0.0,
+                      single_crystal.epsilon)
     return {a_nm: r.total for a_nm, r in zip(grid, scan)}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aucasimir import (DielectricModel, DrudeParameters, FrequencyBoundaries,
-                       Geometry, ThermalState, fit_drude, force_scan,
+                       fit_drude, force_scan,
                        generate_synthetic_dataset, load_dataset)
 from aucasimir import config
 from aucasimir.cli import main
@@ -223,8 +223,7 @@ class TestForce:
         _, rows = parse_csv(out)
         a_nm, force, n0, dtf, eta = rows[0]
         params = DrudeParameters(1.37e16, 3.7e13)
-        (expected,) = force_scan([Geometry(95.65e-6, 100e-9)], ThermalState(300.0),
-                                 params.epsilon)
+        (expected,) = force_scan(95.65e-6, [100e-9], 300.0, params.epsilon)
         assert force == pytest.approx(expected.total, rel=1e-9)
         assert n0 == pytest.approx(expected.n0_term, rel=1e-9)
         assert dtf is None
@@ -237,8 +236,7 @@ class TestForce:
         _, rows = parse_csv(out)
         _, force, n0, dtf, _ = rows[0]
         params = DrudeParameters(1.37e16, 3.7e13)
-        (zero,) = force_scan([Geometry(95.65e-6, 150e-9)], ThermalState(0.0),
-                             params.epsilon)
+        (zero,) = force_scan(95.65e-6, [150e-9], 0.0, params.epsilon)
         assert dtf == pytest.approx(force - zero.total, rel=1e-6)
 
     def test_range_monotone_decreasing(self, drude_config, capsys):
@@ -307,6 +305,20 @@ class TestForce:
         assert out == ""
         assert "compute error" in err and "exceed 1" in err
 
+    def test_both_mode_warns_once_about_curvature(self):
+        # a 2 mm separation is R/a < 100 at both temperatures; the warning
+        # names the CLI's line, so Python's default filter shows it once
+        root = Path(__file__).resolve().parents[1]
+        config = root / "perfbench" / "drude_config.ini"
+        done = subprocess.run(
+            [sys.executable, "-m", "aucasimir.cli", "force", "--config",
+             str(config), "--mode", "both", "--a", "2000000"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr.count("UserWarning") == 1
+        assert "cli.py" in done.stderr and "R >> a" in done.stderr
+
     def test_a_with_a_range_is_usage_error(self, drude_config, capsys):
         # one separation grid per command: argparse refuses the second
         with pytest.raises(SystemExit) as exit_info:
@@ -329,8 +341,7 @@ class TestForce:
 class TestResiduals:
     def test_known_offset_reproduced(self, drude_config, tmp_path, capsys):
         params = DrudeParameters(1.37e16, 3.7e13)
-        theory = force_scan([Geometry(95.65e-6, 100e-9)], ThermalState(300.0),
-                            params.epsilon)[0].total
+        theory = force_scan(95.65e-6, [100e-9], 300.0, params.epsilon)[0].total
         exp_file = tmp_path / "exp.csv"
         exp_file.write_text("# columns=a_nm,F_pN,sigma_pN\n"
                             f"100,{theory + 14.0:.9e},3.5\n")
@@ -449,6 +460,20 @@ class TestYukawaLimit:
         assert out == ""
         assert "finite" in err
 
+    def test_short_lambda_names_lambda_and_separation(self, capsys):
+        # exp(a / lambda) overflows below a / 709.78, 0.0888 nm at 63 nm
+        code, out, err = run(capsys, ["yukawa-limit", "--lambda-min", "0.05"])
+        assert code == 1
+        assert out == ""
+        assert "lambda = 0.05 nm and a = 63 nm" in err
+
+    def test_takes_no_config(self, drude_config, capsys):
+        # yukawa-limit reads no config: --config is a usage error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["yukawa-limit", "--config", drude_config])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bound", ["inf", "nan", "0"])
     def test_residual_bound_must_be_finite_and_positive(self, capsys, bound):
         code, out, err = run(capsys, ["yukawa-limit", "--residual-bound", bound,
@@ -470,7 +495,9 @@ class TestYukawaLimit:
 def test_bad_grid_names_flag(drude_config, capsys, argv, flag):
     # finite 0 < LO < HI and an integral N >= 2, or an input error naming
     # the option; nothing is rounded or computed from a non-finite bound
-    code, out, err = run(capsys, argv + ["--config", drude_config])
+    # (yukawa-limit reads no config and takes no --config)
+    config = [] if argv[0] == "yukawa-limit" else ["--config", drude_config]
+    code, out, err = run(capsys, argv + config)
     assert code == 2
     assert out == ""
     assert flag in err and "integral N >= 2" in err
@@ -612,8 +639,7 @@ class TestConfigDrudeFit:
         ds = load_dataset(package_data_dir() / "gold_synthetic.csv")
         model = DielectricModel(fit_drude(ds, (2e14, 2e15)).parameters, ds,
                                 FrequencyBoundaries(1.519267448e14, 3.2e15))
-        (expected,) = force_scan([Geometry(95.65e-6, 63e-9)], ThermalState(300.0),
-                                 model.epsilon)
+        (expected,) = force_scan(95.65e-6, [63e-9], 300.0, model.epsilon)
         assert out.splitlines()[1].split(",")[1] == f"{expected.total:.9e}"
 
     def test_fit_drude_from_config_equals_from_dataset(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import Boltzmann as k_B, c, hbar
 
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
-                       DrudeParameters, Geometry, ThermalState, classical_term,
-                       force_scan, ideal_force, matsubara_frequency,
-                       reduction_factor)
+                       DrudeParameters, classical_term, force_scan, ideal_force,
+                       matsubara_frequency)
 from aucasimir import lifshitz
 from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
@@ -93,7 +93,7 @@ p_integral_transcribed = by_rule(p_integral_transcribed_on)
 p_integral_textbook = by_rule(p_integral_textbook_on)
 
 
-def ideal_matsubara_term_closed_form(n, g, t):
+def ideal_matsubara_term_closed_form(n, radius, a, temperature):
     """Perfect-conductor term via the polylogarithm series, in pN.
 
     For eps -> inf both round-trip factors reduce to exp(-2 p y) and the
@@ -101,56 +101,54 @@ def ideal_matsubara_term_closed_form(n, g, t):
 
         F_n = (k T R / 2 a^2) [ y Li2(e^-y) + Li3(e^-y) ],  y = 2 zeta_n a / c.
     """
-    y = 2.0 * matsubara_frequency(n, t) * g.separation / c
+    y = 2.0 * matsubara_frequency(n, temperature) * a / c
     x = mp.e ** (-y)
-    value = (k_B * t.temperature * g.sphere_radius / (2 * g.separation**2)
+    value = (k_B * temperature * radius / (2 * a**2)
              * float(y * mp.polylog(2, x) + mp.polylog(3, x)))
     return value * 1e12
 
 
-def ideal_finite_T_force_closed_form(g, t):
+def ideal_finite_T_force_closed_form(radius, a, temperature):
     """Perfect-conductor finite-T force: classical term plus the series."""
-    total = k_B * t.temperature * g.sphere_radius * ZETA3 / (4 * g.separation**2) * 1e12
+    total = k_B * temperature * radius * ZETA3 / (4 * a**2) * 1e12
     n = 0
     while True:
         n += 1
-        term = ideal_matsubara_term_closed_form(n, g, t)
+        term = ideal_matsubara_term_closed_form(n, radius, a, temperature)
         total += term
         if term < 1e-16 * total:
             return total
 
 
 class TestIdealForce:
-    def test_anchor(self, geometry63):
-        assert ideal_force(geometry63) == pytest.approx(1042.0, rel=5e-3)
-        assert ideal_force(geometry63) == pytest.approx(1041.615, rel=1e-5)
+    def test_anchor(self):
+        assert ideal_force(SPHERE_RADIUS, 63e-9) == pytest.approx(1042.0, rel=5e-3)
+        assert ideal_force(SPHERE_RADIUS, 63e-9) == pytest.approx(1041.615, rel=1e-5)
 
-    def test_separation_scaling(self, geometry63):
-        doubled = Geometry(SPHERE_RADIUS, 126e-9)
-        assert ideal_force(doubled) == pytest.approx(ideal_force(geometry63) / 8,
-                                                     rel=1e-12)
+    def test_separation_scaling(self):
+        assert ideal_force(SPHERE_RADIUS, 126e-9) == pytest.approx(
+            ideal_force(SPHERE_RADIUS, 63e-9) / 8, rel=1e-12)
 
-    def test_radius_linearity(self, geometry63):
-        doubled = Geometry(2 * SPHERE_RADIUS, 63e-9)
-        assert ideal_force(doubled) == pytest.approx(2 * ideal_force(geometry63),
-                                                     rel=1e-12)
+    def test_radius_linearity(self):
+        assert ideal_force(2 * SPHERE_RADIUS, 63e-9) == pytest.approx(
+            2 * ideal_force(SPHERE_RADIUS, 63e-9), rel=1e-12)
 
 
 class TestClassicalTerm:
-    def test_anchor(self, geometry63, thermal300):
-        assert classical_term(geometry63, thermal300) == pytest.approx(
+    def test_anchor(self):
+        assert classical_term(SPHERE_RADIUS, 63e-9, 300.0) == pytest.approx(
             29.9967, rel=1e-4)
 
-    def test_halved_is_half(self, geometry63, thermal300):
-        full = classical_term(geometry63, thermal300, "schwinger")
-        assert classical_term(geometry63, thermal300, "halved") == full / 2
+    def test_halved_is_half(self):
+        full = classical_term(SPHERE_RADIUS, 63e-9, 300.0, "schwinger")
+        assert classical_term(SPHERE_RADIUS, 63e-9, 300.0, "halved") == full / 2
 
-    def test_zero_temperature(self, geometry63):
-        assert classical_term(geometry63, ThermalState(0.0)) == 0.0
+    def test_zero_temperature(self):
+        assert classical_term(SPHERE_RADIUS, 63e-9, 0.0) == 0.0
 
-    def test_unknown_prescription(self, geometry63, thermal300):
+    def test_unknown_prescription(self):
         with pytest.raises(ValueError, match="prescription"):
-            classical_term(geometry63, thermal300, "other")
+            classical_term(SPHERE_RADIUS, 63e-9, 300.0, "other")
 
 
 class TestRoundTripFactors:
@@ -239,9 +237,8 @@ class TestRoundTripFactors:
                             orders.append(order) or _p_integral(eps, y, order))
         for temperature in (300.0, 0.0):
             for tightened in (False, True):
-                force_scan([Geometry(SPHERE_RADIUS, 100e-9)],
-                           ThermalState(temperature), single_crystal.epsilon,
-                           tightened=tightened)
+                force_scan(SPHERE_RADIUS, [100e-9], temperature,
+                           single_crystal.epsilon, tightened=tightened)
         assert orders == [_P_ORDER, 2 * _P_ORDER] * 2
 
     def test_far_rule_matches_the_order_32_near_rule(self):
@@ -271,10 +268,10 @@ class TestRoundTripFactors:
 class TestEpsCheck:
     @pytest.mark.parametrize("temperature", [300.0, 0.0],
                              ids=["finite_T", "zero_T"])
-    def test_bad_eps_rejected(self, temperature, geometry63):
+    def test_bad_eps_rejected(self, temperature):
         # eps(i zeta) <= 1 is no causal absorptive medium
         with pytest.raises(DomainError, match="exceed 1"):
-            force_scan([geometry63], ThermalState(temperature), lambda z: 0.5)
+            force_scan(SPHERE_RADIUS, [63e-9], temperature, lambda z: 0.5)
 
 
 class TestFrequencyCutoff:
@@ -284,27 +281,27 @@ class TestFrequencyCutoff:
         # most their perfect-conductor remainder; both scale with R
         for temperature in (77.0, 300.0):
             for a_nm in (20, 60, 200, 1000):
-                g, t = Geometry(1e-2, a_nm * 1e-9), ThermalState(temperature)
-                n = force_scan([g], t, ideal_eps)[0].n_terms_used
+                a = a_nm * 1e-9
+                n = force_scan(1e-2, [a], temperature, ideal_eps)[0].n_terms_used
                 terms = []
                 while not terms or terms[-1] > 1e-12 * math.fsum(terms):
                     n += 1
-                    terms.append(ideal_matsubara_term_closed_form(n, g, t))
-                assert math.fsum(terms) <= 3.4e-12 * ideal_force(g)
+                    terms.append(
+                        ideal_matsubara_term_closed_form(n, 1e-2, a, temperature))
+                assert math.fsum(terms) <= 3.4e-12 * ideal_force(1e-2, a)
 
 
 class TestForceFiniteT:
-    def test_ideal_metal_against_closed_form(self, geometry63, thermal300,
-                                             ideal_eps):
-        oracle = ideal_finite_T_force_closed_form(geometry63, thermal300)
-        (result,) = force_scan([geometry63], thermal300, ideal_eps)
+    def test_ideal_metal_against_closed_form(self, ideal_eps):
+        oracle = ideal_finite_T_force_closed_form(SPHERE_RADIUS, 63e-9, 300.0)
+        (result,) = force_scan(SPHERE_RADIUS, [63e-9], 300.0, ideal_eps)
         assert result.total == pytest.approx(oracle, rel=1e-6)
 
-    def test_ideal_metal_near_zero_T_limit(self, geometry63, thermal300,
-                                           ideal_eps):
+    def test_ideal_metal_near_zero_T_limit(self, ideal_eps):
         # thermal correction for a perfect conductor is tiny at 300 K
-        (result,) = force_scan([geometry63], thermal300, ideal_eps)
-        assert result.total == pytest.approx(ideal_force(geometry63), rel=1.5e-2)
+        (result,) = force_scan(SPHERE_RADIUS, [63e-9], 300.0, ideal_eps)
+        assert result.total == pytest.approx(ideal_force(SPHERE_RADIUS, 63e-9),
+                                             rel=1.5e-2)
 
     def test_decomposition_identity(self, finite_forces):
         for result in finite_forces.values():
@@ -315,27 +312,26 @@ class TestForceFiniteT:
         totals = [finite_forces[a].total for a in (60, 100, 150, 200)]
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
-    def test_monotone_in_reflectivity(self, thermal300):
-        g = Geometry(SPHERE_RADIUS, 100e-9)
+    def test_monotone_in_reflectivity(self):
         small = DrudeParameters(1.28e16, 5.38e13)
         large = DrudeParameters(1.38e16, 5.38e13)
-        f_small = force_scan([g], thermal300, small.epsilon)[0].total
-        f_large = force_scan([g], thermal300, large.epsilon)[0].total
+        f_small = force_scan(SPHERE_RADIUS, [100e-9], 300.0, small.epsilon)[0].total
+        f_large = force_scan(SPHERE_RADIUS, [100e-9], 300.0, large.epsilon)[0].total
         assert f_large > f_small
 
     def test_halved_prescription_shifts_by_half_classical(
-            self, geometry63, thermal300, single_crystal):
-        (schwinger,) = force_scan([geometry63], thermal300,
+            self, single_crystal):
+        (schwinger,) = force_scan(SPHERE_RADIUS, [63e-9], 300.0,
                                   single_crystal.epsilon, "schwinger")
-        (halved,) = force_scan([geometry63], thermal300, single_crystal.epsilon,
-                               "halved")
+        (halved,) = force_scan(SPHERE_RADIUS, [63e-9], 300.0,
+                               single_crystal.epsilon, "halved")
         assert halved.sum_terms == pytest.approx(schwinger.sum_terms, rel=1e-12)
         assert schwinger.total - halved.total == pytest.approx(
-            classical_term(geometry63, thermal300) / 2, rel=1e-12)
+            classical_term(SPHERE_RADIUS, 63e-9, 300.0) / 2, rel=1e-12)
 
-    def test_deterministic(self, geometry63, thermal300, single_crystal):
-        a = force_scan([geometry63], thermal300, single_crystal.epsilon)
-        b = force_scan([geometry63], thermal300, single_crystal.epsilon)
+    def test_deterministic(self, single_crystal):
+        a = force_scan(SPHERE_RADIUS, [63e-9], 300.0, single_crystal.epsilon)
+        b = force_scan(SPHERE_RADIUS, [63e-9], 300.0, single_crystal.epsilon)
         assert a == b
 
     def test_non_convergence_reported(self):
@@ -343,9 +339,8 @@ class TestForceFiniteT:
         def eps(zeta):
             raise AssertionError("eps called")
 
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
         with pytest.raises(ConvergenceError, match="Matsubara"):
-            force_scan(geometries, ThermalState(0.05), eps)
+            force_scan(SPHERE_RADIUS, [150e-9, 63e-9], 0.05, eps)
 
 
 #: lists of separations, unsorted and with repeats
@@ -359,56 +354,47 @@ class TestForceScan:
            st.sampled_from(("schwinger", "halved")))
     def test_equals_lone_scans_per_separation(self, row, a, temperature,
                                               prescription):
-        t = ThermalState(temperature)
-        geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
-        scan = force_scan(geometries, t, row.epsilon, prescription)
+        scan = force_scan(SPHERE_RADIUS, a, temperature, row.epsilon, prescription)
         # ForceResult equality compares every field with ==
-        assert scan == tuple(force_scan([g], t, row.epsilon, prescription)[0]
-                             for g in geometries)
+        assert scan == tuple(force_scan(SPHERE_RADIUS, [x], temperature,
+                                        row.epsilon, prescription)[0] for x in a)
 
     @pytest.mark.parametrize("prescription", ["schwinger", "halved"])
     def test_tabulated_scan_equals_lone_scans(self, prescription):
         cfg = load_run_config(package_data_dir() / "sample_config.ini")
         eps = cfg.build_evaluator().epsilon
-        t = ThermalState(cfg.temperature)
-        geometries = [Geometry(cfg.sphere_radius, a_nm * 1e-9)
-                      for a_nm in [63] + list(range(200, 149, -1))]
-        scan = force_scan(geometries, t, eps, prescription)
-        assert scan == tuple(force_scan([g], t, eps, prescription)[0]
-                             for g in geometries)
+        a = [a_nm * 1e-9 for a_nm in [63] + list(range(200, 149, -1))]
+        scan = force_scan(cfg.sphere_radius, a, cfg.temperature, eps, prescription)
+        assert scan == tuple(force_scan(cfg.sphere_radius, [x], cfg.temperature,
+                                        eps, prescription)[0] for x in a)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
         # at 20 K the closest separations need many rounds of frequencies,
         # which widen as the farther separations drop out
-        t = ThermalState(20.0)
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in np.linspace(60, 200, 35)]
-        scan = force_scan(geometries, t, single_crystal.epsilon)
-        assert scan[0].n_terms_used > 2 * _ROWS // len(geometries)
-        assert scan == tuple(force_scan([g], t, single_crystal.epsilon)[0]
-                             for g in geometries)
+        a = np.linspace(60, 200, 35) * 1e-9
+        scan = force_scan(SPHERE_RADIUS, a, 20.0, single_crystal.epsilon)
+        assert scan[0].n_terms_used > 2 * _ROWS // a.size
+        assert scan == tuple(force_scan(SPHERE_RADIUS, [x], 20.0,
+                                        single_crystal.epsilon)[0] for x in a)
 
     def test_more_separations_than_rows_take_one_frequency_a_round(
-            self, single_crystal, thermal300):
+            self, single_crystal):
         # 1-5 um at 300 K sum 3 to 18 terms each
-        geometries = [Geometry(1e-2, a) for a in np.linspace(1e-6, 5e-6, _ROWS + 7)]
-        scan = force_scan(geometries, thermal300, single_crystal.epsilon)
+        a = np.linspace(1e-6, 5e-6, _ROWS + 7)
+        scan = force_scan(1e-2, a, 300.0, single_crystal.epsilon)
         assert min(r.n_terms_used for r in scan) > 1
-        for i in range(0, len(geometries), 1000):
-            assert scan[i] == force_scan([geometries[i]], thermal300,
+        for i in range(0, a.size, 1000):
+            assert scan[i] == force_scan(1e-2, a[i:i + 1], 300.0,
                                          single_crystal.epsilon)[0]
 
-    def test_one_eps_call_over_the_largest_count(self, single_crystal,
-                                                 thermal300):
+    def test_one_eps_call_over_the_largest_count(self, single_crystal):
         calls = []
 
         def eps(zeta):
             calls.append(zeta.size)
             return single_crystal.epsilon(zeta)
 
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in (200, 60, 100, 60)]
-        scan = force_scan(geometries, thermal300, eps)
+        scan = force_scan(SPHERE_RADIUS, [200e-9, 60e-9, 100e-9, 60e-9], 300.0, eps)
         assert len(calls) == 1
         assert calls[0] >= max(r.n_terms_used for r in scan)
         assert scan[1] == scan[3]
@@ -418,24 +404,23 @@ class TestForceScan:
                                               temperature):
         # a plain loop: the sum takes every n with zeta_n a / c <= 15, and
         # its terms, one kernel row each, are added in ascending n
-        t = ThermalState(temperature)
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in (200, 60, 137.5)]
-        scan = force_scan(geometries, t, single_crystal.epsilon)
-        for g, result in zip(geometries, scan):
-            a, radius = g.separation, g.sphere_radius
+        separations = [a_nm * 1e-9 for a_nm in (200, 60, 137.5)]
+        scan = force_scan(SPHERE_RADIUS, separations, temperature,
+                          single_crystal.epsilon)
+        for a, result in zip(separations, scan):
             n = 0
-            while matsubara_frequency(n + 1, t) * a / c <= 15.0:
+            while matsubara_frequency(n + 1, temperature) * a / c <= 15.0:
                 n += 1
             assert result.n_terms_used == n
             total = 0.0
             for m in range(1, n + 1):
-                zeta = matsubara_frequency(m, t)
+                zeta = matsubara_frequency(m, temperature)
                 total += zeta**2 * _p_integral(
                     single_crystal.epsilon(np.array([zeta])),
                     np.array([zeta * a / c]), 16)[0]
             assert result.sum_terms == pytest.approx(
-                k_B * temperature * radius / c**2 * 1e12 * total, rel=1e-15, abs=0)
+                k_B * temperature * SPHERE_RADIUS / c**2 * 1e12 * total,
+                rel=1e-15, abs=0)
 
     def test_unreachable_count_raises_before_eps(self):
         # 63 nm takes every n with zeta_n a / c <= _Y_MAX: more than a
@@ -445,41 +430,35 @@ class TestForceScan:
 
         with pytest.raises(ConvergenceError,
                            match="at a = 63 nm, T = 0.05 K needs 1735459 terms"):
-            force_scan([Geometry(SPHERE_RADIUS, 63e-9)], ThermalState(0.05), eps)
+            force_scan(SPHERE_RADIUS, [63e-9], 0.05, eps)
 
     def test_non_convergence_names_the_separation(self):
         # at 0.05 K, 150 nm takes 728892 terms, 63 nm would need 1735459
         def eps(zeta):
             raise AssertionError("eps called")
 
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in (150, 63)]
         with pytest.raises(ConvergenceError, match="at a = 63 nm"):
-            force_scan(geometries, ThermalState(0.05), eps)
+            force_scan(SPHERE_RADIUS, [150e-9, 63e-9], 0.05, eps)
 
-    def test_empty_sum_where_zeta_1_exceeds_y_max(self, single_crystal,
-                                                  thermal300):
+    def test_empty_sum_where_zeta_1_exceeds_y_max(self, single_crystal):
         # at 300 K and 20 um, zeta_1 a / c is above _Y_MAX: no Matsubara
         # term is summed, alone or next to a separation that sums many
-        far = Geometry(1e-2, 20e-6)
-        near = Geometry(SPHERE_RADIUS, 60e-9)
-        assert matsubara_frequency(1, thermal300) * far.separation / c > _Y_MAX
-        (alone,) = force_scan([far], thermal300, single_crystal.epsilon)
+        far, near = 20e-6, 60e-9
+        assert matsubara_frequency(1, 300.0) * far / c > _Y_MAX
+        (alone,) = force_scan(1e-2, [far], 300.0, single_crystal.epsilon)
         assert alone.n_terms_used == 0
-        assert alone.total == alone.n0_term == classical_term(far, thermal300)
-        scan = force_scan([far, near, far], thermal300, single_crystal.epsilon)
-        assert scan == (alone, force_scan([near], thermal300,
+        assert alone.total == alone.n0_term == classical_term(1e-2, far, 300.0)
+        scan = force_scan(1e-2, [far, near, far], 300.0, single_crystal.epsilon)
+        assert scan == (alone, force_scan(1e-2, [near], 300.0,
                                           single_crystal.epsilon)[0], alone)
         assert scan[1].n_terms_used > 0
 
-    def test_needs_a_geometry(self, thermal300, single_crystal):
-        with pytest.raises(ValueError, match="geometry"):
-            force_scan([], thermal300, single_crystal.epsilon)
-
 
 class TestForceZeroT:
-    def test_perfect_conductor_limit(self, geometry63, ideal_eps):
-        (result,) = force_scan([geometry63], ThermalState(0.0), ideal_eps)
-        assert result.total == pytest.approx(ideal_force(geometry63), rel=1e-6)
+    def test_perfect_conductor_limit(self, ideal_eps):
+        (result,) = force_scan(SPHERE_RADIUS, [63e-9], 0.0, ideal_eps)
+        assert result.total == pytest.approx(ideal_force(SPHERE_RADIUS, 63e-9),
+                                             rel=1e-6)
 
     def test_finite_T_exceeds_zero_T_for_drude(self, finite_forces, zero_forces):
         for a_nm in (60, 100, 200):
@@ -487,8 +466,7 @@ class TestForceZeroT:
 
     def test_eta_between_zero_and_one(self, zero_forces):
         for a_nm, force in zero_forces.items():
-            g = Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-            assert 0.0 < reduction_factor(force, g) < 1.0
+            assert 0.0 < force / ideal_force(SPHERE_RADIUS, a_nm * 1e-9) < 1.0
 
 
 class TestZeroTScan:
@@ -497,9 +475,9 @@ class TestZeroTScan:
     SEPARATIONS_NM = (63, 200, 60, 150.5, 63, 20, 500, 100, 200)
 
     @staticmethod
-    def scan(geometries, eps, tightened=False):
+    def scan(separations, eps, tightened=False):
         """The zero-T forces of a scan, in input order."""
-        return tuple(r.total for r in force_scan(geometries, ThermalState(0.0),
+        return tuple(r.total for r in force_scan(SPHERE_RADIUS, separations, 0.0,
                                                  eps, tightened=tightened))
 
     @staticmethod
@@ -514,29 +492,26 @@ class TestZeroTScan:
                                               single_crystal):
         # mixed, unsorted and repeated separations
         eps = self.tabulated_eps() if model == "tabulated" else single_crystal.epsilon
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in self.SEPARATIONS_NM]
-        scan = self.scan(geometries, eps, tightened)
-        assert scan == tuple(self.scan([g], eps, tightened)[0] for g in geometries)
+        a = [a_nm * 1e-9 for a_nm in self.SEPARATIONS_NM]
+        scan = self.scan(a, eps, tightened)
+        assert scan == tuple(self.scan([x], eps, tightened)[0] for x in a)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(drude_rows, scans)
     def test_equals_lone_scans_over_drude_scans(self, row, a):
-        geometries = [Geometry(SPHERE_RADIUS, x) for x in a]
-        assert self.scan(geometries, row.epsilon) == tuple(
-            self.scan([g], row.epsilon)[0] for g in geometries)
+        assert self.scan(a, row.epsilon) == tuple(
+            self.scan([x], row.epsilon)[0] for x in a)
 
     def test_rounds_keep_the_bits_of_lone_scans(self, single_crystal):
         # the tightened rule at 20 nm needs many rounds of frequencies,
         # which widen as the farther separations drop out
         calls = []
-        geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                      for a_nm in np.geomspace(20, 500, 35)]
-        scan = self.scan(geometries, lambda zeta: calls.append(zeta.size)
+        a = np.geomspace(20, 500, 35) * 1e-9
+        scan = self.scan(a, lambda zeta: calls.append(zeta.size)
                          or single_crystal.epsilon(zeta), True)
-        assert calls[0] > 2 * _ROWS // len(geometries)
-        assert scan == tuple(self.scan([g], single_crystal.epsilon, True)[0]
-                             for g in geometries)
+        assert calls[0] > 2 * _ROWS // a.size
+        assert scan == tuple(self.scan([x], single_crystal.epsilon, True)[0]
+                             for x in a)
 
     def test_one_eps_call_over_the_closest_rule(self, single_crystal):
         def recorder(calls):
@@ -546,11 +521,10 @@ class TestZeroTScan:
             return eps
 
         scan_calls, near, far = [], [], []
-        scan = force_scan([Geometry(SPHERE_RADIUS, a_nm * 1e-9)
-                           for a_nm in (200, 60, 100, 60)], ThermalState(0.0),
+        scan = force_scan(SPHERE_RADIUS, [200e-9, 60e-9, 100e-9, 60e-9], 0.0,
                           recorder(scan_calls))
-        self.scan([Geometry(SPHERE_RADIUS, 60e-9)], recorder(near))
-        self.scan([Geometry(SPHERE_RADIUS, 200e-9)], recorder(far))
+        self.scan([60e-9], recorder(near))
+        self.scan([200e-9], recorder(far))
         assert len(scan_calls) == len(near) == len(far) == 1
         assert np.array_equal(scan_calls[0], near[0])
         assert scan_calls[0].size == max(r.n_terms_used for r in scan)
@@ -569,8 +543,7 @@ class TestZeroTScan:
         # bound at 1 cm.  The tightened rule doubles the order and the
         # panels per decade, and starts a decade lower.
         calls = []
-        (result,) = force_scan([Geometry(1e3 * a_nm * 1e-9, a_nm * 1e-9)],
-                               ThermalState(0.0),
+        (result,) = force_scan(1e3 * a_nm * 1e-9, [a_nm * 1e-9], 0.0,
                                lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
                                tightened=tightened)
         factor = 2 if tightened else 1
@@ -589,26 +562,22 @@ class TestZeroTScan:
         assert (zeta_min * 10.0 ** ((k - 1) / per_decade) < nodes[-1]
                 < zeta_min * 10.0 ** (k / per_decade))
 
-    def test_needs_a_geometry(self, single_crystal):
-        with pytest.raises(ValueError, match="geometry"):
-            force_scan([], ThermalState(0.0), single_crystal.epsilon)
-
 
 class TestTabulatedPath:
     """Forces from a DielectricModel built on exact Drude data reproduce the
     pure-Drude forces: the data path differs only by the log-log
     interpolant between samples and the omega^-3 tail above 1e18 rad/s."""
 
-    def test_finite_T(self, row2, pure_drude_dataset, geometry63, thermal300):
+    def test_finite_T(self, row2, pure_drude_dataset):
         model = DielectricModel(row2, pure_drude_dataset)
-        (tabulated,) = force_scan([geometry63], thermal300, model.epsilon)
-        (drude,) = force_scan([geometry63], thermal300, row2.epsilon)
+        (tabulated,) = force_scan(SPHERE_RADIUS, [63e-9], 300.0, model.epsilon)
+        (drude,) = force_scan(SPHERE_RADIUS, [63e-9], 300.0, row2.epsilon)
         assert tabulated.n_terms_used == drude.n_terms_used
         assert tabulated.total == pytest.approx(drude.total, rel=1e-5)
 
-    def test_zero_T(self, row2, pure_drude_dataset, geometry63):
+    def test_zero_T(self, row2, pure_drude_dataset):
         model = DielectricModel(row2, pure_drude_dataset)
-        tabulated, drude = (force_scan([geometry63], ThermalState(0.0), eps)[0]
+        tabulated, drude = (force_scan(SPHERE_RADIUS, [63e-9], 0.0, eps)[0]
                             for eps in (model.epsilon, row2.epsilon))
         assert tabulated.total == pytest.approx(drude.total, rel=1e-5)
 
@@ -624,18 +593,17 @@ class TestTemperatureCorrection:
         row = dict(zip(payload["columns"], payload["rows"][0]))
         cfg = load_run_config(config)
         eps = cfg.build_evaluator().epsilon
-        g = Geometry(cfg.sphere_radius, 63 * 1e-9)   # --a NM, as the CLI reads it
-        (finite,) = force_scan([g], ThermalState(cfg.temperature), eps,
+        a = [63 * 1e-9]   # --a NM, as the CLI reads it
+        (finite,) = force_scan(cfg.sphere_radius, a, cfg.temperature, eps,
                                cfg.prescription)
-        (zero,) = force_scan([g], ThermalState(0.0), eps)
+        (zero,) = force_scan(cfg.sphere_radius, a, 0.0, eps)
         assert row["F_pN"] == finite.total
         assert row["dTF_pN"] == finite.total - zero.total
         assert row["dTF_pN"] > 0
 
     def test_vanishes_as_T_to_zero(self, single_crystal):
         # at 1 K the sum step resolves the integral almost perfectly
-        g = Geometry(SPHERE_RADIUS, 100e-9)
-        finite, zero = (force_scan([g], ThermalState(temperature),
+        finite, zero = (force_scan(SPHERE_RADIUS, [100e-9], temperature,
                                    single_crystal.epsilon)[0].total
                         for temperature in (1.0, 0.0))
         assert abs(finite - zero) < 0.1
@@ -654,9 +622,8 @@ class TestProperties:
     def test_decreasing_in_separation(self, row, a1, a2, temperature):
         a_near, a_far = sorted((a1, a2))
         assume(a_far > 1.01 * a_near)
-        geometries = [Geometry(SPHERE_RADIUS, a_near), Geometry(SPHERE_RADIUS, a_far)]
-        for t in (ThermalState(temperature), ThermalState(0.0)):
-            near, far = force_scan(geometries, t, row.epsilon)
+        for t in (temperature, 0.0):
+            near, far = force_scan(SPHERE_RADIUS, [a_near, a_far], t, row.epsilon)
             assert near.total > far.total
 
     @properties
@@ -664,54 +631,76 @@ class TestProperties:
     def test_increasing_with_plasma_frequency(self, row, factor, a,
                                               temperature):
         brighter = DrudeParameters(factor * row.omega_p, row.omega_tau)
-        g = Geometry(SPHERE_RADIUS, a)
-        for t in (ThermalState(temperature), ThermalState(0.0)):
-            assert (force_scan([g], t, brighter.epsilon)[0].total
-                    > force_scan([g], t, row.epsilon)[0].total)
+        for t in (temperature, 0.0):
+            assert (force_scan(SPHERE_RADIUS, [a], t, brighter.epsilon)[0].total
+                    > force_scan(SPHERE_RADIUS, [a], t, row.epsilon)[0].total)
 
     @properties
     @given(drude_rows, separations, temperatures)
     def test_finite_T_exceeds_zero_T_under_schwinger(self, row, a,
                                                      temperature):
-        g = Geometry(SPHERE_RADIUS, a)
-        finite, zero = (force_scan([g], ThermalState(t), row.epsilon, "schwinger")[0]
+        finite, zero = (force_scan(SPHERE_RADIUS, [a], t, row.epsilon, "schwinger")[0]
                         for t in (temperature, 0.0))
         assert finite.total >= zero.total
 
 
-class TestDomainTypes:
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            Geometry(0.0, 63e-9)
-        with pytest.raises(ValueError):
-            Geometry(95.65e-6, -1e-9)
+def no_eps(zeta):
+    raise AssertionError("eps called")
 
-    @pytest.mark.parametrize("radius, separation", [
-        (math.inf, 63e-9), (math.nan, 63e-9), (95.65e-6, math.inf),
-        (95.65e-6, math.nan)])
-    def test_geometry_rejects_non_finite(self, radius, separation):
-        with pytest.raises(ValueError, match="finite"):
-            Geometry(radius, separation)
 
-    def test_geometry_warns_when_curvature_matters(self):
+class TestArguments:
+    """`force_scan` checks its plain-number arguments before eps is called;
+    `ideal_force`, `classical_term` and `matsubara_frequency` share the
+    checks."""
+
+    @pytest.mark.parametrize("radius", [0.0, -1e-6, math.inf, math.nan])
+    def test_radius_finite_and_positive(self, radius):
+        with pytest.raises(ValueError,
+                           match="sphere_radius must be finite and positive"):
+            force_scan(radius, [63e-9], 300.0, no_eps)
+
+    @pytest.mark.parametrize("separation", [0.0, -1e-9, math.inf, math.nan])
+    def test_every_separation_finite_and_positive(self, separation):
+        for a in ([separation], [63e-9, separation, 100e-9]):
+            with pytest.raises(ValueError,
+                               match="separation must be finite and positive"):
+                force_scan(SPHERE_RADIUS, a, 300.0, no_eps)
+
+    @pytest.mark.parametrize("separations", [[], np.zeros((0,)), 63e-9,
+                                             [[63e-9]]],
+                             ids=["list", "array", "scalar", "2-D"])
+    def test_needs_a_1d_sequence_of_separations(self, separations):
+        for temperature in (300.0, 0.0):
+            with pytest.raises(ValueError, match="at least one separation"):
+                force_scan(SPHERE_RADIUS, separations, temperature, no_eps)
+
+    @pytest.mark.parametrize("temperature", [-1.0, math.inf, math.nan])
+    def test_temperature_finite_and_non_negative(self, temperature):
+        with pytest.raises(ValueError,
+                           match="temperature must be finite and non-negative"):
+            force_scan(SPHERE_RADIUS, [63e-9], temperature, no_eps)
+
+    def test_warns_when_curvature_matters(self, single_crystal):
         with pytest.warns(UserWarning, match="R >> a") as record:
-            Geometry(1e-6, 5e-8)
-        # the warning names the caller's line, not the generated __init__
-        assert record[0].filename == __file__
+            line = sys._getframe().f_lineno + 1
+            force_scan(1e-6, [20e-9, 5e-8], 300.0, single_crystal.epsilon)
+        # once per scan, naming the caller's line, not force_scan's
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
-    def test_thermal_state_validation(self):
-        with pytest.raises(ValueError):
-            ThermalState(-1.0)
+    @pytest.mark.parametrize("function, args, name", [
+        (ideal_force, (0.0, 63e-9), "sphere_radius"),
+        (ideal_force, (SPHERE_RADIUS, math.nan), "separation"),
+        (classical_term, (math.inf, 63e-9, 300.0), "sphere_radius"),
+        (classical_term, (SPHERE_RADIUS, -1e-9, 300.0), "separation"),
+        (classical_term, (SPHERE_RADIUS, 63e-9, -1.0), "temperature"),
+        (matsubara_frequency, (1, math.nan), "temperature")],
+        ids=["ideal_force-radius", "ideal_force-separation",
+             "classical_term-radius", "classical_term-separation",
+             "classical_term-temperature", "matsubara_frequency-temperature"])
+    def test_scalar_functions_share_the_checks(self, function, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            function(*args)
 
-    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
-    def test_thermal_state_rejects_non_finite(self, temperature):
-        with pytest.raises(ValueError, match="finite"):
-            ThermalState(temperature)
-
-    def test_reduction_factor_needs_positive_force(self, geometry63):
-        with pytest.raises(ValueError):
-            reduction_factor(0.0, geometry63)
-
-    def test_matsubara_frequency(self, thermal300):
+    def test_matsubara_frequency(self):
         expected = 2 * math.pi * k_B * 300.0 / hbar
-        assert matsubara_frequency(1, thermal300) == pytest.approx(expected)
+        assert matsubara_frequency(1, 300.0) == pytest.approx(expected)

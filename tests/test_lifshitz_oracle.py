@@ -11,7 +11,7 @@ import pytest
 from scipy.constants import Boltzmann, c, hbar
 from scipy.special import zeta as riemann_zeta
 
-from aucasimir import DrudeParameters, Geometry, ThermalState, force_scan
+from aucasimir import DrudeParameters, force_scan
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import _P_ORDER, _Y_FAR, _p_integral
 
@@ -88,17 +88,26 @@ def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
     assert zero_forces[60] == pytest.approx(oracle.zero_T, rel=1e-9)
 
 
-@pytest.mark.parametrize("row", [SINGLE_CRYSTAL, ROW1, (1.37e16, 1e13)],
-                         ids=["single", "row1", "slow_tau"])
-@pytest.mark.parametrize("temperature", [77.0, 300.0])
-@pytest.mark.parametrize("a_nm", [60, 100, 200])
+ORACLE_ROWS = {"single": SINGLE_CRYSTAL, "row1": ROW1, "slow_tau": (1.37e16, 1e13)}
+#: every row, temperature and separation, but 10 K at 20 nm (1.3 s of
+#: oracle each) for the slow_tau row only, which has the worst gaps
+ORACLE_CASES = [pytest.param(row, temperature, a_nm,
+                             id=f"{a_nm}-{temperature}-{name}")
+                for a_nm in (20, 60, 100, 200)
+                for temperature in (10.0, 77.0, 300.0)
+                for name, row in ORACLE_ROWS.items()
+                if (a_nm, temperature) != (20, 10.0) or name == "slow_tau"]
+
+
+@pytest.mark.parametrize("row, temperature, a_nm", ORACLE_CASES)
 def test_library_forces_match_oracle(row, temperature, a_nm):
-    # measured gaps: finite T 2.0e-14 relative at worst; zero T 6.4e-12
-    # for the first two rows and 3.8e-11 for omega_tau = 1e13 rad/s at 200 nm
+    # measured gaps at 20-200 nm and 10-300 K: finite T 1.0e-13 relative at
+    # worst (slow_tau, 10 K, 20 nm); zero T 6.4e-12 for the first two rows
+    # and 3.8e-11 for omega_tau = 1e13 rad/s at 200 nm
     a = a_nm * 1e-9
     oracle = lifshitz_oracle.forces(SPHERE_RADIUS, a, temperature,
                                     lifshitz_oracle.drude_chi(*row))
-    finite, zero = (force_scan([Geometry(SPHERE_RADIUS, a)], ThermalState(t),
+    finite, zero = (force_scan(SPHERE_RADIUS, [a], t,
                                DrudeParameters(*row).epsilon)[0]
                     for t in (temperature, 0.0))
     assert finite.total == pytest.approx(oracle.n0 + oracle.matsubara, rel=1e-10)
@@ -113,13 +122,13 @@ def test_zero_T_beyond_200_nm_matches_oracle():
     # 1.6e-13 to 2.7e-11 with the tightened rule
     row = (1.37e16, 1e13)
     bounds = {500: 1e-9, 1000: 1e-8, 2000: 1e-7}
-    geometries = [Geometry(SPHERE_RADIUS, a_nm * 1e-9) for a_nm in bounds]
-    default, tightened = (force_scan(geometries, ThermalState(0.0),
+    separations = [a_nm * 1e-9 for a_nm in bounds]
+    default, tightened = (force_scan(SPHERE_RADIUS, separations, 0.0,
                                      DrudeParameters(*row).epsilon,
                                      tightened=tight) for tight in (False, True))
-    for g, bound, coarse, fine in zip(geometries, bounds.values(), default,
+    for a, bound, coarse, fine in zip(separations, bounds.values(), default,
                                       tightened):
-        oracle = lifshitz_oracle.forces(SPHERE_RADIUS, g.separation, 300.0,
+        oracle = lifshitz_oracle.forces(SPHERE_RADIUS, a, 300.0,
                                         lifshitz_oracle.drude_chi(*row)).zero_T
         assert coarse.total == pytest.approx(oracle, rel=bound, abs=0)
         assert fine.total == pytest.approx(oracle, rel=3e-11, abs=0)
@@ -131,9 +140,8 @@ def test_tabulated_path_matches_independent_anchor():
     finite_anchor, zero_anchor = 446.4266477652371, 435.0460975108947
     cfg = load_run_config(package_data_dir() / "sample_config.ini")
     eps = cfg.build_evaluator().epsilon
-    g = Geometry(cfg.sphere_radius, 63e-9)
-    (finite,) = force_scan([g], ThermalState(cfg.temperature), eps,
+    (finite,) = force_scan(cfg.sphere_radius, [63e-9], cfg.temperature, eps,
                            cfg.prescription)
-    (zero,) = force_scan([g], ThermalState(0.0), eps)
+    (zero,) = force_scan(cfg.sphere_radius, [63e-9], 0.0, eps)
     assert finite.total == pytest.approx(finite_anchor, rel=1e-10)
     assert zero.total == pytest.approx(zero_anchor, rel=1e-10)

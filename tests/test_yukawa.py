@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.constants import c, hbar
 from scipy.optimize import bisect
 
-from aucasimir import (ConstraintGeometry, ConvergenceError, YukawaHypothesis,
-                       allowed_lambda_boundary, alpha_lower_limit,
-                       yukawa_force_oracle)
+from aucasimir import (ConstraintGeometry, ConvergenceError, DomainError,
+                       YukawaHypothesis, allowed_lambda_boundary,
+                       alpha_lower_limit, yukawa_force_oracle)
 from aucasimir.yukawa import LAMBDA_BRACKET
 
 from conftest import SPHERE_RADIUS
@@ -99,6 +99,15 @@ class TestAlphaLowerLimit:
                                          math.log10(1000e-9), 30)]
         assert max(ratios) - min(ratios) <= 1e-12 * min(ratios)
         assert ratios[0] == pytest.approx(1.01122, rel=1e-5, abs=0)
+
+    def test_beyond_the_float_range_names_lambda_and_separation(self):
+        # exp(a / lambda) overflows below a / 709.78, 0.0888 nm at 63 nm
+        assert math.isfinite(alpha_lower_limit(0.089e-9))
+        with pytest.raises(DomainError, match="lambda = 0.088 nm and a = 63 nm"):
+            alpha_lower_limit(0.088e-9)
+        # a finite exp whose product overflows is the same error
+        with pytest.raises(DomainError, match="lambda = 0.1 nm and a = 63 nm"):
+            alpha_lower_limit(0.1e-9, residual_bound_pn=1e300)
 
     def test_continuous_positive_over_range(self):
         values = [alpha_lower_limit(float(lam))
