@@ -57,7 +57,7 @@ def _render(columns, rows, summary, fmt):
             payload["summary"] = summary
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "table":
-        width = max(len(c) for c in columns)
+        width = max(len(name) for name in (*columns, *(summary or {})))
         lines = []
         for row in rows:
             for name, value in zip(columns, row):

@@ -122,6 +122,19 @@ class TestFitDrude:
         assert "missing.csv" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["residuals", "--config", str(package_data_dir() / "sample_config.ini"),
+     "--experiment", "experiment_sample.csv"],
+    ["yukawa-limit", "--points", "3"]], ids=["residuals", "yukawa-limit"])
+def test_table_output_aligns_summary_keys_with_columns(capsys, argv):
+    # the summary keys max_sigma_exceedance and lambda_star_nm are longer
+    # than every column name
+    code, out, _ = run(capsys, argv + ["--output", "table"])
+    assert code == 0
+    starts = {len(line) - len(line.split(None, 1)[1]) for line in out.splitlines()}
+    assert len(starts) == 1, out
+
+
 class TestEpsilon:
     def test_drude_model_single_zeta(self, drude_config, capsys):
         code, out, _ = run(capsys, ["epsilon", "--config", drude_config,
@@ -839,6 +852,19 @@ def test_cli_import_leaves_quadpack_out():
                      "print(sorted(m for m in sys.modules "
                      "if m == 'scipy' or m.startswith('scipy.')))")
     assert out == "[]"
+
+
+def test_force_leaves_numpy_polynomial_out():
+    # the Gauss-Legendre rules are tables, not built by leggauss
+    config = str(package_data_dir() / "sample_config.ini")
+    out = run_python(f"""
+import contextlib, io, sys
+import aucasimir.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["force", "--config", {config!r}, "--a", "63"]) == 0
+print("numpy.polynomial" in sys.modules)
+""")
+    assert out == "False"
 
 
 def test_commands_import_nothing_after_set_up():

@@ -15,8 +15,8 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        generate_synthetic_dataset, load_dataset, resistivity)
 from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.dielectric import (_ORDER, _PANEL_WIDTH, _TAIL_T_MIN, _TAIL_X2_MAX,
-                                  _log_panels, _tail_series)
+from aucasimir.dielectric import (_BLOCK, _ORDER, _PANEL_WIDTH, _TAIL_T_MIN,
+                                  _TAIL_X2_MAX, _log_panels, _tail_series)
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
 from conftest import drude_rows
@@ -485,6 +485,19 @@ class TestModelContract:
         assert np.array_equal(dec.total.ravel(), 1.0 + closed)
         one = row2.decompose(1e15)
         assert type(one.eps2_part) is np.float64 and one.eps2_part == 0.0
+
+    def test_counts_at_the_block_edges_keep_the_bits_of_one_zeta_calls(
+            self, bundled_model):
+        # the work array holds `step` zeta rows, refilled block by block
+        step = _BLOCK // bundled_model._weights.size
+        assert step > 1
+        zetas = np.geomspace(1e13, 1e18, 2 * step + 3)
+        alone = [bundled_model.decompose(float(z)) for z in zetas]
+        for count in (1, step - 1, step, step + 1, 2 * step + 3):
+            dec = bundled_model.decompose(zetas[:count])
+            for name in ("eps1", "eps2_part", "eps3_part"):
+                expected = [getattr(one, name) for one in alone[:count]]
+                assert np.array_equal(getattr(dec, name), expected), (count, name)
 
     def test_tabulated_parts_positive(self, bundled_model):
         dec = bundled_model.decompose(np.logspace(13, 18, 51))
