@@ -9,6 +9,27 @@ into new-interaction constraints.  The `aucasimir` command line exposes the
 same pipeline for reproducible runs.
 """
 
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    # The package's numpy work is elementwise, reductions and short dot
+    # products, which no BLAS thread pool speeds up, while an OpenBLAS
+    # worker spins on a second core for tens of ms after numpy loads, into
+    # a command's steps or not by how fast the imports went.  OpenBLAS reads
+    # the variable only as it loads, so the caller's value is put back for
+    # the processes this one starts.
+    _user_threads = _os.environ.get("OPENBLAS_NUM_THREADS")
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        if _user_threads is None:
+            del _os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            _os.environ["OPENBLAS_NUM_THREADS"] = _user_threads
+    del _numpy, _user_threads
+
 from .analysis import (ExperimentRecord, ResidualReport, ResidualRow,
                        load_experiment, residual_lower_bound, residual_report)
 from .dielectric import (DielectricModel, DrudeFit, DrudeParameters,

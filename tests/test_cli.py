@@ -867,6 +867,21 @@ print("numpy.polynomial" in sys.modules)
     assert out == "False"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts the process's threads in /proc")
+def test_import_loads_blas_without_worker_threads():
+    # an idle OpenBLAS worker spins on a second core after numpy loads, so a
+    # command's CPU time would depend on how fast its imports went; the
+    # user's setting is put back for child processes
+    out = run_python("""
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+import aucasimir.cli
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+""")
+    assert out == "1 2"
+
+
 def test_commands_import_nothing_after_set_up():
     # every import a command needs is paid when the CLI is imported, so a
     # command's own time holds no module loading
