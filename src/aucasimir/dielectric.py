@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
+from ._quadrature import aligned_empty, gauss_legendre
 from .constants import epsilon_0
 from .errors import ConvergenceError, DomainError
 from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolate_eps2
@@ -324,7 +324,7 @@ class DielectricModel:
                 f"omega_max / {_TAIL_T_MIN:g})")
         sums = np.empty((3, flat.size))
         step = max(1, _BLOCK // self._weights.size)
-        work = np.empty((min(step, flat.size), self._weights.size))
+        work = aligned_empty((min(step, flat.size), self._weights.size))
         for start in range(0, flat.size, step):
             block = flat[start:start + step, None]
             terms = work[:block.shape[0]]

@@ -19,11 +19,12 @@ treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
 rule in u = exp(-(p - 1) zeta a / c), which also supplies the damping.  Each
-frequency's row takes one of two rules by its own y = zeta a / c: seven
-panels clustered towards p = 1 below `_Y_FAR` = 0.5, one panel from there
-on, where most Matsubara terms lie (32 nodes in place of 112 at the
-default order).  The kernel sums each row's nodes on their own, so a
-p-integral is the same floats whatever others share its call.
+frequency's row takes one of three rules by its own y = zeta a / c: seven
+panels clustered towards p = 1 below `_Y_FAR` = 0.5, one panel of 32
+nodes in v = u^(1/3) up to `_Y_TOP` = 2, and from there on, where most
+Matsubara terms lie, one panel of 16 nodes in v = u^(1/4) (112, 32 and 16
+nodes at the default order).  The kernel sums each row's nodes on their
+own, so a p-integral is the same floats whatever others share its call.
 
 One scan, `force_scan`, is the one force function and serves both
 temperatures: at T = 0 the n=0 term is zero and the sum is the frequency
@@ -50,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import gauss_legendre
+from ._quadrature import aligned_empty, gauss_legendre
 from .constants import ZETA3, c, hbar, k_B
 from .errors import ConvergenceError, DomainError
 
@@ -65,8 +66,13 @@ _V_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 0.96, 0.99, 1.0])
 #: features have left v = 1, and the far rule is good to 1e-14 relative
 #: from y ~ 0.27 on
 _Y_FAR = 0.5
+#: rows with y at or above this take the top p-rule, one panel [0, 1] of
+#: half the far rule's nodes in v with u = v^4: the integrand ends like
+#: v^7 ln v at v -> 0 (v^5 ln v with u = v^3 holds 16 nodes near 1e-12),
+#: and the top rule is good to 3e-15 relative from here on
+_Y_TOP = 2.0
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
-#: arrays: 64 near rows or 224 far rows at order `_P_ORDER`
+#: arrays: 64 near rows, 224 far rows or 448 top rows at order `_P_ORDER`
 _CHUNK = 64 * 112
 #: kernel rows (frequencies times separations) per round of
 #: `_frequency_sums`, a bound on its memory only
@@ -162,14 +168,20 @@ def classical_term(sphere_radius: float, separation: float, temperature: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _p_rule(order: int, far: bool = False
+def _p_rule(order: int, band: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln u, u, weight) of the p-rule for `order`, read-only (see
-    `_p_integral`): the near rule has `order` nodes on each panel of
-    `_V_EDGES`, the far rule 2 `order` nodes on the one panel [0, 1]."""
-    v, w = gauss_legendre((0.0, 1.0), 2 * order) if far else gauss_legendre(
-        _V_EDGES, order)
-    ln_u, u, weights = 3.0 * np.log(v), v * v * v, 3.0 * w / v
+    """(ln u, u, weight) of the p-rule of `band` for `order`, read-only (see
+    `_p_integral`): band 0, the near rule, has `order` nodes on each panel
+    of `_V_EDGES` and band 1, the far rule, 2 `order` nodes on the one
+    panel [0, 1], both with u = v^3; band 2, the top rule, has `order`
+    nodes on [0, 1] with u = v^4."""
+    if band == 2:
+        v, w = gauss_legendre((0.0, 1.0), order)
+        ln_u, u, weights = 4.0 * np.log(v), v * v * v * v, 4.0 * w / v
+    else:
+        v, w = gauss_legendre((0.0, 1.0), 2 * order) if band == 1 else gauss_legendre(
+            _V_EDGES, order)
+        ln_u, u, weights = 3.0 * np.log(v), v * v * v, 3.0 * w / v
     ln_u.flags.writeable = u.flags.writeable = weights.flags.writeable = False
     return ln_u, u, weights
 
@@ -178,12 +190,14 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
 
-    Substituting u = exp(-(p-1) y) = v^3 maps the infinite range onto
-    (0, 1] and makes the integrand vanish like v^5 ln v at v -> 0;
-    dp = -3 dv / (v y).  The rule is Gauss-Legendre in v, so the endpoints
-    are never evaluated, and each row takes it by its own y: rows below
-    `_Y_FAR` the near rule on the panels of `_V_EDGES` (112 nodes at the
-    default order), the others the far rule, one panel (32 nodes).
+    Substituting u = exp(-(p-1) y) = v^k maps the infinite range onto
+    (0, 1] and makes the integrand vanish like v^(2k-1) ln v at v -> 0;
+    dp = -k dv / (v y).  The rule is Gauss-Legendre in v, so the endpoints
+    are never evaluated, and each row takes it by its own y (`_p_rule`):
+    rows below `_Y_FAR` the near rule, k = 3 on the panels of `_V_EDGES`
+    (112 nodes at the default order), rows below `_Y_TOP` the far rule,
+    k = 3 on one panel (32 nodes), the others the top rule, k = 4 on one
+    panel (16 nodes).
 
     With chi = eps - 1, s = sqrt(chi + p^2) and d = chi exp(-y) u, the
     damping exp(-2 y p) = (exp(-y) u)^2 comes from the rule and the
@@ -191,17 +205,17 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     g_te = (d / (p + s)^2)^2, g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2
     and ln(1 - g_te) + ln(1 - g_tm) = log1p(g_te g_tm - g_te - g_tm).  The
     rows of each rule go through in chunks of at most `_CHUNK` elements,
-    in work arrays allocated once per call (a fresh temporary per operation
-    and chunk makes the allocator trim and regrow the heap, 10-30 % of a
-    Drude scan).  Each row is summed on its own, so its floats do not
-    depend on the other rows.
+    in aligned work arrays allocated once per call (a fresh temporary per
+    operation and chunk makes the allocator trim and regrow the heap,
+    10-30 % of a Drude scan).  Each row is summed on its own, so its floats
+    do not depend on the other rows.
     """
     out = np.empty(y.shape)
-    far = y >= _Y_FAR
-    groups = [(rows, _p_rule(order, is_far)) for is_far in (False, True)
-              if (rows := np.flatnonzero(far == is_far)).size]
-    work = np.empty((5, max((min(_CHUNK, rows.size * rule[0].size)
-                             for rows, rule in groups), default=0)))
+    band = np.digitize(y, (_Y_FAR, _Y_TOP))
+    groups = [(rows, _p_rule(order, b)) for b in range(3)
+              if (rows := np.flatnonzero(band == b)).size]
+    work = aligned_empty((5, max((min(_CHUNK, rows.size * rule[0].size)
+                                  for rows, rule in groups), default=0)))
     for rows, (ln_u, u, weights) in groups:
         step = _CHUNK // ln_u.size
         for i in range(0, rows.size, step):
@@ -361,6 +375,9 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     T = 0 gaps at 500 nm, 1 um and 2 um are 9.4e-10, 9.7e-9 and 7.9e-8
     (omega_tau = 1e13), 1.6e-10, 1.9e-9 and 2.1e-8 (3.7e13) and 4.0e-11,
     5.2e-10 and 6.2e-9 (1e14 rad/s); the tightened rule is within 3e-11.
+    Each p-integral is good to about 3e-15 relative from y = zeta a / c =
+    `_Y_FAR` on, on one panel: 32 nodes below `_Y_TOP` and 16, with
+    u = v^4, from there on (`_p_integral`).
     """
     separations = np.asarray(separations, dtype=float)
     if separations.ndim != 1 or not separations.size:

@@ -15,7 +15,7 @@ from aucasimir import lifshitz
 from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_CHUNK, _P_ORDER, _PER_DECADE, _ROWS, _Y_FAR,
-                                _Y_MAX, _ZETA_MIN, _ZETA_ORDER, ZETA3,
+                                _Y_MAX, _Y_TOP, _ZETA_MIN, _ZETA_ORDER, ZETA3,
                                 _p_integral, _p_rule)
 
 from conftest import SPHERE_RADIUS, drude_rows
@@ -41,13 +41,14 @@ def round_trip_factors(p, eps_value, y):
 
 def by_rule(p_integral_on):
     """The p-integral of `p_integral_on(rule, eps_value, y)`, each row on
-    the rule `_p_integral` picks for it: the far rule from y = `_Y_FAR` on,
-    the near rule below."""
+    the rule `_p_integral` picks for it: the near rule (band 0) below
+    y = `_Y_FAR`, the far rule (band 1) below `_Y_TOP`, the top rule
+    (band 2) from there on."""
     def p_integral(eps_value, y, order):
         out = np.empty(y.shape)
-        for far in (False, True):
-            rows = (y >= _Y_FAR) == far
-            out[rows] = p_integral_on(_p_rule(order, far), eps_value[rows], y[rows])
+        bands = (y < _Y_FAR, (_Y_FAR <= y) & (y < _Y_TOP), _Y_TOP <= y)
+        for band, rows in enumerate(bands):
+            out[rows] = p_integral_on(_p_rule(order, band), eps_value[rows], y[rows])
         return out
     return p_integral
 
@@ -184,13 +185,14 @@ class TestRoundTripFactors:
                                    rtol=1e-14, atol=0)
 
     def test_rule_is_consistent_and_read_only(self):
-        # u = v^3 and ln u = 3 ln v: exp(ln u) carries the rounding of
-        # ln u, |ln u| <= 20, times about 1e-16
-        ln_u, u, weights = _p_rule(16)
-        np.testing.assert_allclose(u, np.exp(ln_u), rtol=3e-15)
-        for values in (ln_u, u, weights):
-            with pytest.raises(ValueError):
-                values[0] = 0.0
+        # u = v^k and ln u = k ln v in every band: exp(ln u) carries the
+        # rounding of ln u, |ln u| <= 20, times about 1e-16
+        for band in range(3):
+            ln_u, u, weights = _p_rule(16, band)
+            np.testing.assert_allclose(u, np.exp(ln_u), rtol=3e-15)
+            for values in (ln_u, u, weights):
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
 
     def test_blocks_keep_the_bits_of_separate_calls(self):
         # each row's result depends on that row only, so one call gives the
@@ -206,31 +208,34 @@ class TestRoundTripFactors:
 
     @pytest.mark.parametrize("order", [16, 32])
     def test_rows_at_the_threshold_keep_the_bits_of_lone_calls(self, order):
-        # rows at _Y_FAR and one float below it, shuffled among rows that
-        # fill more than one chunk of each rule, give the floats of lone
-        # calls; the one at _Y_FAR takes the far rule, the one below the
-        # near rule
-        below = np.nextafter(_Y_FAR, 0.0)
-        n = 2 * _CHUNK // _p_rule(order, True)[0].size
-        y = np.concatenate(([_Y_FAR, below] * 3, np.geomspace(1e-3, 300.0, n)))
+        # rows at _Y_FAR and _Y_TOP and one float below each, shuffled among
+        # rows that fill more than one chunk of each rule, give the floats
+        # of lone calls; a row at an edge takes the rule above it, the one
+        # below the rule below it
+        edges = ((_Y_FAR, 1), (np.nextafter(_Y_FAR, 0.0), 0),
+                 (_Y_TOP, 2), (np.nextafter(_Y_TOP, 0.0), 1))
+        chunk_rows = [_CHUNK // _p_rule(order, band)[0].size for band in range(3)]
+        y = np.concatenate([[y_ for y_, _ in edges] * 3] + [
+            np.geomspace(low, high, rows + 1, endpoint=False) for low, high, rows
+            in zip((1e-3, _Y_FAR, _Y_TOP), (_Y_FAR, _Y_TOP, 300.0), chunk_rows)])
         eps = 1.0 + np.geomspace(1e6, 1e-3, y.size)
         shuffle = np.random.default_rng(3).permutation(y.size)
         y, eps = y[shuffle], eps[shuffle]
-        assert (y < _Y_FAR).sum() > _CHUNK // _p_rule(order, False)[0].size
+        band = (y >= _Y_FAR).astype(int) + (y >= _Y_TOP)
+        assert all((band == b).sum() > rows for b, rows in enumerate(chunk_rows))
         alone = [_p_integral(eps[i:i + 1], y[i:i + 1], order)[0]
                  for i in range(y.size)]
         assert np.array_equal(_p_integral(eps, y, order), alone)
-        for far, y_ in ((True, _Y_FAR), (False, below)):
+        for y_, band in edges:
             row = np.array([1.5]), np.array([y_])
             assert np.array_equal(_p_integral(*row, order),
-                                  p_integral_transcribed_on(_p_rule(order, far), *row))
+                                  p_integral_transcribed_on(_p_rule(order, band), *row))
 
     def test_tightened_doubles_both_rules(self, monkeypatch, single_crystal):
-        assert _p_rule(_P_ORDER, True)[0].size == 32
-        assert _p_rule(_P_ORDER, False)[0].size == 112
-        for far in (False, True):
-            assert (_p_rule(2 * _P_ORDER, far)[0].size
-                    == 2 * _p_rule(_P_ORDER, far)[0].size)
+        # near, far and top rules: 112, 32 and 16 nodes, doubled by tightened
+        assert [_p_rule(_P_ORDER, band)[0].size for band in range(3)] == [112, 32, 16]
+        assert [_p_rule(2 * _P_ORDER, band)[0].size
+                for band in range(3)] == [224, 64, 32]
         # force_scan's switch takes the doubled order at both temperatures
         orders = []
         monkeypatch.setattr(lifshitz, "_p_integral", lambda eps, y, order:
@@ -242,15 +247,27 @@ class TestRoundTripFactors:
         assert orders == [_P_ORDER, 2 * _P_ORDER] * 2
 
     def test_far_rule_matches_the_order_32_near_rule(self):
-        # from _Y_FAR on the one 32-node panel is as good as seven panels of
-        # 32 nodes: the TE feature and the ln(1 - u^2) endpoint have left v = 1
+        # from _Y_FAR on one panel of 32 nodes, and from _Y_TOP one of 16
+        # with u = v^4, is as good as seven panels of 32 nodes: the TE
+        # feature and the ln(1 - u^2) endpoint have left v = 1
         y, chi = np.meshgrid(np.geomspace(_Y_FAR, 300.0, 150),
                              np.geomspace(1e-6, 1e18, 100))
         y, eps = y.ravel(), 1.0 + chi.ravel()
         np.testing.assert_allclose(
             _p_integral(eps, y, 16),
-            p_integral_transcribed_on(_p_rule(32, False), eps, y),
+            p_integral_transcribed_on(_p_rule(32, 0), eps, y),
             rtol=1e-14, atol=0)
+
+    def test_top_rule_matches_the_far_rule(self):
+        # from _Y_TOP on, 16 nodes with u = v^4 agree with the 32-node far
+        # rule (u = v^3, checked against mpmath) at 200 seeded rows
+        rng = np.random.default_rng(23)
+        y = rng.uniform(_Y_TOP, 30.0, 200)
+        eps = 1.0 + 10.0 ** rng.uniform(-6.0, 18.0, 200)
+        np.testing.assert_allclose(
+            _p_integral(eps, y, 16),
+            p_integral_transcribed_on(_p_rule(16, 1), eps, y),
+            rtol=5e-15, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 3 * ROWS), min_size=1, max_size=8),

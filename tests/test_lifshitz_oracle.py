@@ -13,7 +13,8 @@ from scipy.special import zeta as riemann_zeta
 
 from aucasimir import DrudeParameters, force_scan
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import _P_ORDER, _Y_FAR, _p_integral
+from aucasimir.lifshitz import (_P_ORDER, _PER_DECADE, _Y_FAR, _Y_MAX, _Y_TOP,
+                                _p_integral)
 
 import lifshitz_oracle
 from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS
@@ -54,9 +55,12 @@ def test_k_integral_matches_mpmath(n):
 
 
 @pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
-@pytest.mark.parametrize("y", [_Y_FAR, 2.0, 20.0])
+@pytest.mark.parametrize("y", [_Y_FAR, np.nextafter(_Y_TOP, 0.0), _Y_TOP, _Y_MAX,
+                               20.0, _Y_MAX * 10 ** (1 / _PER_DECADE)])
 def test_far_p_rule_matches_mpmath(y, eps):
-    # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule
+    # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule, from
+    # _Y_TOP on the top rule; the Matsubara sum stops at _Y_MAX, the zero-T
+    # integral's nodes stay below its last edge, a panel above that
     mp = pytest.importorskip("mpmath")
     value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
 

@@ -1,6 +1,6 @@
 """The Gauss-Legendre tables of `aucasimir._quadrature` against numpy's
-`leggauss`, bit for bit.  To add an order, add it to ORDERS and paste the
-printed literal over `_RULES`:
+`leggauss`, bit for bit, and its aligned work arrays.  To add an order, add
+it to ORDERS and paste the printed literal over `_RULES`:
 
     PYTHONPATH=src python tests/test_quadrature.py
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from aucasimir._quadrature import _RULES, legendre
+from aucasimir._quadrature import _RULES, aligned_empty, legendre
 
 #: the orders the package asks for: 8 and 16 for the zeta panels, 16 for
 #: the dispersion integral, 16 to 64 for the p-rules, 4 and 8 in the tests
@@ -51,6 +51,15 @@ def test_rule_equals_leggauss_bitwise(order):
 def test_order_not_held_names_the_held_orders():
     with pytest.raises(ValueError, match=r"order 12.*\[4, 8, 16, 32, 64\]"):
         legendre(12)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (15, 2080)])
+def test_aligned_empty_starts_on_a_64_byte_boundary(shape):
+    for _ in range(4):
+        work = aligned_empty(shape)
+        assert work.shape == shape and work.dtype == np.float64
+        assert work.flags.c_contiguous and work.flags.writeable
+        assert work.ctypes.data % 64 == 0
 
 
 if __name__ == "__main__":
