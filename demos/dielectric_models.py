@@ -6,11 +6,11 @@ Run:  python demos/dielectric_models.py
 
 import numpy as np
 
-from aucasimir import (DielectricModel, DrudeParameters, drude_eps_real_axis,
-                       fit_drude, generate_synthetic_dataset, load_dataset,
-                       resistivity)
+from aucasimir import (DielectricModel, DrudeParameters, OpticalDataset,
+                       fit_drude, load_dataset, resistivity)
 from aucasimir.config import package_data_dir
 from aucasimir.constants import c
+from aucasimir.optical import drude_eps2
 
 # ------------------------------------------------------- Drude parameters
 # three parameter sets spanning the spread between handbook extrapolations
@@ -27,7 +27,7 @@ for p in rows:
 # ------------------------------------------------- real and imaginary axis
 p1 = rows[0]
 omega = 1e15
-eps = drude_eps_real_axis(p1, omega)
+eps = 1.0 - p1.omega_p**2 / (omega * (omega + 1j * p1.omega_tau))
 print(f"\nreal axis at {omega:.1e} rad/s: eps' = {eps.real:.2f}, "
       f"eps'' = {eps.imag:.3f}")
 zeta = c / (2 * 63e-9)  # the frequency scale that dominates at a = 63 nm
@@ -35,8 +35,8 @@ print(f"imaginary axis at zeta = c/2a = {zeta:.3e} rad/s: "
       f"eps(i zeta) = {p1.epsilon(zeta):.2f}")
 
 # -------------------------------------------------------------- Drude fit
-clean = generate_synthetic_dataset(rows[1], omega_range=(1e14, 1e16),
-                                   points_per_decade=25)
+grid = np.geomspace(1e14, 1e16, 51)
+clean = OpticalDataset(grid, drude_eps2(rows[1].omega_p, rows[1].omega_tau, grid))
 fit = fit_drude(clean, (2e14, 2e15))
 print(f"\nfit on exact Drude data recovers omega_p = {fit.parameters.omega_p:.4e}, "
       f"omega_tau = {fit.parameters.omega_tau:.4e} "

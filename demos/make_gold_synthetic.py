@@ -10,13 +10,15 @@ byte for byte.
 Run:  python demos/make_gold_synthetic.py [OUT]   (default: the bundled file)
 """
 
+import math
 import sys
 from pathlib import Path
 
-from aucasimir import DrudeParameters, generate_synthetic_dataset
-from aucasimir.optical import OMEGA0_DEFAULT
+import numpy as np
 
-DRUDE = DrudeParameters(omega_p=1.38e16, omega_tau=5.38e13)
+from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
+
+DRUDE = (1.38e16, 5.38e13)   # (omega_p, omega_tau) [rad/s]
 OSCILLATORS = (
     (1.2, 4.0e15, 2.0e15),   # (strength, center, width) [.., rad/s, rad/s]
     (1.1, 6.5e15, 3.5e15),
@@ -36,15 +38,27 @@ HEADER = """\
 BUNDLED = Path(__file__).resolve().parents[1] / "src/aucasimir/data/gold_synthetic.csv"
 
 
+def lorentz_eps2(strength, center, width, omega):
+    """Absorptive part of a Lorentz oscillator."""
+    return strength * center**2 * width * omega / (
+        (center**2 - omega * omega)**2 + (width * omega)**2)
+
+
 def main(out: Path = BUNDLED) -> None:
-    ds = generate_synthetic_dataset(DRUDE, OSCILLATORS, OMEGA_RANGE,
-                                    POINTS_PER_DECADE, source_label="synthetic-au")
+    # Drude plus the oscillators, sampled log-uniformly, both ends exact
+    lo, hi = OMEGA_RANGE
+    n_nodes = round(POINTS_PER_DECADE * math.log10(hi / lo)) + 1
+    omega = np.exp(np.linspace(math.log(lo), math.log(hi), n_nodes))
+    omega[0], omega[-1] = lo, hi  # exp(log(.)) can drift by an ulp
+    eps2 = drude_eps2(*DRUDE, omega)
+    for oscillator in OSCILLATORS:
+        eps2 = eps2 + lorentz_eps2(*oscillator, omega)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [HEADER]
-    lines += [f"{w:.9e},{e:.9e}" for w, e in zip(ds.omega, ds.eps2)]
+    lines += [f"{w:.9e},{e:.9e}" for w, e in zip(omega, eps2)]
     out.write_text("\n".join(lines) + "\n")
-    print(f"wrote {out} ({ds.omega.size} samples)")
+    print(f"wrote {out} ({omega.size} samples)")
 
 
 if __name__ == "__main__":

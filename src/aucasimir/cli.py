@@ -24,7 +24,8 @@ from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import force_scan, ideal_force
 from .optical import load_dataset
-from .yukawa import (LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
+from .yukawa import (ASTRO_ALPHA_CEILING, BASELINE_RESIDUAL_BOUND_PN,
+                     LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
                      alpha_lower_limit)
 
 
@@ -207,8 +208,7 @@ def cmd_yukawa_limit(args) -> int:
     if not 0 < args.residual_bound < math.inf:
         raise ConfigError(f"--residual-bound needs a finite positive force "
                           f"[pN], got {args.residual_bound:g}")
-    geom = ConstraintGeometry(args.separation * 1e-9,
-                              args.film_thickness * 1e-9)
+    geom = ConstraintGeometry(args.separation, args.film_thickness)
     lo, hi, n = _grid_bounds("--lambda-min/--lambda-max/--points",
                              args.lambda_min, args.lambda_max, args.points)
     grid = np.logspace(math.log10(lo * 1e-9), math.log10(hi * 1e-9), n)
@@ -228,6 +228,12 @@ def cmd_yukawa_limit(args) -> int:
             summary["status"] = "excluded: limit above ceiling over the whole bracket"
     _emit(args, ("lambda_nm", "alpha_min"), rows, summary)
     return 0
+
+
+def length_nm(text: str) -> float:
+    """A length given in nm, in m.  argparse converts only a flag's text, so
+    a default in m is used as it is."""
+    return float(text) * 1e-9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,13 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yukawa-limit", parents=[output],
                        help="Yukawa coupling lower limit vs wavelength")
-    p.add_argument("--residual-bound", type=float, default=10.0,
-                   help="residual force floor [pN] (default 10)")
-    p.add_argument("--alpha-ceiling", type=float, default=1.5e-22,
+    geom = ConstraintGeometry()
+    p.add_argument("--residual-bound", type=float, default=BASELINE_RESIDUAL_BOUND_PN,
+                   help=f"residual force floor [pN] (default "
+                        f"{BASELINE_RESIDUAL_BOUND_PN:g})")
+    p.add_argument("--alpha-ceiling", type=float, default=ASTRO_ALPHA_CEILING,
                    help="astrophysical ceiling on alpha")
-    p.add_argument("--separation", type=float, default=63.0,
+    p.add_argument("--separation", type=length_nm, default=geom.separation_min,
                    help="minimal separation [nm]")
-    p.add_argument("--film-thickness", type=float, default=96.0,
+    p.add_argument("--film-thickness", type=length_nm, default=geom.film_thickness,
                    help="gold film thickness [nm]")
     p.add_argument("--lambda-min", type=float, default=10.0,
                    help="grid low edge [nm]")

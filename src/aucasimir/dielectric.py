@@ -91,18 +91,13 @@ class DrudeParameters:
     omega_tau: float
 
     def __post_init__(self):
-        if not self.omega_p > 0:
-            raise ValueError(f"omega_p must be positive, got {self.omega_p}")
+        # omega_p^2 is every Drude formula's prefactor, so it must be finite
+        if not (self.omega_p > 0 and self.omega_p * self.omega_p < math.inf):
+            raise ValueError(f"omega_p must be positive, with a finite square, "
+                             f"got {self.omega_p}")
         if not 0 < self.omega_tau < self.omega_p:
             raise ValueError(
                 f"need 0 < omega_tau < omega_p, got omega_tau={self.omega_tau}")
-
-    @classmethod
-    def from_resistivity(cls, omega_p: float,
-                         rho_micro_ohm_cm: float) -> "DrudeParameters":
-        """Parameters with omega_tau chosen to match a static resistivity."""
-        rho_si = rho_micro_ohm_cm / _OHM_M_TO_UOHM_CM
-        return cls(omega_p, rho_si * epsilon_0 * omega_p**2)
 
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) of this pure Drude model: eps1 = omega_p^2 /
@@ -122,13 +117,6 @@ class DrudeParameters:
     def epsilon(self, zeta):
         """eps(i zeta)."""
         return self.decompose(zeta).total
-
-
-def drude_eps_real_axis(p: DrudeParameters, omega: float) -> complex:
-    """Drude dielectric function on the real axis: 1 - omega_p^2/(omega(omega + i omega_tau)))."""
-    if omega <= 0:
-        raise ValueError("omega must be positive (omega=0 is singular)")
-    return 1.0 - p.omega_p**2 / (omega * (omega + 1j * p.omega_tau))
 
 
 def resistivity(p: DrudeParameters) -> float:

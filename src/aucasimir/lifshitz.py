@@ -243,14 +243,14 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
 
 
 def _eps_at(eps: Callable, zeta: np.ndarray) -> np.ndarray:
-    """eps(i zeta) on a 1-D array of zeta, checked to exceed 1 everywhere
-    (any causal absorptive medium does)."""
+    """eps(i zeta) on a 1-D array of zeta, checked to exceed 1 (any causal
+    absorptive medium does) and to be finite everywhere."""
     values = np.broadcast_to(np.asarray(eps(zeta), dtype=float), zeta.shape)
-    bad = ~(values > 1.0)
+    bad = ~((values > 1.0) & (values < math.inf))
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"eps(i zeta) must exceed 1, got {values[i]} at "
-                          f"zeta={zeta[i]:.4g}")
+        raise DomainError(f"eps(i zeta) must exceed 1 and be finite, got "
+                          f"{values[i]} at zeta={zeta[i]:.4g}")
     return values
 
 
@@ -353,11 +353,13 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     one computed once; temperature [K] is finite and non-negative.  A bad
     value raises ValueError before eps is called, and R/a < 100 warns that
     the proximity force treatment assumes R >> a.  eps is the eps(i zeta)
-    evaluator, taking an array of zeta in rad/s; prescription, one of
-    PRESCRIPTIONS, handles the n=0 term.  tightened selects strictly more
-    demanding rules, for convergence checks: both node orders and the
-    zero-T panels per decade doubled and `_ZETA_MIN` divided by 10; the
-    Matsubara terms (`_Y_MAX`) and their cap (`_N_MAX`) stay.
+    evaluator, taking an array of zeta in rad/s; a value not above 1 or not
+    finite, or one so large that a sum is not finite, raises DomainError.
+    prescription, one of PRESCRIPTIONS, handles the n=0 term.  tightened
+    selects strictly more demanding rules, for convergence checks: both
+    node orders and the zero-T panels per decade doubled and `_ZETA_MIN`
+    divided by 10; the Matsubara terms (`_Y_MAX`) and their cap (`_N_MAX`)
+    stay.
 
     The frequency rule, `_matsubara_rule` at T > 0 and `_zero_T_rule` at
     T = 0, is fixed before eps is called (an unreachable Matsubara count
@@ -393,9 +395,19 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     zeta, weights, counts, prefactor = (
         _matsubara_rule(temperature, sphere_radius, a) if temperature > 0
         else _zero_T_rule(sphere_radius, a, tightened))
-    sums = prefactor * _frequency_sums(
-        zeta, weights, _eps_at(eps, zeta), a, counts,
-        2 * _P_ORDER if tightened else _P_ORDER)
+    eps_values = _eps_at(eps, zeta)
+    # an eps so large that the kernel overflows gives a non-finite sum,
+    # which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = prefactor * _frequency_sums(zeta, weights, eps_values, a, counts,
+                                           2 * _P_ORDER if tightened else _P_ORDER)
+    bad = ~np.isfinite(sums)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"force at a = {a[i] * 1e9:.6g} nm, T = {temperature:g} K is not "
+            f"finite: eps(i zeta) up to {eps_values.max():.4g} overflows the "
+            f"Lifshitz kernel")
     results = [ForceResult(total=n0[i] + float(sums[i]), n0_term=n0[i],
                            sum_terms=float(sums[i]), n_terms_used=int(counts[i]))
                for i in range(a.size)]

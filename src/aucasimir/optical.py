@@ -5,8 +5,8 @@ empirical input to every dispersion integral in this package.  Handbook
 tables come in different units and from different sources, so this module
 covers loading, merging (one dataset wins where two overlap), interpolation
 (linear on a log-log scale, the standard choice for optical tables), gap
-filling, and a synthetic Drude + Lorentz generator used as a hermetic test
-fixture.
+filling, and the Drude eps'' that `dielectric.fit_drude` matches to the
+data.  demos/make_gold_synthetic.py writes the bundled synthetic table.
 
 Internal canonical frequency unit is rad/s; file inputs may be in eV.
 """
@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ._table import read_table
 from .constants import e as _e_charge, hbar as _hbar
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    from .dielectric import DrudeParameters
 
 #: photon energy in eV -> angular frequency in rad/s
 EV_TO_RAD_S = _e_charge / _hbar
@@ -196,36 +192,3 @@ def drude_eps2(omega_p: float, omega_tau: float, omega):
     """Drude absorptive part: omega_p^2 omega_tau / (omega (omega^2 + omega_tau^2))."""
     w = np.asarray(omega, dtype=float)
     return omega_p**2 * omega_tau / (w * (w * w + omega_tau**2))
-
-
-def lorentz_eps2(strength: float, center: float, width: float, omega):
-    """Lorentz oscillator absorptive part."""
-    w = np.asarray(omega, dtype=float)
-    return strength * center**2 * width * w / ((center**2 - w * w)**2 + (width * w)**2)
-
-
-def generate_synthetic_dataset(
-        drude: "DrudeParameters",
-        oscillators: Sequence[tuple[float, float, float]] = (),
-        omega_range: tuple[float, float] = (OMEGA0_DEFAULT, 1e18),
-        points_per_decade: int = 20,
-        source_label: str = "synthetic") -> OpticalDataset:
-    """Drude + Lorentz eps''(omega) sampled log-uniformly over `omega_range`.
-
-    Stands in for the copyrighted handbook tables so that tests and the
-    bundled sample file are self-contained.  `oscillators` is a sequence of
-    (strength, center, width) triples, all positive.
-    """
-    lo, hi = omega_range
-    if not 0 < lo < hi:
-        raise ValueError("omega_range must satisfy 0 < lo < hi")
-    for strength, center, width in oscillators:
-        if strength <= 0 or center <= 0 or width <= 0:
-            raise ValueError("oscillator parameters must be positive")
-    n_nodes = max(int(round(points_per_decade * math.log10(hi / lo))) + 1, 2)
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n_nodes))
-    grid[0], grid[-1] = lo, hi  # exp(log(.)) can drift by an ulp
-    eps2 = drude_eps2(drude.omega_p, drude.omega_tau, grid)
-    for strength, center, width in oscillators:
-        eps2 = eps2 + lorentz_eps2(strength, center, width, grid)
-    return OpticalDataset(grid, eps2, source_label)

@@ -1,8 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from aucasimir import DrudeParameters, force_scan, generate_synthetic_dataset
-from aucasimir.optical import OMEGA0_DEFAULT
+from aucasimir import DrudeParameters, OpticalDataset, force_scan
+from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
 SPHERE_RADIUS = 95.65e-6
 
@@ -18,6 +21,16 @@ SINGLE_CRYSTAL = (1.37e16, 3.7e13)
 drude_rows = st.builds(DrudeParameters,
                        st.floats(0.8e16, 1.8e16),
                        st.floats(1e13, 2e14))
+
+
+def drude_dataset(drude, omega_range, points_per_decade=20):
+    """Exact Drude eps'' of `drude` sampled log-uniformly over omega_range,
+    both ends exact."""
+    lo, hi = omega_range
+    n_nodes = round(points_per_decade * math.log10(hi / lo)) + 1
+    omega = np.exp(np.linspace(math.log(lo), math.log(hi), n_nodes))
+    omega[0], omega[-1] = lo, hi  # exp(log(.)) can drift by an ulp
+    return OpticalDataset(omega, drude_eps2(drude.omega_p, drude.omega_tau, omega))
 
 
 @pytest.fixture(scope="session")
@@ -43,8 +56,7 @@ def single_crystal():
 @pytest.fixture(scope="session")
 def pure_drude_dataset(row2):
     """Exact Drude eps'' sampled densely over a wide range."""
-    return generate_synthetic_dataset(row2, omega_range=(OMEGA0_DEFAULT, 1e18),
-                                      points_per_decade=30)
+    return drude_dataset(row2, (OMEGA0_DEFAULT, 1e18), points_per_decade=30)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.constants import c
+from scipy.constants import c, epsilon_0
 
 from aucasimir import (DielectricModel, DrudeParameters, ExperimentRecord,
                        allowed_lambda_boundary, epsilon1_analytic, fill_gap,
@@ -152,8 +152,10 @@ def test_c8_handbook_forces():
         assert force == pytest.approx(expected, abs=2.0)
 
     ds1 = load_dataset(paths[0])
+    # the second row's omega_tau matches a resistivity of 2.3 micro-ohm cm
     eta_rows = [(DrudeParameters(1.38e16, 5.38e13), 0.547),
-                (DrudeParameters.from_resistivity(1.37e16, 2.3), 0.559)]
+                (DrudeParameters(1.37e16, 2.3 / 1e8 * epsilon_0 * 1.37e16**2),
+                 0.559)]
     for drude, expected in eta_rows:
         model = DielectricModel(drude, ds1)
         (zero,) = force_scan(SPHERE_RADIUS, [100e-9], 0.0, model.epsilon)

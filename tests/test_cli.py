@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,14 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aucasimir import (DielectricModel, DrudeParameters, FrequencyBoundaries,
-                       fit_drude, force_scan,
-                       generate_synthetic_dataset, load_dataset)
+from aucasimir import (ConstraintGeometry, DielectricModel, DrudeParameters,
+                       FrequencyBoundaries, alpha_lower_limit, fit_drude,
+                       force_scan, load_dataset)
 from aucasimir import config
 from aucasimir.cli import main
 from aucasimir.config import RunConfig, load_run_config, package_data_dir
 
-from conftest import drude_rows
+from conftest import drude_dataset, drude_rows
 
 DRUDE_INI = """\
 [dielectric]
@@ -87,8 +88,7 @@ def summary_of(text):
 class TestFitDrude:
     def test_recovers_parameters_from_pure_drude_file(self, tmp_path, capsys):
         params = DrudeParameters(1.37e16, 4.06e13)
-        ds = generate_synthetic_dataset(params, omega_range=(1e14, 1e16),
-                                        points_per_decade=25)
+        ds = drude_dataset(params, (1e14, 1e16), points_per_decade=25)
         data = tmp_path / "pure.csv"
         data.write_text("# unit=rad_s source=fixture\n" + "\n".join(
             f"{w:.12e} {e:.12e}" for w, e in zip(ds.omega, ds.eps2)) + "\n")
@@ -104,8 +104,7 @@ class TestFitDrude:
 
     def test_table_output_includes_resistivity(self, tmp_path, capsys):
         params = DrudeParameters(1.37e16, 4.06e13)
-        ds = generate_synthetic_dataset(params, omega_range=(1e14, 1e16),
-                                        points_per_decade=10)
+        ds = drude_dataset(params, (1e14, 1e16), points_per_decade=10)
         data = tmp_path / "pure.csv"
         data.write_text("# unit=rad_s\n" + "\n".join(
             f"{w:.12e} {e:.12e}" for w, e in zip(ds.omega, ds.eps2)) + "\n")
@@ -318,6 +317,17 @@ class TestForce:
         assert out == ""
         assert "compute error" in err and "exceed 1" in err
 
+    def test_overflowing_eps_is_compute_error(self, tmp_path, capsys):
+        # eps(i zeta) ~ 1e170 overflows the Lifshitz kernel: the force would
+        # be NaN, and no RuntimeWarning escapes (pytest makes it an error)
+        path = tmp_path / "huge.ini"
+        path.write_text(DRUDE_INI.replace("omega_p = 1.37e16", "omega_p = 1e100"))
+        code, out, err = run(capsys, ["force", "--config", str(path),
+                                      "--mode", "both", "--a", "63"])
+        assert code == 1
+        assert "nan" not in out
+        assert "compute error" in err and "a = 63 nm" in err
+
     def test_both_mode_warns_once_about_curvature(self):
         # a 2 mm separation is R/a < 100 at both temperatures; the warning
         # names the CLI's line, so Python's default filter shows it once
@@ -455,6 +465,17 @@ class TestYukawaLimit:
         lambdas = [r[0] for r in rows]
         assert lambdas == sorted(lambdas)
 
+    def test_defaults_are_the_library_constraint(self, capsys):
+        # with no flag the limit is computed at ConstraintGeometry() itself:
+        # 63 nm converted from nm would be 6.300000000000001e-08 m
+        code, out, _ = run(capsys, ["yukawa-limit", "--points", "7",
+                                    "--output", "json"])
+        assert code == 0
+        grid = np.logspace(math.log10(10e-9), math.log10(1000e-9), 7)
+        expected = [alpha_lower_limit(float(lam), ConstraintGeometry())
+                    for lam in grid]
+        assert [row[1] for row in json.loads(out)["rows"]] == expected
+
     def test_huge_ceiling_reports_unconstrained(self, capsys):
         code, out, _ = run(capsys, ["yukawa-limit", "--points", "3",
                                     "--alpha-ceiling", "1.0"])
@@ -566,8 +587,7 @@ class TestConfigHandling:
         data_dir = tmp_path / "store"
         data_dir.mkdir()
         params = DrudeParameters(1.38e16, 5.38e13)
-        ds = generate_synthetic_dataset(params, omega_range=(1.5e14, 1e17),
-                                        points_per_decade=10)
+        ds = drude_dataset(params, (1.5e14, 1e17), points_per_decade=10)
         (data_dir / "env_only.csv").write_text(
             "# unit=rad_s\n" + "\n".join(
                 f"{w:.9e} {e:.9e}" for w, e in zip(ds.omega, ds.eps2)) + "\n")
@@ -691,6 +711,9 @@ class TestConfigDrudeFit:
      ["force", "--a", "63"], "line 11: key [geometry] sphere_radius appears twice"),
     (TABULATED_INI.replace("omega_p = 1.38e16", "omega_p = -1.38e16"),
      ["force", "--a", "63"], "[dielectric] omega_p must be positive"),
+    (TABULATED_INI.replace("omega_p = 1.38e16", "omega_p = 1e200"),
+     ["force", "--a", "63"],
+     "[dielectric] omega_p must be positive, with a finite square"),
     (FIT_INI.replace("fit_range = 2e14 2e15", "fit_range = 2e14 2e15\n"
                      "fit_fixed_omega_p = -3"),
      ["force", "--a", "63"], "[dielectric] fit_fixed_omega_p"),
@@ -711,7 +734,7 @@ class TestConfigDrudeFit:
         "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1",
         "zero-radius", "negative-temperature", "no-dielectric-section",
         "no-sphere-radius", "unparsable", "repeated-key", "negative-omega-p",
-        "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",
+        "overflowing-omega-p", "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",
         "epsilon-without-zeta", "force-without-separation",
         "fit-range-with-omega-p", "fixed-omega-p-with-omega-p",
         "omega-tau-with-fit-range"])
@@ -778,10 +801,8 @@ def write_optical(path, omega, eps2):
 def test_earlier_dataset_wins_on_overlap(tmp_path, capsys):
     # dataset = low.csv, high.csv: the earlier file keeps every sample and
     # the later adds only those outside its span
-    low = generate_synthetic_dataset(DrudeParameters(1.38e16, 5.38e13),
-                                     omega_range=(1.5e14, 1e16))
-    high = generate_synthetic_dataset(DrudeParameters(1.28e16, 3.29e13),
-                                      omega_range=(1e15, 1e18))
+    low = drude_dataset(DrudeParameters(1.38e16, 5.38e13), (1.5e14, 1e16))
+    high = drude_dataset(DrudeParameters(1.28e16, 3.29e13), (1e15, 1e18))
     write_optical(tmp_path / "low.csv", low.omega, low.eps2)
     write_optical(tmp_path / "high.csv", high.omega, high.eps2)
     above = high.omega > low.omega_max

@@ -282,13 +282,21 @@ class TestRoundTripFactors:
         assert np.array_equal(_p_integral(eps, y, order), expected)
 
 
+@pytest.mark.parametrize("temperature", [300.0, 0.0], ids=["finite_T", "zero_T"])
 class TestEpsCheck:
-    @pytest.mark.parametrize("temperature", [300.0, 0.0],
-                             ids=["finite_T", "zero_T"])
     def test_bad_eps_rejected(self, temperature):
-        # eps(i zeta) <= 1 is no causal absorptive medium
-        with pytest.raises(DomainError, match="exceed 1"):
-            force_scan(SPHERE_RADIUS, [63e-9], temperature, lambda z: 0.5)
+        # eps(i zeta) <= 1 is no causal absorptive medium; an infinite one
+        # would make the force NaN
+        for value in (0.5, np.inf):
+            with pytest.raises(DomainError, match="exceed 1"):
+                force_scan(SPHERE_RADIUS, [63e-9], temperature,
+                           lambda z: np.full(np.shape(z), value))
+
+    def test_overflowing_eps_rejected(self, temperature):
+        # a finite eps(i zeta) of 1e200 overflows the kernel: the sum is NaN
+        with pytest.raises(DomainError, match=f"a = 63 nm, T = {temperature:g} K"):
+            force_scan(SPHERE_RADIUS, [63e-9], temperature,
+                       lambda z: np.full(np.shape(z), 1e200))
 
 
 class TestFrequencyCutoff:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aucasimir import (DataFormatError, DrudeParameters, OpticalDataset,
-                       fill_gap, generate_synthetic_dataset, interpolate_eps2,
-                       load_dataset, merge_datasets)
-from aucasimir.optical import drude_eps2, lorentz_eps2
+from aucasimir import (DataFormatError, OpticalDataset, fill_gap,
+                       interpolate_eps2, load_dataset, merge_datasets)
+from aucasimir.optical import drude_eps2
 
 # 0.1 eV * e / hbar, evaluated by hand from CODATA values
 OMEGA_01EV = 1.519267e14
@@ -149,8 +148,7 @@ class TestInterpolate:
         ds = OpticalDataset([1e14, 1e15], [10.0, 1.0])
         omega = np.array([1e14, 10**14.5, 1e15])
         for evaluate in (lambda w: interpolate_eps2(ds, w),
-                         lambda w: drude_eps2(1.37e16, 4e13, w),
-                         lambda w: lorentz_eps2(2.0, 3e14, 1e14, w)):
+                         lambda w: drude_eps2(1.37e16, 4e13, w)):
             for i, w in enumerate(omega):
                 value = evaluate(float(w))
                 assert type(value) is np.float64
@@ -212,31 +210,15 @@ class TestFillGap:
             fill_gap(ds, 2e14, 1e15)
 
 
-class TestGenerateSynthetic:
-    def test_drude_value_at_relaxation_frequency(self):
+class TestDrudeEps2:
+    def test_hand_value(self):
+        # single-crystal parameters at 1e15 rad/s
+        assert drude_eps2(1.37e16, 3.7e13, 1e15) == pytest.approx(6.935036, rel=1e-5)
+
+    def test_value_at_relaxation_frequency(self):
         # hand value: eps''(omega_tau) = omega_p^2 / (2 omega_tau^2)
-        p = DrudeParameters(1.37e16, 4.06e13)
-        ds = generate_synthetic_dataset(
-            p, omega_range=(4.06e11, 4.06e15), points_per_decade=25)
-        assert interpolate_eps2(ds, 4.06e13) == pytest.approx(5.692967e4, rel=1e-4)
-
-    def test_zero_plasma_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            generate_synthetic_dataset(DrudeParameters(0.0, 1e13))
-
-    def test_oscillator_decays_far_above_center(self):
-        p = DrudeParameters(1.37e16, 4.06e13)
-        with_osc = generate_synthetic_dataset(
-            p, oscillators=[(1.0, 1e15, 2e14)],
-            omega_range=(1e14, 1e18), points_per_decade=20)
-        at_center = interpolate_eps2(with_osc, 1e15)
-        far_above = interpolate_eps2(with_osc, 1e18)
-        assert far_above < 1e-3 * at_center
-
-    def test_bad_oscillator_rejected(self):
-        p = DrudeParameters(1.37e16, 4.06e13)
-        with pytest.raises(ValueError, match="oscillator"):
-            generate_synthetic_dataset(p, oscillators=[(1.0, -1e15, 2e14)])
+        assert drude_eps2(1.37e16, 4.06e13, 4.06e13) == pytest.approx(5.692967e4,
+                                                                      rel=1e-4)
 
 
 class TestInvariants:
