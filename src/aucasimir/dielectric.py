@@ -91,8 +91,10 @@ class DrudeParameters:
     omega_tau: float
 
     def __post_init__(self):
-        # omega_p^2 is every Drude formula's prefactor, so it must be finite
-        if not (self.omega_p > 0 and self.omega_p * self.omega_p < math.inf):
+        # omega_p^2 is every Drude formula's prefactor, so it must be finite;
+        # squared as a Python float, which overflows to inf without a warning
+        omega_p = float(self.omega_p)
+        if not (omega_p > 0 and omega_p * omega_p < math.inf):
             raise ValueError(f"omega_p must be positive, with a finite square, "
                              f"got {self.omega_p}")
         if not 0 < self.omega_tau < self.omega_p:

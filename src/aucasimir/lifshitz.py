@@ -18,13 +18,14 @@ as a switch.  The zero-temperature force replaces kT sum' by
 treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
-rule in u = exp(-(p - 1) zeta a / c), which also supplies the damping.  Each
-frequency's row takes one of three rules by its own y = zeta a / c: seven
-panels clustered towards p = 1 below `_Y_FAR` = 0.5, one panel of 32
-nodes in v = u^(1/3) up to `_Y_TOP` = 2, and from there on, where most
-Matsubara terms lie, one panel of 16 nodes in v = u^(1/4) (112, 32 and 16
-nodes at the default order).  The kernel sums each row's nodes on their
-own, so a p-integral is the same floats whatever others share its call.
+rule in v = u^(1/4), u = exp(-(p - 1) zeta a / c), which also supplies the
+damping.  Each frequency's row takes one of three rules by its own
+y = zeta a / c, which differ only in panels and nodes: four panels of 16
+nodes clustered towards p = 1 below `_Y_FAR` = 0.5, one panel of 32 nodes
+up to `_Y_TOP` = 2, and from there on, where most Matsubara terms lie, one
+panel of 16 nodes (64, 32 and 16 nodes at the default order).  The kernel
+sums each row's nodes on their own, so a p-integral is the same floats
+whatever others share its call.
 
 One scan, `force_scan`, is the one force function and serves both
 temperatures: at T = 0 the n=0 term is zero and the sum is the frequency
@@ -57,23 +58,22 @@ from .errors import ConvergenceError, DomainError
 
 _N_TO_PN = 1e12
 
-#: panel edges of the near p-rule in v, where u = v^3 = exp(-(p - 1) y).
+#: panel edges of the near p-rule in v, where u = v^4 = exp(-(p - 1) y).
 #: They cluster towards v = 1 (p -> 1): at small y both the
 #: transverse-electric feature at p ~ sqrt(eps - 1) and the ln(1 - u^2)
-#: endpoint sit there.
-_V_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 0.96, 0.99, 1.0])
+#: endpoint sit there.  With 16 nodes a panel the rule is good to about
+#: 1e-15 relative for y in [0.01, 0.5]; notes/decisions.md has the sweep.
+_V_EDGES = np.array([0.0, 0.75, 0.95, 0.993, 1.0])
 #: rows with y at or above this take the far p-rule, one panel [0, 1]: both
 #: features have left v = 1, and the far rule is good to 1e-14 relative
-#: from y ~ 0.27 on
+#: from y ~ 0.35 on
 _Y_FAR = 0.5
 #: rows with y at or above this take the top p-rule, one panel [0, 1] of
-#: half the far rule's nodes in v with u = v^4: the integrand ends like
-#: v^7 ln v at v -> 0 (v^5 ln v with u = v^3 holds 16 nodes near 1e-12),
-#: and the top rule is good to 3e-15 relative from here on
+#: half the far rule's nodes, good to 3e-15 relative from here on
 _Y_TOP = 2.0
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
-#: arrays: 64 near rows, 224 far rows or 448 top rows at order `_P_ORDER`
-_CHUNK = 64 * 112
+#: arrays: 112 near rows, 224 far rows or 448 top rows at order `_P_ORDER`
+_CHUNK = 112 * 64
 #: kernel rows (frequencies times separations) per round of
 #: `_frequency_sums`, a bound on its memory only
 _ROWS = 8192
@@ -171,17 +171,13 @@ def classical_term(sphere_radius: float, separation: float, temperature: float,
 def _p_rule(order: int, band: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ln u, u, weight) of the p-rule of `band` for `order`, read-only (see
-    `_p_integral`): band 0, the near rule, has `order` nodes on each panel
-    of `_V_EDGES` and band 1, the far rule, 2 `order` nodes on the one
-    panel [0, 1], both with u = v^3; band 2, the top rule, has `order`
-    nodes on [0, 1] with u = v^4."""
-    if band == 2:
-        v, w = gauss_legendre((0.0, 1.0), order)
-        ln_u, u, weights = 4.0 * np.log(v), v * v * v * v, 4.0 * w / v
-    else:
-        v, w = gauss_legendre((0.0, 1.0), 2 * order) if band == 1 else gauss_legendre(
-            _V_EDGES, order)
-        ln_u, u, weights = 3.0 * np.log(v), v * v * v, 3.0 * w / v
+    `_p_integral`), Gauss-Legendre in v with u = v^4: band 0, the near rule,
+    has `order` nodes on each panel of `_V_EDGES`, band 1, the far rule,
+    2 `order` nodes on the one panel [0, 1] and band 2, the top rule,
+    `order` nodes on [0, 1]."""
+    v, w = (gauss_legendre(_V_EDGES, order) if band == 0
+            else gauss_legendre((0.0, 1.0), 2 * order if band == 1 else order))
+    ln_u, u, weights = 4.0 * np.log(v), v * v * v * v, 4.0 * w / v
     ln_u.flags.writeable = u.flags.writeable = weights.flags.writeable = False
     return ln_u, u, weights
 
@@ -190,14 +186,14 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
 
-    Substituting u = exp(-(p-1) y) = v^k maps the infinite range onto
-    (0, 1] and makes the integrand vanish like v^(2k-1) ln v at v -> 0;
-    dp = -k dv / (v y).  The rule is Gauss-Legendre in v, so the endpoints
+    Substituting u = exp(-(p-1) y) = v^4 maps the infinite range onto
+    (0, 1] and makes the integrand vanish like v^7 ln v at v -> 0;
+    dp = -4 dv / (v y).  The rule is Gauss-Legendre in v, so the endpoints
     are never evaluated, and each row takes it by its own y (`_p_rule`):
-    rows below `_Y_FAR` the near rule, k = 3 on the panels of `_V_EDGES`
-    (112 nodes at the default order), rows below `_Y_TOP` the far rule,
-    k = 3 on one panel (32 nodes), the others the top rule, k = 4 on one
-    panel (16 nodes).
+    rows below `_Y_FAR` the near rule on the four panels of `_V_EDGES`
+    (64 nodes at the default order), rows below `_Y_TOP` the far rule on
+    one panel (32 nodes), the others the top rule on one panel (16
+    nodes).
 
     With chi = eps - 1, s = sqrt(chi + p^2) and d = chi exp(-y) u, the
     damping exp(-2 y p) = (exp(-y) u)^2 comes from the rule and the
@@ -370,16 +366,18 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
 
     Accuracy, against an independent k-space integral: for the Drude rows
     (1.37e16, 3.7e13), (1.38e16, 5.38e13) and (1.37e16, 1e13) rad/s at
-    20-200 nm and 10-300 K, 1.0e-13 relative at T > 0, and at T = 0 6.4e-12
+    20-200 nm and 10-300 K, 6.3e-14 relative at T > 0, and at T = 0 6.2e-12
     for the first two and 3.8e-11 for the third (at 200 nm).  Farther out
     the transverse-electric feature near omega_tau c^2 / (omega_p a)^2
     falls inside the first zero-T panel: for omega_p = 1.37e16 rad/s the
     T = 0 gaps at 500 nm, 1 um and 2 um are 9.4e-10, 9.7e-9 and 7.9e-8
     (omega_tau = 1e13), 1.6e-10, 1.9e-9 and 2.1e-8 (3.7e13) and 4.0e-11,
     5.2e-10 and 6.2e-9 (1e14 rad/s); the tightened rule is within 3e-11.
-    Each p-integral is good to about 3e-15 relative from y = zeta a / c =
-    `_Y_FAR` on, on one panel: 32 nodes below `_Y_TOP` and 16, with
-    u = v^4, from there on (`_p_integral`).
+    Each p-integral (`_p_integral`), over eps - 1 in [1e-6, 1e18], is good
+    to about 1e-15 relative for y = zeta a / c in [0.01, `_Y_FAR`) on the
+    near rule's 64 nodes, and to 3e-15 from `_Y_FAR` on, on one panel: 32
+    nodes below `_Y_TOP` and 16 from there on.  Below y = 0.01 the near
+    rule drifts, to 1e-9 at y = 1e-3 and 2e-8 at 1e-5.
     """
     separations = np.asarray(separations, dtype=float)
     if separations.ndim != 1 or not separations.size:

@@ -491,8 +491,9 @@ class TestModelContract:
 
 class TestDrudeParameters:
     def test_validation(self):
-        # omega_p = 1e200 is finite, but its square is not
-        for omega_p in (-1e16, 0.0, math.inf, 1e200):
+        # omega_p = 1e200 is finite, but its square is not; a numpy float
+        # must raise the ValueError, not an overflow warning
+        for omega_p in (-1e16, 0.0, math.inf, 1e200, np.float64(1e200)):
             with pytest.raises(ValueError, match="omega_p"):
                 DrudeParameters(omega_p, 1e13)
         with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ experiment, and the Drude copy of the config in perfbench/.  A change that
 alters output on purpose regenerates the files and says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the files whose bytes differ and prints, per file,
+"unchanged" or "N of M lines changed".
 """
 
 import contextlib
 import io
-import sys
 from pathlib import Path
 
 import pytest
@@ -58,5 +60,14 @@ def test_stdout_matches_golden_file(name):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.out").write_bytes(stdout_of(argv))
-        print(f"wrote {GOLDEN / name}.out", file=sys.stderr)
+        path = GOLDEN / f"{name}.out"
+        new = stdout_of(argv)
+        old = path.read_bytes() if path.exists() else b""
+        if new == old:
+            print(f"{path.name}: unchanged")
+            continue
+        path.write_bytes(new)
+        old_lines, new_lines = old.splitlines(), new.splitlines()
+        changed = sum(a != b for a, b in zip(old_lines, new_lines)) + abs(
+            len(new_lines) - len(old_lines))
+        print(f"{path.name}: {changed} of {len(new_lines)} lines changed")

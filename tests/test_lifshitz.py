@@ -232,10 +232,10 @@ class TestRoundTripFactors:
                                   p_integral_transcribed_on(_p_rule(order, band), *row))
 
     def test_tightened_doubles_both_rules(self, monkeypatch, single_crystal):
-        # near, far and top rules: 112, 32 and 16 nodes, doubled by tightened
-        assert [_p_rule(_P_ORDER, band)[0].size for band in range(3)] == [112, 32, 16]
+        # near, far and top rules: 64, 32 and 16 nodes, doubled by tightened
+        assert [_p_rule(_P_ORDER, band)[0].size for band in range(3)] == [64, 32, 16]
         assert [_p_rule(2 * _P_ORDER, band)[0].size
-                for band in range(3)] == [224, 64, 32]
+                for band in range(3)] == [128, 64, 32]
         # force_scan's switch takes the doubled order at both temperatures
         orders = []
         monkeypatch.setattr(lifshitz, "_p_integral", lambda eps, y, order:
@@ -246,10 +246,27 @@ class TestRoundTripFactors:
                            single_crystal.epsilon, tightened=tightened)
         assert orders == [_P_ORDER, 2 * _P_ORDER] * 2
 
+    def test_near_rule_matches_a_graded_rule(self):
+        # below _Y_FAR, four panels of 16 nodes with u = v^4 agree with an
+        # independent rule, numpy's 64 nodes in v with u = v^2 on panels
+        # graded towards v = 1 down to 1e-12, at 200 seeded rows (the same
+        # four panels with u = v^3 are 4.6e-13 off)
+        x, w = np.polynomial.legendre.leggauss(64)
+        edges = np.concatenate(([0.0, 0.5], 1.0 - np.logspace(-1, -12, 12), [1.0]))
+        half, mid = np.diff(edges)[:, None] / 2, (edges[:-1] + edges[1:])[:, None] / 2
+        v, w = (mid + half * x).ravel(), (half * w).ravel()
+        graded = 2.0 * np.log(v), v * v, 2.0 * w / v
+        rng = np.random.default_rng(25)
+        y = rng.uniform(0.01, _Y_FAR, 200)
+        eps = 1.0 + 10.0 ** rng.uniform(-6.0, 18.0, 200)
+        np.testing.assert_allclose(_p_integral(eps, y, 16),
+                                   p_integral_transcribed_on(graded, eps, y),
+                                   rtol=5e-15, atol=0)
+
     def test_far_rule_matches_the_order_32_near_rule(self):
-        # from _Y_FAR on one panel of 32 nodes, and from _Y_TOP one of 16
-        # with u = v^4, is as good as seven panels of 32 nodes: the TE
-        # feature and the ln(1 - u^2) endpoint have left v = 1
+        # from _Y_FAR on one panel of 32 nodes, and from _Y_TOP one of 16,
+        # is as good as four panels of 32 nodes: the TE feature and the
+        # ln(1 - u^2) endpoint have left v = 1
         y, chi = np.meshgrid(np.geomspace(_Y_FAR, 300.0, 150),
                              np.geomspace(1e-6, 1e18, 100))
         y, eps = y.ravel(), 1.0 + chi.ravel()
@@ -259,8 +276,8 @@ class TestRoundTripFactors:
             rtol=1e-14, atol=0)
 
     def test_top_rule_matches_the_far_rule(self):
-        # from _Y_TOP on, 16 nodes with u = v^4 agree with the 32-node far
-        # rule (u = v^3, checked against mpmath) at 200 seeded rows
+        # from _Y_TOP on, 16 nodes agree with the 32-node far rule (checked
+        # against mpmath) at 200 seeded rows
         rng = np.random.default_rng(23)
         y = rng.uniform(_Y_TOP, 30.0, 200)
         eps = 1.0 + 10.0 ** rng.uniform(-6.0, 18.0, 200)

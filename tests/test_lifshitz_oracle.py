@@ -54,16 +54,10 @@ def test_k_integral_matches_mpmath(n):
     assert value == pytest.approx(float(reference), rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
-@pytest.mark.parametrize("y", [_Y_FAR, np.nextafter(_Y_TOP, 0.0), _Y_TOP, _Y_MAX,
-                               20.0, _Y_MAX * 10 ** (1 / _PER_DECADE)])
-def test_far_p_rule_matches_mpmath(y, eps):
-    # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule, from
-    # _Y_TOP on the top rule; the Matsubara sum stops at _Y_MAX, the zero-T
-    # integral's nodes stay below its last edge, a panel above that
+def p_integral_mpmath(eps, y):
+    """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)] by mpmath quadrature, with
+    the textbook round-trip factors at 30 digits."""
     mp = pytest.importorskip("mpmath")
-    value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
-
     with mp.workdps(30):
         e, ym = mp.mpf(eps), mp.mpf(y)
 
@@ -77,10 +71,29 @@ def test_far_p_rule_matches_mpmath(y, eps):
         # quad stops on an absolute error, so the integrand is scaled to 1
         # at p = 1 (it is below 1e-30 there at y = 20, eps = 1 + 1e-6)
         scale = integrand(mp.mpf(1))
-        reference = scale * mp.quad(lambda p: integrand(p) / scale,
-                                    [1, 1 + 1 / ym, 1 + 4 / ym, 1 + 16 / ym,
-                                     1 + 64 / ym, mp.inf])
-    assert value == pytest.approx(float(reference), rel=1e-14, abs=0)
+        return float(scale * mp.quad(lambda p: integrand(p) / scale,
+                                     [1, 1 + 1 / ym, 1 + 4 / ym, 1 + 16 / ym,
+                                      1 + 64 / ym, mp.inf]))
+
+
+@pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
+@pytest.mark.parametrize("y", [0.01, 0.1, np.nextafter(_Y_FAR, 0.0)])
+def test_near_p_rule_matches_mpmath(y, eps):
+    # rows below y = zeta a / c = _Y_FAR take the near rule, four panels of
+    # `_P_ORDER` nodes in v = u^(1/4)
+    value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
+    assert value == pytest.approx(p_integral_mpmath(eps, y), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
+@pytest.mark.parametrize("y", [_Y_FAR, np.nextafter(_Y_TOP, 0.0), _Y_TOP, _Y_MAX,
+                               20.0, _Y_MAX * 10 ** (1 / _PER_DECADE)])
+def test_far_p_rule_matches_mpmath(y, eps):
+    # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule, from
+    # _Y_TOP on the top rule; the Matsubara sum stops at _Y_MAX, the zero-T
+    # integral's nodes stay below its last edge, a panel above that
+    value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
+    assert value == pytest.approx(p_integral_mpmath(eps, y), rel=1e-14, abs=0)
 
 
 def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
