@@ -1,10 +1,10 @@
-"""Tour of the optical-data layer: loading, merging, interpolation, gap fill.
+"""Tour of the optical-data layer: loading, merging, interpolation.
 
 Run:  python demos/optical_data_tour.py
 """
 
-from aucasimir import (OpticalDataset, fill_gap, interpolate_eps2,
-                       load_dataset, merge_datasets)
+from aucasimir import (OpticalDataset, interpolate_eps2, load_dataset,
+                       merge_datasets)
 from aucasimir.config import package_data_dir
 
 # ---------------------------------------------------------------- loading
@@ -27,15 +27,3 @@ merged = merge_datasets(low, high)
 print("\nmerged sources (low-freq wins overlaps):")
 for omega, eps2, source in zip(merged.omega, merged.eps2, merged.source):
     print(f"  {omega:.2e}  {eps2:8.2f}  [{source}]")
-
-# ---------------------------------------------------------------- gap fill
-# a dataset with a hole between 6.3e14 and 3.2e15 rad/s, bridged by the
-# log-log chord; the published sensitivity of the force to how this gap is
-# filled is about +-1 pN, so the step is explicit, never automatic
-gapped = OpticalDataset(
-    [1e14, 3e14, 6.3e14, 3.2e15, 1e16], [300.0, 40.0, 8.0, 1.6, 0.2], "sparse")
-filled = fill_gap(gapped, 6.3e14, 3.2e15, points_per_decade=10)
-added = filled.source == "gapfill"
-print(f"\ngap fill inserted {added.sum()} chord samples:")
-for omega, eps2 in zip(filled.omega[added], filled.eps2[added]):
-    print(f"  {omega:.3e}  {eps2:.4f}")

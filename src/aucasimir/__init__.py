@@ -39,8 +39,8 @@ from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
 from .lifshitz import (ForceResult, classical_term, force_scan, ideal_force,
                        matsubara_frequency)
 from .optical import (EV_TO_RAD_S, OMEGA0_DEFAULT, OMEGA1_DEFAULT,
-                      FrequencyBoundaries, OpticalDataset, fill_gap,
-                      interpolate_eps2, load_dataset, merge_datasets)
+                      FrequencyBoundaries, OpticalDataset, interpolate_eps2,
+                      load_dataset, merge_datasets)
 from .yukawa import (ConstraintGeometry, YukawaHypothesis,
                      allowed_lambda_boundary, alpha_lower_limit,
                      yukawa_force_oracle)

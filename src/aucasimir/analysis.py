@@ -9,24 +9,24 @@ new-force constraint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._table import read_table
+from ._value import validated
 from .errors import DataFormatError, DomainError
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+@validated
+class ExperimentRecord(NamedTuple):
     """One measured point: separation [m], force [pN], one-sigma error [pN]."""
 
     separation: float
     force_measured: float
     sigma: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0 < self.separation < math.inf:
             raise ValueError("separation must be finite and positive")
         if not math.isfinite(self.force_measured):
@@ -35,8 +35,7 @@ class ExperimentRecord:
             raise ValueError("sigma must be finite and positive")
 
 
-@dataclass(frozen=True)
-class ResidualRow:
+class ResidualRow(NamedTuple):
     separation: float
     force_measured: float
     force_theory: float
@@ -44,8 +43,7 @@ class ResidualRow:
     sigma_ratio: float
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Per-point residuals plus rms deviation and worst sigma exceedance."""
 
     rows: tuple[ResidualRow, ...]

@@ -17,9 +17,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .dielectric import DielectricModel, DrudeParameters, fit_drude
 from .errors import ConfigError
@@ -43,7 +42,7 @@ _KEYS = {
 
 
 def package_data_dir() -> Path:
-    return Path(str(resources.files("aucasimir") / "data"))
+    return Path(__file__).parent / "data"
 
 
 def resolve_data_path(name, search_dirs: tuple[Path, ...] = ()) -> Path:
@@ -67,8 +66,7 @@ def resolve_data_path(name, search_dirs: tuple[Path, ...] = ()) -> Path:
         f"data file not found: {name} (searched {', '.join(str(c.parent) for c in candidates)})")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run configuration."""
 
     model_kind: str                      # "drude" or "tabulated"

@@ -31,11 +31,12 @@ directly or fitted to the data (`fit_drude`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._quadrature import aligned_empty, gauss_legendre
+from ._value import validated
 from .constants import epsilon_0
 from .errors import ConvergenceError, DomainError
 from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolate_eps2
@@ -83,14 +84,14 @@ def _positive_zeta(zeta) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class DrudeParameters:
+@validated
+class DrudeParameters(NamedTuple):
     """Free-electron parameters: plasma frequency and relaxation frequency [rad/s]."""
 
     omega_p: float
     omega_tau: float
 
-    def __post_init__(self):
+    def _validate(self):
         # omega_p^2 is every Drude formula's prefactor, so it must be finite;
         # squared as a Python float, which overflows to inf without a warning
         omega_p = float(self.omega_p)
@@ -159,8 +160,8 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     return out[()]
 
 
-@dataclass(frozen=True)
-class EpsilonDecomposition:
+@validated
+class EpsilonDecomposition(NamedTuple):
     """eps(i zeta) split by spectral origin; total = 1 + sum of the parts.
 
     The parts have the shape of zeta: numpy float64 for a scalar zeta.  The
@@ -171,7 +172,7 @@ class EpsilonDecomposition:
     eps2_part: float | np.ndarray  # tabulated data, [omega0, omega1]
     eps3_part: float | np.ndarray  # tabulated data above omega1 plus the power-law tail
 
-    def __post_init__(self):
+    def _validate(self):
         if not np.all(self.eps1 > 0):
             raise DomainError("eps1 must be positive")
         for name in ("eps2_part", "eps3_part"):
@@ -228,8 +229,15 @@ def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.exp(nodes), weights, _ORDER * np.cumsum(panels)
 
 
-@dataclass(frozen=True)
-class DielectricModel:
+class _DielectricModelFields(NamedTuple):
+    drude: DrudeParameters
+    dataset: OpticalDataset
+    boundaries: FrequencyBoundaries = FrequencyBoundaries()
+    tail_exponent: float = 3.0
+
+
+@validated
+class DielectricModel(_DielectricModelFields):
     """Composite eps(i zeta): Drude segment plus transformed tabulated data.
 
     The dataset must cover [omega0, omega1]; above its last sample eps'' is
@@ -249,15 +257,12 @@ class DielectricModel:
     (`_tail_series`), which holds for zeta up to sqrt(_TAIL_X2_MAX)
     omega_max / _TAIL_T_MIN; a larger zeta raises DomainError.
     The weights carry (2/pi) omega^2 eps''(omega), so eps(i zeta) is one
-    sum of weight / (omega^2 + zeta^2) per region.
+    sum of weight / (omega^2 + zeta^2) per region.  The rule is kept in
+    instance attributes, which this subclass of the fields' NamedTuple can
+    hold; equality and hashing see the four fields only.
     """
 
-    drude: DrudeParameters
-    dataset: OpticalDataset
-    boundaries: FrequencyBoundaries = FrequencyBoundaries()
-    tail_exponent: float = 3.0
-
-    def __post_init__(self):
+    def _validate(self):
         if not self.tail_exponent > 1:
             raise ValueError("tail_exponent must exceed 1 for integrability")
         # the slack covers decimal round-trips of omega0 through data files
@@ -289,17 +294,14 @@ class DielectricModel:
         np.clip(omega[:data_end], ds.omega_min, w_max, out=omega[:data_end])
         eps2 = np.concatenate((interpolate_eps2(ds, omega[:data_end]),
                                eps2_at_max * (w_max / omega[data_end:])**q))
-        object.__setattr__(self, "_omega_sq", omega * omega)
-        object.__setattr__(self, "_weights",
-                           (2.0 / math.pi) * weights * omega * omega * eps2)
+        self._omega_sq = omega * omega
+        self._weights = (2.0 / math.pi) * weights * omega * omega * eps2
         # the three sums' nodes: data below / above omega1, tail panels
-        object.__setattr__(self, "_columns", (slice(0, omega1_end),
-                                              slice(omega1_end, data_end),
-                                              slice(data_end, None)))
+        self._columns = (slice(0, omega1_end), slice(omega1_end, data_end),
+                         slice(data_end, None))
         # int_0^T t^(q-1) / (1 + (zeta t / w_max)^2) dt
         #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
-        object.__setattr__(self, "_tail_rest",
-                           (2.0 / math.pi) * eps2_at_max * _TAIL_T_MIN**q / q)
+        self._tail_rest = (2.0 / math.pi) * eps2_at_max * _TAIL_T_MIN**q / q
 
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) by spectral region."""
@@ -333,8 +335,7 @@ class DielectricModel:
         return self.decompose(zeta).total
 
 
-@dataclass(frozen=True)
-class DrudeFit:
+class DrudeFit(NamedTuple):
     """Result of a Drude fit: parameters, rms residual in log space, point count."""
 
     parameters: DrudeParameters

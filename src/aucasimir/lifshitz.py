@@ -47,8 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,8 +97,7 @@ _PER_DECADE = 4
 _N_MAX = 10**6
 
 
-@dataclass(frozen=True)
-class ForceResult:
+class ForceResult(NamedTuple):
     """Sphere-plate force [pN] and its decomposition.
 
     total = n0_term + sum_terms.  At T > 0, n_terms_used counts the n >= 1

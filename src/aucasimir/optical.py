@@ -4,21 +4,21 @@ The absorptive part of the dielectric function, eps''(omega), is the
 empirical input to every dispersion integral in this package.  Handbook
 tables come in different units and from different sources, so this module
 covers loading, merging (one dataset wins where two overlap), interpolation
-(linear on a log-log scale, the standard choice for optical tables), gap
-filling, and the Drude eps'' that `dielectric.fit_drude` matches to the
-data.  demos/make_gold_synthetic.py writes the bundled synthetic table.
+(linear on a log-log scale, the standard choice for optical tables) and
+the Drude eps'' that `dielectric.fit_drude` matches to the data.
+demos/make_gold_synthetic.py writes the bundled synthetic table.
 
 Internal canonical frequency unit is rad/s; file inputs may be in eV.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._table import read_table
+from ._value import validated
 from .constants import e as _e_charge, hbar as _hbar
 from .errors import DataFormatError
 
@@ -32,8 +32,8 @@ OMEGA0_DEFAULT = 0.1 * EV_TO_RAD_S
 OMEGA1_DEFAULT = 3.2e15
 
 
-@dataclass(frozen=True)
-class FrequencyBoundaries:
+@validated
+class FrequencyBoundaries(NamedTuple):
     """Edges of the three spectral regions used by the dispersion transform.
 
     omega0 is the low-frequency end of the tabulated data (below it a Drude
@@ -44,14 +44,14 @@ class FrequencyBoundaries:
     omega0: float = OMEGA0_DEFAULT
     omega1: float = OMEGA1_DEFAULT
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0 < self.omega0 < self.omega1:
             raise ValueError(
                 f"need 0 < omega0 < omega1, got ({self.omega0}, {self.omega1})")
 
 
-@dataclass(frozen=True, eq=False)
-class OpticalDataset:
+@validated
+class OpticalDataset(NamedTuple):
     """Table of eps''(omega) samples as read-only columns, ascending in omega.
 
     `omega` [rad/s] and `eps2` are float arrays; `source` holds one tag per
@@ -64,7 +64,12 @@ class OpticalDataset:
     eps2: np.ndarray
     source: np.ndarray = ""
 
-    def __post_init__(self):
+    # a table is its own value: equal only to itself, hashed by identity
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def _validate(self):
         omega = np.array(self.omega, dtype=float)
         eps2 = np.array(self.eps2, dtype=float)
         source = np.array(self.source, dtype=object)
@@ -84,9 +89,9 @@ class OpticalDataset:
         if repeated.size:
             raise ValueError(f"repeated frequency omega={omega[repeated[0]]}: "
                              f"samples must be strictly ascending in omega")
-        for name, column in (("omega", omega), ("eps2", eps2), ("source", source)):
+        for column in (omega, eps2, source):
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        return omega, eps2, source
 
     @property
     def omega_min(self) -> float:
@@ -156,36 +161,6 @@ def interpolate_eps2(ds: OpticalDataset, omega):
     # return the stored value verbatim when omega hits a node
     idx = np.clip(np.searchsorted(ds.omega, w), 0, ds.omega.size - 1)
     return np.where(ds.omega[idx] == w, ds.eps2[idx], out)[()]
-
-
-def fill_gap(ds: OpticalDataset, gap_lo: float, gap_hi: float,
-             points_per_decade: int = 20) -> OpticalDataset:
-    """Insert synthetic samples across an empty interval of the dataset.
-
-    New samples lie on the log-log chord joining the nearest sample at or
-    below `gap_lo` to the nearest sample at or above `gap_hi`, spaced
-    log-uniformly, and carry the source label "gapfill".
-    """
-    if not gap_lo < gap_hi:
-        raise ValueError("gap_lo must be < gap_hi")
-    if gap_lo < ds.omega_min or gap_hi > ds.omega_max:
-        raise ValueError("gap endpoints must lie inside the dataset range")
-    if points_per_decade < 0:
-        raise ValueError("points_per_decade must be >= 0")
-
-    left = np.searchsorted(ds.omega, gap_lo, side="right") - 1
-    right = np.searchsorted(ds.omega, gap_hi, side="left")
-    if right > left + 1:
-        raise ValueError("gap interval is not empty of samples")
-
-    w_left, w_right = ds.omega[left], ds.omega[right]
-    n_nodes = int(round(points_per_decade * math.log10(w_right / w_left))) + 1
-    if n_nodes < 2:
-        return ds
-    inner = np.exp(np.linspace(math.log(w_left), math.log(w_right), n_nodes))[1:-1]
-    return OpticalDataset(np.insert(ds.omega, right, inner),
-                          np.insert(ds.eps2, right, interpolate_eps2(ds, inner)),
-                          np.insert(ds.source, right, ["gapfill"] * inner.size))
 
 
 def drude_eps2(omega_p: float, omega_tau: float, omega):

@@ -10,9 +10,9 @@ astrophysical ceiling gives the allowed wavelength region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._value import validated
 from .constants import c, e as _e_charge, h as _planck_h, hbar
 from .errors import ConvergenceError, DomainError
 
@@ -34,28 +34,28 @@ _RTOL = 1e-8
 _MAX_HALVINGS = 100
 
 
-@dataclass(frozen=True)
-class YukawaHypothesis:
+@validated
+class YukawaHypothesis(NamedTuple):
     """Dimensionless coupling alpha and range lambda [m]."""
 
     alpha: float
     lambda_: float
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and non-negative")
         if not 0 < self.lambda_ < math.inf:
             raise ValueError("lambda must be finite and positive")
 
 
-@dataclass(frozen=True)
-class ConstraintGeometry:
+@validated
+class ConstraintGeometry(NamedTuple):
     """Closest separation and gold film thickness of the constraint setup [m]."""
 
     separation_min: float = 63e-9
     film_thickness: float = 96e-9
 
-    def __post_init__(self):
+    def _validate(self):
         if not (0 < self.separation_min < math.inf
                 and 0 < self.film_thickness < math.inf):
             raise ValueError("geometry lengths must be finite and positive")

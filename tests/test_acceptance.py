@@ -13,8 +13,8 @@ import pytest
 from scipy.constants import c, epsilon_0
 
 from aucasimir import (DielectricModel, DrudeParameters, ExperimentRecord,
-                       allowed_lambda_boundary, epsilon1_analytic, fill_gap,
-                       force_scan, ideal_force, load_dataset, load_experiment,
+                       allowed_lambda_boundary, epsilon1_analytic, force_scan,
+                       ideal_force, load_dataset, load_experiment,
                        residual_report, resistivity)
 from aucasimir.config import package_data_dir
 from aucasimir.optical import OMEGA0_DEFAULT
@@ -141,10 +141,6 @@ def test_c8_handbook_forces():
     results = []
     for path, (params, expected) in zip(paths, rows):
         ds = load_dataset(path)
-        try:
-            ds = fill_gap(ds, 6.3e14, 3.2e15)
-        except ValueError:
-            pass  # no empty gap to fill in this file
         drude = DrudeParameters(*params)
         model = DielectricModel(drude, ds)
         force = force_scan(SPHERE_RADIUS, [63e-9], 300.0, model.epsilon)[0].total

@@ -857,10 +857,13 @@ class TestNonFiniteInput:
         assert f"{exp_file}:2: non-finite" in err
 
 
-def run_python(code):
+def run_python(code, *options, path=()):
+    """stdout of `python <options> -c code` with src/, then `path`, on
+    PYTHONPATH."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, *options, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), *path))),
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -872,6 +875,20 @@ def test_cli_import_leaves_quadpack_out():
     out = run_python("import sys, aucasimir.cli; "
                      "print(sorted(m for m in sys.modules "
                      "if m == 'scipy' or m.startswith('scipy.')))")
+    assert out == "[]"
+
+
+def test_cli_import_leaves_dataclasses_and_importlib_resources_out():
+    # the records are NamedTuples and the bundled data sit next to
+    # config.py; -S keeps the .pth files of site-packages from loading
+    # either module first, so numpy comes through PYTHONPATH
+    out = run_python("""
+import sys
+import numpy
+before = set(sys.modules)
+import aucasimir.cli
+print(sorted({"dataclasses", "importlib.resources"} & (set(sys.modules) - before)))
+""", "-S", path=[str(Path(np.__file__).resolve().parents[1])])
     assert out == "[]"
 
 
