@@ -1,19 +1,19 @@
-"""The package's one quadrature: composite Gauss-Legendre on fixed panels,
-and the aligned work arrays its sums run in."""
+"""The package's numerical kernels: its one quadrature, composite
+Gauss-Legendre on fixed panels, the aligned work arrays its sums run in,
+and its one root finder, `bisect`, which the Drude fit and the Yukawa
+boundary share."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 #: order -> (positive nodes, ascending; their weights) of the Gauss-Legendre
 #: rule on [-1, 1], equal to numpy's leggauss bit for bit.  To add an order,
 #: paste the literal that `PYTHONPATH=src python tests/test_quadrature.py`
 #: prints.
 _RULES = {
-    4: (
-        (0.33998104358485626, 0.8611363115940526),
-        (0.6521451548625464, 0.34785484513745357),
-    ),
     8: (
         (0.18343464249564978, 0.525532409916329, 0.7966664774136267,
          0.9602898564975362),
@@ -101,3 +101,28 @@ def aligned_empty(shape) -> np.ndarray:
     buffer = np.empty(size + 7)
     start = -buffer.ctypes.data % 64 // buffer.itemsize
     return buffer[start:start + size].reshape(shape)
+
+
+def bisect(f, lo: float, hi: float) -> float:
+    """The float x in [lo, hi] (lo < hi) at which f changes sign: f(x) is 0,
+    or f(x) has the sign of f(lo) and f at the next float above x that of
+    f(hi).  The bracket is halved until its midpoint equals one of its ends,
+    so there is no tolerance and no step cap: there are about
+    log2((hi - lo) / ulp(x)) halvings, 56 for the Yukawa boundary.  Raises
+    ConvergenceError unless f(lo) and f(hi) are of opposite signs or one of
+    them is 0."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0 or f_hi == 0:
+        return lo if f_lo == 0 else hi
+    if not (f_lo < 0 < f_hi or f_hi < 0 < f_lo):
+        raise ConvergenceError(f"no sign change in bracket [{lo:.6g}, {hi:.6g}]: "
+                               f"f = {f_lo:.3e} and {f_hi:.3e} at its ends")
+    while (mid := 0.5 * (lo + hi)) != lo and mid != hi:
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid
+        if (f_mid < 0) == (f_lo < 0):
+            lo = mid
+        else:
+            hi = mid
+    return lo

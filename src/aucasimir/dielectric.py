@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import aligned_empty, gauss_legendre
+from ._quadrature import aligned_empty, bisect, gauss_legendre
 from ._value import validated
 from .constants import epsilon_0
 from .errors import ConvergenceError, DomainError
@@ -66,13 +66,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _BLOCK = 16 * 2048
 
 #: the Drude fit brackets ln omega_tau on a grid of this step, reaching this
-#: many decades below and above the fit range ...
+#: many decades below and above the fit range
 _FIT_GRID_STEP = 0.25
 _FIT_GRID_DECADES = 3.0
-#: ... then takes at most _FIT_MAX_STEPS Newton or bisection steps, and
-#: stops after one that moves ln omega_tau by at most _FIT_S_TOL relative
-_FIT_MAX_STEPS = 100
-_FIT_S_TOL = 1e-15
 
 
 def _positive_zeta(zeta) -> np.ndarray:
@@ -358,9 +354,9 @@ def fit_drude(ds: OpticalDataset, fit_range: tuple[float, float],
     what is left, phi(s), is evaluated on a grid of s over the physical
     domain 0 < omega_tau < omega_p, _FIT_GRID_DECADES either side of the
     fit range; the deepest grid point not above its neighbours brackets it,
-    and Newton steps on the analytic phi'(s) locate it, each replaced by a
-    bisection of the bracket when it would leave it.  Raises
-    ConvergenceError when phi has no minimum inside the grid.
+    and `bisect` halves that bracket down to the float where the analytic
+    phi'(s) changes sign.  Raises ConvergenceError when phi has no minimum
+    inside the grid, or phi' no sign change across the bracket.
     """
     lo, hi = fit_range
     if not 0 < lo < hi:
@@ -399,30 +395,15 @@ def fit_drude(ds: OpticalDataset, fit_range: tuple[float, float],
             f"Drude fit over [{lo:.4g}, {hi:.4g}] has no minimum for "
             f"omega_tau in [{math.exp(grid[0, 0]):.3g}, {math.exp(grid[-1, 0]):.3g}] "
             f"below omega_p")
-    j = int(minima[np.argmin(phi[minima])])
-    a, b, s = grid[j - 1, 0], grid[j + 1, 0], grid[j, 0]
-    for _ in range(_FIT_MAX_STEPS):
-        r = profile(s)[0]
+
+    def slope(s: float) -> float:
+        """phi'(s) / 2 = r . dg/ds: ln omega_p is either fixed or makes the
+        residuals sum to 0, so its own dependence on s drops out."""
         t2 = math.exp(2.0 * s)
-        h = (w2 - t2) / (w2 + t2)                      # dg/ds
-        slope = float(r @ h)                           # phi'/2
-        if omega_p_fixed is None:                      # omega_p follows s
-            h = h - h.mean()
-        curvature = float(h @ h - r @ (4.0 * w2 * t2 / (w2 + t2)**2))   # phi''/2
-        if slope < 0:
-            a = s
-        else:
-            b = s
-        step = slope / curvature if curvature > 0 else math.inf
-        new = s - step if a < s - step < b else 0.5 * (a + b)
-        done = abs(new - s) <= _FIT_S_TOL * abs(s)
-        s = new
-        if done:
-            break
-    else:
-        raise ConvergenceError(
-            f"Drude fit did not converge in {_FIT_MAX_STEPS} steps; "
-            f"omega_tau in [{math.exp(a):.6g}, {math.exp(b):.6g}]")
+        return float(profile(s)[0] @ ((w2 - t2) / (w2 + t2)))
+
+    j = int(minima[np.argmin(phi[minima])])
+    s = bisect(slope, float(grid[j - 1, 0]), float(grid[j + 1, 0]))
     if omega_p_fixed is None:
         params = DrudeParameters(math.exp(float(profile(s)[1][0])), math.exp(s))
     else:

@@ -10,7 +10,8 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A quadrature, sum, or fit failed to reach its requested accuracy."""
+    """A quadrature, sum, fit or root search failed: it could not reach its
+    accuracy, or its bracket holds no sign change."""
 
 
 class DomainError(ValueError):

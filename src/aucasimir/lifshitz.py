@@ -56,6 +56,12 @@ from .constants import ZETA3, c, hbar, k_B
 from .errors import ConvergenceError, DomainError
 
 _N_TO_PN = 1e12
+#: separations [m] outside this range are rejected.  Lifshitz theory of
+#: continuous media means nothing near either end, and inside it a^2 in
+#: `classical_term`, a^3 in `ideal_force` and the p of the zero-T kernel
+#: (`_EPS_CAP`) stay far inside the float range; a^2 leaves it below about
+#: 1e-162 m and a^3 above 5.6e102 m.
+_A_RANGE = (1e-30, 1e30)
 
 #: panel edges of the near p-rule in v, where u = v^4 = exp(-(p - 1) y).
 #: They cluster towards v = 1 (p -> 1): at small y both the
@@ -95,6 +101,14 @@ _ZETA_MIN = 1e11
 _PER_DECADE = 4
 #: a Matsubara sum that would need more terms raises before eps is called
 _N_MAX = 10**6
+#: eps(i zeta) enters the kernel capped at this value, and the cap is exact:
+#: the reflection coefficients differ from their eps -> inf limits by
+#: O(p / sqrt(eps)), which is below 1e-16 relative while p < 1e34.  Every
+#: Matsubara row has y >= _Y_MAX / _N_MAX = 1.5e-5, so p < 2e6, and the
+#: first zero-T node has y of about 0.18 a[m] or more (tightened rule), so
+#: p < 2e32 at every separation of `_A_RANGE`.  Up to p ~ 1e54 no
+#: intermediate value overflows; an eps below the cap keeps its bits.
+_EPS_CAP = 1e100
 
 
 class ForceResult(NamedTuple):
@@ -116,11 +130,15 @@ class ForceResult(NamedTuple):
 def _check(sphere_radius: float = 1.0, separation: float = 1.0,
            temperature: float = 0.0) -> None:
     """Raise ValueError naming the first argument out of its domain: radius
-    and separation finite and positive, temperature finite and >= 0."""
+    finite and positive, separation finite, positive and within `_A_RANGE`,
+    temperature finite and >= 0."""
     if not 0 < sphere_radius < math.inf:
         raise ValueError("sphere_radius must be finite and positive")
     if not 0 < separation < math.inf:
         raise ValueError("separation must be finite and positive")
+    if not _A_RANGE[0] <= separation <= _A_RANGE[1]:
+        raise ValueError(f"separation {separation:.4g} m is outside "
+                         f"[{_A_RANGE[0]:g}, {_A_RANGE[1]:g}] m")
     if not 0 <= temperature < math.inf:
         raise ValueError("temperature must be finite and non-negative")
 
@@ -343,12 +361,13 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     finite-T total minus the T = 0 total.
 
     sphere_radius [m] is finite and positive; separations is a 1-D
-    sequence of at least one finite positive separation [m], a repeated
-    one computed once; temperature [K] is finite and non-negative.  A bad
-    value raises ValueError before eps is called, and R/a < 100 warns that
-    the proximity force treatment assumes R >> a.  eps is the eps(i zeta)
-    evaluator, taking an array of zeta in rad/s; a value not above 1 or not
-    finite, or one so large that a sum is not finite, raises DomainError.
+    sequence of at least one separation [m] within `_A_RANGE` (1e-30 to
+    1e30 m), a repeated one computed once; temperature [K] is finite and
+    non-negative.  A bad value raises ValueError before eps is called, and
+    R/a < 100 warns that the proximity force treatment assumes R >> a.  eps
+    is the eps(i zeta) evaluator, taking an array of zeta in rad/s; a value
+    not above 1 or not finite raises DomainError, and one above `_EPS_CAP`
+    (1e100) counts as that cap, which is exact.
     prescription, one of PRESCRIPTIONS, handles the n=0 term.  tightened
     selects strictly more demanding rules, for convergence checks: both
     node orders and the zero-T panels per decade doubled and `_ZETA_MIN`
@@ -391,9 +410,9 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     zeta, weights, counts, prefactor = (
         _matsubara_rule(temperature, sphere_radius, a) if temperature > 0
         else _zero_T_rule(sphere_radius, a, tightened))
-    eps_values = _eps_at(eps, zeta)
-    # an eps so large that the kernel overflows gives a non-finite sum,
-    # which raises below
+    eps_values = np.minimum(_eps_at(eps, zeta), _EPS_CAP)
+    # a sum that overflows all the same (at an extreme sphere radius) is not
+    # finite and raises below
     with np.errstate(over="ignore", invalid="ignore"):
         sums = prefactor * _frequency_sums(zeta, weights, eps_values, a, counts,
                                            2 * _P_ORDER if tightened else _P_ORDER)
@@ -402,8 +421,7 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
         i = int(np.argmax(bad))
         raise DomainError(
             f"force at a = {a[i] * 1e9:.6g} nm, T = {temperature:g} K is not "
-            f"finite: eps(i zeta) up to {eps_values.max():.4g} overflows the "
-            f"Lifshitz kernel")
+            f"finite")
     results = [ForceResult(total=n0[i] + float(sums[i]), n0_term=n0[i],
                            sum_terms=float(sums[i]), n_terms_used=int(counts[i]))
                for i in range(a.size)]

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from ._quadrature import bisect
 from ._value import validated
 from .constants import c, e as _e_charge, h as _planck_h, hbar
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 GOLD_DENSITY = 19300.0        # kg/m^3
 NUCLEON_MASS = 1.6605e-27     # kg
@@ -27,11 +28,6 @@ ASTRO_ALPHA_CEILING = 1.5e-22
 
 #: wavelength interval [m] searched for the allowed-region boundary
 LAMBDA_BRACKET = (5e-9, 500e-9)
-#: the boundary's bisection stops once its step is below _XTOL + _RTOL *
-#: lambda [m], or gives up after _MAX_HALVINGS steps
-_XTOL = 1e-18
-_RTOL = 1e-8
-_MAX_HALVINGS = 100
 
 
 @validated
@@ -104,12 +100,15 @@ def allowed_lambda_boundary(geom: ConstraintGeometry = ConstraintGeometry(),
                             alpha_ceiling: float = ASTRO_ALPHA_CEILING,
                             residual_bound_pn: float = BASELINE_RESIDUAL_BOUND_PN
                             ) -> LambdaBoundary:
-    """Wavelength where the lower limit meets `alpha_ceiling`, by bisection
-    over LAMBDA_BRACKET.
+    """Wavelength where the lower limit meets `alpha_ceiling`, by `bisect`
+    over LAMBDA_BRACKET down to the float where the excess of the limit over
+    the ceiling changes sign: lambda_star, where it is not negative, and
+    the next float, where it is not positive.
 
     Below the returned lambda_star the hypothesis is excluded by the
     ceiling; above it the window is open.  Also reports the equivalent
-    boson mass h c / lambda in eV.
+    boson mass h c / lambda in eV.  Raises ConvergenceError when the
+    excess has no sign change over the bracket.
     """
     if not alpha_ceiling > 0:
         raise ValueError("alpha_ceiling must be positive")
@@ -117,29 +116,7 @@ def allowed_lambda_boundary(geom: ConstraintGeometry = ConstraintGeometry(),
     def excess(lam: float) -> float:
         return alpha_lower_limit(lam, geom, residual_bound_pn) - alpha_ceiling
 
-    # scipy.optimize.bisect (its Zeros/bisect.c loop) step for step, so
-    # lambda_star is the float scipy returns for the same xtol and rtol
-    lo, hi = LAMBDA_BRACKET
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo * f_hi > 0:
-        raise ConvergenceError(
-            f"no sign change in bracket [{lo:.3g}, {hi:.3g}] m: "
-            f"excess({lo:.3g})={f_lo:.3e}, excess({hi:.3g})={f_hi:.3e}")
-    lam = lo if f_lo == 0 else hi if f_hi == 0 else None
-    step, halvings = hi - lo, 0
-    while lam is None:
-        if halvings == _MAX_HALVINGS:
-            raise ConvergenceError(
-                f"bisection not converged after {_MAX_HALVINGS} halvings; "
-                f"bracket [{lo:.6g}, {lo + step:.6g}] m")
-        halvings += 1
-        step *= 0.5
-        mid = lo + step
-        f_mid = excess(mid)
-        if f_mid * f_lo >= 0:
-            lo = mid
-        if f_mid == 0 or abs(step) < _XTOL + _RTOL * abs(mid):
-            lam = mid
+    lam = bisect(excess, *LAMBDA_BRACKET)
     mass_ev = _planck_h * c / (lam * _e_charge)
     return LambdaBoundary(lam, mass_ev)
 

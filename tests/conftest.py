@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import aucasimir
 from aucasimir import DrudeParameters, OpticalDataset, force_scan
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
@@ -16,6 +18,14 @@ ROW1 = (1.38e16, 5.38e13)
 ROW2 = (1.37e16, 4.06e13)
 ROW3 = (1.28e16, 3.29e13)
 SINGLE_CRYSTAL = (1.37e16, 3.7e13)
+
+
+def pytest_report_header(config):
+    """The tree under test: pyproject.toml's pythonpath puts this checkout's
+    src/ ahead of PYTHONPATH, so another tree is tested only from inside it."""
+    return [f"aucasimir: {Path(aucasimir.__file__).parent}",
+            f"numpy: {np.__version__}"]
+
 
 #: Drude metals around gold, for property tests
 drude_rows = st.builds(DrudeParameters,

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from aucasimir import (ConstraintGeometry, DielectricModel, DrudeParameters,
                        FrequencyBoundaries, alpha_lower_limit, fit_drude,
-                       force_scan, load_dataset)
+                       force_scan, ideal_force, load_dataset)
 from aucasimir import config
 from aucasimir.cli import main
 from aucasimir.config import RunConfig, load_run_config, package_data_dir
@@ -317,16 +317,31 @@ class TestForce:
         assert out == ""
         assert "compute error" in err and "exceed 1" in err
 
-    def test_overflowing_eps_is_compute_error(self, tmp_path, capsys):
-        # eps(i zeta) ~ 1e170 overflows the Lifshitz kernel: the force would
-        # be NaN, and no RuntimeWarning escapes (pytest makes it an error)
+    def test_near_perfect_conductor_eps_gives_the_ideal_force(self, tmp_path,
+                                                              capsys):
+        # eps(i zeta) ~ 1e170 enters the kernel capped, which is exact: the
+        # zero-T force is the perfect-conductor one, and no RuntimeWarning
+        # escapes (pytest makes it an error)
         path = tmp_path / "huge.ini"
         path.write_text(DRUDE_INI.replace("omega_p = 1.37e16", "omega_p = 1e100"))
         code, out, err = run(capsys, ["force", "--config", str(path),
                                       "--mode", "both", "--a", "63"])
-        assert code == 1
-        assert "nan" not in out
-        assert "compute error" in err and "a = 63 nm" in err
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        zero_T = row["F_pN"] - row["dTF_pN"]
+        assert zero_T == pytest.approx(ideal_force(95.65e-6, 63e-9), rel=1e-9)
+
+    @pytest.mark.parametrize("a_nm", ["1e-191", "1e290"])
+    def test_separation_beyond_the_float_range_is_input_error(self, capsys,
+                                                               a_nm):
+        # a^2 or a^3 would leave the float range: a ZeroDivisionError or
+        # OverflowError, were the separation not checked
+        config = str(package_data_dir() / "sample_config.ini")
+        code, out, err = run(capsys, ["force", "--config", config, "--a", a_nm])
+        assert code == 2
+        assert out == ""
+        assert f"separation {float(a_nm) * 1e-9:.4g} m is outside" in err
 
     def test_both_mode_warns_once_about_curvature(self):
         # a 2 mm separation is R/a < 100 at both temperatures; the warning

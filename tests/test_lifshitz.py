@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -14,8 +15,9 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
 from aucasimir import lifshitz
 from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_CHUNK, _P_ORDER, _PER_DECADE, _ROWS, _Y_FAR,
-                                _Y_MAX, _Y_TOP, _ZETA_MIN, _ZETA_ORDER, ZETA3,
+from aucasimir.lifshitz import (_A_RANGE, _CHUNK, _EPS_CAP, _P_ORDER, _PER_DECADE,
+                                _ROWS, _Y_FAR, _Y_MAX, _Y_TOP, _ZETA_MIN,
+                                _ZETA_ORDER, ZETA3,
                                 _p_integral, _p_rule)
 
 from conftest import SPHERE_RADIUS, drude_rows
@@ -288,7 +290,7 @@ class TestRoundTripFactors:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 3 * ROWS), min_size=1, max_size=8),
-           st.sampled_from([4, 16]))
+           st.sampled_from([8, 16]))
     def test_any_split_keeps_the_bits_of_one_call(self, pieces, order):
         n = sum(pieces)
         y = np.geomspace(1e-4, 300.0, n)
@@ -309,11 +311,26 @@ class TestEpsCheck:
                 force_scan(SPHERE_RADIUS, [63e-9], temperature,
                            lambda z: np.full(np.shape(z), value))
 
-    def test_overflowing_eps_rejected(self, temperature):
-        # a finite eps(i zeta) of 1e200 overflows the kernel: the sum is NaN
-        with pytest.raises(DomainError, match=f"a = 63 nm, T = {temperature:g} K"):
-            force_scan(SPHERE_RADIUS, [63e-9], temperature,
-                       lambda z: np.full(np.shape(z), 1e200))
+    def test_eps_to_the_float_limit(self, temperature):
+        # eps(i zeta) enters the kernel capped at _EPS_CAP, which is exact, so
+        # a near-perfect-conductor eps gives the capped force, bit for bit,
+        # and that is the perfect-conductor force to rounding and cut-off
+        capped = force_scan(SPHERE_RADIUS, [63e-9], temperature,
+                            lambda z: np.full(np.shape(z), _EPS_CAP))[0].total
+        oracle = (ideal_finite_T_force_closed_form(SPHERE_RADIUS, 63e-9, temperature)
+                  if temperature else ideal_force(SPHERE_RADIUS, 63e-9))
+        assert capped == pytest.approx(oracle, rel=2e-12 if temperature else 1e-12)
+        for value in (1e150, 1e200, 1e300):
+            assert force_scan(SPHERE_RADIUS, [63e-9], temperature,
+                              lambda z: np.full(np.shape(z), value))[0].total == capped
+
+    def test_force_beyond_the_float_range_rejected(self, temperature,
+                                                   single_crystal):
+        # a 1e300 m sphere at 10 nm: the sum overflows, and no RuntimeWarning
+        # escapes (pytest makes it an error)
+        with pytest.raises(DomainError, match=f"a = 10 nm, T = {temperature:g} K "
+                                              f"is not finite"):
+            force_scan(1e300, [10e-9], temperature, single_crystal.epsilon)
 
 
 class TestFrequencyCutoff:
@@ -707,6 +724,22 @@ class TestArguments:
             with pytest.raises(ValueError,
                                match="separation must be finite and positive"):
                 force_scan(SPHERE_RADIUS, a, 300.0, no_eps)
+
+    @pytest.mark.parametrize("separation", [1e-191, 9e-31, 1.1e30, 1e290])
+    def test_separation_within_range(self, separation):
+        # at the outer two, a^2 in classical_term or a^3 in ideal_force
+        # would leave the float range: a ZeroDivisionError or OverflowError,
+        # were it not checked
+        for function, args in ((force_scan, (SPHERE_RADIUS, [63e-9, separation],
+                                             300.0, no_eps)),
+                               (ideal_force, (SPHERE_RADIUS, separation)),
+                               (classical_term, (SPHERE_RADIUS, separation, 0.0))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"separation {separation:.4g} m is outside [1e-30, 1e+30] m")):
+                function(*args)
+        for edge in _A_RANGE:
+            assert 0 < ideal_force(SPHERE_RADIUS, edge) < math.inf
+            assert 0 < classical_term(SPHERE_RADIUS, edge, 300.0) < math.inf
 
     @pytest.mark.parametrize("separations", [[], np.zeros((0,)), 63e-9,
                                              [[63e-9]]],

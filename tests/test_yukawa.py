@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c, hbar
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
 from aucasimir import (ConstraintGeometry, ConvergenceError, DomainError,
                        YukawaHypothesis, allowed_lambda_boundary,
@@ -167,7 +167,9 @@ class TestAllowedLambdaBoundary:
     def test_deterministic(self):
         assert allowed_lambda_boundary() == allowed_lambda_boundary()
 
-    def test_bitwise_equal_to_scipy_bisect(self):
+    def test_lambda_star_brackets_the_sign_change(self):
+        # lambda_star and the next float bracket the sign change of the
+        # excess, and brentq, another root finder, lands on it to rounding
         geom = ConstraintGeometry()
         compared = 0
         for bound in (0.5, 1.0, 3.7, 10.0, 41.0, 250.0):
@@ -179,8 +181,10 @@ class TestAllowedLambdaBoundary:
                     with pytest.raises(ConvergenceError, match="sign change"):
                         allowed_lambda_boundary(geom, ceiling, bound)
                     continue
-                ref = bisect(excess, lo, hi, xtol=1e-18, rtol=1e-8)
-                assert allowed_lambda_boundary(geom, ceiling, bound).lambda_star == ref
+                lam = allowed_lambda_boundary(geom, ceiling, bound).lambda_star
+                assert excess(lam) >= 0 >= excess(math.nextafter(lam, math.inf))
+                ref = brentq(excess, lo, hi, xtol=1e-30, rtol=4 * np.finfo(float).eps)
+                assert lam == pytest.approx(ref, rel=1e-14, abs=0)
                 compared += 1
         assert compared >= 20
 
