@@ -12,9 +12,9 @@ three spectral regions of the dispersion relation
                     numerically with log-log interpolation,
   * above omega_max : a power-law tail eps'' ~ omega^(-tail_exponent).
 
-The numerical regions use a fixed Gauss-Legendre rule in ln omega that
-`DielectricModel` builds once, so eps(i zeta) for any number of zeta values
-is one broadcast sum over the nodes.
+The numerical regions use a fixed Gauss-Legendre rule in ln omega, so
+eps(i zeta) for any number of zeta values is one broadcast sum over the
+nodes.
 
 Both dielectric models, the pure Drude `DrudeParameters` and the tabulated
 `DielectricModel`, answer one contract: `decompose(zeta)` gives eps(i zeta)
@@ -205,10 +205,9 @@ def _tail_series(b: float, x2: np.ndarray) -> np.ndarray:
     return total
 
 
-def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes in omega and weights in ln omega of the _ORDER-node
-    Gauss-Legendre rule on every segment between consecutive `edges`, and
-    the number of nodes up to the end of each segment.
+    Gauss-Legendre rule on every segment between consecutive `edges`.
 
     A segment wider than _PANEL_WIDTH in ln omega is split into equal
     panels; data nodes are segment edges, so the log-log interpolant is
@@ -222,18 +221,11 @@ def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # np.linspace's own arithmetic, for every segment at once
     cuts = k * (width / panels)[seg] + lo[seg]
     nodes, weights = gauss_legendre(np.append(cuts, ln_edges[-1]), _ORDER)
-    return np.exp(nodes), weights, _ORDER * np.cumsum(panels)
-
-
-class _DielectricModelFields(NamedTuple):
-    drude: DrudeParameters
-    dataset: OpticalDataset
-    boundaries: FrequencyBoundaries = FrequencyBoundaries()
-    tail_exponent: float = 3.0
+    return np.exp(nodes), weights
 
 
 @validated
-class DielectricModel(_DielectricModelFields):
+class DielectricModel(NamedTuple):
     """Composite eps(i zeta): Drude segment plus transformed tabulated data.
 
     The dataset must cover [omega0, omega1]; above its last sample eps'' is
@@ -245,18 +237,19 @@ class DielectricModel(_DielectricModelFields):
 
         (2/pi) int omega^2 eps''(omega) / (omega^2 + zeta^2) d ln omega,
 
-    is a fixed Gauss-Legendre rule in ln omega built once here:
-    _ORDER nodes on each panel of [max(omega0, omega_min), omega1] and
-    [omega1, omega_max] between data samples (wider segments split), and
-    on log-spaced panels of the tail in t = omega_max/omega over
+    is a fixed Gauss-Legendre rule in ln omega (`_rule`), built by each
+    eps call: _ORDER nodes on each panel of [max(omega0, omega_min), omega1]
+    and [omega1, omega_max] between data samples (wider segments split),
+    and on log-spaced panels of the tail in t = omega_max/omega over
     [_TAIL_T_MIN, 1].  The tail below _TAIL_T_MIN is added in closed form
     (`_tail_series`), which holds for zeta up to sqrt(_TAIL_X2_MAX)
     omega_max / _TAIL_T_MIN; a larger zeta raises DomainError.
-    The weights carry (2/pi) omega^2 eps''(omega), so eps(i zeta) is one
-    sum of weight / (omega^2 + zeta^2) per region.  The rule is kept in
-    instance attributes, which this subclass of the fields' NamedTuple can
-    hold; equality and hashing see the four fields only.
     """
+
+    drude: DrudeParameters
+    dataset: OpticalDataset
+    boundaries: FrequencyBoundaries = FrequencyBoundaries()
+    tail_exponent: float = 3.0
 
     def _validate(self):
         if not self.tail_exponent > 1:
@@ -271,57 +264,35 @@ class DielectricModel(_DielectricModelFields):
             raise ValueError(
                 f"dataset ends at {self.dataset.omega_max:.4g}, below "
                 f"omega1={self.boundaries.omega1:.4g}")
-        self._build_rule()
-
-    def _build_rule(self) -> None:
-        ds, omega1, q = self.dataset, self.boundaries.omega1, self.tail_exponent
-        w_max, eps2_at_max = ds.omega_max, ds.eps2[-1]
-        # the validator tolerates data starting an ulp above omega0; the
-        # rule starts where the data do
-        lower = max(self.boundaries.omega0, ds.omega_min)
-        data = ds.omega
-        low = data[(data > lower) & (data < omega1)]
-        high = data[(data > omega1) & (data < w_max)]
-        omega, weights, ends = _log_panels(np.concatenate(
-            ([lower], low, [omega1], high, [w_max, w_max / _TAIL_T_MIN])))
-        # nodes up to omega1 and up to omega_max, counted by segment: a node
-        # value can round onto omega1
-        omega1_end, data_end = int(ends[low.size]), int(ends[low.size + 1 + high.size])
-        np.clip(omega[:data_end], ds.omega_min, w_max, out=omega[:data_end])
-        eps2 = np.concatenate((interpolate_eps2(ds, omega[:data_end]),
-                               eps2_at_max * (w_max / omega[data_end:])**q))
-        self._omega_sq = omega * omega
-        self._weights = (2.0 / math.pi) * weights * omega * omega * eps2
-        # the three sums' nodes: data below / above omega1, tail panels
-        self._columns = (slice(0, omega1_end), slice(omega1_end, data_end),
-                         slice(data_end, None))
-        # int_0^T t^(q-1) / (1 + (zeta t / w_max)^2) dt
-        #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
-        self._tail_rest = (2.0 / math.pi) * eps2_at_max * _TAIL_T_MIN**q / q
 
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) by spectral region."""
         z = _positive_zeta(zeta)
         flat = z.ravel()
-        x2 = (flat * (_TAIL_T_MIN / self.dataset.omega_max))**2
+        w_max, q = self.dataset.omega_max, self.tail_exponent
+        x2 = (flat * (_TAIL_T_MIN / w_max))**2
         if (x2 > _TAIL_X2_MAX).any():
-            limit = math.sqrt(_TAIL_X2_MAX) * self.dataset.omega_max / _TAIL_T_MIN
+            limit = math.sqrt(_TAIL_X2_MAX) * w_max / _TAIL_T_MIN
             raise DomainError(
                 f"zeta={flat.max():.4g} rad/s is above {limit:.4g} rad/s, the "
                 f"limit of the closed-form tail ({math.sqrt(_TAIL_X2_MAX):.4g} "
                 f"omega_max / {_TAIL_T_MIN:g})")
+        omega_sq, weights, columns = _rule(self)
         sums = np.empty((3, flat.size))
-        step = max(1, _BLOCK // self._weights.size)
-        work = aligned_empty((min(step, flat.size), self._weights.size))
+        step = max(1, _BLOCK // weights.size)
+        work = aligned_empty((min(step, flat.size), weights.size))
         for start in range(0, flat.size, step):
             block = flat[start:start + step, None]
             terms = work[:block.shape[0]]
-            np.add(self._omega_sq, block * block, out=terms)
-            np.divide(self._weights, terms, out=terms)
+            np.add(omega_sq, block * block, out=terms)
+            np.divide(weights, terms, out=terms)
             rows = slice(start, start + step)
-            for k, cols in enumerate(self._columns):
+            for k, cols in enumerate(columns):
                 np.add.reduce(terms[:, cols], axis=1, out=sums[k, rows])
-        rest = self._tail_rest * _tail_series(0.5 * self.tail_exponent, x2)
+        # int_0^T t^(q-1) / (1 + (zeta t / w_max)^2) dt
+        #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
+        rest = ((2.0 / math.pi) * self.dataset.eps2[-1] * _TAIL_T_MIN**q / q
+                * _tail_series(0.5 * q, x2))
         eps1 = epsilon1_analytic(self.drude, self.boundaries.omega0, flat)
         parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
         return EpsilonDecomposition(*(part.reshape(z.shape)[()] for part in parts))
@@ -329,6 +300,28 @@ class DielectricModel(_DielectricModelFields):
     def epsilon(self, zeta):
         """eps(i zeta)."""
         return self.decompose(zeta).total
+
+
+def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(omega^2, weights, columns) of the dispersion rule of `model`: its
+    nodes, their weights carrying (2/pi) omega^2 eps''(omega), and the
+    columns of the three regions, the data below and above omega1 and the
+    tail panels, one `_log_panels` call each.  eps(i zeta) is one sum of
+    weight / (omega^2 + zeta^2) per region."""
+    ds, (omega0, omega1) = model.dataset, model.boundaries
+    w_max, data = ds.omega_max, ds.omega
+    # the validator tolerates data starting an ulp above omega0; the rule
+    # starts where the data do
+    lower = max(omega0, ds.omega_min)
+    low, high = (_log_panels(np.hstack((lo, data[(data > lo) & (data < hi)], hi)))
+                 for lo, hi in ((lower, omega1), (omega1, w_max)))
+    tail = _log_panels(np.array([w_max, w_max / _TAIL_T_MIN]))
+    omega, weights = (np.concatenate(parts) for parts in zip(low, high, tail))
+    n_low, n_data = low[0].size, low[0].size + high[0].size
+    eps2 = np.concatenate((interpolate_eps2(ds, omega[:n_data]),
+                           ds.eps2[-1] * (w_max / tail[0])**model.tail_exponent))
+    return (omega * omega, (2.0 / math.pi) * weights * omega * omega * eps2,
+            (slice(0, n_low), slice(n_low, n_data), slice(n_data, None)))
 
 
 class DrudeFit(NamedTuple):

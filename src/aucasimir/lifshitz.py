@@ -367,7 +367,8 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     R/a < 100 warns that the proximity force treatment assumes R >> a.  eps
     is the eps(i zeta) evaluator, taking an array of zeta in rad/s; a value
     not above 1 or not finite raises DomainError, and one above `_EPS_CAP`
-    (1e100) counts as that cap, which is exact.
+    (1e100) counts as that cap, which is exact.  A force, n=0 term plus
+    sum, that is not finite raises DomainError.
     prescription, one of PRESCRIPTIONS, handles the n=0 term.  tightened
     selects strictly more demanding rules, for convergence checks: both
     node orders and the zero-T panels per decade doubled and `_ZETA_MIN`
@@ -404,25 +405,26 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     # classical_term checks every value, before eps is called
     n0 = [classical_term(sphere_radius, x, temperature, prescription)
           for x in a.tolist()]
-    if sphere_radius / a[-1] < 100:
+    if sphere_radius < 100 * a[-1]:
         warnings.warn("sphere_radius / separation < 100: the proximity force "
                       "treatment assumes R >> a", stacklevel=2)
     zeta, weights, counts, prefactor = (
         _matsubara_rule(temperature, sphere_radius, a) if temperature > 0
         else _zero_T_rule(sphere_radius, a, tightened))
     eps_values = np.minimum(_eps_at(eps, zeta), _EPS_CAP)
-    # a sum that overflows all the same (at an extreme sphere radius) is not
-    # finite and raises below
+    # a force that overflows all the same (at an extreme sphere radius) is
+    # not finite and raises below
     with np.errstate(over="ignore", invalid="ignore"):
         sums = prefactor * _frequency_sums(zeta, weights, eps_values, a, counts,
                                            2 * _P_ORDER if tightened else _P_ORDER)
-    bad = ~np.isfinite(sums)
+        totals = n0 + sums
+    bad = ~np.isfinite(totals)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(
             f"force at a = {a[i] * 1e9:.6g} nm, T = {temperature:g} K is not "
             f"finite")
-    results = [ForceResult(total=n0[i] + float(sums[i]), n0_term=n0[i],
+    results = [ForceResult(total=float(totals[i]), n0_term=n0[i],
                            sum_terms=float(sums[i]), n_terms_used=int(counts[i]))
                for i in range(a.size)]
     return tuple(results[i] for i in where)

@@ -120,6 +120,28 @@ class TestFitDrude:
         assert code == 2
         assert "missing.csv" in err
 
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--range", "2e14", "2e15", "--fixed-omega-p", "-1"],
+         "omega_p_fixed must be finite and positive"),
+        (["--range", "1e13", "2e15"],
+         "not within data coverage [1.519e+14, 1e+18]"),
+    ], ids=["negative-fixed-omega-p", "range-beyond-the-data"])
+    def test_bad_fit_argument_is_input_error(self, capsys, extra, fragment):
+        data = str(package_data_dir() / "gold_synthetic.csv")
+        code, out, err = run(capsys, ["fit-drude", "--dataset", data, *extra])
+        assert code == 2
+        assert out == ""
+        assert fragment in err
+
+    def test_unknown_unit_names_the_header_line(self, tmp_path, capsys):
+        data = tmp_path / "thz.csv"
+        data.write_text("# unit=THz\n1 2\n2 1\n3 0.5\n")
+        code, out, err = run(capsys, ["fit-drude", "--dataset", str(data),
+                                      "--range", "1", "2"])
+        assert code == 2
+        assert out == ""
+        assert f"{data}:1: unknown unit 'THz'" in err
+
 
 @pytest.mark.parametrize("argv", [
     ["residuals", "--config", str(package_data_dir() / "sample_config.ini"),
@@ -343,6 +365,17 @@ class TestForce:
         assert out == ""
         assert f"separation {float(a_nm) * 1e-9:.4g} m is outside" in err
 
+    def test_overflowing_n0_term_is_compute_error(self, tmp_path, capsys):
+        # at 20 um the frequency sum of a 1.7e308 m sphere is finite, its
+        # n=0 term is not
+        path = tmp_path / "huge.ini"
+        path.write_text(DRUDE_INI.replace("95.65e-6", "1.7e308"))
+        code, out, err = run(capsys, ["force", "--config", str(path),
+                                      "--a", "20000"])
+        assert code == 1
+        assert out == ""
+        assert "force at a = 20000 nm, T = 300 K is not finite" in err
+
     def test_both_mode_warns_once_about_curvature(self):
         # a 2 mm separation is R/a < 100 at both temperatures; the warning
         # names the CLI's line, so Python's default filter shows it once
@@ -496,6 +529,19 @@ class TestYukawaLimit:
                                     "--alpha-ceiling", "1.0"])
         assert code == 0
         assert "unconstrained" in out
+
+    def test_tiny_ceiling_reports_excluded(self, capsys):
+        code, out, _ = run(capsys, ["yukawa-limit", "--points", "3",
+                                    "--alpha-ceiling", "1e-40"])
+        assert code == 0
+        assert "# status=excluded: " in out
+
+    def test_zero_ceiling_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["yukawa-limit", "--points", "3",
+                                      "--alpha-ceiling", "0"])
+        assert code == 2
+        assert out == ""
+        assert "alpha_ceiling must be positive" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, ["yukawa-limit", "--points", "7"])
@@ -745,6 +791,8 @@ class TestConfigDrudeFit:
      ["force", "--a", "63"], "[dielectric] fit_fixed_omega_p conflicts with omega_p"),
     (FIT_INI.replace("omega1", "omega_tau = 5.38e13\nomega1"),
      ["force", "--a", "63"], "[dielectric] omega_tau conflicts with fit_range"),
+    (DRUDE_INI, ["fit-drude", "--range", "2e14", "2e15"],
+     "config declares no dataset to fit"),
 ], ids=["unknown-model", "tabulated-without-dataset", "one-value-fit-range",
         "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1",
         "zero-radius", "negative-temperature", "no-dielectric-section",
@@ -752,7 +800,7 @@ class TestConfigDrudeFit:
         "overflowing-omega-p", "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",
         "epsilon-without-zeta", "force-without-separation",
         "fit-range-with-omega-p", "fixed-omega-p-with-omega-p",
-        "omega-tau-with-fit-range"])
+        "omega-tau-with-fit-range", "fit-drude-without-dataset"])
 def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):
     path = tmp_path / "bad.ini"
     path.write_text(ini)

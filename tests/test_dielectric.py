@@ -15,7 +15,8 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
 from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.dielectric import (_BLOCK, _ORDER, _PANEL_WIDTH, _TAIL_T_MIN,
-                                  _TAIL_X2_MAX, _log_panels, _tail_series)
+                                  _TAIL_X2_MAX, _log_panels, _rule,
+                                  _tail_series)
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
 from conftest import drude_dataset, drude_rows
@@ -378,7 +379,7 @@ class TestFixedNodeTransform:
         cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)[:-1]
                 for lo, hi in zip(ln_edges[:-1], ln_edges[1:])]
         nodes, weights = gauss_legendre(np.concatenate(cuts + [ln_edges[-1:]]), _ORDER)
-        got_nodes, got_weights, _ = _log_panels(edges)
+        got_nodes, got_weights = _log_panels(edges)
         assert np.array_equal(got_nodes, np.exp(nodes))
         assert np.array_equal(got_weights, weights)
 
@@ -460,7 +461,7 @@ class TestModelContract:
     def test_counts_at_the_block_edges_keep_the_bits_of_one_zeta_calls(
             self, bundled_model):
         # the work array holds `step` zeta rows, refilled block by block
-        step = _BLOCK // bundled_model._weights.size
+        step = _BLOCK // _rule(bundled_model)[1].size
         assert step > 1
         zetas = np.geomspace(1e13, 1e18, 2 * step + 3)
         alone = [bundled_model.decompose(float(z)) for z in zetas]

@@ -332,6 +332,20 @@ class TestEpsCheck:
                                               f"is not finite"):
             force_scan(1e300, [10e-9], temperature, single_crystal.epsilon)
 
+    def test_radius_at_the_float_limit_rejected(self, temperature,
+                                                single_crystal):
+        # R / a would overflow; the R >> a test compares R with 100 a instead
+        with pytest.raises(DomainError, match=f"a = 63 nm, T = {temperature:g} K "
+                                              f"is not finite"):
+            force_scan(1.7e308, [63e-9], temperature, single_crystal.epsilon)
+
+
+def test_overflowing_n0_term_rejected(single_crystal):
+    # at 20 um the frequency sum of a 1.7e308 m sphere is finite, its n=0
+    # term is not
+    with pytest.raises(DomainError, match="a = 20000 nm, T = 300 K is not finite"):
+        force_scan(1.7e308, [20e-6], 300.0, single_crystal.epsilon)
+
 
 class TestFrequencyCutoff:
     def test_perfect_conductor_remainder(self, ideal_eps):

@@ -49,6 +49,8 @@ def test_value_type_contract(cls, required, defaults):
     assert cls._fields == (*required, *defaults)
     assert cls._field_defaults == defaults
     value = cls(**required)
+    # a record holds its fields and nothing else
+    assert not hasattr(value, "__dict__")
     for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
