@@ -13,7 +13,7 @@ print(f"measured point: a = {rec.separation*1e9:.0f} nm, "
 
 # against the published theory value at this separation the measured force
 # sits four standard deviations high
-report = residual_report(records, lambda a: 477.0)
+report = residual_report(records, 477.0)
 row = report.rows[0]
 print(f"theory 477 pN -> dF = {row.delta_f:.1f} pN, "
       f"dF/sigma = {row.sigma_ratio:.1f}")
@@ -23,7 +23,7 @@ print(f"theory 477 pN -> dF = {row.delta_f:.1f} pN, "
 floor = residual_lower_bound(17.0, 3.5, confidence_sigmas=2.0)
 print(f"95% confidence residual floor: {floor:.0f} pN")
 
-# with the full force pipeline, theory is one force_scan over the selected
-# separations (residual_report calls it once, with all of them); the CLI
+# with the full force pipeline, the theory forces are one force_scan over
+# the records' separations, passed to residual_report as one list; the CLI
 # wires this end to end:
 #   aucasimir residuals --config <cfg.ini> --experiment <data.csv>

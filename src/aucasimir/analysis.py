@@ -4,12 +4,17 @@ Residuals delta_F(a_i) = F_exp(a_i) - F_theor(a_i) are the quantity of
 interest: their size in units of the measurement error decides whether the
 data and the prediction agree, and their lower confidence bound feeds the
 new-force constraint.
+
+The module compares numbers it is given: `residual_report` takes the
+records and their theory forces, and the caller picks the rows and
+computes the forces (the CLI's `residuals` makes one `force_scan` over the
+rows in its `--a-min`/`--a-max` range).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,33 +75,29 @@ def load_experiment(path) -> list[ExperimentRecord]:
 
 
 def residual_report(records: Sequence[ExperimentRecord],
-                    theory: Callable[[np.ndarray], object],
-                    range_filter: tuple[float, float] | None = None
-                    ) -> ResidualReport:
-    """Residuals of the records against a theory evaluator, in pN.
+                    forces) -> ResidualReport:
+    """Residuals of the records against their theory forces, in pN.
 
-    `theory` is called once, with the array of the selected separations
-    [m], and returns their forces; a scalar applies to every separation.
-    `range_filter` = (a_lo, a_hi) in meters restricts the included rows
-    (inclusive).  Raises ValueError if no record survives the filter and
-    DomainError if a theory force is not finite.
+    `forces` holds one theory force [pN] per record, in the records' order,
+    or one scalar for every record.  Raises ValueError if there are no
+    records or the number of forces differs from theirs, and DomainError
+    if a theory force is not finite.
     """
-    selected = list(records)
-    if range_filter is not None:
-        a_lo, a_hi = range_filter
-        selected = [r for r in selected if a_lo <= r.separation <= a_hi]
-    if not selected:
-        raise ValueError("no experiment records in the requested range")
-    separations = np.array([r.separation for r in selected])
-    forces = np.broadcast_to(np.asarray(theory(separations), dtype=float),
-                             separations.shape)
+    if not records:
+        raise ValueError("no experiment records")
+    separations = np.array([r.separation for r in records])
+    forces = np.asarray(forces, dtype=float)
+    if forces.shape not in ((), separations.shape):
+        raise ValueError(f"{forces.size} theory forces for {separations.size} "
+                         f"experiment records")
+    forces = np.broadcast_to(forces, separations.shape)
     bad = ~np.isfinite(forces)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"theory force {forces[i]} pN at a = "
                           f"{separations[i] * 1e9:.6g} nm is not finite")
     rows = []
-    for rec, f_th in zip(selected, forces.tolist()):
+    for rec, f_th in zip(records, forces.tolist()):
         delta = rec.force_measured - f_th
         rows.append(ResidualRow(rec.separation, rec.force_measured, f_th,
                                 delta, delta / rec.sigma))

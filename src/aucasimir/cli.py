@@ -29,25 +29,16 @@ from .yukawa import (ASTRO_ALPHA_CEILING, BASELINE_RESIDUAL_BOUND_PN,
                      alpha_lower_limit)
 
 
-def _fmt(value) -> str:
-    """Machine format: 9 significant digits, empty string for missing."""
+def _fmt(value, spec=".9e", missing="") -> str:
+    """One output cell: a float in `spec` (machine format: 10 significant
+    digits), an integer or a string as it is, `missing` for None."""
     if value is None:
-        return ""
+        return missing
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{value:.9e}"
-
-
-def _fmt_human(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.4g}"
+    return f"{value:{spec}}"
 
 
 def _render(columns, rows, summary, fmt):
@@ -62,9 +53,9 @@ def _render(columns, rows, summary, fmt):
         lines = []
         for row in rows:
             for name, value in zip(columns, row):
-                lines.append(f"{name:<{width}}  {_fmt_human(value)}")
+                lines.append(f"{name:<{width}}  {_fmt(value, '.4g', '-')}")
         for key, value in (summary or {}).items():
-            lines.append(f"{key:<{width}}  {_fmt_human(value)}")
+            lines.append(f"{key:<{width}}  {_fmt(value, '.4g', '-')}")
         return "\n".join(lines) + "\n"
     # csv
     lines = [",".join(columns)]
@@ -89,7 +80,18 @@ def _require_config(args):
     return load_run_config(args.config)
 
 
+def _require_positive(flag, value, wanted, scale=1.0, finite=True):
+    """A flag's value must be positive, and finite unless `finite` is
+    False; anything else is an input error naming the flag and the value
+    as typed (value * scale, where argparse converted it)."""
+    if not (value > 0 and (value < math.inf or not finite)):
+        raise ConfigError(f"{flag} needs {wanted}, got {value * scale:g}")
+
+
 def cmd_fit_drude(args) -> int:
+    if args.fixed_omega_p is not None:
+        _require_positive("--fixed-omega-p", args.fixed_omega_p,
+                          "a finite positive frequency [rad/s]")
     if args.dataset:
         ds = load_dataset(resolve_data_path(args.dataset))
     else:
@@ -179,18 +181,17 @@ def cmd_force(args) -> int:
 def cmd_residuals(args) -> int:
     cfg = _require_config(args)
     _require_temperature(cfg, "residuals")
-    records = load_experiment(resolve_data_path(args.experiment))
-    range_filter = None
-    if args.a_min is not None or args.a_max is not None:
-        range_filter = ((args.a_min or 0.0) * 1e-9,
-                        (args.a_max if args.a_max is not None else math.inf) * 1e-9)
-    eps = cfg.build_evaluator().epsilon
-
-    def theory(separations):
-        return [r.total for r in force_scan(cfg.sphere_radius, separations,
-                                            cfg.temperature, eps, cfg.prescription)]
-
-    report = residual_report(records, theory, range_filter)
+    if not args.a_min <= args.a_max:
+        raise ConfigError(f"--a-min/--a-max need A_MIN <= A_MAX [nm], got "
+                          f"{args.a_min:g} {args.a_max:g}")
+    records = [r for r in load_experiment(resolve_data_path(args.experiment))
+               if args.a_min * 1e-9 <= r.separation <= args.a_max * 1e-9]
+    if not records:
+        raise ConfigError("no experiment records in the requested range")
+    scan = force_scan(cfg.sphere_radius, [r.separation for r in records],
+                      cfg.temperature, cfg.build_evaluator().epsilon,
+                      cfg.prescription)
+    report = residual_report(records, [r.total for r in scan])
     rows = [(r.separation * 1e9, r.force_measured, r.force_theory, r.delta_f,
              r.sigma_ratio) for r in report.rows]
     summary = {"rms_pN": report.rms_deviation,
@@ -205,9 +206,13 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_yukawa_limit(args) -> int:
-    if not 0 < args.residual_bound < math.inf:
-        raise ConfigError(f"--residual-bound needs a finite positive force "
-                          f"[pN], got {args.residual_bound:g}")
+    _require_positive("--residual-bound", args.residual_bound,
+                      "a finite positive force [pN]")
+    _require_positive("--alpha-ceiling", args.alpha_ceiling,
+                      "a positive coupling", finite=False)
+    for flag, length in (("--separation", args.separation),
+                         ("--film-thickness", args.film_thickness)):
+        _require_positive(flag, length, "a finite positive length [nm]", 1e9)
     geom = ConstraintGeometry(args.separation, args.film_thickness)
     lo, hi, n = _grid_bounds("--lambda-min/--lambda-max/--points",
                              args.lambda_min, args.lambda_max, args.points)
@@ -283,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment-theory residual report")
     p.add_argument("--experiment", required=True,
                    help="experiment CSV (a_nm, F_pN, sigma_pN)")
-    p.add_argument("--a-min", type=float, help="range filter low edge [nm]")
-    p.add_argument("--a-max", type=float, help="range filter high edge [nm]")
+    p.add_argument("--a-min", type=float, default=0.0, help="lowest separation [nm]")
+    p.add_argument("--a-max", type=float, default=math.inf, help="highest separation [nm]")
     p.add_argument("--plot-out", help="also write two-column (a_nm, dF_pN) file")
     p.set_defaults(func=cmd_residuals)
 

@@ -306,22 +306,24 @@ def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(omega^2, weights, columns) of the dispersion rule of `model`: its
     nodes, their weights carrying (2/pi) omega^2 eps''(omega), and the
     columns of the three regions, the data below and above omega1 and the
-    tail panels, one `_log_panels` call each.  eps(i zeta) is one sum of
-    weight / (omega^2 + zeta^2) per region."""
+    tail panels, from one `_log_panels` call over all their edges.
+    eps(i zeta) is one sum of weight / (omega^2 + zeta^2) per region."""
     ds, (omega0, omega1) = model.dataset, model.boundaries
     w_max, data = ds.omega_max, ds.omega
     # the validator tolerates data starting an ulp above omega0; the rule
-    # starts where the data do
+    # starts where the data do.  No edge repeats (a repeat would be an
+    # empty segment): a sample on omega1 is left out, and data that end at
+    # omega1 leave no data edge above it.  np.unique would drop a repeat
+    # too, but it imports numpy.ma at its first call.
     lower = max(omega0, ds.omega_min)
-    low, high = (_log_panels(np.hstack((lo, data[(data > lo) & (data < hi)], hi)))
-                 for lo, hi in ((lower, omega1), (omega1, w_max)))
-    tail = _log_panels(np.array([w_max, w_max / _TAIL_T_MIN]))
-    omega, weights = (np.concatenate(parts) for parts in zip(low, high, tail))
-    n_low, n_data = low[0].size, low[0].size + high[0].size
-    eps2 = np.concatenate((interpolate_eps2(ds, omega[:n_data]),
-                           ds.eps2[-1] * (w_max / tail[0])**model.tail_exponent))
+    omega, weights = _log_panels(np.hstack(
+        (lower, data[(data > lower) & (data < omega1)], omega1,
+         data[data > omega1], w_max / _TAIL_T_MIN)))
+    i1, i2 = np.searchsorted(omega, (omega1, w_max))
+    eps2 = np.concatenate((interpolate_eps2(ds, omega[:i2]),
+                           ds.eps2[-1] * (w_max / omega[i2:])**model.tail_exponent))
     return (omega * omega, (2.0 / math.pi) * weights * omega * omega * eps2,
-            (slice(0, n_low), slice(n_low, n_data), slice(n_data, None)))
+            (slice(0, i1), slice(i1, i2), slice(i2, None)))
 
 
 class DrudeFit(NamedTuple):

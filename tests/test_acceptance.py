@@ -112,7 +112,7 @@ def test_c6_yukawa_boundary():
 
 def test_c7_residual_anchor():
     records = [ExperimentRecord(63e-9, 491.0, 3.5)]
-    rep = residual_report(records, lambda a: 477.0)
+    rep = residual_report(records, 477.0)
     row = rep.rows[0]
     ok = (abs(row.delta_f - 14.0) < 1e-9 and abs(row.sigma_ratio - 4.0) < 1e-9)
     report("C7 residual anchor", ok,

@@ -65,7 +65,7 @@ class TestLoadExperiment:
 class TestResidualReport:
     def test_anchor_point(self):
         records = [ExperimentRecord(63e-9, 491.0, 3.5)]
-        report = residual_report(records, lambda a: 477.0)
+        report = residual_report(records, 477.0)
         row = report.rows[0]
         assert row.delta_f == pytest.approx(14.0, rel=1e-12)
         assert row.sigma_ratio == pytest.approx(4.0, rel=1e-12)
@@ -74,72 +74,59 @@ class TestResidualReport:
     def test_theory_equal_to_measurement(self):
         records = [ExperimentRecord(63e-9, 491.0, 3.5),
                    ExperimentRecord(100e-9, 150.0, 2.0)]
-        measured = {63e-9: 491.0, 100e-9: 150.0}
-        report = residual_report(records,
-                                 lambda a: [measured[x] for x in a.tolist()])
+        report = residual_report(records, [491.0, 150.0])
         assert all(r.delta_f == 0.0 for r in report.rows)
         assert report.rms_deviation == 0.0
+
+    def test_scalar_applies_to_every_record(self):
+        records = [ExperimentRecord(60e-9, 103.0, 1.0),
+                   ExperimentRecord(80e-9, 104.0, 1.0),
+                   ExperimentRecord(120e-9, 90.0, 1.0)]
+        report = residual_report(records, 100.0)
+        assert report == residual_report(records, [100.0] * 3)
+        assert [r.force_theory for r in report.rows] == [100.0] * 3
 
     def test_rms_hand_value(self):
         records = [ExperimentRecord(60e-9, 103.0, 1.0),
                    ExperimentRecord(80e-9, 104.0, 1.0)]
-        report = residual_report(records, lambda a: 100.0)
+        report = residual_report(records, 100.0)
         assert report.rms_deviation == pytest.approx(math.sqrt(12.5), rel=1e-12)
 
     def test_reordering_invariance(self):
         records = [ExperimentRecord(60e-9, 103.0, 1.0),
                    ExperimentRecord(80e-9, 107.0, 2.0),
                    ExperimentRecord(70e-9, 96.0, 0.5)]
-        theory = lambda a: 100.0
-        fwd = residual_report(records, theory)
-        rev = residual_report(list(reversed(records)), theory)
+        fwd = residual_report(records, 100.0)
+        rev = residual_report(list(reversed(records)), 100.0)
         assert fwd.rms_deviation == rev.rms_deviation
         assert fwd.max_sigma_exceedance == rev.max_sigma_exceedance
 
     def test_zero_residual_row_lowers_rms(self):
         base = [ExperimentRecord(60e-9, 103.0, 1.0)]
         extended = base + [ExperimentRecord(80e-9, 100.0, 1.0)]
-        theory = lambda a: 100.0
-        r_base = residual_report(base, theory)
-        r_ext = residual_report(extended, theory)
+        r_base = residual_report(base, 100.0)
+        r_ext = residual_report(extended, 100.0)
         assert r_ext.rms_deviation < r_base.rms_deviation
         assert r_ext.max_sigma_exceedance == r_base.max_sigma_exceedance
-
-    def test_range_filter(self):
-        records = [ExperimentRecord(60e-9, 103.0, 1.0),
-                   ExperimentRecord(120e-9, 90.0, 1.0)]
-        report = residual_report(records, lambda a: 100.0,
-                                 range_filter=(50e-9, 100e-9))
-        assert len(report.rows) == 1
-        assert report.rows[0].separation == 60e-9
-
-    def test_theory_called_once_with_the_selected_separations(self):
-        records = [ExperimentRecord(60e-9, 103.0, 1.0),
-                   ExperimentRecord(80e-9, 104.0, 1.0),
-                   ExperimentRecord(120e-9, 90.0, 1.0)]
-        calls = []
-
-        def theory(a):
-            calls.append(a.tolist())
-            return 1e-21 / a**2
-
-        report = residual_report(records, theory, range_filter=(50e-9, 100e-9))
-        assert calls == [[60e-9, 80e-9]]
-        assert [r.force_theory for r in report.rows] == [1e-21 / 60e-9**2,
-                                                         1e-21 / 80e-9**2]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_theory_names_the_separation(self, value):
         records = [ExperimentRecord(60e-9, 103.0, 1.0),
                    ExperimentRecord(80e-9, 104.0, 1.0)]
         with pytest.raises(DomainError, match="a = 80 nm"):
-            residual_report(records, lambda a: [100.0, value])
+            residual_report(records, [100.0, value])
 
-    def test_empty_filter_rejected(self):
-        records = [ExperimentRecord(60e-9, 103.0, 1.0)]
+    @pytest.mark.parametrize("forces", [[100.0], [100.0, 100.0, 100.0]],
+                             ids=["one", "three"])
+    def test_force_count_must_match_the_records(self, forces):
+        records = [ExperimentRecord(60e-9, 103.0, 1.0),
+                   ExperimentRecord(80e-9, 104.0, 1.0)]
+        with pytest.raises(ValueError, match="experiment records"):
+            residual_report(records, forces)
+
+    def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="no experiment records"):
-            residual_report(records, lambda a: 100.0,
-                            range_filter=(200e-9, 300e-9))
+            residual_report([], 100.0)
 
 
 class TestResidualLowerBound:

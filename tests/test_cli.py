@@ -56,6 +56,19 @@ def drude_config(tmp_path):
 
 
 @pytest.fixture
+def built_models(monkeypatch):
+    """The configs whose dielectric model a command builds, in order."""
+    build = RunConfig.build_evaluator
+    built = []
+
+    def tracked(config):
+        built.append(config)
+        return build(config)
+    monkeypatch.setattr(RunConfig, "build_evaluator", tracked)
+    return built
+
+
+@pytest.fixture
 def tabulated_config(tmp_path):
     path = tmp_path / "tabulated.ini"
     path.write_text(TABULATED_INI)
@@ -122,7 +135,7 @@ class TestFitDrude:
 
     @pytest.mark.parametrize("extra, fragment", [
         (["--range", "2e14", "2e15", "--fixed-omega-p", "-1"],
-         "omega_p_fixed must be finite and positive"),
+         "--fixed-omega-p needs a finite positive frequency [rad/s], got -1"),
         (["--range", "1e13", "2e15"],
          "not within data coverage [1.519e+14, 1e+18]"),
     ], ids=["negative-fixed-omega-p", "range-beyond-the-data"])
@@ -425,7 +438,8 @@ class TestResiduals:
         summary = summary_of(out)
         assert float(summary["rms_pN"]) == pytest.approx(14.0, abs=1e-6)
 
-    def test_empty_filter_is_error(self, drude_config, tmp_path, capsys):
+    def test_empty_filter_is_error(self, drude_config, built_models, tmp_path,
+                                   capsys):
         exp_file = tmp_path / "exp.csv"
         exp_file.write_text("100,120,3.5\n")
         code, _, err = run(capsys, ["residuals", "--config", drude_config,
@@ -433,6 +447,37 @@ class TestResiduals:
                                     "--a-min", "200", "--a-max", "300"])
         assert code == 2
         assert "no experiment records" in err
+        assert built_models == []
+
+    @pytest.mark.parametrize("bounds, rows", [
+        (["--a-min", "60", "--a-max", "80"], [60.0, 80.0]),
+        (["--a-min", "80"], [80.0, 120.0]),
+        (["--a-max", "60"], [60.0])], ids=["both", "a-min", "a-max"])
+    def test_bounds_are_inclusive(self, drude_config, tmp_path, capsys,
+                                  bounds, rows):
+        exp_file = tmp_path / "exp.csv"
+        exp_file.write_text("120,30,1\n60,300,3\n80,120,2\n")
+        code, out, _ = run(capsys, ["residuals", "--config", drude_config,
+                                    "--experiment", str(exp_file), *bounds])
+        assert code == 0
+        assert [r[0] for r in parse_csv(out)[1]] == rows
+
+    @pytest.mark.parametrize("bounds, fragment", [
+        (["--a-min", "nan"], "--a-min/--a-max need A_MIN <= A_MAX [nm], got nan inf"),
+        (["--a-max", "nan"], "--a-min/--a-max need A_MIN <= A_MAX [nm], got 0 nan"),
+        (["--a-min", "300", "--a-max", "100"],
+         "--a-min/--a-max need A_MIN <= A_MAX [nm], got 300 100"),
+    ], ids=["nan-a-min", "nan-a-max", "reversed"])
+    def test_bad_bounds_fail_before_the_model_is_built(
+            self, drude_config, built_models, capsys, bounds, fragment):
+        code, out, err = run(capsys, ["residuals", "--config", drude_config,
+                                      "--experiment", "experiment_sample.csv",
+                                      *bounds])
+        assert code == 2
+        assert out == ""
+        assert fragment in err
+        assert err.count("\n") == 1
+        assert built_models == []
 
     def test_plot_out_two_columns(self, drude_config, tmp_path, capsys):
         exp_file = tmp_path / "exp.csv"
@@ -541,7 +586,22 @@ class TestYukawaLimit:
                                       "--alpha-ceiling", "0"])
         assert code == 2
         assert out == ""
-        assert "alpha_ceiling must be positive" in err
+        assert "--alpha-ceiling needs a positive coupling, got 0" in err
+
+    def test_infinite_ceiling_reports_unconstrained(self, capsys):
+        code, out, _ = run(capsys, ["yukawa-limit", "--points", "3",
+                                    "--alpha-ceiling", "inf"])
+        assert code == 0
+        assert "# status=unconstrained: " in out
+
+    @pytest.mark.parametrize("flag, value", [("--separation", "-5"),
+                                             ("--film-thickness", "0")])
+    def test_bad_geometry_flag_is_input_error(self, capsys, flag, value):
+        code, out, err = run(capsys, ["yukawa-limit", "--points", "3",
+                                      flag, value])
+        assert code == 2
+        assert out == ""
+        assert f"{flag} needs a finite positive length [nm], got {value}" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, ["yukawa-limit", "--points", "7"])
@@ -818,18 +878,11 @@ class TestZeroTemperature:
     finite-T commands fail before the dielectric model is built."""
 
     @pytest.fixture
-    def zero_config(self, tmp_path, monkeypatch):
+    def zero_config(self, tmp_path, built_models):
         path = tmp_path / "cold.ini"
         path.write_text(DRUDE_INI.replace("temperature = 300.0",
                                           "temperature = 0"))
-        build = RunConfig.build_evaluator
-        built = []
-
-        def tracked(config):
-            built.append(config)
-            return build(config)
-        monkeypatch.setattr(RunConfig, "build_evaluator", tracked)
-        return str(path), built
+        return str(path), built_models
 
     @pytest.mark.parametrize("argv", [
         ["force", "--a", "100"],

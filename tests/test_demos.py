@@ -38,10 +38,10 @@ def test_make_gold_synthetic_reproduces_bundled_file(tmp_path):
 
 
 def test_readme_python_blocks_run_in_order():
-    # the quick start is three blocks, each building on the one before
+    # the quick start is four blocks, each building on the one before
     text = (ROOT / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     namespace = {}
     with contextlib.redirect_stdout(io.StringIO()):
         for block in blocks:
