@@ -1,8 +1,9 @@
 """The package's one reader of text tables: one row of numbers per line.
 
 Blank lines are skipped, lines starting with '#' are comments, and columns
-are separated by commas or whitespace.  Every value must be a finite float;
-every error names the file and the line.
+are separated by commas or whitespace.  Every value must be a finite float,
+so no field may be empty (two commas in a row, or a comma at either end of
+a line); every error names the file and the line.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ def read_table(path, n_columns: int, what: str):
         if line.startswith("#"):
             comments.append((lineno, line))
         elif line:
+            # nothing but blanks before the first comma, between two or
+            # after the last is an empty field
+            if not all(map(str.strip, line.split(","))):
+                raise DataFormatError(f"{path}:{lineno}: empty field")
             parts = line.replace(",", " ").split()
             if len(parts) != n_columns:
                 raise DataFormatError(f"{path}:{lineno}: expected {n_columns} "

@@ -14,6 +14,7 @@ rows in its `--a-min`/`--a-max` range).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,6 +22,10 @@ import numpy as np
 from ._table import read_table
 from ._value import validated
 from .errors import DataFormatError, DomainError
+
+#: the largest residual whose square is a finite float; Python's ** raises
+#: OverflowError for a larger one
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 @validated
@@ -80,8 +85,9 @@ def residual_report(records: Sequence[ExperimentRecord],
 
     `forces` holds one theory force [pN] per record, in the records' order,
     or one scalar for every record.  Raises ValueError if there are no
-    records or the number of forces differs from theirs, and DomainError
-    if a theory force is not finite.
+    records or the number of forces differs from theirs, and DomainError,
+    naming the separation, if a theory force is not finite or a residual
+    overflows its ratio to sigma or the rms.
     """
     if not records:
         raise ValueError("no experiment records")
@@ -101,9 +107,21 @@ def residual_report(records: Sequence[ExperimentRecord],
         delta = rec.force_measured - f_th
         rows.append(ResidualRow(rec.separation, rec.force_measured, f_th,
                                 delta, delta / rec.sigma))
-    rms = math.sqrt(sum(r.delta_f**2 for r in rows) / len(rows))
-    worst = max(abs(r.sigma_ratio) for r in rows)
-    return ResidualReport(tuple(rows), rms, worst)
+    worst = max(rows, key=lambda r: abs(r.sigma_ratio))
+    if not math.isfinite(worst.sigma_ratio):
+        raise _overflow(worst, "dF/sigma")
+    largest = max(rows, key=lambda r: abs(r.delta_f))
+    squares = (sum(r.delta_f**2 for r in rows)
+               if abs(largest.delta_f) < _SQRT_FLOAT_MAX else math.inf)
+    if squares == math.inf:
+        raise _overflow(largest, "the rms residual")
+    rms = math.sqrt(squares / len(rows))
+    return ResidualReport(tuple(rows), rms, abs(worst.sigma_ratio))
+
+
+def _overflow(row: ResidualRow, what: str) -> DomainError:
+    return DomainError(f"residual dF = {row.delta_f:.6g} pN at a = "
+                       f"{row.separation * 1e9:.6g} nm overflows {what}")
 
 
 def residual_lower_bound(delta_f: float, sigma: float,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -44,6 +45,12 @@ class TestLoadExperiment:
     def test_bad_sigma_reports_line(self, tmp_path):
         with pytest.raises(DataFormatError, match=":1"):
             load_experiment(write(tmp_path, "63,491,-3.5\n"))
+
+    @pytest.mark.parametrize("row", ["63,3.5,,0.1", "63,491,3.5,", ",63,491,3.5",
+                                     "63, ,491,3.5"])
+    def test_empty_field_reports_line(self, tmp_path, row):
+        with pytest.raises(DataFormatError, match=":2: empty field"):
+            load_experiment(write(tmp_path, f"100,120,3\n{row}\n"))
 
     @pytest.mark.parametrize("row", ["63,nan,3.5", "63,491,inf", "nan,491,3.5"])
     def test_non_finite_reports_line(self, tmp_path, row):
@@ -115,6 +122,20 @@ class TestResidualReport:
                    ExperimentRecord(80e-9, 104.0, 1.0)]
         with pytest.raises(DomainError, match="a = 80 nm"):
             residual_report(records, [100.0, value])
+
+    @pytest.mark.parametrize("measured, sigma, theory, message", [
+        (1e10, 1e-300, 0.0, "dF = 1e+10 pN at a = 80 nm overflows dF/sigma"),
+        (1.7e308, 1.0, -1.7e308, "dF = inf pN at a = 80 nm overflows dF/sigma"),
+        (1e200, 3.5, 0.0, "dF = 1e+200 pN at a = 80 nm overflows the rms"),
+        # 1e154 and 1.2e154 square to finite floats, but their sum does not
+        (1.2e154, 1.0, 0.0, "dF = 1.2e+154 pN at a = 80 nm overflows the rms"),
+    ], ids=["ratio", "difference", "square", "sum-of-squares"])
+    def test_overflow_names_the_separation(self, measured, sigma, theory,
+                                           message):
+        records = [ExperimentRecord(60e-9, 1e154, 1.0),
+                   ExperimentRecord(80e-9, measured, sigma)]
+        with pytest.raises(DomainError, match=re.escape(message)):
+            residual_report(records, [0.0, theory])
 
     @pytest.mark.parametrize("forces", [[100.0], [100.0, 100.0, 100.0]],
                              ids=["one", "three"])

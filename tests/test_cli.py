@@ -479,6 +479,31 @@ class TestResiduals:
         assert err.count("\n") == 1
         assert built_models == []
 
+    @pytest.mark.parametrize("row, message", [
+        ("63,1e10,1e-300", "dF = 1e+10 pN at a = 63 nm overflows dF/sigma"),
+        ("63,1e200,3.5", "dF = 1e+200 pN at a = 63 nm overflows the rms residual"),
+    ], ids=["ratio", "rms"])
+    def test_overflow_is_compute_error(self, drude_config, tmp_path, capsys,
+                                       row, message):
+        exp_file = tmp_path / "exp.csv"
+        exp_file.write_text(row + "\n")
+        code, out, err = run(capsys, ["residuals", "--config", drude_config,
+                                      "--experiment", str(exp_file)])
+        assert code == 1
+        assert out == ""
+        assert err == f"aucasimir: compute error: residual {message}\n"
+
+    def test_empty_field_is_input_error(self, drude_config, built_models,
+                                        tmp_path, capsys):
+        exp_file = tmp_path / "exp.csv"
+        exp_file.write_text("63,3.5,,0.1\n")
+        code, out, err = run(capsys, ["residuals", "--config", drude_config,
+                                      "--experiment", str(exp_file)])
+        assert code == 2
+        assert out == ""
+        assert err == f"aucasimir: error: {exp_file}:1: empty field\n"
+        assert built_models == []
+
     def test_plot_out_two_columns(self, drude_config, tmp_path, capsys):
         exp_file = tmp_path / "exp.csv"
         exp_file.write_text("100,120,3.5\n")

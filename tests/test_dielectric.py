@@ -12,6 +12,7 @@ from scipy.special import hyp2f1
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, EpsilonDecomposition, FrequencyBoundaries,
                        epsilon1_analytic, fit_drude, load_dataset, resistivity)
+from aucasimir import dielectric
 from aucasimir._quadrature import gauss_legendre
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.dielectric import (_BLOCK, _ORDER, _PANEL_WIDTH, _TAIL_T_MIN,
@@ -428,18 +429,53 @@ class TestFixedNodeTransform:
                 evaluate(zetas)
 
 
+@pytest.fixture(scope="module")
+def bundled_model():
+    model = load_run_config(package_data_dir() / "sample_config.ini"
+                            ).build_evaluator()
+    assert isinstance(model, DielectricModel)
+    return model
+
+
+class TestRuleAccuracy:
+    """The default rule, 8 nodes on ln-omega panels no wider than 0.5,
+    against 64 nodes on panels no wider than 0.125.  Measured worst
+    relative deviations: parts 7.6e-15 (coarse data) and 5.6e-16 (dense
+    data), totals 4.4e-16; the former rule, 16 nodes on panels no wider
+    than 1, gave 1.0e-14, 7.8e-16 and 4.4e-16."""
+
+    ZETAS = np.logspace(9, 19.5, 2001)
+
+    @pytest.fixture(params=["bundled", "dense", 1.5, 4.0],
+                    ids=["bundled", "drude-30-per-decade", "coarse-q1.5",
+                         "coarse-q4"])
+    def model(self, request, bundled_model, pure_drude_dataset, row2):
+        if request.param == "bundled":
+            return bundled_model
+        if request.param == "dense":
+            return DielectricModel(row2, pure_drude_dataset)
+        return DielectricModel(row2, coarse_dataset(row2),
+                               tail_exponent=request.param)
+
+    def test_matches_a_finer_rule(self, model, monkeypatch):
+        dec = model.decompose(self.ZETAS)
+        monkeypatch.setattr(dielectric, "_ORDER", 64)
+        monkeypatch.setattr(dielectric, "_PANEL_WIDTH", 0.125)
+        ref = model.decompose(self.ZETAS)
+        for name in ("eps2_part", "eps3_part"):
+            np.testing.assert_allclose(getattr(dec, name), getattr(ref, name),
+                                       rtol=2e-14, atol=0, err_msg=name)
+        np.testing.assert_allclose(dec.total, ref.total, rtol=1e-15, atol=0)
+
+    def test_bundled_node_count(self, bundled_model):
+        assert _rule(bundled_model)[1].size == 1152
+
+
 class TestModelContract:
     """Both dielectric models answer `decompose` and `epsilon`, and
     `epsilon` is the decomposition's total."""
 
     ZETAS = np.logspace(11, 20, 301)
-
-    @pytest.fixture(scope="class")
-    def bundled_model(self):
-        model = load_run_config(package_data_dir() / "sample_config.ini"
-                                ).build_evaluator()
-        assert isinstance(model, DielectricModel)
-        return model
 
     def test_epsilon_is_the_total_bitwise(self, bundled_model, row2):
         for model in (row2, bundled_model):

@@ -47,6 +47,12 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=":3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row", ["1e14,2.0,,", "1e14,,2.0", "1e14,2.0,"])
+    def test_empty_field_reports_line(self, tmp_path, row):
+        path = write(tmp_path, f"# unit=rad_s\n1e15,2.0\n{row}\n")
+        with pytest.raises(DataFormatError, match=":3: empty field"):
+            load_dataset(path)
+
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = write(tmp_path, "# unit=rad_s\n1e15 2.0 7.0\n")
         with pytest.raises(DataFormatError, match=":2"):

@@ -17,7 +17,7 @@ from aucasimir import ConvergenceError, alpha_lower_limit
 from aucasimir._quadrature import _RULES, aligned_empty, bisect, legendre
 from aucasimir.yukawa import LAMBDA_BRACKET
 
-#: the orders the package asks for: 8 and 16 for the zeta panels, 16 for
+#: the orders the package asks for: 8 and 16 for the zeta panels, 8 for
 #: the dispersion integral, 8 to 64 for the p-rules
 ORDERS = (8, 16, 32, 64)
 
@@ -57,7 +57,7 @@ def test_order_not_held_names_the_held_orders():
         legendre(12)
 
 
-@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (15, 2080)])
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (28, 1152)])
 def test_aligned_empty_starts_on_a_64_byte_boundary(shape):
     for _ in range(4):
         work = aligned_empty(shape)
