@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 compute error, 2 input or config error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -41,13 +42,25 @@ def _fmt(value, spec=".9e", missing="") -> str:
     return f"{value:{spec}}"
 
 
+#: one-line C encoders for json.dumps(..., indent=2, sort_keys=True)'s
+#: items at depth 2 and 3: json takes its pure-Python encoder whenever
+#: `indent` is set, and that one leaves its closures to the collector
+_ITEMS_2 = json.JSONEncoder(separators=(",\n    ", ": "), sort_keys=True).encode
+_ITEMS_3 = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
 def _render(columns, rows, summary, fmt):
     if fmt == "json":
-        payload = {"columns": list(columns),
-                   "rows": [list(r) for r in rows]}
+        # json.dumps({"columns", "rows", "summary"}, indent=2,
+        # sort_keys=True) byte for byte.  All rows go through one encoder
+        # call and the row brackets are spliced in after: a cell is a
+        # number or None, so no "]" or "[" appears inside one
+        table = _ITEMS_3(rows).replace("],\n      [", "\n    ],\n    [\n      ")
+        table = f"[\n    [\n      {table[2:-2]}\n    ]\n  ]" if rows else "[]"
+        text = f'{{\n  "columns": [\n    {_ITEMS_2(columns)[1:-1]}\n  ],\n  "rows": {table}'
         if summary:
-            payload["summary"] = summary
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text += f',\n  "summary": {{\n    {_ITEMS_2(summary)[1:-1]}\n  }}'
+        return text + "\n}\n"
     if fmt == "table":
         width = max(len(name) for name in (*columns, *(summary or {})))
         lines = []
@@ -174,6 +187,9 @@ def cmd_force(args) -> int:
         dtf = [f - z.total for f, z in zip(force, scans[1])]
     rows = [(a * 1e9, f, n, d, f / ideal_force(cfg.sphere_radius, a))
             for a, f, n, d in zip(separations, force, n0, dtf)]
+    for row in rows:
+        if not abs(row[4]) < math.inf:
+            raise DomainError(f"eta = F / ideal force at a = {row[0]:.6g} nm overflows")
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)
     return 0
 
@@ -320,8 +336,13 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # a command makes no reference cycles, so a collection inside it would
+    # only scan live objects: the collector is off for the command and then
+    # as it was
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (ConvergenceError, DomainError, ArithmeticError, RuntimeError) as exc:
         print(f"aucasimir: compute error: {exc}", file=sys.stderr)
@@ -329,6 +350,8 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"aucasimir: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def entry() -> None:

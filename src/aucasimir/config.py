@@ -1,5 +1,10 @@
 """Run configuration: a flat key-value file with sections (INI syntax).
 
+The grammar (`_read_ini`): `[section]` header lines, `key = value` or
+`key: value` lines split at the first delimiter (keys lower-cased), full-line
+`#`/`;` comments and inline ones after a space or tab.  There are no continuation
+lines and no [DEFAULT] section; a line's leading blanks are ignored.
+
 A config pins the physics a computation depends on -- dielectric model,
 geometry, temperature and prescription -- so that a run is reproducible
 from the file alone; the numerical rules are the library's fixed defaults.
@@ -14,7 +19,6 @@ variable, and finally the bundled package data, in that order.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from pathlib import Path
@@ -108,9 +112,40 @@ class RunConfig(NamedTuple):
                                self.tail_exponent)
 
 
-def _get_float(cp, section, key, default=None):
-    raw = cp.get(section, key, fallback=None)
-    if raw is None or raw.strip() == "":
+def _read_ini(path: Path) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of an INI file, in the grammar of this
+    module's docstring; a line outside it is a ConfigError naming the line."""
+    sections, section = {}, None
+    for lineno, line in enumerate(path.read_text().split("\n"), 1):
+        # an inline comment starts at '#' or ';' after a space or tab
+        for mark in (" #", "\t#", " ;", "\t;"):
+            line = line.partition(mark)[0]
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        if text[0] == "[" and text[-1] == "]":
+            name = text[1:-1]
+            if name in sections:
+                raise ConfigError(f"{path}: line {lineno}: section [{name}] appears twice")
+            section = sections[name] = {}
+            continue
+        if section is None:
+            raise ConfigError(f"{path}: line {lineno}: no [section] header above it")
+        # split at the first delimiter: ':' if one comes before any '='
+        first = ":" if ":" in text.partition("=")[0] else "="
+        key, delimiter, value = text.partition(first)
+        key = key.strip().lower()
+        if not (delimiter and key):
+            raise ConfigError(f"{path}: line {lineno}: not a 'key = value' line")
+        if key in section:
+            raise ConfigError(f"{path}: line {lineno}: key [{name}] {key} appears twice")
+        section[key] = value.strip()
+    return sections
+
+
+def _get_float(ini, section, key, default=None):
+    raw = ini.get(section, {}).get(key, "")
+    if raw == "":
         if default is None:
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
@@ -123,55 +158,33 @@ def _get_float(cp, section, key, default=None):
     return value
 
 
-def _read_error(path: Path, exc: configparser.Error) -> str:
-    """One line for an error of configparser's read: file, line and cause."""
-    if isinstance(exc, configparser.MissingSectionHeaderError):
-        cause = "no [section] header above it"
-    elif isinstance(exc, configparser.DuplicateSectionError):
-        cause = f"section [{exc.section}] appears twice"
-    elif isinstance(exc, configparser.DuplicateOptionError):
-        cause = f"key [{exc.section}] {exc.option} appears twice"
-    else:
-        cause = "not a 'key = value' line"
-    lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
-    return f"{path}: line {lineno}: {cause}"
-
-
 def load_run_config(path) -> RunConfig:
     """Parse and fully validate a config file (fail fast, before computing)."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    # no interpolation: a '%' in a value is a plain character
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                   interpolation=None)
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(_read_error(path, exc)) from None
-    if not cp.has_section("dielectric"):
+    ini = _read_ini(path)
+    if "dielectric" not in ini:
         raise ConfigError(f"{path}: missing [dielectric] section")
-    for section in cp.sections():
+    for section, keys in ini.items():
         if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in cp.options(section):
+        for key in keys:
             if key not in _KEYS[section]:
                 raise ConfigError(f"{path}: unknown key [{section}] {key}")
+    dielectric = ini["dielectric"]
 
-    dataset_raw = cp.get("dielectric", "dataset", fallback="").strip()
-    dataset_names = [s.strip() for s in dataset_raw.split(",") if s.strip()]
-    dataset_paths = tuple(resolve_data_path(n, (path.parent,))
-                          for n in dataset_names)
+    dataset_paths = tuple(resolve_data_path(name.strip(), (path.parent,))
+                          for name in dielectric.get("dataset", "").split(",") if name.strip())
 
-    model_kind = cp.get("dielectric", "model",
-                        fallback="tabulated" if dataset_paths else "drude").strip()
+    model_kind = dielectric.get("model", "tabulated" if dataset_paths else "drude")
     if model_kind not in ("drude", "tabulated"):
         raise ConfigError(f"[dielectric] model must be 'drude' or 'tabulated', "
                           f"got {model_kind!r}")
     if model_kind == "tabulated" and not dataset_paths:
         raise ConfigError("[dielectric] model=tabulated needs a dataset")
 
-    fit_raw = cp.get("dielectric", "fit_range", fallback="").split()
+    fit_raw = dielectric.get("fit_range", "").split()
     fit_range = None
     if fit_raw:
         if len(fit_raw) != 2:
@@ -183,19 +196,19 @@ def load_run_config(path) -> RunConfig:
                               f"{' '.join(fit_raw)!r}") from None
         if not 0 < fit_range[0] < fit_range[1] < math.inf:
             raise ConfigError("[dielectric] fit_range must be finite with 0 < lo < hi")
-    fixed_raw = cp.get("dielectric", "fit_fixed_omega_p", fallback="").strip()
-    fit_fixed = _get_float(cp, "dielectric", "fit_fixed_omega_p") if fixed_raw else None
+    fit_fixed = (_get_float(ini, "dielectric", "fit_fixed_omega_p")
+                 if dielectric.get("fit_fixed_omega_p") else None)
     if fit_fixed is not None and fit_fixed <= 0:
         raise ConfigError("[dielectric] fit_fixed_omega_p must be positive")
 
     drude = None
-    if cp.has_option("dielectric", "omega_p"):
+    if "omega_p" in dielectric:
         for key in ("fit_range", "fit_fixed_omega_p"):
-            if cp.has_option("dielectric", key):
+            if key in dielectric:
                 raise ConfigError(f"[dielectric] {key} conflicts with omega_p: "
                                   f"give omega_p/omega_tau or a fit_range, not both")
-        omega_p = _get_float(cp, "dielectric", "omega_p")
-        omega_tau = _get_float(cp, "dielectric", "omega_tau")
+        omega_p = _get_float(ini, "dielectric", "omega_p")
+        omega_tau = _get_float(ini, "dielectric", "omega_tau")
         try:
             drude = DrudeParameters(omega_p, omega_tau)
         except ValueError as exc:
@@ -204,30 +217,30 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError("[dielectric] needs omega_p/omega_tau or fit_range")
     elif not dataset_paths:
         raise ConfigError("[dielectric] fit_range needs a dataset to fit")
-    elif cp.has_option("dielectric", "omega_tau"):
+    elif "omega_tau" in dielectric:
         raise ConfigError("[dielectric] omega_tau conflicts with fit_range, "
                           "which fits it: give omega_p/omega_tau or a "
                           "fit_range, not both")
 
     try:
         boundaries = FrequencyBoundaries(
-            _get_float(cp, "dielectric", "omega0", FrequencyBoundaries().omega0),
-            _get_float(cp, "dielectric", "omega1", FrequencyBoundaries().omega1))
+            _get_float(ini, "dielectric", "omega0", FrequencyBoundaries().omega0),
+            _get_float(ini, "dielectric", "omega1", FrequencyBoundaries().omega1))
     except ValueError as exc:
         raise ConfigError(f"[dielectric] boundaries: {exc}") from None
-    tail_exponent = _get_float(cp, "dielectric", "tail_exponent", 3.0)
+    tail_exponent = _get_float(ini, "dielectric", "tail_exponent", 3.0)
     if tail_exponent <= 1:
         raise ConfigError("[dielectric] tail_exponent must exceed 1")
 
-    sphere_radius = _get_float(cp, "geometry", "sphere_radius")
+    sphere_radius = _get_float(ini, "geometry", "sphere_radius")
     if sphere_radius <= 0:
         raise ConfigError("[geometry] sphere_radius must be positive")
 
-    temperature = _get_float(cp, "thermal", "temperature", 300.0)
+    temperature = _get_float(ini, "thermal", "temperature", 300.0)
     if temperature < 0:
         raise ConfigError("[thermal] temperature must be non-negative")
 
-    prescription = cp.get("force", "prescription", fallback="schwinger").strip()
+    prescription = ini.get("force", {}).get("prescription", "schwinger")
     try:
         check_prescription(prescription)
     except ValueError as exc:

@@ -100,22 +100,28 @@ class DrudeParameters(NamedTuple):
 
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) of this pure Drude model: eps1 = omega_p^2 /
-        (zeta (zeta + omega_tau)) and no data parts.  A zeta so large that
-        eps1 rounds to 0 is a DomainError."""
+        (zeta (zeta + omega_tau)) and no data parts.  A zeta so small that
+        eps1 overflows, or so large that it rounds to 0, is a DomainError."""
         z = _positive_zeta(zeta)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             eps1 = self.omega_p**2 / (z * (z + self.omega_tau))
-        if not np.all(eps1 > 0):
-            raise DomainError(
-                f"zeta={z.max():.4g} rad/s is too large for the Drude model: "
-                f"omega_p^2 / (zeta (zeta + omega_tau)) rounds to 0, so "
-                f"eps(i zeta) = 1")
         zero = np.zeros(z.shape)[()]
-        return EpsilonDecomposition(eps1, zero, zero)
+        return EpsilonDecomposition(_checked_eps1(eps1, z), zero, zero)
 
     def epsilon(self, zeta):
         """eps(i zeta)."""
         return self.decompose(zeta).total
+
+
+def _checked_eps1(eps1, z):
+    """The Drude part eps1 at zeta z, which must be finite and positive: a
+    zeta so small that omega_p^2 / (zeta (zeta + omega_tau)) overflows, or so
+    large that it rounds to 0, is a DomainError naming that zeta."""
+    ok = (eps1 > 0) & (eps1 < math.inf)
+    if not ok.all():
+        raise DomainError(f"zeta={z.flat[np.argmin(ok)]:.4g} rad/s is out of range: omega_p^2 "
+                          f"/ (zeta (zeta + omega_tau)) = {eps1.flat[np.argmin(ok)]:g}")
+    return eps1
 
 
 def resistivity(p: DrudeParameters) -> float:
@@ -141,7 +147,8 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
             / (zeta (zeta + omega_tau)),
 
     with T(x) = atan(x)/x and T(0) = 1.  Every term is positive, so the
-    one formula holds to rounding for every zeta, omega_tau included.
+    one formula holds to rounding for every zeta, omega_tau included.  A
+    zeta so small that the quotient overflows gives inf, with no warning.
     """
     z = _positive_zeta(zeta)
     if omega0 < 0:
@@ -150,9 +157,10 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     denom = wt * z + omega0 * omega0
     x = omega0 * (z - wt) / denom
     atan_ratio = np.divide(np.arctan(x), x, out=np.ones_like(x), where=x != 0)
-    out = ((2.0 / math.pi) * p.omega_p**2
-           * (math.atan(omega0 / wt) + wt * omega0 * atan_ratio / denom)
-           / (z * (z + wt)))
+    with np.errstate(over="ignore", divide="ignore"):
+        out = ((2.0 / math.pi) * p.omega_p**2
+               * (math.atan(omega0 / wt) + wt * omega0 * atan_ratio / denom)
+               / (z * (z + wt)))
     return out[()]
 
 
@@ -266,7 +274,8 @@ class DielectricModel(NamedTuple):
                 f"omega1={self.boundaries.omega1:.4g}")
 
     def decompose(self, zeta) -> EpsilonDecomposition:
-        """eps(i zeta) by spectral region."""
+        """eps(i zeta) by spectral region.  A zeta so small that the Drude
+        part overflows is a DomainError."""
         z = _positive_zeta(zeta)
         flat = z.ravel()
         w_max, q = self.dataset.omega_max, self.tail_exponent
@@ -293,7 +302,7 @@ class DielectricModel(NamedTuple):
         #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
         rest = ((2.0 / math.pi) * self.dataset.eps2[-1] * _TAIL_T_MIN**q / q
                 * _tail_series(0.5 * q, x2))
-        eps1 = epsilon1_analytic(self.drude, self.boundaries.omega0, flat)
+        eps1 = _checked_eps1(epsilon1_analytic(self.drude, self.boundaries.omega0, flat), flat)
         parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
         return EpsilonDecomposition(*(part.reshape(z.shape)[()] for part in parts))
 

@@ -305,9 +305,11 @@ def _matsubara_rule(temperature: float, radius: float, a: np.ndarray):
 
     counts[i] = floor(_Y_MAX c / (zeta_1 a[i])) takes every n with
     zeta_n a[i] / c <= _Y_MAX, and none where zeta_1 a[i] / c exceeds it.
-    A count above `_N_MAX` raises ConvergenceError naming the separation.
+    A count above `_N_MAX` raises ConvergenceError naming the separation;
+    at a temperature so small that zeta_1 underflows to 0 the count is inf.
     """
-    counts = np.floor(_Y_MAX * c / (matsubara_frequency(1, temperature) * a))
+    with np.errstate(divide="ignore"):
+        counts = np.floor(_Y_MAX * c / (matsubara_frequency(1, temperature) * a))
     over = counts > _N_MAX
     if over.any():
         i = int(np.argmax(over))

@@ -1,3 +1,4 @@
+import gc
 import math
 from pathlib import Path
 
@@ -25,6 +26,17 @@ def pytest_report_header(config):
     src/ ahead of PYTHONPATH, so another tree is tested only from inside it."""
     return [f"aucasimir: {Path(aucasimir.__file__).parent}",
             f"numpy: {np.__version__}"]
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """`cli.main` turns the garbage collector off for a command and back on
+    after it; a test that leaves it off fails."""
+    enabled = gc.isenabled()
+    yield
+    if enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the garbage collector was left disabled")
 
 
 #: Drude metals around gold, for property tests

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import io
 import json
@@ -10,14 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aucasimir import (ConstraintGeometry, DielectricModel, DrudeParameters,
                        FrequencyBoundaries, alpha_lower_limit, fit_drude,
                        force_scan, ideal_force, load_dataset)
 from aucasimir import config
-from aucasimir.cli import main
-from aucasimir.config import RunConfig, load_run_config, package_data_dir
+from aucasimir.cli import _render, main
+from aucasimir.config import RunConfig, _read_ini, load_run_config, package_data_dir
+from aucasimir.errors import ConfigError
 
 from conftest import drude_dataset, drude_rows
 
@@ -169,6 +171,42 @@ def test_table_output_aligns_summary_keys_with_columns(capsys, argv):
     assert len(starts) == 1, out
 
 
+#: a cell of an output table: floats (numpy's too) with their special
+#: values, integers and None
+table_cells = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.integers(), st.none(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def output_tables(draw):
+    """(columns, rows, summary) as the commands hand them to `_render`."""
+    width = draw(st.integers(1, 6))
+    columns = draw(st.lists(st.text(), min_size=width, max_size=width))
+    rows = draw(st.lists(st.tuples(*[table_cells] * width), max_size=25))
+    summary = draw(st.none() | st.dictionaries(
+        st.text(), table_cells | st.text() | st.just("unconstrained: a, b"),
+        max_size=4))
+    return columns, rows, summary
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(output_tables())
+    @example((("a",), [], None))
+    @example((("a", "b"), [(-0.0, None), (math.nan, 2)], {}))
+    @example((("a", "b"), [(math.inf, -math.inf)], {"status": "excluded: a, b"}))
+    def test_equals_indented_json_dumps(self, table):
+        # the writer splices C-encoded pieces; json.dumps with indent=2 is
+        # the format it reproduces
+        columns, rows, summary = table
+        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
+        if summary:
+            payload["summary"] = summary
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert _render(columns, rows, summary, "json") == expected
+
+
 class TestEpsilon:
     def test_drude_model_single_zeta(self, drude_config, capsys):
         code, out, _ = run(capsys, ["epsilon", "--config", drude_config,
@@ -253,6 +291,22 @@ class TestEpsilon:
         assert done.stdout == ""
         assert "compute error: zeta=1e+200 rad/s" in done.stderr
         assert "Warning" not in done.stderr
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("config", [
+        package_data_dir() / "sample_config.ini",
+        Path(__file__).resolve().parents[1] / "perfbench" / "drude_config.ini"],
+        ids=["tabulated", "drude"])
+    @pytest.mark.parametrize("zeta", ["1e-300", "5e-324"])
+    def test_tiny_zeta_is_compute_error(self, capsys, config, zeta):
+        # omega_p^2 / (zeta (zeta + omega_tau)) overflows: eps1 would read inf
+        code, out, err = run(capsys, ["epsilon", "--config", str(config),
+                                      "--zeta", zeta])
+        assert code == 1
+        assert out == ""
+        assert (f"compute error: zeta={float(zeta):.4g} rad/s is out of range: "
+                f"omega_p^2 / (zeta (zeta + omega_tau)) = inf") in err
+        assert err.count("\n") == 1
 
     def test_infinite_zeta_rejected(self, drude_config, capsys):
         code, out, err = run(capsys, ["epsilon", "--config", drude_config,
@@ -388,6 +442,30 @@ class TestForce:
         assert code == 1
         assert out == ""
         assert "force at a = 20000 nm, T = 300 K is not finite" in err
+
+    @pytest.mark.filterwarnings("ignore:sphere_radius / separation < 100")
+    def test_overflowing_eta_is_compute_error(self, tmp_path, capsys):
+        # F / ideal_force overflows: a 1e300 K force at 1e6 m against a
+        # perfect-conductor force of order 1e-37 pN
+        path = tmp_path / "hot.ini"
+        path.write_text(DRUDE_INI.replace("300.0", "1e300"))
+        code, out, err = run(capsys, ["force", "--config", str(path), "--mode",
+                                      "both", "--a", "1e15"])
+        assert code == 1
+        assert out == ""
+        assert "compute error: eta = F / ideal force at a = 1e+15 nm overflows" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_denormal_temperature_is_compute_error(self, tmp_path, capsys):
+        # zeta_1 = 2 pi k T / hbar underflows to 0, so the sum needs inf terms
+        path = tmp_path / "cold.ini"
+        path.write_text(DRUDE_INI.replace("300.0", "5e-324"))
+        code, out, err = run(capsys, ["force", "--config", str(path), "--a", "100"])
+        assert code == 1
+        assert out == ""
+        assert "Matsubara sum at a = 100 nm" in err and "needs inf terms" in err
+        assert err.count("\n") == 1
 
     def test_both_mode_warns_once_about_curvature(self):
         # a 2 mm separation is R/a < 100 at both temperatures; the warning
@@ -804,6 +882,89 @@ class TestConfigHandling:
         assert "unknown section [numeric]" in err
 
 
+#: the oracle of `_read_ini`: configparser with inline comments and no
+#: interpolation
+def configparser_sections(path):
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
+    cp.read(path)
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+_INI_TEXT = "abcXYZ019_.-+%/"
+_INI_BLANK = st.sampled_from(["", " ", "\t", "  "])
+_INI_COMMENT = st.tuples(st.sampled_from(["#", ";"]),
+                         st.text(max_size=10).filter(lambda t: not {"\n", "\r"} & set(t)))
+_INI_INLINE = st.none() | st.tuples(st.sampled_from([" ", "\t", "  "]),
+                                    st.sampled_from(["#", ";"]),
+                                    st.text(_INI_TEXT + " #;=:", max_size=8))
+
+
+@st.composite
+def ini_files(draw):
+    """Well-formed INI text: unique sections, keys unique up to case, either
+    delimiter, blanks around it, full-line and inline comments."""
+    def line(text):
+        return text + "".join(draw(_INI_INLINE) or ())
+
+    lines = ["".join(draw(_INI_COMMENT)) for _ in range(draw(st.integers(0, 2)))]
+    names = draw(st.lists(st.text(_INI_TEXT + " ]=:", min_size=1, max_size=8)
+                          .filter(lambda n: n.strip() and n != "DEFAULT"),
+                          unique=True, max_size=4))
+    for name in names:
+        lines.append(line(f"[{name}]"))
+        keys = draw(st.lists(st.text(_INI_TEXT + " ", min_size=1, max_size=8)
+                             .map(str.strip).filter(bool),
+                             unique_by=str.lower, max_size=5))
+        for key in keys:
+            lines.append(line(f"{key}{draw(_INI_BLANK)}{draw(st.sampled_from('=:'))}"
+                              f"{draw(_INI_BLANK)}{draw(st.text(_INI_TEXT + ' =:[]', max_size=10))}"))
+            if draw(st.booleans()):
+                lines.append(draw(st.just("") | _INI_COMMENT.map("".join)))
+    return "\n".join(lines) + "\n"
+
+
+class TestIniReader:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ini_files())
+    def test_matches_configparser(self, tmp_path, text):
+        path = tmp_path / "generated.ini"
+        path.write_text(text)
+        assert _read_ini(path) == configparser_sections(path)
+
+    def test_bundled_configs_match_configparser(self):
+        root = Path(__file__).resolve().parents[1]
+        for path in (package_data_dir() / "sample_config.ini",
+                     root / "perfbench" / "drude_config.ini"):
+            assert _read_ini(path) == configparser_sections(path)
+
+    @pytest.mark.parametrize("text, lineno, cause", [
+        ("# a comment\n\nsphere_radius = 1\n", 3, "no [section] header above it"),
+        ("[geometry]\nsphere_radius = 1\n[thermal]\n[geometry]\n", 4,
+         "section [geometry] appears twice"),
+        ("[geometry]\nsphere_radius = 1\nSphere_Radius: 2\n", 3,
+         "key [geometry] sphere_radius appears twice"),
+        ("[geometry]\nsphere_radius 1\n", 2, "not a 'key = value' line"),
+        ("[geometry]\n= 1\n", 2, "not a 'key = value' line"),
+        ("[dielectric]\nfit_range = 2e14\n    2e15\n", 3,
+         "not a 'key = value' line")],
+        ids=["no-header", "section-twice", "key-twice", "no-delimiter",
+             "no-key", "continuation-line"])
+    def test_error_names_the_line(self, tmp_path, text, lineno, cause):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            _read_ini(path)
+        assert str(info.value) == f"{path}: line {lineno}: {cause}"
+
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\ntemperature = 300\n\n" + DRUDE_INI)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_run_config(path)
+
+
 #: a tabulated config whose Drude parameters come from a fit to its dataset
 FIT_INI = TABULATED_INI.replace("omega_p = 1.38e16\nomega_tau = 5.38e13\n",
                                 "fit_range = 2e14 2e15\n")
@@ -1020,15 +1181,17 @@ def test_cli_import_leaves_quadpack_out():
 
 
 def test_cli_import_leaves_dataclasses_and_importlib_resources_out():
-    # the records are NamedTuples and the bundled data sit next to
-    # config.py; -S keeps the .pth files of site-packages from loading
-    # either module first, so numpy comes through PYTHONPATH
+    # the records are NamedTuples, the bundled data sit next to config.py
+    # and config.py reads its INI files itself; -S keeps the .pth files of
+    # site-packages from loading any of these modules first, so numpy comes
+    # through PYTHONPATH
     out = run_python("""
 import sys
 import numpy
 before = set(sys.modules)
 import aucasimir.cli
-print(sorted({"dataclasses", "importlib.resources"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "importlib.resources", "configparser"}
+             & (set(sys.modules) - before)))
 """, "-S", path=[str(Path(np.__file__).resolve().parents[1])])
     assert out == "[]"
 
@@ -1080,3 +1243,56 @@ for argv in (["force", "--config", config, "--a", "100", "--mode", "both"],
 print(sorted(set(sys.modules) - before))
 """)
     assert out == "[]"
+
+
+def test_commands_leave_the_collector_as_found():
+    # a command makes no reference cycles, so the collector is off inside
+    # `main`: at a threshold of 1, where any allocation would start a
+    # collection, none runs inside it, none is left for one after it, and
+    # the collector's state is the one `main` found
+    root = Path(__file__).resolve().parents[1]
+    data = package_data_dir()
+    out = run_python(f"""
+import contextlib, gc, io, sys
+import aucasimir.cli as cli
+tabulated = {str(data / "sample_config.ini")!r}
+drude = {str(root / "perfbench" / "drude_config.ini")!r}
+commands = (
+    ["force", "--config", tabulated, "--mode", "finite_T", "--a-range", "63", "170", "2"],
+    ["force", "--config", drude, "--mode", "both", "--a-range", "60", "200", "8"],
+    ["residuals", "--config", drude, "--experiment", {str(data / "experiment_sample.csv")!r}],
+    ["yukawa-limit", "--residual-bound", "2.5"],
+    ["epsilon", "--config", tabulated, "--zeta-range", "1e13", "1e17", "41"])
+inside, found = [], []
+
+def hook(phase, info):
+    if phase == "stop":
+        found.append(info["collected"])
+        return
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not cli.main.__code__:
+        frame = frame.f_back
+    if frame is not None:
+        inside.append(info["generation"])
+
+gc.callbacks.append(hook)
+gc.set_threshold(1)
+for enabled in (True, False):
+    for argv in commands:
+        gc.collect()
+        found.clear()
+        (gc.enable if enabled else gc.disable)()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--output", "json"]) == 0, argv
+        state = gc.isenabled()
+        gc.collect()
+        print(argv[0], enabled, state, inside, sum(found))
+        inside.clear()
+gc.enable()
+""")
+    for line in out.splitlines():
+        command, before, after, inside, garbage = line.split(" ", 4)
+        assert after == before, line
+        assert inside == "[]", line
+        assert garbage == "0", line
+    assert len(out.splitlines()) == 10
