@@ -1,9 +1,10 @@
 """Run configuration: a flat key-value file with sections (INI syntax).
 
 The grammar (`_read_ini`): `[section]` header lines, `key = value` or
-`key: value` lines split at the first delimiter (keys lower-cased), full-line
-`#`/`;` comments and inline ones after a space or tab.  There are no continuation
-lines and no [DEFAULT] section; a line's leading blanks are ignored.
+`key: value` lines split at the first delimiter (keys lower-cased),
+full-line `#`/`;` comments and inline ones after a space or tab.  There
+are no continuation lines and no [DEFAULT] section; a line's leading
+blanks are ignored.
 
 A config pins the physics a computation depends on -- dielectric model,
 geometry, temperature and prescription -- so that a run is reproducible
