@@ -1,19 +1,26 @@
 """The package's numerical kernels: its one quadrature, composite
-Gauss-Legendre on fixed panels, the aligned work arrays its sums run in,
-and its one root finder, `bisect`, which the Drude fit and the Yukawa
-boundary share."""
+Gauss-Legendre on fixed panels, with one sizing rule for panels in a log
+variable (`log_sizing`), the aligned work arrays its sums run in, and its
+one root finder, `bisect`, which the Drude fit and the Yukawa boundary
+share."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-#: order -> (positive nodes, ascending; their weights) of the Gauss-Legendre
-#: rule on [-1, 1], equal to numpy's leggauss bit for bit.  To add an order,
-#: paste the literal that `PYTHONPATH=src python tests/test_quadrature.py`
-#: prints.
+#: order -> (non-negative nodes, ascending; their weights) of the
+#: Gauss-Legendre rule on [-1, 1], equal to numpy's leggauss bit for bit; an
+#: odd order's middle node, 0, is held once.  To add an order, paste the
+#: literal that `PYTHONPATH=src python tests/test_quadrature.py` prints.
 _RULES = {
+    5: (
+        (0.0, 0.5384693101056831, 0.906179845938664),
+        (0.5688888888888887, 0.4786286704993663, 0.23692688505618928),
+    ),
     8: (
         (0.18343464249564978, 0.525532409916329, 0.7966664774136267,
          0.9602898564975362),
@@ -69,15 +76,31 @@ _RULES = {
 }
 
 
+#: every log-panel rule (`log_sizing`) keeps the Bernstein bound
+#: rho(h)^(-2n) of n nodes on a panel h wide at or below this one.  In the
+#: log variable the integrand's nearest complex singularity lies pi/2 off
+#: the real axis, which is pi / h in the panel's [-1, 1], so rho(h) =
+#: pi / h + sqrt((pi / h)^2 + 1); the bound is that of 8 nodes on a panel
+#: 0.5 wide, rho(0.5)^-16 ~ 2.3e-18 (notes/decisions.md)
+_LOG_BOUND = (2.0 * math.pi + math.sqrt(4.0 * math.pi**2 + 1.0))**-16
+#: the widest panel on which each held order meets _LOG_BOUND, 2 pi /
+#: (rho_n - 1 / rho_n) with rho_n = _LOG_BOUND^(-1 / (2 n)): 0.108 for 5
+#: nodes, 0.5 for 8, 1.92 for 16, 4.64 for 32 and 9.74 for 64
+_LOG_ORDERS = np.array(sorted(_RULES))
+_LOG_WIDEST = np.array([2.0 * math.pi / (rho - 1.0 / rho) for rho in
+                        (_LOG_BOUND**(-0.5 / n) for n in _LOG_ORDERS.tolist())])
+
+
 def legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: the held
-    positive half mirrored, as leggauss symmetrises its own rule."""
+    non-negative half mirrored, as leggauss symmetrises its own rule."""
     if order not in _RULES:
         raise ValueError(f"no Gauss-Legendre rule of order {order}; the held "
                          f"orders are {sorted(_RULES)}")
     half_x, half_w = map(np.array, _RULES[order])
-    x = np.concatenate((-half_x[::-1], half_x))
-    w = np.concatenate((half_w[::-1], half_w))
+    mirror = slice(None, 0 if order % 2 else None, -1)
+    x = np.concatenate((-half_x[mirror], half_x))
+    w = np.concatenate((half_w[mirror], half_w))
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -90,6 +113,43 @@ def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def log_sizing(widths) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, panels): for each segment of `widths` in a log variable, the
+    held order and number of equal panels with the fewest nodes, order
+    times panels, that keep the Bernstein bound at or below _LOG_BOUND; of
+    two with as few nodes, the lower order."""
+    widths = np.asarray(widths, dtype=float)
+    panels = np.maximum(1.0, np.ceil(widths / _LOG_WIDEST[:, None]))
+    best = np.argmin(_LOG_ORDERS[:, None] * panels, axis=0)
+    return _LOG_ORDERS[best], panels[best, np.arange(widths.size)].astype(int)
+
+
+def log_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule, in a log
+    variable, on the segments between consecutive `edges`, an ascending
+    float array, each split into the equal panels of the order that
+    `log_sizing` gives it.  The nodes ascend; each panel's are those of
+    `gauss_legendre`."""
+    lo, width = edges[:-1], np.diff(edges)
+    orders, panels = log_sizing(width)
+    seg = np.repeat(np.arange(panels.size), panels)
+    k = np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]
+    # np.linspace's own arithmetic, for every segment at once
+    cuts = k * (width / panels)[seg] + lo[seg]
+    ends = np.append(cuts[1:], edges[-1])
+    half, mid = 0.5 * (ends - cuts), 0.5 * (cuts + ends)
+    order = orders[seg]
+    start = np.cumsum(order) - order
+    nodes, weights = np.empty((2, start[-1] + order[-1]))
+    for n in _LOG_ORDERS.tolist():
+        on = order == n
+        x, w = legendre(n)
+        at = start[on, None] + np.arange(n)
+        nodes[at] = mid[on, None] + half[on, None] * x
+        weights[at] = half[on, None] * w
+    return nodes, weights
 
 
 def aligned_empty(shape) -> np.ndarray:

@@ -185,11 +185,14 @@ def cmd_force(args) -> int:
         n0 = [r.n0_term for r in scans[0]]
     if args.mode == "both":
         dtf = [f - z.total for f, z in zip(force, scans[1])]
-    rows = [(a * 1e9, f, n, d, f / ideal_force(cfg.sphere_radius, a))
-            for a, f, n, d in zip(separations, force, n0, dtf)]
-    for row in rows:
-        if not abs(row[4]) < math.inf:
-            raise DomainError(f"eta = F / ideal force at a = {row[0]:.6g} nm overflows")
+    rows = []
+    for a, f, n, d in zip(separations, force, n0, dtf):
+        ideal = ideal_force(cfg.sphere_radius, a)    # 0 at a radius of 5e-324 m
+        eta = f / ideal if ideal else math.inf
+        if not abs(eta) < math.inf:
+            raise DomainError(f"eta = F / ideal force at a = {a * 1e9:.6g} nm overflows "
+                              f"(ideal force {ideal:.3g} pN)")
+        rows.append((a * 1e9, f, n, d, eta))
     _emit(args, ("a_nm", "F_pN", "n0_pN", "dTF_pN", "eta"), rows)
     return 0
 

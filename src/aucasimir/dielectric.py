@@ -12,7 +12,8 @@ three spectral regions of the dispersion relation
                     numerically with log-log interpolation,
   * above omega_max : a power-law tail eps'' ~ omega^(-tail_exponent).
 
-The numerical regions use a fixed Gauss-Legendre rule in ln omega, so
+The numerical regions use a fixed Gauss-Legendre rule in ln omega, sized
+segment by segment to one error bound (`_quadrature.log_sizing`), so
 eps(i zeta) for any number of zeta values is one broadcast sum over the
 nodes.
 
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import aligned_empty, bisect, gauss_legendre
+from ._quadrature import aligned_empty, bisect, log_rule
 from ._value import validated
 from .constants import epsilon_0
 from .errors import ConvergenceError, DomainError
@@ -44,13 +45,6 @@ from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolat
 #: ohm m -> micro-ohm cm
 _OHM_M_TO_UOHM_CM = 1e8
 
-#: Gauss-Legendre nodes per panel of the dispersion integral
-_ORDER = 8
-#: widest panel in ln omega; the integrand's nearest complex singularity
-#: (the Lorentzian pole) lies pi/2 off the real ln-omega axis, so on this
-#: width its Bernstein ellipse has rho = 2 pi + sqrt(4 pi^2 + 1) ~ 12.6 and
-#: the 8-node rule's error is of order rho^-16 ~ 2.3e-18: exact to rounding
-_PANEL_WIDTH = 0.5
 #: the power-law tail is integrated on panels down to t = omega_max/omega =
 #: _TAIL_T_MIN and in closed form below it
 _TAIL_T_MIN = 1e-6
@@ -61,7 +55,7 @@ _TAIL_X2_MAX = 0.5
 #: of its partial sum
 _UNIT_ROUNDOFF = 2.0**-53
 #: elements of the broadcast sum's work array, zeta rows times rule nodes
-#: (28 rows of the bundled data's 1,152 nodes); a larger array sums faster
+#: (48 rows of the bundled data's 676 nodes); a larger array sums faster
 #: but raises a command's peak memory
 _BLOCK = 16 * 2048
 
@@ -213,25 +207,6 @@ def _tail_series(b: float, x2: np.ndarray) -> np.ndarray:
     return total
 
 
-def _log_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes in omega and weights in ln omega of the _ORDER-node
-    Gauss-Legendre rule on every segment between consecutive `edges`.
-
-    A segment wider than _PANEL_WIDTH in ln omega is split into equal
-    panels; data nodes are segment edges, so the log-log interpolant is
-    smooth on every panel.
-    """
-    ln_edges = np.log(edges)
-    lo, width = ln_edges[:-1], np.diff(ln_edges)
-    panels = np.maximum(1, np.ceil(width / _PANEL_WIDTH)).astype(int)
-    seg = np.repeat(np.arange(panels.size), panels)
-    k = np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]
-    # np.linspace's own arithmetic, for every segment at once
-    cuts = k * (width / panels)[seg] + lo[seg]
-    nodes, weights = gauss_legendre(np.append(cuts, ln_edges[-1]), _ORDER)
-    return np.exp(nodes), weights
-
-
 @validated
 class DielectricModel(NamedTuple):
     """Composite eps(i zeta): Drude segment plus transformed tabulated data.
@@ -246,10 +221,12 @@ class DielectricModel(NamedTuple):
         (2/pi) int omega^2 eps''(omega) / (omega^2 + zeta^2) d ln omega,
 
     is a fixed Gauss-Legendre rule in ln omega (`_rule`), built by each
-    eps call: _ORDER nodes on each panel of [max(omega0, omega_min), omega1]
-    and [omega1, omega_max] between data samples (wider segments split),
-    and on log-spaced panels of the tail in t = omega_max/omega over
-    [_TAIL_T_MIN, 1].  The tail below _TAIL_T_MIN is added in closed form
+    eps call: each segment of [max(omega0, omega_min), omega1] and
+    [omega1, omega_max] between data samples, and the tail in t =
+    omega_max/omega over [_TAIL_T_MIN, 1], gets the order and equal panels
+    with the fewest nodes that meet one error bound (`log_sizing`): 5
+    nodes on each segment of the bundled data and 3 panels of 32 on the
+    tail.  The tail below _TAIL_T_MIN is added in closed form
     (`_tail_series`), which holds for zeta up to sqrt(_TAIL_X2_MAX)
     omega_max / _TAIL_T_MIN; a larger zeta raises DomainError.
     """
@@ -279,7 +256,8 @@ class DielectricModel(NamedTuple):
         z = _positive_zeta(zeta)
         flat = z.ravel()
         w_max, q = self.dataset.omega_max, self.tail_exponent
-        x2 = (flat * (_TAIL_T_MIN / w_max))**2
+        with np.errstate(over="ignore"):     # inf is out of range below
+            x2 = (flat * (_TAIL_T_MIN / w_max))**2
         if (x2 > _TAIL_X2_MAX).any():
             limit = math.sqrt(_TAIL_X2_MAX) * w_max / _TAIL_T_MIN
             raise DomainError(
@@ -315,8 +293,11 @@ def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(omega^2, weights, columns) of the dispersion rule of `model`: its
     nodes, their weights carrying (2/pi) omega^2 eps''(omega), and the
     columns of the three regions, the data below and above omega1 and the
-    tail panels, from one `_log_panels` call over all their edges.
-    eps(i zeta) is one sum of weight / (omega^2 + zeta^2) per region."""
+    tail panels, from one `log_rule` over all their edges in ln omega.
+    Data nodes are edges, so the log-log interpolant is smooth on every
+    panel, and each segment between them gets the fewest nodes that meet
+    the rule's error bound.  eps(i zeta) is one sum of weight / (omega^2 +
+    zeta^2) per region."""
     ds, (omega0, omega1) = model.dataset, model.boundaries
     w_max, data = ds.omega_max, ds.omega
     # the validator tolerates data starting an ulp above omega0; the rule
@@ -325,9 +306,10 @@ def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
     # omega1 leave no data edge above it.  np.unique would drop a repeat
     # too, but it imports numpy.ma at its first call.
     lower = max(omega0, ds.omega_min)
-    omega, weights = _log_panels(np.hstack(
+    ln_omega, weights = log_rule(np.log(np.hstack(
         (lower, data[(data > lower) & (data < omega1)], omega1,
-         data[data > omega1], w_max / _TAIL_T_MIN)))
+         data[data > omega1], w_max / _TAIL_T_MIN))))
+    omega = np.exp(ln_omega)
     i1, i2 = np.searchsorted(omega, (omega1, w_max))
     eps2 = np.concatenate((interpolate_eps2(ds, omega[:i2]),
                            ds.eps2[-1] * (w_max / omega[i2:])**model.tail_exponent))

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._quadrature import aligned_empty, gauss_legendre
+from ._quadrature import aligned_empty, gauss_legendre, log_sizing
 from .constants import ZETA3, c, hbar, k_B
 from .errors import ConvergenceError, DomainError
 
@@ -91,14 +91,16 @@ _ROWS = 8192
 #: zeta_1 a / c <= 1; the zero-T integral leaves out at most 1.4e-12 of it
 _Y_MAX = 15.0
 #: the default rules: Gauss-Legendre nodes per panel of the near p-rule
-#: (`_p_rule`) and of the zero-T frequency rule, whose panel edges are 0 and
-#: _ZETA_MIN 10^(k / _PER_DECADE) (`_zero_T_rule`).  force_scan(...,
-#: tightened=True) doubles both orders and the panels per decade and divides
-#: _ZETA_MIN by 10, for convergence checks.
+#: (`_p_rule`) and of the zero-T rule's first panel [0, _ZETA_MIN], and its
+#: log panels per decade, between the edges _ZETA_MIN 10^(k / _PER_DECADE)
+#: (`_zero_T_rule`); 0.8 decades is 1.84 in ln zeta, on which `log_sizing`
+#: takes one panel of 16 nodes.  force_scan(..., tightened=True) doubles
+#: every order and the panels per decade and divides _ZETA_MIN by 10, for
+#: convergence checks.
 _P_ORDER = 16
 _ZETA_ORDER = 8
 _ZETA_MIN = 1e11
-_PER_DECADE = 4
+_PER_DECADE = 1.25
 #: a Matsubara sum that would need more terms raises before eps is called
 _N_MAX = 10**6
 #: eps(i zeta) enters the kernel capped at this value, and the cap is exact:
@@ -327,28 +329,34 @@ def _zero_T_rule(radius: float, a: np.ndarray, tightened: bool):
     separation a[i] sums its first counts[i] nodes with prefactor
     hbar R / (2 pi c^2) [pN].
 
-    One composite Gauss-Legendre rule with `_ZETA_ORDER` nodes per panel: a
-    first panel [0, zeta_min], zeta_min = `_ZETA_MIN`, where the integrand
-    levels off up to 200 nm (for a Drude metal the transverse-electric part
-    has died off and the transverse-magnetic part tends to its static
-    value), then panels between the edges zeta_min 10^(k / `_PER_DECADE`),
-    k = 0, 1, ..., up to the first edge at or above max(_Y_MAX c / a[i],
-    10 zeta_min) for separation a[i].  The tightened rule doubles the order
-    and the panels per decade and divides zeta_min by 10.  The rule never
-    evaluates zeta = 0.  The edges do not depend on a, so each separation's
-    rule is a prefix of the closest one's.  `force_scan` states its accuracy.
+    A first panel [0, zeta_min], zeta_min = `_ZETA_MIN`, of `_ZETA_ORDER`
+    Gauss-Legendre nodes in zeta, where the integrand levels off up to
+    200 nm (for a Drude metal the transverse-electric part has died off
+    and the transverse-magnetic part tends to its static value); then
+    panels in s = ln zeta, with weight zeta, between the edges zeta_min
+    10^(k / `_PER_DECADE`), k = 0, 1, ..., up to the first edge at or above
+    max(_Y_MAX c / a[i], 10 zeta_min) for separation a[i].  Their order is
+    the one `log_sizing` gives a panel 1 / _PER_DECADE decades wide (16),
+    so each meets the dispersion rule's error bound (its own is 8e-19).  The
+    tightened rule doubles both orders and the panels per decade and
+    divides zeta_min by 10.  The rule never evaluates zeta = 0.  The edges
+    do not depend on a, so each separation's rule is a prefix of the
+    closest one's.  `force_scan` states its accuracy.
     """
     zeta_min = _ZETA_MIN / 10.0 if tightened else _ZETA_MIN
     scale = 2 if tightened else 1
-    per_decade, order = scale * _PER_DECADE, scale * _ZETA_ORDER
+    per_decade, first = scale * _PER_DECADE, scale * _ZETA_ORDER
+    order = scale * int(log_sizing([math.log(10.0) / _PER_DECADE])[0][0])
     tops = np.maximum(_Y_MAX * c / a, 10.0 * zeta_min)
     # one edge to spare: the last edge lies a panel above the highest top
     n_edges = math.ceil(per_decade * math.log10(tops.max() / zeta_min)) + 2
     edges = zeta_min * 10.0 ** (np.arange(n_edges) / per_decade)
     last = np.searchsorted(edges, tops)      # first edge at or above each top
-    zeta, weights = gauss_legendre(np.concatenate(([0.0], edges[:last.max() + 1])),
-                                   order)
-    return (zeta, weights, (last + 1) * order,
+    s, s_weights = gauss_legendre(np.log(edges[:last.max() + 1]), order)
+    zeta_log = np.exp(s)
+    zeta, weights = gauss_legendre((0.0, zeta_min), first)
+    return (np.concatenate((zeta, zeta_log)),
+            np.concatenate((weights, s_weights * zeta_log)), first + last * order,
             hbar * radius / (2.0 * math.pi * c**2) * _N_TO_PN)
 
 
@@ -372,13 +380,14 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     (1e100) counts as that cap, which is exact.  A force, n=0 term plus
     sum, that is not finite raises DomainError.
     prescription, one of PRESCRIPTIONS, handles the n=0 term.  tightened
-    selects strictly more demanding rules, for convergence checks: both
-    node orders and the zero-T panels per decade doubled and `_ZETA_MIN`
+    selects strictly more demanding rules, for convergence checks: every
+    node order and the zero-T panels per decade doubled and `_ZETA_MIN`
     divided by 10; the Matsubara terms (`_Y_MAX`) and their cap (`_N_MAX`)
     stay.
 
     The frequency rule, `_matsubara_rule` at T > 0 and `_zero_T_rule` at
-    T = 0, is fixed before eps is called (an unreachable Matsubara count
+    T = 0 (16 nodes a panel in ln zeta, sized to the dispersion rule's
+    error bound), is fixed before eps is called (an unreachable Matsubara count
     raises ConvergenceError there), and each separation's rule is a prefix
     of the closest one's: one eps call covers the scan, and
     `_frequency_sums` adds each separation's terms on its own, so each
@@ -386,7 +395,7 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
 
     Accuracy, against an independent k-space integral: for the Drude rows
     (1.37e16, 3.7e13), (1.38e16, 5.38e13) and (1.37e16, 1e13) rad/s at
-    20-200 nm and 10-300 K, 6.3e-14 relative at T > 0, and at T = 0 6.2e-12
+    20-200 nm and 10-300 K, 6.3e-14 relative at T > 0, and at T = 0 6.3e-12
     for the first two and 3.8e-11 for the third (at 200 nm).  Farther out
     the transverse-electric feature near omega_tau c^2 / (omega_p a)^2
     falls inside the first zero-T panel: for omega_p = 1.37e16 rad/s the

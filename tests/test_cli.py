@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -455,6 +456,24 @@ class TestForce:
         assert out == ""
         assert "compute error: eta = F / ideal force at a = 1e+15 nm overflows" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["finite_T", "zero_T"])
+    def test_underflowing_ideal_force_is_compute_error(self, tmp_path, capsys, mode):
+        # pi^3 hbar c R / (360 a^3) underflows to 0 at the smallest radius;
+        # the R/a warning is the only one
+        path = tmp_path / "tiny.ini"
+        path.write_text(DRUDE_INI.replace("95.65e-6", "5e-324"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["force", "--config", str(path), "--mode",
+                                          mode, "--a", "100"])
+        assert [str(w.message) for w in caught] == [
+            "sphere_radius / separation < 100: the proximity force treatment "
+            "assumes R >> a"]
+        assert code == 1
+        assert out == ""
+        assert err == ("aucasimir: compute error: eta = F / ideal force at a = 100 nm "
+                       "overflows (ideal force 0 pN)\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_denormal_temperature_is_compute_error(self, tmp_path, capsys):

@@ -13,10 +13,9 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, EpsilonDecomposition, FrequencyBoundaries,
                        epsilon1_analytic, fit_drude, load_dataset, resistivity)
 from aucasimir import dielectric
-from aucasimir._quadrature import gauss_legendre
+from aucasimir._quadrature import gauss_legendre, log_rule, log_sizing
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.dielectric import (_BLOCK, _ORDER, _PANEL_WIDTH, _TAIL_T_MIN,
-                                  _TAIL_X2_MAX, _log_panels, _rule,
+from aucasimir.dielectric import (_BLOCK, _TAIL_T_MIN, _TAIL_X2_MAX, _rule,
                                   _tail_series)
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
@@ -373,16 +372,18 @@ class TestFixedNodeTransform:
 
     def test_panel_cuts_equal_one_linspace_per_segment(self):
         # the cuts are np.linspace's own arithmetic over every segment at
-        # once: the same floats as one linspace call per segment
+        # once, and each segment takes the order `log_sizing` gives it: the
+        # same floats as one linspace and one gauss_legendre call per segment
         rng = np.random.default_rng(4)
-        edges = np.exp(30.0 + np.cumsum(rng.uniform(0.01, 3.5, 40)))
-        ln_edges = np.log(edges)
-        cuts = [np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)[:-1]
-                for lo, hi in zip(ln_edges[:-1], ln_edges[1:])]
-        nodes, weights = gauss_legendre(np.concatenate(cuts + [ln_edges[-1:]]), _ORDER)
-        got_nodes, got_weights = _log_panels(edges)
-        assert np.array_equal(got_nodes, np.exp(nodes))
-        assert np.array_equal(got_weights, weights)
+        ln_edges = 30.0 + np.cumsum(np.exp(rng.uniform(math.log(0.01),
+                                                       math.log(20.0), 60)))
+        orders, panels = log_sizing(np.diff(ln_edges))
+        assert set(orders.tolist()) == {5, 8, 16, 32, 64}
+        rules = [gauss_legendre(np.linspace(lo, hi, p + 1), n) for lo, hi, n, p
+                 in zip(ln_edges[:-1], ln_edges[1:], orders, panels)]
+        nodes, weights = log_rule(ln_edges)
+        assert np.array_equal(nodes, np.concatenate([x for x, _ in rules]))
+        assert np.array_equal(weights, np.concatenate([w for _, w in rules]))
 
     def test_array_equals_scalar_calls_bitwise(self, pure_drude_dataset, row2):
         model = DielectricModel(row2, pure_drude_dataset)
@@ -438,11 +439,13 @@ def bundled_model():
 
 
 class TestRuleAccuracy:
-    """The default rule, 8 nodes on ln-omega panels no wider than 0.5,
+    """The default rule, the fewest nodes per ln-omega segment that keep
+    the Bernstein bound at 2.3e-18 (5 nodes on each segment of the
+    bundled data, 16 on each of coarse data, 3 panels of 32 on the tail),
     against 64 nodes on panels no wider than 0.125.  Measured worst
-    relative deviations: parts 7.6e-15 (coarse data) and 5.6e-16 (dense
-    data), totals 4.4e-16; the former rule, 16 nodes on panels no wider
-    than 1, gave 1.0e-14, 7.8e-16 and 4.4e-16."""
+    relative deviations: parts 7.0e-15 (coarse data) and 7.8e-16 (dense
+    data), totals 4.4e-16; the former rule, 8 nodes on panels no wider
+    than 0.5, gave 7.5e-15, 5.6e-16 and 4.4e-16."""
 
     ZETAS = np.logspace(9, 19.5, 2001)
 
@@ -457,18 +460,29 @@ class TestRuleAccuracy:
         return DielectricModel(row2, coarse_dataset(row2),
                                tail_exponent=request.param)
 
+    @staticmethod
+    def finer_rule(ln_edges):
+        """64 nodes on panels no wider than 0.125 in every segment."""
+        cuts = [np.linspace(lo, hi, math.ceil((hi - lo) / 0.125) + 1)[:-1]
+                for lo, hi in zip(ln_edges[:-1], ln_edges[1:])]
+        return gauss_legendre(np.concatenate(cuts + [ln_edges[-1:]]), 64)
+
     def test_matches_a_finer_rule(self, model, monkeypatch):
         dec = model.decompose(self.ZETAS)
-        monkeypatch.setattr(dielectric, "_ORDER", 64)
-        monkeypatch.setattr(dielectric, "_PANEL_WIDTH", 0.125)
+        monkeypatch.setattr(dielectric, "log_rule", self.finer_rule)
         ref = model.decompose(self.ZETAS)
         for name in ("eps2_part", "eps3_part"):
             np.testing.assert_allclose(getattr(dec, name), getattr(ref, name),
                                        rtol=2e-14, atol=0, err_msg=name)
         np.testing.assert_allclose(dec.total, ref.total, rtol=1e-15, atol=0)
 
-    def test_bundled_node_count(self, bundled_model):
-        assert _rule(bundled_model)[1].size == 1152
+    def test_bundled_node_count(self, bundled_model, row2):
+        # 116 data segments of 5 nodes and the 13.8-wide tail in 3 panels
+        # of 32 (1,152 nodes at 8 a panel no wider than 0.5); coarse data,
+        # segments 1.15 wide, take 16 nodes each (416 nodes at 8 a panel)
+        _, weights, (_, _, tail) = _rule(bundled_model)
+        assert (tail.start, weights.size) == (580, 676)
+        assert _rule(DielectricModel(row2, coarse_dataset(row2)))[1].size == 232
 
 
 class TestModelContract:

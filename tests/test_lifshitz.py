@@ -611,29 +611,38 @@ class TestZeroTScan:
     @pytest.mark.parametrize("a_nm", [20, 60, 200, 1e7])
     def test_rule_ends_at_the_first_edge_above_y_max_c_over_a(self, a_nm,
                                                               tightened):
-        # edges zeta_min 10^(k / per_decade); the rule stops at the first one
-        # at or above max(_Y_MAX c / a, 10 zeta_min), which is the second
-        # bound at 1 cm.  The tightened rule doubles the order and the
-        # panels per decade, and starts a decade lower.
+        # a first panel [0, zeta_min] of `_ZETA_ORDER` nodes, then edges
+        # zeta_min 10^(k / per_decade) with 16 nodes a panel in ln zeta; the
+        # rule stops at the first edge at or above max(_Y_MAX c / a,
+        # 10 zeta_min), which is the second bound at 1 cm.  The tightened
+        # rule doubles both orders and the panels per decade, and starts a
+        # decade lower.
         calls = []
         (result,) = force_scan(1e3 * a_nm * 1e-9, [a_nm * 1e-9], 0.0,
                                lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
                                tightened=tightened)
         factor = 2 if tightened else 1
         zeta_min = _ZETA_MIN / 10.0 if tightened else _ZETA_MIN
-        per_decade, order = factor * _PER_DECADE, factor * _ZETA_ORDER
+        per_decade, first, order = factor * _PER_DECADE, factor * _ZETA_ORDER, factor * 16
         top = max(_Y_MAX * c / (a_nm * 1e-9), 10.0 * zeta_min)
         k = 0
         while zeta_min * 10.0 ** (k / per_decade) < top:
             k += 1
         nodes = calls[0]
-        assert nodes.size == (k + 1) * order
+        assert nodes.size == first + k * order
+        assert nodes[first - 1] < zeta_min < nodes[first]
         # at T = 0 the force is all frequency integral, over those nodes
         assert result.n0_term == 0.0
         assert result.sum_terms == result.total
-        assert result.n_terms_used == (k + 1) * order
-        assert (zeta_min * 10.0 ** ((k - 1) / per_decade) < nodes[-1]
-                < zeta_min * 10.0 ** (k / per_decade))
+        assert result.n_terms_used == first + k * order
+        assert (zeta_min * 10.0 ** ((k - 1) / per_decade) < nodes[-order]
+                < nodes[-1] < zeta_min * 10.0 ** (k / per_decade))
+        # each log panel's nodes are Gauss-Legendre in ln zeta: symmetric
+        # about the middle of its edges there
+        s = np.log(nodes[first:]).reshape(k, order)
+        middle = math.log(zeta_min) + (np.arange(k) + 0.5) * math.log(10.0) / per_decade
+        np.testing.assert_allclose(s + s[:, ::-1], np.repeat(2.0 * middle[:, None],
+                                                             order, axis=1), rtol=1e-14)
 
 
 class TestTabulatedPath:

@@ -87,11 +87,13 @@ def test_near_p_rule_matches_mpmath(y, eps):
 
 @pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
 @pytest.mark.parametrize("y", [_Y_FAR, np.nextafter(_Y_TOP, 0.0), _Y_TOP, _Y_MAX,
-                               20.0, _Y_MAX * 10 ** (1 / _PER_DECADE)])
+                               20.0, _Y_MAX * 10 ** 0.25,
+                               _Y_MAX * 10 ** (1 / _PER_DECADE)])
 def test_far_p_rule_matches_mpmath(y, eps):
     # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule, from
     # _Y_TOP on the top rule; the Matsubara sum stops at _Y_MAX, the zero-T
-    # integral's nodes stay below its last edge, a panel above that
+    # integral's nodes stay below its last edge, a panel above that (0.8
+    # decades, y = 94.6; 10^0.25 is a y inside that panel)
     value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
     assert value == pytest.approx(p_integral_mpmath(eps, y), rel=1e-14, abs=0)
 

@@ -1,6 +1,7 @@
 """The Gauss-Legendre tables of `aucasimir._quadrature` against numpy's
-`leggauss`, bit for bit, its aligned work arrays and its root finder.  To
-add an order, add it to ORDERS and paste the printed literal over `_RULES`:
+`leggauss`, bit for bit, its sizing rule for log panels, its aligned work
+arrays and its root finder.  To add an order, add it to ORDERS and paste
+the printed literal over `_RULES`:
 
     PYTHONPATH=src python tests/test_quadrature.py
 """
@@ -14,17 +15,20 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from aucasimir import ConvergenceError, alpha_lower_limit
-from aucasimir._quadrature import _RULES, aligned_empty, bisect, legendre
+from aucasimir._quadrature import (_LOG_BOUND, _RULES, aligned_empty, bisect,
+                                   legendre, log_sizing)
 from aucasimir.yukawa import LAMBDA_BRACKET
 
-#: the orders the package asks for: 8 and 16 for the zeta panels, 8 for
-#: the dispersion integral, 8 to 64 for the p-rules
-ORDERS = (8, 16, 32, 64)
+#: the orders the package asks for: 8 to 32 for the zeta panels, every
+#: order for the log panels of the dispersion integral, 16 to 64 for the
+#: p-rules
+ORDERS = (5, 8, 16, 32, 64)
 
 
 def rules_literal() -> str:
-    """The `_RULES` literal: for each order the positive nodes of leggauss,
-    ascending, and their weights, each float as its exact repr."""
+    """The `_RULES` literal: for each order the non-negative nodes of
+    leggauss, ascending (an odd order's middle node, 0, once), and their
+    weights, each float as its exact repr."""
     lines = ["_RULES = {"]
     for order in ORDERS:
         lines.append(f"    {order}: (")
@@ -41,6 +45,16 @@ def rules_literal() -> str:
 
 def test_holds_the_generated_orders():
     assert sorted(_RULES) == list(ORDERS)
+    namespace = {}
+    exec(rules_literal(), namespace)
+    assert namespace["_RULES"] == _RULES
+
+
+def test_odd_order_holds_its_middle_node_once():
+    half_x, half_w = _RULES[5]
+    assert len(half_x) == len(half_w) == 3 and half_x[0] == 0.0
+    x, _ = legendre(5)
+    assert np.count_nonzero(x == 0.0) == 1 and not np.signbit(x[2])
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -53,11 +67,50 @@ def test_rule_equals_leggauss_bitwise(order):
 
 
 def test_order_not_held_names_the_held_orders():
-    with pytest.raises(ValueError, match=r"order 12.*\[8, 16, 32, 64\]"):
+    with pytest.raises(ValueError, match=r"order 12.*\[5, 8, 16, 32, 64\]"):
         legendre(12)
 
 
-@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (28, 1152)])
+def bernstein_bound(width: float, order: int) -> float:
+    """rho(h)^(-2n) for n nodes on a panel h wide in a log variable whose
+    integrand's nearest singularity lies pi/2 off the real axis."""
+    b = math.pi / width
+    return (b + math.sqrt(b * b + 1.0))**(-2 * order)
+
+
+def test_bound_is_that_of_8_nodes_on_half_a_unit():
+    assert _LOG_BOUND == pytest.approx(bernstein_bound(0.5, 8), rel=1e-14)
+    assert _LOG_BOUND == pytest.approx(2.339e-18, rel=1e-3)
+
+
+def test_sizing_meets_the_bound_with_the_fewest_nodes():
+    widths = np.geomspace(1e-3, 20.0, 4001)
+    orders, panels = log_sizing(widths)
+    assert set(orders.tolist()) == set(ORDERS)
+    for width, order, n_panels in zip(widths, orders.tolist(), panels.tolist()):
+        assert bernstein_bound(width / n_panels, order) <= _LOG_BOUND * (1 + 1e-12)
+        for other in ORDERS:
+            # the fewest panels of `other` that meet the bound
+            fewest = next(p for p in range(1, 10**4)
+                          if bernstein_bound(width / p, other) <= _LOG_BOUND * (1 - 1e-12))
+            assert order * n_panels <= other * fewest, (width, other)
+
+
+@pytest.mark.parametrize("width, sized", [
+    (0.0765, (5, 1)),                  # a segment of the bundled data
+    (0.108, (5, 1)), (0.11, (8, 1)), (0.5, (8, 1)),
+    (0.51, (8, 2)),                    # 16 nodes either way: the lower order
+    (1.15, (16, 1)),                   # data at 2 points per decade
+    (0.8 * math.log(10.0), (16, 1)),   # a zero-T log panel
+    (1.93, (8, 4)), (4.6, (32, 1)), (4.7, (16, 3)), (9.7, (64, 1)),
+    (6 * math.log(10.0), (32, 3)),     # the dispersion rule's tail
+    (20.0, (32, 5))])
+def test_sizing_of_known_widths(width, sized):
+    orders, panels = log_sizing([width])
+    assert (int(orders[0]), int(panels[0])) == sized
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (48, 676)])
 def test_aligned_empty_starts_on_a_64_byte_boundary(shape):
     for _ in range(4):
         work = aligned_empty(shape)
