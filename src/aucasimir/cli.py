@@ -141,39 +141,33 @@ def _grid_bounds(flag, lo, hi, n):
     return lo, hi, int(n)
 
 
-def _zeta_grid(args):
-    if args.zeta is not None:
-        return [args.zeta]
-    if args.zeta_range is None:
-        raise ConfigError("epsilon needs --zeta or --zeta-range LO HI N")
-    lo, hi, n = _grid_bounds("--zeta-range", *args.zeta_range)
-    return list(np.logspace(math.log10(lo), math.log10(hi), n))
+def _grid(args, name, spacing):
+    """The values of the grid `name`, as Python floats: its point `--NAME`,
+    which must be finite and positive, or its range `--NAME-range LO HI N`,
+    checked by `_grid_bounds` and spread by `spacing(LO, HI, N)`.  Commands
+    read their grid before the config, so a bad one fails first."""
+    point, bounds = getattr(args, name), getattr(args, f"{name}_range")
+    if point is not None:
+        _require_positive(f"--{name}", point, "a finite positive value")
+        return [point]
+    return spacing(*_grid_bounds(f"--{name}-range", *bounds)).tolist()
 
 
 def cmd_epsilon(args) -> int:
-    cfg = _require_config(args)
-    zetas = np.array(_zeta_grid(args))
-    dec = cfg.build_evaluator().decompose(zetas)
+    zetas = np.array(_grid(args, "zeta", lambda lo, hi, n: np.logspace(
+        math.log10(lo), math.log10(hi), n)))
+    dec = _require_config(args).build_evaluator().decompose(zetas)
     rows = list(zip(zetas, dec.eps1, dec.eps2_part, dec.eps3_part, dec.total))
     _emit(args, ("zeta_rad_s", "eps1", "eps2_part", "eps3_part", "total"), rows)
     return 0
 
 
-def _separations_m(args):
-    if args.a is not None:
-        return [args.a * 1e-9]
-    if args.a_range is None:
-        raise ConfigError("force needs --a NM or --a-range LO_NM HI_NM N")
-    lo, hi, n = _grid_bounds("--a-range", *args.a_range)
-    return [a * 1e-9 for a in np.linspace(lo, hi, n)]
-
-
 def cmd_force(args) -> int:
+    separations = [a * 1e-9 for a in _grid(args, "a", np.linspace)]
     cfg = _require_config(args)
     if args.mode != "zero_T":
         _require_temperature(cfg, f"force --mode {args.mode}")
     eps = cfg.build_evaluator().epsilon
-    separations = _separations_m(args)
     temperatures = {"finite_T": (cfg.temperature,), "zero_T": (0.0,),
                     "both": (cfg.temperature, 0.0)}[args.mode]
     # one call site for every temperature: an R/a warning shows once
@@ -260,6 +254,15 @@ def length_nm(text: str) -> float:
     return float(text) * 1e-9
 
 
+def _add_grid(parser, name, unit, spacing):
+    """Declare the grid `name` of a command: `--NAME X` or `--NAME-range LO
+    HI N`, exactly one of them (else argparse's usage error naming both)."""
+    grid = parser.add_mutually_exclusive_group(required=True)
+    grid.add_argument(f"--{name}", type=float, help=f"single {name} [{unit}]")
+    grid.add_argument(f"--{name}-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
+                      help=f"{spacing} {name} grid [{unit}]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("csv", "json", "table"),
@@ -287,18 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epsilon", parents=[common],
                        help="eps(i zeta) table with decomposition")
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--zeta", type=float, help="single zeta [rad/s]")
-    grid.add_argument("--zeta-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
-                      help="log-spaced zeta grid [rad/s]")
+    _add_grid(p, "zeta", "rad/s", "log-spaced")
     p.set_defaults(func=cmd_epsilon)
 
     p = sub.add_parser("force", parents=[common],
                        help="sphere-plate force table")
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--a", type=float, help="separation [nm]")
-    grid.add_argument("--a-range", nargs=3, type=float, metavar=("LO", "HI", "N"),
-                      help="linear separation grid [nm]")
+    _add_grid(p, "a", "nm", "linear")
     p.add_argument("--mode", choices=("finite_T", "zero_T", "both"),
                    default="finite_T")
     p.set_defaults(func=cmd_force)

@@ -144,19 +144,25 @@ def _read_ini(path: Path) -> dict[str, dict[str, str]]:
     return sections
 
 
+def _number(text, where):
+    """`text` as a finite float, or a ConfigError naming `where`, the
+    section and key it was read from."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: not a finite number: {text!r}")
+    return value
+
+
 def _get_float(ini, section, key, default=None):
     raw = ini.get(section, {}).get(key, "")
     if raw == "":
         if default is None:
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
-    return value
+    return _number(raw, f"[{section}] {key}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -185,18 +191,10 @@ def load_run_config(path) -> RunConfig:
     if model_kind == "tabulated" and not dataset_paths:
         raise ConfigError("[dielectric] model=tabulated needs a dataset")
 
-    fit_raw = dielectric.get("fit_range", "").split()
-    fit_range = None
-    if fit_raw:
-        if len(fit_raw) != 2:
-            raise ConfigError("[dielectric] fit_range needs two values (rad/s)")
-        try:
-            fit_range = (float(fit_raw[0]), float(fit_raw[1]))
-        except ValueError:
-            raise ConfigError(f"[dielectric] fit_range: not a number: "
-                              f"{' '.join(fit_raw)!r}") from None
-        if not 0 < fit_range[0] < fit_range[1] < math.inf:
-            raise ConfigError("[dielectric] fit_range must be finite with 0 < lo < hi")
+    fit_range = tuple(_number(text, "[dielectric] fit_range")
+                      for text in dielectric.get("fit_range", "").split()) or None
+    if fit_range and not (len(fit_range) == 2 and 0 < fit_range[0] < fit_range[1]):
+        raise ConfigError("[dielectric] fit_range needs two values 0 < lo < hi [rad/s]")
     fit_fixed = (_get_float(ini, "dielectric", "fit_fixed_omega_p")
                  if dielectric.get("fit_fixed_omega_p") else None)
     if fit_fixed is not None and fit_fixed <= 0:

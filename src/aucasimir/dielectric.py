@@ -40,7 +40,7 @@ from ._quadrature import aligned_empty, bisect, log_rule
 from ._value import validated
 from .constants import epsilon_0
 from .errors import ConvergenceError, DomainError
-from .optical import FrequencyBoundaries, OpticalDataset, drude_eps2, interpolate_eps2
+from .optical import FrequencyBoundaries, OpticalDataset, interpolate_eps2
 
 #: ohm m -> micro-ohm cm
 _OHM_M_TO_UOHM_CM = 1e8
@@ -390,9 +390,7 @@ def fit_drude(ds: OpticalDataset, fit_range: tuple[float, float],
 
     j = int(minima[np.argmin(phi[minima])])
     s = bisect(slope, float(grid[j - 1, 0]), float(grid[j + 1, 0]))
-    if omega_p_fixed is None:
-        params = DrudeParameters(math.exp(float(profile(s)[1][0])), math.exp(s))
-    else:
-        params = DrudeParameters(omega_p_fixed, math.exp(s))
-    residual = np.log(drude_eps2(params.omega_p, params.omega_tau, w)) - ln_data
-    return DrudeFit(params, float(np.sqrt(np.mean(residual**2))), len(w))
+    r, ln_wp = profile(s)
+    omega_p = math.exp(float(ln_wp[0])) if omega_p_fixed is None else omega_p_fixed
+    return DrudeFit(DrudeParameters(omega_p, math.exp(s)),
+                    float(np.sqrt(np.mean(r**2))), len(w))

@@ -10,6 +10,7 @@ astrophysical ceiling gives the allowed wavelength region.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from ._quadrature import bisect
@@ -70,7 +71,9 @@ def alpha_lower_limit(lambda_: float,
 
     normalized to a 10 pN residual floor; the limit scales linearly with
     `residual_bound_pn` since the Yukawa force is linear in alpha.  A limit
-    beyond the float range (lambda < a / 709.78 at 10 pN) is a DomainError.
+    above the float range (lambda < a / 709.78 at 10 pN) or below its
+    smallest normal float (a subnormal or 0, whose digits are lost) is a
+    DomainError.
     """
     if not 0 < lambda_ < math.inf:
         raise ValueError("lambda must be finite and positive")
@@ -85,9 +88,10 @@ def alpha_lower_limit(lambda_: float,
                  / denom * (100e-9 / lambda_)**3)
     except OverflowError:
         limit = math.inf
-    if limit == math.inf:
+    if not sys.float_info.min <= limit < math.inf:
         raise DomainError(f"alpha_min at lambda = {lambda_ * 1e9:.6g} nm and a = "
-                          f"{geom.separation_min * 1e9:.6g} nm exceeds the float range")
+                          f"{geom.separation_min * 1e9:.6g} nm, for a {residual_bound_pn:.6g} "
+                          f"pN bound, is outside the range of normal floats")
     return limit
 
 

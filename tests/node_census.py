@@ -72,7 +72,11 @@ def kernel_census() -> None:
                   f"{rows[band] * nodes:>10}")
 
 
-if __name__ == "__main__":
+def main() -> None:
     dispersion_census()
     zero_T_census()
     kernel_census()
+
+
+if __name__ == "__main__":
+    main()

@@ -314,7 +314,7 @@ class TestEpsilon:
                                       "--zeta", "inf"])
         assert code == 2
         assert out == ""
-        assert "zeta must be positive" in err
+        assert "--zeta needs a finite positive value, got inf" in err
 
 
 class TestForce:
@@ -744,6 +744,23 @@ class TestYukawaLimit:
         assert out == ""
         assert "lambda = 0.05 nm and a = 63 nm" in err
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--lambda-min", "1e290", "--lambda-max", "1e300"],
+         "lambda = 1e+290 nm and a = 63 nm, for a 10 pN bound"),
+        (["--lambda-min", "1e80", "--lambda-max", "1e100", "--points", "3"],
+         "lambda = 1e+100 nm and a = 63 nm, for a 10 pN bound"),
+        (["--residual-bound", "1e-300"], "lambda = 10 nm and a = 63 nm, for a 1e-300 pN bound"),
+        (["--residual-bound", "5e-324"], "for a 4.94066e-324 pN bound"),
+    ], ids=["lambda-1e290", "lambda-1e100-subnormal", "bound-1e-300", "bound-5e-324"])
+    def test_underflowing_limit_is_compute_error(self, capsys, argv, fragment):
+        # alpha_min below the smallest normal float was printed as 0 or as
+        # a subnormal with lost digits, and a 0 limit read "unconstrained"
+        code, out, err = run(capsys, ["yukawa-limit", *argv])
+        assert code == 1
+        assert out == ""
+        assert fragment in err and "outside the range of normal floats" in err
+        assert err.count("\n") == 1
+
     def test_takes_no_config(self, drude_config, capsys):
         # yukawa-limit reads no config: --config is a usage error, not ignored
         with pytest.raises(SystemExit) as exc:
@@ -778,6 +795,36 @@ def test_bad_grid_names_flag(drude_config, capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err and "integral N >= 2" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["epsilon"], "--zeta --zeta-range"),
+    (["force"], "--a --a-range"),
+], ids=["epsilon-without-zeta", "force-without-separation"])
+def test_missing_grid_is_usage_error(drude_config, capsys, argv, flags):
+    # each grid pair is a required group: argparse names both flags
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--config", drude_config])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"one of the arguments {flags} is required" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([command, flag, value], f"{flag} needs a finite positive value, got {value}")
+      for command, flag in (("force", "--a"), ("epsilon", "--zeta"))
+      for value in ("-1", "0", "nan", "inf")],
+    (["force", "--a-range", "200", "60", "3"], "--a-range needs finite 0 < LO < HI"),
+    (["epsilon", "--zeta-range", "1e14", "1e15", "1"], "--zeta-range needs finite 0 < LO < HI"),
+], ids=[*(f"{flag}={value}" for flag in ("a", "zeta") for value in ("-1", "0", "nan", "inf")),
+        "reversed-a-range", "one-point-zeta-range"])
+def test_bad_grid_fails_before_config_is_read(tmp_path, capsys, argv, message):
+    # the grid is checked first: the missing config is never opened
+    code, out, err = run(capsys, argv + ["--config", str(tmp_path / "missing.ini")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"aucasimir: error: {message}") and err.count("\n") == 1
 
 
 class TestConfigHandling:
@@ -1048,8 +1095,6 @@ class TestConfigDrudeFit:
      ["force", "--a", "63"], "[dielectric] fit_range needs a dataset"),
     (TABULATED_INI + "\n[force]\nprescription = 50%\n",
      ["force", "--a", "63"], "got '50%'"),
-    (TABULATED_INI, ["epsilon"], "--zeta"),
-    (TABULATED_INI, ["force"], "--a"),
     (TABULATED_INI.replace("omega1", "fit_range = 2e14 2e15\nomega1"),
      ["force", "--a", "63"], "[dielectric] fit_range conflicts with omega_p"),
     (TABULATED_INI.replace("omega1", "fit_fixed_omega_p = 1.38e16\nomega1"),
@@ -1063,7 +1108,6 @@ class TestConfigDrudeFit:
         "zero-radius", "negative-temperature", "no-dielectric-section",
         "no-sphere-radius", "unparsable", "repeated-key", "negative-omega-p",
         "overflowing-omega-p", "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",
-        "epsilon-without-zeta", "force-without-separation",
         "fit-range-with-omega-p", "fixed-omega-p-with-omega-p",
         "omega-tau-with-fit-range", "fit-drude-without-dataset"])
 def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):

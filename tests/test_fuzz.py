@@ -7,7 +7,8 @@ promises for any input:
 
   * the exit code is 0, 1 or 2, and no exception escapes `main`;
   * no warning but the documented R/a one;
-  * an exit 0 prints only finite numbers;
+  * an exit 0 prints only finite numbers, and `yukawa-limit` only normal
+    positive ones (an alpha_min of 0 or a subnormal has lost its digits);
   * a non-zero exit prints one line to stderr (argparse usage errors,
     exit 2, aside), from the program's own checks: not the wording of an
     arithmetic fault that Python or numpy raised on the way (BARE).
@@ -21,6 +22,7 @@ import contextlib
 import io
 import math
 import re
+import sys
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -51,6 +53,19 @@ CONFIGS = {"tabulated": TABULATED,
 
 values = st.one_of(st.sampled_from(EDGES), st.sampled_from(DECADES))
 grid = st.tuples(values, values, st.sampled_from(GRID_COUNTS))
+one = values.map(lambda v: [repr(v)])
+# --points takes an integer: an integral count is typed as one
+lambda_grid = grid.map(lambda g: [repr(g[0]), "--lambda-max", repr(g[1]), "--points",
+                                  f"{g[2]:.0f}" if g[2].is_integer() else repr(g[2])])
+
+
+def argv_of(command, required, optional):
+    """[command, *flags] with every flag of `required` and any of
+    `optional`; each maps a flag to a strategy of the texts after it."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda drawn: [command, *(t for flag, rest in drawn.items() for t in (flag, *rest))])
+
+
 commands = st.one_of(
     st.tuples(st.just("force"), st.sampled_from(("finite_T", "zero_T", "both")),
               st.one_of(st.tuples(st.just("--a"), values),
@@ -60,8 +75,13 @@ commands = st.one_of(
     st.one_of(st.tuples(st.just("--zeta"), values),
               st.tuples(st.just("--zeta-range"), grid)).map(
         lambda c: ["epsilon", c[0], *map(repr, c[1] if c[0] == "--zeta-range" else c[1:])]),
-    values.map(lambda v: ["yukawa-limit", "--residual-bound", repr(v)]),
-    st.just(["residuals", "--experiment", "experiment_sample.csv"]))
+    argv_of("yukawa-limit", {}, {
+        "--residual-bound": one, "--alpha-ceiling": one, "--separation": one,
+        "--film-thickness": one, "--lambda-min": lambda_grid}),
+    argv_of("fit-drude", {"--range": st.tuples(values, values).map(lambda r: map(repr, r))},
+            {"--fixed-omega-p": one}),
+    argv_of("residuals", {"--experiment": st.just(["experiment_sample.csv"])},
+            {"--a-min": one, "--a-max": one}))
 
 
 def config_text(base: str, overrides: dict) -> str:
@@ -94,6 +114,14 @@ def config_path(tmp_path_factory):
 @example("drude", {"sphere_radius": 5e-324}, ["force", "--mode", "zero_T", "--a", "100.0"],
          "csv")
 @example("tabulated", {}, ["epsilon", "--zeta", "1e+300"], "csv")
+# and alpha_min below the smallest normal float printed as 0 or a subnormal
+@example("drude", {}, ["yukawa-limit", "--lambda-min", "1e+290", "--lambda-max", "1e+300"],
+         "csv")
+@example("drude", {}, ["yukawa-limit", "--lambda-min", "1e+80", "--lambda-max", "1e+100",
+                       "--points", "3"], "table")
+@example("drude", {}, ["yukawa-limit", "--residual-bound", "5e-324"], "json")
+@example("drude", {}, ["fit-drude", "--range", "1e+15", "1e+17", "--fixed-omega-p", "1e+16"],
+         "csv")
 @given(st.sampled_from(sorted(CONFIGS)),
        st.dictionaries(st.sampled_from(sorted(KEYS)), values, max_size=2),
        commands, st.sampled_from(("csv", "json", "table")))
@@ -117,6 +145,8 @@ def test_bad_input_fails_fast(config_path, model, overrides, argv, output):
     if code == 0:
         numbers = printed_numbers(out.getvalue())
         assert numbers and all(math.isfinite(x) for x in numbers), (argv, out.getvalue())
+        if argv[0] == "yukawa-limit":     # every number it prints is a normal float
+            assert all(x >= sys.float_info.min for x in numbers), (argv, out.getvalue())
         assert err.getvalue() == "", argv
     else:
         assert out.getvalue() == "", argv

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestAlphaLowerLimit:
         # a finite exp whose product overflows is the same error
         with pytest.raises(DomainError, match="lambda = 0.1 nm and a = 63 nm"):
             alpha_lower_limit(0.1e-9, residual_bound_pn=1e300)
+
+    @pytest.mark.parametrize("lambda_, bound, where", [
+        (1e91, 10.0, "lambda = 1e+100 nm and a = 63 nm, for a 10 pN bound"),
+        (1e100, 10.0, "lambda = 1e+109 nm and a = 63 nm, for a 10 pN bound"),
+        (100e-9, 1e-300, "lambda = 100 nm and a = 63 nm, for a 1e-300 pN bound"),
+    ], ids=["lambda-1e91m", "lambda-1e100m", "bound-1e-300"])
+    def test_below_the_smallest_normal_float_names_lambda_and_bound(self, lambda_,
+                                                                    bound, where):
+        # (100 nm / lambda)^3 or the bound's scale leave a subnormal or 0,
+        # whose digits are lost
+        assert alpha_lower_limit(1e87) >= 2.2250738585072014e-308
+        with pytest.raises(DomainError, match=re.escape(where)):
+            alpha_lower_limit(lambda_, residual_bound_pn=bound)
 
     def test_continuous_positive_over_range(self):
         values = [alpha_lower_limit(float(lam))
