@@ -105,14 +105,26 @@ def legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the `order`-node rule on every panel between
-    consecutive `edges`, flattened."""
-    x, w = legendre(order)
+def gauss_legendre(edges, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on the panels
+    between consecutive `edges`, in panel order: `orders` nodes on every
+    panel, or orders[k] on panel k (an int array).  The only code that
+    places nodes."""
     edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    return (mid + half * x).ravel(), (half * w).ravel()
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+    if np.ndim(orders) == 0:        # one broadcast, in half the time of the loop
+        x, w = legendre(orders)
+        return (mid + half * x).ravel(), (half * w).ravel()
+    start = np.cumsum(orders) - orders
+    nodes, weights = np.empty((2, start[-1] + orders[-1]))
+    # set, not np.unique, which imports numpy.ma at its first call
+    for n in set(orders.tolist()):
+        on = orders == n
+        x, w = legendre(n)
+        at = start[on, None] + np.arange(n)
+        nodes[at] = mid[on] + half[on] * x
+        weights[at] = half[on] * w
+    return nodes, weights
 
 
 def log_sizing(widths) -> tuple[np.ndarray, np.ndarray]:
@@ -130,26 +142,15 @@ def log_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss-Legendre rule, in a log
     variable, on the segments between consecutive `edges`, an ascending
     float array, each split into the equal panels of the order that
-    `log_sizing` gives it.  The nodes ascend; each panel's are those of
-    `gauss_legendre`."""
+    `log_sizing` gives it, placed by `gauss_legendre`.  The nodes
+    ascend."""
     lo, width = edges[:-1], np.diff(edges)
     orders, panels = log_sizing(width)
     seg = np.repeat(np.arange(panels.size), panels)
     k = np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]
     # np.linspace's own arithmetic, for every segment at once
     cuts = k * (width / panels)[seg] + lo[seg]
-    ends = np.append(cuts[1:], edges[-1])
-    half, mid = 0.5 * (ends - cuts), 0.5 * (cuts + ends)
-    order = orders[seg]
-    start = np.cumsum(order) - order
-    nodes, weights = np.empty((2, start[-1] + order[-1]))
-    for n in _LOG_ORDERS.tolist():
-        on = order == n
-        x, w = legendre(n)
-        at = start[on, None] + np.arange(n)
-        nodes[at] = mid[on, None] + half[on, None] * x
-        weights[at] = half[on, None] * w
-    return nodes, weights
+    return gauss_legendre(np.append(cuts, edges[-1]), orders[seg])
 
 
 def aligned_empty(shape) -> np.ndarray:

@@ -23,7 +23,7 @@ from .analysis import load_experiment, residual_report
 from .config import load_run_config, resolve_data_path
 from .dielectric import fit_drude, resistivity
 from .errors import ConfigError, ConvergenceError, DataFormatError, DomainError
-from .lifshitz import force_scan, ideal_force
+from .lifshitz import _A_RANGE, force_scan, ideal_force
 from .optical import load_dataset
 from .yukawa import (ASTRO_ALPHA_CEILING, BASELINE_RESIDUAL_BOUND_PN,
                      LAMBDA_BRACKET, ConstraintGeometry, allowed_lambda_boundary,
@@ -93,15 +93,37 @@ def _require_config(args):
     return load_run_config(args.config)
 
 
-def _require_positive(flag, value, wanted, scale=1.0, finite=True):
+def _typed(*values) -> str:
+    """Flag values as typed: each as the shortest %g text that reads back
+    as it (a nan as nan)."""
+    return " ".join(min((t for p in range(1, 18) if float(t := f"{x:.{p}g}") == x),
+                        key=len, default="nan") for x in values)
+
+
+def _require_positive(flag, value, wanted, finite=True):
     """A flag's value must be positive, and finite unless `finite` is
     False; anything else is an input error naming the flag and the value
-    as typed (value * scale, where argparse converted it)."""
+    as typed."""
     if not (value > 0 and (value < math.inf or not finite)):
-        raise ConfigError(f"{flag} needs {wanted}, got {value * scale:g}")
+        raise ConfigError(f"{flag} needs {wanted}, got {_typed(value)}")
+
+
+def _metres(flag, nm, bounds=(sys.float_info.min, sys.float_info.max), what="length"):
+    """The positive lengths `nm` that `flag` gives in nm, in m: every length
+    flag is converted here, before any file is read.  Metres outside
+    `bounds`, by default the normal floats, are an input error naming the
+    flag and the value as typed: the least if it is below, else the
+    greatest."""
+    (low, high), metres = bounds, [x * 1e-9 for x in nm]
+    if not low <= min(metres) <= max(metres) <= high:
+        x = min(nm) if min(metres) < low else max(nm)
+        raise ConfigError(f"{flag} {_typed(x)} nm: {what} {x * 1e-9:.4g} m is "
+                          f"outside [{low:g}, {high:g}] m")
+    return metres
 
 
 def cmd_fit_drude(args) -> int:
+    fit_range = _grid_bounds("--range", *args.range)
     if args.fixed_omega_p is not None:
         _require_positive("--fixed-omega-p", args.fixed_omega_p,
                           "a finite positive frequency [rad/s]")
@@ -112,8 +134,7 @@ def cmd_fit_drude(args) -> int:
         ds = cfg.load_dataset()
         if ds is None:
             raise ConfigError("config declares no dataset to fit")
-    fit = fit_drude(ds, (args.range[0], args.range[1]),
-                    omega_p_fixed=args.fixed_omega_p)
+    fit = fit_drude(ds, fit_range, omega_p_fixed=args.fixed_omega_p)
     p = fit.parameters
     columns = ("omega_p_1e16_s", "omega_tau_1e13_s", "rho_micro_ohm_cm",
                "rms_log_residual", "n_points")
@@ -132,13 +153,14 @@ def _require_temperature(cfg, command):
                           f"'force --mode zero_T'")
 
 
-def _grid_bounds(flag, lo, hi, n):
-    """(LO, HI, N) of a grid option, checked: finite 0 < LO < HI and an
-    integral N >= 2."""
-    if not (0 < lo < hi < math.inf and n >= 2 and float(n).is_integer()):
-        raise ConfigError(f"{flag} needs finite 0 < LO < HI and an integral "
-                          f"N >= 2, got {lo:g} {hi:g} {n:g}")
-    return lo, hi, int(n)
+def _grid_bounds(flag, lo, hi, *n):
+    """(LO, HI) of a range option, and N of a grid option, checked: finite
+    0 < LO < HI and an integral N >= 2."""
+    if not (0 < lo < hi < math.inf and all(k >= 2 and float(k).is_integer() for k in n)):
+        count = " and an integral N >= 2" if n else ""
+        raise ConfigError(f"{flag} needs finite 0 < LO < HI{count}, got "
+                          f"{_typed(lo, hi, *n)}")
+    return (lo, hi, *map(int, n))
 
 
 def _grid(args, name, spacing):
@@ -163,7 +185,8 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_force(args) -> int:
-    separations = [a * 1e-9 for a in _grid(args, "a", np.linspace)]
+    separations = _metres("--a" if args.a_range is None else "--a-range",
+                          _grid(args, "a", np.linspace), _A_RANGE, "separation")
     cfg = _require_config(args)
     if args.mode != "zero_T":
         _require_temperature(cfg, f"force --mode {args.mode}")
@@ -196,7 +219,7 @@ def cmd_residuals(args) -> int:
     _require_temperature(cfg, "residuals")
     if not args.a_min <= args.a_max:
         raise ConfigError(f"--a-min/--a-max need A_MIN <= A_MAX [nm], got "
-                          f"{args.a_min:g} {args.a_max:g}")
+                          f"{_typed(args.a_min, args.a_max)}")
     records = [r for r in load_experiment(resolve_data_path(args.experiment))
                if args.a_min * 1e-9 <= r.separation <= args.a_max * 1e-9]
     if not records:
@@ -223,13 +246,16 @@ def cmd_yukawa_limit(args) -> int:
                       "a finite positive force [pN]")
     _require_positive("--alpha-ceiling", args.alpha_ceiling,
                       "a positive coupling", finite=False)
-    for flag, length in (("--separation", args.separation),
-                         ("--film-thickness", args.film_thickness)):
-        _require_positive(flag, length, "a finite positive length [nm]", 1e9)
-    geom = ConstraintGeometry(args.separation, args.film_thickness)
+    geom = ConstraintGeometry()
+    for flag, field, length in (("--separation", "separation_min", args.separation),
+                                ("--film-thickness", "film_thickness", args.film_thickness)):
+        if length is not None:
+            _require_positive(flag, length, "a finite positive length [nm]")
+            geom = geom._replace(**{field: _metres(flag, [length])[0]})
     lo, hi, n = _grid_bounds("--lambda-min/--lambda-max/--points",
                              args.lambda_min, args.lambda_max, args.points)
-    grid = np.logspace(math.log10(lo * 1e-9), math.log10(hi * 1e-9), n)
+    lo, hi = _metres("--lambda-min/--lambda-max", [lo, hi])
+    grid = np.logspace(math.log10(lo), math.log10(hi), n)
     rows = [(lam * 1e9, alpha_lower_limit(float(lam), geom, args.residual_bound))
             for lam in grid]
     summary = {}
@@ -246,12 +272,6 @@ def cmd_yukawa_limit(args) -> int:
             summary["status"] = "excluded: limit above ceiling over the whole bracket"
     _emit(args, ("lambda_nm", "alpha_min"), rows, summary)
     return 0
-
-
-def length_nm(text: str) -> float:
-    """A length given in nm, in m.  argparse converts only a flag's text, so
-    a default in m is used as it is."""
-    return float(text) * 1e-9
 
 
 def _add_grid(parser, name, unit, spacing):
@@ -311,16 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yukawa-limit", parents=[output],
                        help="Yukawa coupling lower limit vs wavelength")
-    geom = ConstraintGeometry()
     p.add_argument("--residual-bound", type=float, default=BASELINE_RESIDUAL_BOUND_PN,
                    help=f"residual force floor [pN] (default "
                         f"{BASELINE_RESIDUAL_BOUND_PN:g})")
     p.add_argument("--alpha-ceiling", type=float, default=ASTRO_ALPHA_CEILING,
                    help="astrophysical ceiling on alpha")
-    p.add_argument("--separation", type=length_nm, default=geom.separation_min,
-                   help="minimal separation [nm]")
-    p.add_argument("--film-thickness", type=length_nm, default=geom.film_thickness,
-                   help="gold film thickness [nm]")
+    p.add_argument("--separation", type=float, help="minimal separation [nm]")
+    p.add_argument("--film-thickness", type=float, help="gold film thickness [nm]")
     p.add_argument("--lambda-min", type=float, default=10.0,
                    help="grid low edge [nm]")
     p.add_argument("--lambda-max", type=float, default=1000.0,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .dielectric import DielectricModel, DrudeParameters, fit_drude
 from .errors import ConfigError
 from .lifshitz import check_prescription
-from .optical import FrequencyBoundaries, OpticalDataset, load_dataset, merge_datasets
+from .optical import OMEGA0_DEFAULT, OMEGA1_DEFAULT, OpticalDataset, load_dataset, merge_datasets
 
 DATA_DIR_ENV = "CASIMIR_DATA_DIR"
 
@@ -79,7 +79,8 @@ class RunConfig(NamedTuple):
     fit_range: tuple[float, float] | None
     fit_fixed_omega_p: float | None
     dataset_paths: tuple[Path, ...]
-    boundaries: FrequencyBoundaries
+    omega0: float
+    omega1: float
     tail_exponent: float
     sphere_radius: float
     temperature: float
@@ -109,7 +110,7 @@ class RunConfig(NamedTuple):
                               omega_p_fixed=self.fit_fixed_omega_p).parameters
         if self.model_kind == "drude":
             return drude
-        return DielectricModel(drude, dataset, self.boundaries,
+        return DielectricModel(drude, dataset, self.omega0, self.omega1,
                                self.tail_exponent)
 
 
@@ -221,12 +222,11 @@ def load_run_config(path) -> RunConfig:
                           "which fits it: give omega_p/omega_tau or a "
                           "fit_range, not both")
 
-    try:
-        boundaries = FrequencyBoundaries(
-            _get_float(ini, "dielectric", "omega0", FrequencyBoundaries().omega0),
-            _get_float(ini, "dielectric", "omega1", FrequencyBoundaries().omega1))
-    except ValueError as exc:
-        raise ConfigError(f"[dielectric] boundaries: {exc}") from None
+    omega0 = _get_float(ini, "dielectric", "omega0", OMEGA0_DEFAULT)
+    omega1 = _get_float(ini, "dielectric", "omega1", OMEGA1_DEFAULT)
+    if not 0 < omega0 < omega1:
+        raise ConfigError(f"[dielectric] boundaries: need 0 < omega0 < omega1, "
+                          f"got ({omega0}, {omega1})")
     tail_exponent = _get_float(ini, "dielectric", "tail_exponent", 3.0)
     if tail_exponent <= 1:
         raise ConfigError("[dielectric] tail_exponent must exceed 1")
@@ -247,6 +247,6 @@ def load_run_config(path) -> RunConfig:
 
     return RunConfig(model_kind=model_kind, drude=drude, fit_range=fit_range,
                      fit_fixed_omega_p=fit_fixed, dataset_paths=dataset_paths,
-                     boundaries=boundaries, tail_exponent=tail_exponent,
+                     omega0=omega0, omega1=omega1, tail_exponent=tail_exponent,
                      sphere_radius=sphere_radius,
                      temperature=temperature, prescription=prescription)

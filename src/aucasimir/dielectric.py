@@ -40,7 +40,7 @@ from ._quadrature import aligned_empty, bisect, log_rule
 from ._value import validated
 from .constants import epsilon_0
 from .errors import ConvergenceError, DomainError
-from .optical import FrequencyBoundaries, OpticalDataset, interpolate_eps2
+from .optical import OMEGA0_DEFAULT, OMEGA1_DEFAULT, OpticalDataset, interpolate_eps2
 
 #: ohm m -> micro-ohm cm
 _OHM_M_TO_UOHM_CM = 1e8
@@ -211,10 +211,13 @@ def _tail_series(b: float, x2: np.ndarray) -> np.ndarray:
 class DielectricModel(NamedTuple):
     """Composite eps(i zeta): Drude segment plus transformed tabulated data.
 
-    The dataset must cover [omega0, omega1]; above its last sample eps'' is
-    extended as a power law with the given exponent (must exceed 1 so the
-    dispersion integral converges; the true Drude tail falls off as
-    omega^-3).
+    The spectral edges 0 < omega0 < omega1 [rad/s] bound the three regions:
+    below omega0 the Drude extrapolation is integrated analytically, and
+    above omega1 interband absorption dominates and the data are sample
+    independent.  The dataset must cover [omega0, omega1]; above its last
+    sample eps'' is extended as a power law with the given exponent (must
+    exceed 1 so the dispersion integral converges; the true Drude tail
+    falls off as omega^-3).
 
     The dispersion integral of the data and the tail,
 
@@ -233,22 +236,25 @@ class DielectricModel(NamedTuple):
 
     drude: DrudeParameters
     dataset: OpticalDataset
-    boundaries: FrequencyBoundaries = FrequencyBoundaries()
+    omega0: float = OMEGA0_DEFAULT
+    omega1: float = OMEGA1_DEFAULT
     tail_exponent: float = 3.0
 
     def _validate(self):
+        if not 0 < self.omega0 < self.omega1:
+            raise ValueError(f"need 0 < omega0 < omega1, got ({self.omega0}, {self.omega1})")
         if not self.tail_exponent > 1:
             raise ValueError("tail_exponent must exceed 1 for integrability")
         # the slack covers decimal round-trips of omega0 through data files
-        if self.dataset.omega_min > self.boundaries.omega0 * (1.0 + 1e-9):
+        if self.dataset.omega_min > self.omega0 * (1.0 + 1e-9):
             raise ValueError(
                 f"dataset starts at {self.dataset.omega_min:.4g}, above "
-                f"omega0={self.boundaries.omega0:.4g}; no data for the "
+                f"omega0={self.omega0:.4g}; no data for the "
                 f"[omega0, omega1] integral")
-        if self.dataset.omega_max < self.boundaries.omega1:
+        if self.dataset.omega_max < self.omega1:
             raise ValueError(
                 f"dataset ends at {self.dataset.omega_max:.4g}, below "
-                f"omega1={self.boundaries.omega1:.4g}")
+                f"omega1={self.omega1:.4g}")
 
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) by spectral region.  A zeta so small that the Drude
@@ -280,7 +286,7 @@ class DielectricModel(NamedTuple):
         #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
         rest = ((2.0 / math.pi) * self.dataset.eps2[-1] * _TAIL_T_MIN**q / q
                 * _tail_series(0.5 * q, x2))
-        eps1 = _checked_eps1(epsilon1_analytic(self.drude, self.boundaries.omega0, flat), flat)
+        eps1 = _checked_eps1(epsilon1_analytic(self.drude, self.omega0, flat), flat)
         parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
         return EpsilonDecomposition(*(part.reshape(z.shape)[()] for part in parts))
 
@@ -298,7 +304,7 @@ def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
     panel, and each segment between them gets the fewest nodes that meet
     the rule's error bound.  eps(i zeta) is one sum of weight / (omega^2 +
     zeta^2) per region."""
-    ds, (omega0, omega1) = model.dataset, model.boundaries
+    ds, omega0, omega1 = model.dataset, model.omega0, model.omega1
     w_max, data = ds.omega_max, ds.omega
     # the validator tolerates data starting an ulp above omega0; the rule
     # starts where the data do.  No edge repeats (a repeat would be an

@@ -5,8 +5,9 @@ empirical input to every dispersion integral in this package.  Handbook
 tables come in different units and from different sources, so this module
 covers loading, merging (one dataset wins where two overlap), interpolation
 (linear on a log-log scale, the standard choice for optical tables) and
-the Drude eps'' that `dielectric.fit_drude` matches to the data.
-demos/make_gold_synthetic.py writes the bundled synthetic table.
+the Drude eps'' (`drude_eps2`), the generator of the Drude tables the
+demos and tests use.  demos/make_gold_synthetic.py writes the bundled
+synthetic table.
 
 Internal canonical frequency unit is rad/s; file inputs may be in eV.
 """
@@ -30,24 +31,6 @@ OMEGA0_DEFAULT = 0.1 * EV_TO_RAD_S
 
 #: boundary between defect-dominated and interband absorption for gold
 OMEGA1_DEFAULT = 3.2e15
-
-
-@validated
-class FrequencyBoundaries(NamedTuple):
-    """Edges of the three spectral regions used by the dispersion transform.
-
-    omega0 is the low-frequency end of the tabulated data (below it a Drude
-    extrapolation is used analytically); omega1 is the boundary above which
-    interband absorption dominates and the data are sample independent.
-    """
-
-    omega0: float = OMEGA0_DEFAULT
-    omega1: float = OMEGA1_DEFAULT
-
-    def _validate(self):
-        if not 0 < self.omega0 < self.omega1:
-            raise ValueError(
-                f"need 0 < omega0 < omega1, got ({self.omega0}, {self.omega1})")
 
 
 @validated

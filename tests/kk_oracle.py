@@ -27,7 +27,6 @@ def kk_epsilon(model: DielectricModel, zeta: float,
     """eps(i zeta) of `model` by adaptive quadrature, by region."""
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    b = model.boundaries
     ds = model.dataset
     p = model.drude
     zeta_sq = zeta * zeta
@@ -37,7 +36,7 @@ def kk_epsilon(model: DielectricModel, zeta: float,
         return p.omega_p**2 * p.omega_tau / ((w * w + p.omega_tau**2) * (w * w + zeta_sq))
 
     eps1 = (2.0 / math.pi) * checked_quad(
-        drude, 0.0, b.omega0, epsrel=epsrel, points=[p.omega_tau, zeta],
+        drude, 0.0, model.omega0, epsrel=epsrel, points=[p.omega_tau, zeta],
         what="Drude segment")
 
     def weighted(w: float) -> float:
@@ -46,13 +45,13 @@ def kk_epsilon(model: DielectricModel, zeta: float,
     nodes = ds.omega.tolist()
 
     # the model validator tolerates data starting an ulp above omega0
-    lower = max(b.omega0, ds.omega_min)
+    lower = max(model.omega0, ds.omega_min)
     eps2_part = (2.0 / math.pi) * checked_quad(
-        weighted, lower, b.omega1, epsrel=epsrel, points=nodes + [zeta],
+        weighted, lower, model.omega1, epsrel=epsrel, points=nodes + [zeta],
         limit=4 * len(nodes) + 100, what="eps2 dispersion integral")
 
     data_top = (2.0 / math.pi) * checked_quad(
-        weighted, b.omega1, ds.omega_max, epsrel=epsrel, points=nodes + [zeta],
+        weighted, model.omega1, ds.omega_max, epsrel=epsrel, points=nodes + [zeta],
         limit=4 * len(nodes) + 100, what="eps3 data integral")
 
     w_max = ds.omega_max

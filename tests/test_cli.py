@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aucasimir import (ConstraintGeometry, DielectricModel, DrudeParameters,
-                       FrequencyBoundaries, alpha_lower_limit, fit_drude,
-                       force_scan, ideal_force, load_dataset)
+                       alpha_lower_limit, fit_drude, force_scan, ideal_force,
+                       load_dataset)
 from aucasimir import config
 from aucasimir.cli import _render, main
 from aucasimir.config import RunConfig, _read_ini, load_run_config, package_data_dir
@@ -817,11 +817,32 @@ def test_missing_grid_is_usage_error(drude_config, capsys, argv, flags):
       for value in ("-1", "0", "nan", "inf")],
     (["force", "--a-range", "200", "60", "3"], "--a-range needs finite 0 < LO < HI"),
     (["epsilon", "--zeta-range", "1e14", "1e15", "1"], "--zeta-range needs finite 0 < LO < HI"),
+    # a length is checked in metres where it is converted, against the
+    # normal floats or the library's separation range, and named as typed
+    (["yukawa-limit", "--lambda-min", "5e-324"],
+     "--lambda-min/--lambda-max 5e-324 nm: length 0 m is outside"),
+    (["yukawa-limit", "--lambda-min", "1e-315", "--lambda-max", "1e-314", "--points", "2"],
+     "--lambda-min/--lambda-max 1e-315 nm: length 0 m is outside"),
+    (["yukawa-limit", "--separation", "5e-324"], "--separation 5e-324 nm: length 0 m is outside"),
+    (["yukawa-limit", "--film-thickness", "1e-320"],
+     "--film-thickness 1e-320 nm: length 0 m is outside"),
+    (["force", "--a", "5e-324"], "--a 5e-324 nm: separation 0 m is outside [1e-30, 1e+30] m"),
+    (["force", "--a-range", "5e-324", "1e-323", "2"],
+     "--a-range 5e-324 nm: separation 0 m is outside [1e-30, 1e+30] m"),
+    (["force", "--a", "1e-25"], "--a 1e-25 nm: separation 1e-34 m is outside [1e-30, 1e+30] m"),
+    (["force", "--a", "1e40"], "--a 1e+40 nm: separation 1e+31 m is outside [1e-30, 1e+30] m"),
+    (["fit-drude", "--range", "nan", "1e15"], "--range needs finite 0 < LO < HI, got nan 1e+15"),
+    (["fit-drude", "--range", "2e15", "1e15"],
+     "--range needs finite 0 < LO < HI, got 2e+15 1e+15"),
 ], ids=[*(f"{flag}={value}" for flag in ("a", "zeta") for value in ("-1", "0", "nan", "inf")),
-        "reversed-a-range", "one-point-zeta-range"])
+        "reversed-a-range", "one-point-zeta-range", "lambda-min=5e-324", "lambda-min=1e-315",
+        "separation=5e-324", "film-thickness=1e-320", "a=5e-324", "a-range-from-5e-324",
+        "a=1e-25", "a=1e40", "fit-range-nan", "reversed-fit-range"])
 def test_bad_grid_fails_before_config_is_read(tmp_path, capsys, argv, message):
-    # the grid is checked first: the missing config is never opened
-    code, out, err = run(capsys, argv + ["--config", str(tmp_path / "missing.ini")])
+    # grids, ranges and lengths are checked first: the missing config is
+    # never opened (yukawa-limit reads no file and takes no --config)
+    config = [] if argv[0] == "yukawa-limit" else ["--config", str(tmp_path / "missing.ini")]
+    code, out, err = run(capsys, argv + config)
     assert code == 2
     assert out == ""
     assert err.startswith(f"aucasimir: error: {message}") and err.count("\n") == 1
@@ -1044,7 +1065,7 @@ class TestConfigDrudeFit:
         assert code == 0, err
         ds = load_dataset(package_data_dir() / "gold_synthetic.csv")
         model = DielectricModel(fit_drude(ds, (2e14, 2e15)).parameters, ds,
-                                FrequencyBoundaries(1.519267448e14, 3.2e15))
+                                omega0=1.519267448e14, omega1=3.2e15)
         (expected,) = force_scan(95.65e-6, [63e-9], 300.0, model.epsilon)
         assert out.splitlines()[1].split(",")[1] == f"{expected.total:.9e}"
 

@@ -10,8 +10,8 @@ from scipy.optimize import least_squares
 from scipy.special import hyp2f1
 
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
-                       DrudeParameters, EpsilonDecomposition, FrequencyBoundaries,
-                       epsilon1_analytic, fit_drude, load_dataset, resistivity)
+                       DrudeParameters, EpsilonDecomposition, epsilon1_analytic,
+                       fit_drude, load_dataset, resistivity)
 from aucasimir import dielectric
 from aucasimir._quadrature import gauss_legendre, log_rule, log_sizing
 from aucasimir.config import load_run_config, package_data_dir
@@ -330,9 +330,10 @@ class TestKKEpsilon:
         with pytest.raises(ValueError, match="omega1"):
             DielectricModel(row2, low)
 
-    def test_boundaries_validation(self):
-        with pytest.raises(ValueError):
-            FrequencyBoundaries(3.2e15, 1.5e14)
+    def test_boundaries_validation(self, row2, pure_drude_dataset):
+        with pytest.raises(ValueError, match=r"need 0 < omega0 < omega1, got "
+                                             r"\(3200000000000000.0, 150000000000000.0\)"):
+            DielectricModel(row2, pure_drude_dataset, 3.2e15, 1.5e14)
 
 
 # zeta over 1e12-1e19, past omega_max = 1e18 of the datasets below

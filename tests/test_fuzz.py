@@ -44,7 +44,8 @@ KEYS = {"sphere_radius": "geometry", "temperature": "thermal",
         "omega0": "dielectric", "omega1": "dielectric",
         "tail_exponent": "dielectric"}
 #: Python's and numpy's own wording for a bare arithmetic fault
-BARE = ("division by zero", "math range error", "cannot convert float", "encountered in")
+BARE = ("division by zero", "math range error", "math domain error", "cannot convert float",
+        "encountered in")
 R_OVER_A = "sphere_radius / separation < 100: the proximity force treatment assumes R >> a"
 
 TABULATED = (package_data_dir() / "sample_config.ini").read_text()
@@ -122,6 +123,20 @@ def config_path(tmp_path_factory):
 @example("drude", {}, ["yukawa-limit", "--residual-bound", "5e-324"], "json")
 @example("drude", {}, ["fit-drude", "--range", "1e+15", "1e+17", "--fixed-omega-p", "1e+16"],
          "csv")
+# and lengths whose metres underflow to 0 or leave the separation range
+# failed past the flag check, unnamed or named with the wrong value
+@example("drude", {}, ["yukawa-limit", "--lambda-min", "5e-324"], "csv")
+@example("drude", {}, ["yukawa-limit", "--lambda-min", "1e-315", "--lambda-max", "1e-314",
+                       "--points", "2"], "csv")
+@example("drude", {}, ["yukawa-limit", "--separation", "5e-324"], "csv")
+@example("drude", {}, ["yukawa-limit", "--film-thickness", "1e-320"], "csv")
+@example("tabulated", {}, ["force", "--mode", "finite_T", "--a", "5e-324"], "csv")
+@example("tabulated", {}, ["force", "--mode", "finite_T", "--a-range", "5e-324", "1e-323",
+                           "2"], "csv")
+@example("tabulated", {}, ["force", "--mode", "finite_T", "--a", "1e-25"], "csv")
+@example("tabulated", {}, ["force", "--mode", "finite_T", "--a", "1e+40"], "csv")
+@example("tabulated", {}, ["fit-drude", "--range", "nan", "1e+15"], "csv")
+@example("tabulated", {}, ["fit-drude", "--range", "2e+15", "1e+15"], "csv")
 @given(st.sampled_from(sorted(CONFIGS)),
        st.dictionaries(st.sampled_from(sorted(KEYS)), values, max_size=2),
        commands, st.sampled_from(("csv", "json", "table")))

@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 from aucasimir import ConvergenceError, alpha_lower_limit
 from aucasimir._quadrature import (_LOG_BOUND, _RULES, aligned_empty, bisect,
-                                   legendre, log_sizing)
+                                   gauss_legendre, legendre, log_sizing)
 from aucasimir.yukawa import LAMBDA_BRACKET
 
 #: the orders the package asks for: 8 to 32 for the zeta panels, every
@@ -69,6 +69,29 @@ def test_rule_equals_leggauss_bitwise(order):
 def test_order_not_held_names_the_held_orders():
     with pytest.raises(ValueError, match=r"order 12.*\[5, 8, 16, 32, 64\]"):
         legendre(12)
+
+
+def test_mixed_orders_equal_one_call_per_order_bitwise():
+    # one call with an order per panel places the same floats as one
+    # single-order call per run of equal orders, concatenated, and a
+    # single-order call those of its panels' mid + half * x
+    rng = np.random.default_rng(35)
+    edges = np.cumsum(rng.uniform(0.01, 3.0, 41)) - 7.0
+    orders = rng.choice(ORDERS, 40)
+    assert set(orders.tolist()) == set(ORDERS)
+    nodes, weights = gauss_legendre(edges, orders)
+    runs = np.flatnonzero(np.diff(orders)) + 1
+    parts = []
+    for lo, hi in zip([0, *runs], [*runs, orders.size]):
+        order, ends = int(orders[lo]), edges[lo:hi + 1]
+        parts.append(gauss_legendre(ends, order))
+        x, w = legendre(order)
+        half, mid = 0.5 * np.diff(ends)[:, None], 0.5 * (ends[:-1] + ends[1:])[:, None]
+        assert np.array_equal(parts[-1][0], (mid + half * x).ravel())
+        assert np.array_equal(parts[-1][1], (half * w).ravel())
+    assert np.array_equal(nodes, np.concatenate([x for x, _ in parts]))
+    assert np.array_equal(weights, np.concatenate([w for _, w in parts]))
+    assert np.all(np.diff(nodes) > 0)
 
 
 def bernstein_bound(width: float, order: int) -> float:

@@ -5,8 +5,8 @@ import pytest
 
 from aucasimir import (ConstraintGeometry, DielectricModel, DrudeFit,
                        DrudeParameters, EpsilonDecomposition, ExperimentRecord,
-                       ForceResult, FrequencyBoundaries, OpticalDataset,
-                       ResidualReport, ResidualRow, YukawaHypothesis)
+                       ForceResult, OpticalDataset, ResidualReport,
+                       ResidualRow, YukawaHypothesis)
 from aucasimir.config import RunConfig
 from aucasimir.optical import OMEGA0_DEFAULT, OMEGA1_DEFAULT
 
@@ -26,17 +26,16 @@ CASES = [
                       "max_sigma_exceedance": 0.5}, {}),
     (RunConfig, {"model_kind": "drude", "drude": DRUDE, "fit_range": None,
                  "fit_fixed_omega_p": None, "dataset_paths": (),
-                 "boundaries": FrequencyBoundaries(), "tail_exponent": 3.0,
+                 "omega0": OMEGA0_DEFAULT, "omega1": OMEGA1_DEFAULT, "tail_exponent": 3.0,
                  "sphere_radius": 1e-4, "temperature": 300.0,
                  "prescription": "drude"}, {}),
     (DrudeParameters, {"omega_p": 1.37e16, "omega_tau": 5.32e13}, {}),
     (EpsilonDecomposition, {"eps1": 1.0, "eps2_part": 0.5, "eps3_part": 0.25}, {}),
     (DielectricModel, {"drude": DRUDE, "dataset": DATASET},
-     {"boundaries": FrequencyBoundaries(), "tail_exponent": 3.0}),
+     {"omega0": OMEGA0_DEFAULT, "omega1": OMEGA1_DEFAULT, "tail_exponent": 3.0}),
     (DrudeFit, {"parameters": DRUDE, "rms_log_residual": 0.1, "n_points": 5}, {}),
     (ForceResult, {"total": -10.0, "n0_term": -1.0, "sum_terms": -9.0,
                    "n_terms_used": 20}, {}),
-    (FrequencyBoundaries, {}, {"omega0": OMEGA0_DEFAULT, "omega1": OMEGA1_DEFAULT}),
     (OpticalDataset, COLUMNS, {"source": ""}),
     (YukawaHypothesis, {"alpha": 1e-20, "lambda_": 1e-7}, {}),
     (ConstraintGeometry, {}, {"separation_min": 63e-9, "film_thickness": 96e-9}),
@@ -68,8 +67,9 @@ def test_value_type_contract(cls, required, defaults):
 
 @pytest.mark.parametrize("value, bad, message", [
     (DRUDE, {"omega_tau": 2e16}, "omega_tau < omega_p"),
-    (FrequencyBoundaries(), {"omega1": 1e14}, "omega0 < omega1"),
+    (DielectricModel(DRUDE, DATASET), {"omega1": 1e14}, "omega0 < omega1"),
     (DielectricModel(DRUDE, DATASET), {"tail_exponent": 1.0}, "integrability"),
+    (DielectricModel(DRUDE, DATASET), {"omega0": 0.0}, "omega0 < omega1"),
 ])
 def test_replace_checks_the_fields(value, bad, message):
     with pytest.raises(ValueError, match=message):
