@@ -19,13 +19,17 @@ treatment, which is taken as exact for R >> a.
 
 Every p-integral goes through one numpy kernel on a fixed Gauss-Legendre
 rule in v = u^(1/4), u = exp(-(p - 1) zeta a / c), which also supplies the
-damping.  Each frequency's row takes one of three rules by its own
+damping.  Each frequency's row takes one of four rules by its own
 y = zeta a / c, which differ only in panels and nodes: four panels of 16
 nodes clustered towards p = 1 below `_Y_FAR` = 0.5, one panel of 32 nodes
-up to `_Y_TOP` = 2, and from there on, where most Matsubara terms lie, one
-panel of 16 nodes (64, 32 and 16 nodes at the default order).  The kernel
-sums each row's nodes on their own, so a p-integral is the same floats
-whatever others share its call.
+up to `_Y_TOP` = 2, one of 16 nodes up to `_Y_TAIL` = 8 and, from there
+on, where a term is below e^-16 of the first ones, one of 8 nodes (64, 32,
+16 and 8 nodes at the default order).  The tail rule is good to 9.3e-11
+relative per row; a force moves by at most 2.7e-16 of `ideal_force` with
+it, at 20 nm-2 um and 0-300 K.  The kernel's work arrays are node-major,
+(nodes, rows), and it sums each row's nodes on their own, in numpy's
+pairwise order, so a p-integral is the same floats whatever others share
+its call.
 
 One scan, `force_scan`, is the one force function and serves both
 temperatures: at T = 0 the n=0 term is zero and the sum is the frequency
@@ -76,8 +80,21 @@ _Y_FAR = 0.5
 #: rows with y at or above this take the top p-rule, one panel [0, 1] of
 #: half the far rule's nodes, good to 3e-15 relative from here on
 _Y_TOP = 2.0
+#: rows with y at or above this take the tail p-rule, one panel [0, 1] of
+#: half the top rule's nodes, good to 9.3e-11 relative from here on (y up
+#: to 94.6, eps - 1 in [1e-6, 1e99]).  A row's term is at most the
+#: perfect-conductor one (see `_Y_MAX`), and those of the rows from here
+#: on sum to at most 2.9e-6 of `ideal_force` at 20 nm-2 um and 0-300 K, so
+#: the tail rule moves a force by at most 2.7e-16 of it (1.1e-14 were this
+#: 6; notes/decisions.md has the table)
+_Y_TAIL = 8.0
+#: the lower edges in y of the far, top and tail bands, by which
+#: `_p_integral` picks each row's rule (np.digitize, so a row at an edge
+#: takes the rule above it)
+_Y_EDGES = (_Y_FAR, _Y_TOP, _Y_TAIL)
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
-#: arrays: 112 near rows, 224 far rows or 448 top rows at order `_P_ORDER`
+#: arrays: 112 near rows, 224 far rows, 448 top rows or 896 tail rows at
+#: order `_P_ORDER`
 _CHUNK = 112 * 64
 #: kernel rows (frequencies times separations) per round of
 #: `_frequency_sums`, a bound on its memory only
@@ -185,16 +202,17 @@ def classical_term(sphere_radius: float, separation: float, temperature: float,
     return f * _N_TO_PN
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _p_rule(order: int, band: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln u, u, weight) of the p-rule of `band` for `order`, read-only (see
-    `_p_integral`), Gauss-Legendre in v with u = v^4: band 0, the near rule,
-    has `order` nodes on each panel of `_V_EDGES`, band 1, the far rule,
-    2 `order` nodes on the one panel [0, 1] and band 2, the top rule,
-    `order` nodes on [0, 1]."""
+    """(ln u, u, weight) of the p-rule of `band` for `order`, 1-D and
+    read-only (see `_p_integral`), Gauss-Legendre in v with u = v^4: band
+    0, the near rule, has `order` nodes on each panel of `_V_EDGES`, and
+    the others one panel [0, 1]: band 1, the far rule, 2 `order` nodes,
+    band 2, the top rule, `order` and band 3, the tail rule, `order` // 2
+    (64, 32, 16 and 8 nodes at `_P_ORDER`)."""
     v, w = (gauss_legendre(_V_EDGES, order) if band == 0
-            else gauss_legendre((0.0, 1.0), 2 * order if band == 1 else order))
+            else gauss_legendre((0.0, 1.0), (2 * order, order, order // 2)[band - 1]))
     ln_u, u, weights = 4.0 * np.log(v), v * v * v * v, 4.0 * w / v
     ln_u.flags.writeable = u.flags.writeable = weights.flags.writeable = False
     return ln_u, u, weights
@@ -202,16 +220,17 @@ def _p_rule(order: int, band: int
 
 def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
-    for 1-D arrays of eps(i zeta) and y = zeta a / c.
+    for 1-D arrays of eps(i zeta) and y = zeta a / c, at an order that is a
+    multiple of 16.
 
     Substituting u = exp(-(p-1) y) = v^4 maps the infinite range onto
     (0, 1] and makes the integrand vanish like v^7 ln v at v -> 0;
     dp = -4 dv / (v y).  The rule is Gauss-Legendre in v, so the endpoints
-    are never evaluated, and each row takes it by its own y (`_p_rule`):
-    rows below `_Y_FAR` the near rule on the four panels of `_V_EDGES`
-    (64 nodes at the default order), rows below `_Y_TOP` the far rule on
-    one panel (32 nodes), the others the top rule on one panel (16
-    nodes).
+    are never evaluated, and each row takes it by its own y (`_p_rule`,
+    bands split at `_Y_EDGES`): rows below `_Y_FAR` the near rule on the
+    four panels of `_V_EDGES` (64 nodes at the default order), rows below
+    `_Y_TOP` the far rule on one panel (32 nodes), rows below `_Y_TAIL`
+    the top rule (16 nodes) and the others the tail rule (8 nodes).
 
     With chi = eps - 1, s = sqrt(chi + p^2) and d = chi exp(-y) u, the
     damping exp(-2 y p) = (exp(-y) u)^2 comes from the rule and the
@@ -221,22 +240,33 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     rows of each rule go through in chunks of at most `_CHUNK` elements,
     in aligned work arrays allocated once per call (a fresh temporary per
     operation and chunk makes the allocator trim and regrow the heap,
-    10-30 % of a Drude scan).  Each row is summed on its own, so its floats
-    do not depend on the other rows.
+    10-30 % of a Drude scan).  A chunk's arrays are node-major, (nodes,
+    rows), so every operation's inner loop runs over the chunk's rows.
+
+    Each row's nodes are summed in numpy's pairwise order for 8 to 128
+    contiguous elements, that of np.sum over a row: eight strided partial
+    sums r[j] = sum_k a[8 k + j], the blocks added in order, then
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).  The partial sums
+    reduce the chunk viewed as (nodes / 8, 8 rows), whose reduced axis is
+    never the inner one, so a lone row is summed as in a batch; one
+    np.add.reduce over the node axis would sum a lone row's column
+    pairwise.  So a row's floats do not depend on the other rows.
     """
     out = np.empty(y.shape)
-    band = np.digitize(y, (_Y_FAR, _Y_TOP))
-    groups = [(rows, _p_rule(order, b)) for b in range(3)
+    band = np.digitize(y, _Y_EDGES)
+    groups = [(rows, _p_rule(order, b)) for b in range(len(_Y_EDGES) + 1)
               if (rows := np.flatnonzero(band == b)).size]
     work = aligned_empty((5, max((min(_CHUNK, rows.size * rule[0].size)
                                   for rows, rule in groups), default=0)))
-    for rows, (ln_u, u, weights) in groups:
-        step = _CHUNK // ln_u.size
+    for rows, rule in groups:
+        ln_u, u, weights = (x[:, None] for x in rule)
+        nodes = ln_u.shape[0]
+        step = _CHUNK // nodes
         for i in range(0, rows.size, step):
             chunk = rows[i:i + step]
-            pb, sb, te, tm, tmp = work[:, :chunk.size * ln_u.size].reshape(
-                5, chunk.size, -1)
-            yb, eps = y[chunk, None], eps_values[chunk, None]
+            pb, sb, te, tm, tmp = work[:, :nodes * chunk.size].reshape(
+                5, nodes, chunk.size)
+            yb, eps = y[chunk], eps_values[chunk]
             chi = eps - 1.0
             np.subtract(1.0, np.divide(ln_u, yb, out=pb), out=pb)
             np.sqrt(np.add(chi, np.multiply(pb, pb, out=tm), out=sb), out=sb)
@@ -252,7 +282,14 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
             np.subtract(np.subtract(np.multiply(te, tm, out=tmp), te, out=tmp), tm,
                         out=tmp)
             np.multiply(pb, np.log1p(tmp, out=tmp), out=tmp)
-            out[chunk] = np.add.reduce(np.multiply(tmp, weights, out=tmp), axis=1)
+            np.multiply(tmp, weights, out=tmp)
+            # the node sum: partial sums r[j] into pb, their tree into spare
+            # rows (no operand overlaps another, so numpy copies nothing)
+            r = np.add.reduce(tmp.reshape(-1, 8 * chunk.size), axis=0,
+                              out=pb.reshape(-1)[:8 * chunk.size]).reshape(8, -1)
+            r = np.add(r[0::2], r[1::2], out=te[:4])
+            r = np.add(r[0::2], r[1::2], out=tm[:2])
+            out[chunk] = np.add(r[0], r[1], out=sb[0])
     return np.divide(out, -y, out=out)
 
 
@@ -404,9 +441,14 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     5.2e-10 and 6.2e-9 (1e14 rad/s); the tightened rule is within 3e-11.
     Each p-integral (`_p_integral`), over eps - 1 in [1e-6, 1e18], is good
     to about 1e-15 relative for y = zeta a / c in [0.01, `_Y_FAR`) on the
-    near rule's 64 nodes, and to 3e-15 from `_Y_FAR` on, on one panel: 32
-    nodes below `_Y_TOP` and 16 from there on.  Below y = 0.01 the near
-    rule drifts, to 1e-9 at y = 1e-3 and 2e-8 at 1e-5.
+    near rule's 64 nodes, and to 3e-15 from `_Y_FAR` to `_Y_TAIL`, on one
+    panel: 32 nodes below `_Y_TOP` and 16 from there on.  From `_Y_TAIL`
+    on, 8 nodes are good to 9.3e-11 relative (up to eps - 1 = 1e99 and to
+    y = 94.6, the zero-T rule's last edge); those rows' terms are at most
+    their perfect-conductor ones, which sum to at most 2.9e-6 of
+    `ideal_force` at 20 nm-2 um and 0-300 K, so the tail rule moves a
+    force by at most 2.7e-16 of it.  Below
+    y = 0.01 the near rule drifts, to 1e-9 at y = 1e-3 and 2e-8 at 1e-5.
     """
     separations = np.asarray(separations, dtype=float)
     if separations.ndim != 1 or not separations.size:

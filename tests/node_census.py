@@ -4,9 +4,10 @@
     bundled config and for Drude data at 2 points per decade;
   * the zero-T frequency rule's nodes per separation, default and
     tightened;
-  * the p-integral kernel's rows and elements per p-rule band (by
-    np.digitize on y = zeta a / c, as `_p_integral` bands its rows) for
-    `force --mode both --a-range 60 200 8` on the Drude config.
+  * the p-integral kernel's rows and elements per p-rule band, near, far,
+    top and tail (by np.digitize on y = zeta a / c at `_Y_EDGES`, as
+    `_p_integral` bands its rows) for `force --mode both --a-range 60 200
+    8` on the Drude config.
 
 Like tests/source_lines.py it counts the package Python imports:
 
@@ -21,13 +22,17 @@ from aucasimir import DielectricModel, DrudeParameters
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.constants import c
 from aucasimir.dielectric import _rule
-from aucasimir.lifshitz import (_P_ORDER, _Y_FAR, _Y_TOP, _matsubara_rule, _p_rule,
+from aucasimir.lifshitz import (_P_ORDER, _Y_EDGES, _matsubara_rule, _p_rule,
                                 _zero_T_rule)
 from aucasimir.optical import OMEGA0_DEFAULT
 
 from conftest import ROW2, drude_dataset
 
 DRUDE_CONFIG = Path(__file__).parents[1] / "perfbench" / "drude_config.ini"
+#: the kernel census's scan, `force --mode both --a-range` on DRUDE_CONFIG
+KERNEL_SCAN_NM = (60, 200, 8)
+#: the p-rule bands, in the order of `_p_rule`'s band numbers
+BANDS = ("near", "far", "top", "tail")
 
 
 def dispersion_census() -> None:
@@ -57,16 +62,17 @@ def zero_T_census() -> None:
 
 def kernel_census() -> None:
     cfg = load_run_config(DRUDE_CONFIG)
-    a = np.unique(np.linspace(60, 200, 8) * 1e-9)
-    print("p-integral kernel, force --mode both --a-range 60 200 8 (Drude config)")
+    a = np.unique(np.linspace(*KERNEL_SCAN_NM) * 1e-9)
+    print("p-integral kernel, force --mode both --a-range "
+          f"{' '.join(map(str, KERNEL_SCAN_NM))} (Drude config)")
     print(f"  {'T':<8}{'band':<6}{'nodes':>6}{'rows':>8}{'elements':>10}")
     for temperature in (cfg.temperature, 0.0):
         zeta, _, counts, _ = (
             _matsubara_rule(temperature, cfg.sphere_radius, a) if temperature > 0
             else _zero_T_rule(cfg.sphere_radius, a, False))
         y = np.concatenate([zeta[:n] * x / c for x, n in zip(a, counts)])
-        rows = np.bincount(np.digitize(y, (_Y_FAR, _Y_TOP)), minlength=3)
-        for band, name in enumerate(("near", "far", "top")):
+        rows = np.bincount(np.digitize(y, _Y_EDGES), minlength=len(BANDS))
+        for band, name in enumerate(BANDS):
             nodes = _p_rule(_P_ORDER, band)[0].size
             print(f"  {temperature:<8g}{name:<6}{nodes:>6}{rows[band]:>8}"
                   f"{rows[band] * nodes:>10}")

@@ -2,9 +2,15 @@
 
 tests/source_lines.py and tests/node_census.py import private names of
 the package (`_rule`, `_p_rule`, `_zero_T_rule`, `_matsubara_rule`,
-`_P_ORDER`, `_Y_FAR`, `_Y_TOP`), so a refactor that renames one breaks
-them; these tests make that a failure of the suite.
+`_P_ORDER`, and `_Y_EDGES`, which holds `_Y_FAR`, `_Y_TOP` and
+`_Y_TAIL`), so a refactor that renames one breaks them; these tests make
+that a failure of the suite.
 """
+
+import numpy as np
+
+from aucasimir import lifshitz
+from aucasimir.cli import main
 
 import node_census
 import source_lines
@@ -22,3 +28,27 @@ def test_node_census_counts_the_bundled_dispersion_rule(capsys):
     bundled = [line.split() for line in capsys.readouterr().out.splitlines()
                if "bundled sample_config.ini" in line]
     assert len(bundled) == 1 and bundled[0][-1] == "676"
+
+
+def test_node_census_counts_the_elements_the_kernel_processes(capsys, monkeypatch):
+    # the census's four bands, at 64, 32, 16 and 8 nodes each temperature,
+    # hold the rows and elements `_p_integral` processes on its scan
+    node_census.kernel_census()
+    census = [line.split() for line in capsys.readouterr().out.splitlines()]
+    census = [row for row in census if row[1:2] and row[1] in node_census.BANDS]
+    assert [int(row[2]) for row in census] == [64, 32, 16, 8] * 2
+    rows, elements = np.zeros(len(node_census.BANDS), int), []
+    p_integral = lifshitz._p_integral
+
+    def counting(eps_values, y, order):
+        band = np.bincount(np.digitize(y, lifshitz._Y_EDGES), minlength=rows.size)
+        rows[:] += band
+        elements.extend(n * lifshitz._p_rule(order, b)[0].size for b, n in enumerate(band))
+        return p_integral(eps_values, y, order)
+
+    monkeypatch.setattr(lifshitz, "_p_integral", counting)
+    assert main(["force", "--config", str(node_census.DRUDE_CONFIG), "--mode", "both",
+                 "--a-range", *map(str, node_census.KERNEL_SCAN_NM)]) == 0
+    assert rows.tolist() == [sum(int(row[3]) for row in census if row[1] == name)
+                             for name in node_census.BANDS]
+    assert sum(elements) == sum(int(row[4]) for row in census)

@@ -16,11 +16,11 @@ from aucasimir import lifshitz
 from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_A_RANGE, _CHUNK, _EPS_CAP, _P_ORDER, _PER_DECADE,
-                                _ROWS, _Y_FAR, _Y_MAX, _Y_TOP, _ZETA_MIN,
-                                _ZETA_ORDER, ZETA3,
+                                _ROWS, _Y_EDGES, _Y_FAR, _Y_MAX, _Y_TAIL, _Y_TOP,
+                                _ZETA_MIN, _ZETA_ORDER, ZETA3,
                                 _p_integral, _p_rule)
 
-from conftest import SPHERE_RADIUS, drude_rows
+from conftest import SPHERE_RADIUS, TAIL_RTOL, drude_rows
 
 #: a row count for the kernel tests' arrays
 ROWS = 64
@@ -43,13 +43,15 @@ def round_trip_factors(p, eps_value, y):
 
 def by_rule(p_integral_on):
     """The p-integral of `p_integral_on(rule, eps_value, y)`, each row on
-    the rule `_p_integral` picks for it: the near rule (band 0) below
-    y = `_Y_FAR`, the far rule (band 1) below `_Y_TOP`, the top rule
-    (band 2) from there on."""
+    the rule `_p_integral` picks for it, band b from the (b - 1)-th of
+    `_Y_EDGES` to the b-th: the near rule (band 0) below y = `_Y_FAR`, the
+    far rule (band 1) below `_Y_TOP`, the top rule (band 2) below
+    `_Y_TAIL` and the tail rule (band 3) from there on."""
     def p_integral(eps_value, y, order):
         out = np.empty(y.shape)
-        bands = (y < _Y_FAR, (_Y_FAR <= y) & (y < _Y_TOP), _Y_TOP <= y)
-        for band, rows in enumerate(bands):
+        edges = (-math.inf, *_Y_EDGES, math.inf)
+        for band, (low, high) in enumerate(zip(edges[:-1], edges[1:])):
+            rows = (low <= y) & (y < high)
             out[rows] = p_integral_on(_p_rule(order, band), eps_value[rows], y[rows])
         return out
     return p_integral
@@ -189,7 +191,7 @@ class TestRoundTripFactors:
     def test_rule_is_consistent_and_read_only(self):
         # u = v^k and ln u = k ln v in every band: exp(ln u) carries the
         # rounding of ln u, |ln u| <= 20, times about 1e-16
-        for band in range(3):
+        for band in range(4):
             ln_u, u, weights = _p_rule(16, band)
             np.testing.assert_allclose(u, np.exp(ln_u), rtol=3e-15)
             for values in (ln_u, u, weights):
@@ -210,20 +212,21 @@ class TestRoundTripFactors:
 
     @pytest.mark.parametrize("order", [16, 32])
     def test_rows_at_the_threshold_keep_the_bits_of_lone_calls(self, order):
-        # rows at _Y_FAR and _Y_TOP and one float below each, shuffled among
-        # rows that fill more than one chunk of each rule, give the floats
-        # of lone calls; a row at an edge takes the rule above it, the one
-        # below the rule below it
-        edges = ((_Y_FAR, 1), (np.nextafter(_Y_FAR, 0.0), 0),
-                 (_Y_TOP, 2), (np.nextafter(_Y_TOP, 0.0), 1))
-        chunk_rows = [_CHUNK // _p_rule(order, band)[0].size for band in range(3)]
+        # rows at _Y_FAR, _Y_TOP and _Y_TAIL and one float below each,
+        # shuffled among rows that fill more than one chunk of each rule,
+        # give the floats of lone calls (one row a chunk, whose node sum
+        # must take the order of a full chunk's); a row at an edge takes
+        # the rule above it, the one below the rule below it
+        edges = [pair for band, edge in enumerate(_Y_EDGES, start=1)
+                 for pair in ((edge, band), (np.nextafter(edge, 0.0), band - 1))]
+        chunk_rows = [_CHUNK // _p_rule(order, band)[0].size for band in range(4)]
         y = np.concatenate([[y_ for y_, _ in edges] * 3] + [
             np.geomspace(low, high, rows + 1, endpoint=False) for low, high, rows
-            in zip((1e-3, _Y_FAR, _Y_TOP), (_Y_FAR, _Y_TOP, 300.0), chunk_rows)])
+            in zip((1e-3, *_Y_EDGES), (*_Y_EDGES, 300.0), chunk_rows)])
         eps = 1.0 + np.geomspace(1e6, 1e-3, y.size)
         shuffle = np.random.default_rng(3).permutation(y.size)
         y, eps = y[shuffle], eps[shuffle]
-        band = (y >= _Y_FAR).astype(int) + (y >= _Y_TOP)
+        band = sum((y >= edge).astype(int) for edge in _Y_EDGES)
         assert all((band == b).sum() > rows for b, rows in enumerate(chunk_rows))
         alone = [_p_integral(eps[i:i + 1], y[i:i + 1], order)[0]
                  for i in range(y.size)]
@@ -234,10 +237,11 @@ class TestRoundTripFactors:
                                   p_integral_transcribed_on(_p_rule(order, band), *row))
 
     def test_tightened_doubles_both_rules(self, monkeypatch, single_crystal):
-        # near, far and top rules: 64, 32 and 16 nodes, doubled by tightened
-        assert [_p_rule(_P_ORDER, band)[0].size for band in range(3)] == [64, 32, 16]
+        # near, far, top and tail rules: 64, 32, 16 and 8 nodes, doubled by
+        # tightened
+        assert [_p_rule(_P_ORDER, band)[0].size for band in range(4)] == [64, 32, 16, 8]
         assert [_p_rule(2 * _P_ORDER, band)[0].size
-                for band in range(3)] == [128, 64, 32]
+                for band in range(4)] == [128, 64, 32, 16]
         # force_scan's switch takes the doubled order at both temperatures
         orders = []
         monkeypatch.setattr(lifshitz, "_p_integral", lambda eps, y, order:
@@ -268,29 +272,33 @@ class TestRoundTripFactors:
     def test_far_rule_matches_the_order_32_near_rule(self):
         # from _Y_FAR on one panel of 32 nodes, and from _Y_TOP one of 16,
         # is as good as four panels of 32 nodes: the TE feature and the
-        # ln(1 - u^2) endpoint have left v = 1
+        # ln(1 - u^2) endpoint have left v = 1; from _Y_TAIL on, 8 nodes
+        # are good to the tail rule's bound
         y, chi = np.meshgrid(np.geomspace(_Y_FAR, 300.0, 150),
                              np.geomspace(1e-6, 1e18, 100))
         y, eps = y.ravel(), 1.0 + chi.ravel()
-        np.testing.assert_allclose(
-            _p_integral(eps, y, 16),
-            p_integral_transcribed_on(_p_rule(32, 0), eps, y),
-            rtol=1e-14, atol=0)
+        for rows, rtol in ((y < _Y_TAIL, 1e-14), (y >= _Y_TAIL, TAIL_RTOL)):
+            np.testing.assert_allclose(
+                _p_integral(eps[rows], y[rows], 16),
+                p_integral_transcribed_on(_p_rule(32, 0), eps[rows], y[rows]),
+                rtol=rtol, atol=0)
 
     def test_top_rule_matches_the_far_rule(self):
         # from _Y_TOP on, 16 nodes agree with the 32-node far rule (checked
-        # against mpmath) at 200 seeded rows
+        # against mpmath) at 200 seeded rows, and from _Y_TAIL on 8 nodes
+        # to the tail rule's bound
         rng = np.random.default_rng(23)
         y = rng.uniform(_Y_TOP, 30.0, 200)
         eps = 1.0 + 10.0 ** rng.uniform(-6.0, 18.0, 200)
-        np.testing.assert_allclose(
-            _p_integral(eps, y, 16),
-            p_integral_transcribed_on(_p_rule(16, 1), eps, y),
-            rtol=5e-15, atol=0)
+        for rows, rtol in ((y < _Y_TAIL, 5e-15), (y >= _Y_TAIL, TAIL_RTOL)):
+            np.testing.assert_allclose(
+                _p_integral(eps[rows], y[rows], 16),
+                p_integral_transcribed_on(_p_rule(16, 1), eps[rows], y[rows]),
+                rtol=rtol, atol=0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 3 * ROWS), min_size=1, max_size=8),
-           st.sampled_from([8, 16]))
+           st.sampled_from([16, 32]))
     def test_any_split_keeps_the_bits_of_one_call(self, pieces, order):
         n = sum(pieces)
         y = np.geomspace(1e-4, 300.0, n)

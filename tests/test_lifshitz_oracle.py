@@ -11,13 +11,13 @@ import pytest
 from scipy.constants import Boltzmann, c, hbar
 from scipy.special import zeta as riemann_zeta
 
-from aucasimir import DrudeParameters, force_scan
+from aucasimir import DrudeParameters, force_scan, ideal_force, lifshitz
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.lifshitz import (_P_ORDER, _PER_DECADE, _Y_FAR, _Y_MAX, _Y_TOP,
-                                _p_integral)
+from aucasimir.lifshitz import (_P_ORDER, _PER_DECADE, _Y_FAR, _Y_MAX, _Y_TAIL,
+                                _Y_TOP, _matsubara_rule, _p_integral, _zero_T_rule)
 
 import lifshitz_oracle
-from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS
+from conftest import ROW1, SINGLE_CRYSTAL, SPHERE_RADIUS, TAIL_RTOL
 
 A60 = 60e-9
 
@@ -86,16 +86,19 @@ def test_near_p_rule_matches_mpmath(y, eps):
 
 
 @pytest.mark.parametrize("eps", [1 + 1e-6, 1.5, 1e3, 1e8])
-@pytest.mark.parametrize("y", [_Y_FAR, np.nextafter(_Y_TOP, 0.0), _Y_TOP, _Y_MAX,
+@pytest.mark.parametrize("y", [_Y_FAR, np.nextafter(_Y_TOP, 0.0), _Y_TOP,
+                               np.nextafter(_Y_TAIL, 0.0), _Y_TAIL, _Y_MAX,
                                20.0, _Y_MAX * 10 ** 0.25,
                                _Y_MAX * 10 ** (1 / _PER_DECADE)])
 def test_far_p_rule_matches_mpmath(y, eps):
     # rows from y = zeta a / c = _Y_FAR on take the one-panel far rule, from
-    # _Y_TOP on the top rule; the Matsubara sum stops at _Y_MAX, the zero-T
-    # integral's nodes stay below its last edge, a panel above that (0.8
-    # decades, y = 94.6; 10^0.25 is a y inside that panel)
+    # _Y_TOP on the top rule and from _Y_TAIL on the tail rule, held to
+    # TAIL_RTOL; the Matsubara sum stops at _Y_MAX, the zero-T integral's
+    # nodes stay below its last edge, a panel above that (0.8 decades,
+    # y = 94.6; 10^0.25 is a y inside that panel)
     value = _p_integral(np.array([eps]), np.array([y]), _P_ORDER)[0]
-    assert value == pytest.approx(p_integral_mpmath(eps, y), rel=1e-14, abs=0)
+    assert value == pytest.approx(p_integral_mpmath(eps, y),
+                                  rel=1e-14 if y < _Y_TAIL else TAIL_RTOL, abs=0)
 
 
 def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
@@ -108,6 +111,8 @@ def test_library_decomposition_matches_oracle(finite_forces, zero_forces):
 
 
 ORACLE_ROWS = {"single": SINGLE_CRYSTAL, "row1": ROW1, "slow_tau": (1.37e16, 1e13)}
+#: 20 nm-2 um, the separations of the tail rule's force bound
+TAIL_BOUND_SEPARATIONS = np.geomspace(20e-9, 2e-6, 401)
 #: every row, temperature and separation, but 10 K at 20 nm (1.3 s of
 #: oracle each) for the slow_tau row only, which has the worst gaps
 ORACLE_CASES = [pytest.param(row, temperature, a_nm,
@@ -151,6 +156,46 @@ def test_zero_T_beyond_200_nm_matches_oracle():
                                         lifshitz_oracle.drude_chi(*row)).zero_T
         assert coarse.total == pytest.approx(oracle, rel=bound, abs=0)
         assert fine.total == pytest.approx(oracle, rel=3e-11, abs=0)
+
+
+def perfect_conductor_p_integral(y):
+    """-2 int_1^inf dp p ln(1 - exp(-2 p y)), the p-integral at eps -> inf,
+    as its series sum_k (2 / k) e^(-k Y) (1 / (k Y) + 1 / (k Y)^2), Y = 2 y,
+    to k = 4: good to e^(-4 Y) relative, below 1e-27 at y >= 8."""
+    k = np.arange(1, 5)[:, None]
+    kY = 2.0 * k * y
+    return (2.0 / k * np.exp(-kY) * (1.0 / kY + 1.0 / kY**2)).sum(axis=0)
+
+
+@pytest.mark.filterwarnings("ignore:sphere_radius / separation < 100")
+@pytest.mark.parametrize("temperature", [0.0, 10.0, 77.0, 300.0])
+def test_tail_rule_moves_no_force(temperature, monkeypatch):
+    # each row at y >= _Y_TAIL is within TAIL_RTOL of its p-integral
+    # (test_far_p_rule_matches_mpmath) and at most the perfect-conductor
+    # one, so the tail rule moves a force by at most TAIL_RTOL times the
+    # perfect-conductor terms of those rows: at 20 nm-2 um they sum to at
+    # most 2.9e-6 of ideal_force (300 K, 1.95 um), against 1.2e-4 were
+    # _Y_TAIL 6
+    zeta, weights, counts, prefactor = (
+        _matsubara_rule(temperature, SPHERE_RADIUS, TAIL_BOUND_SEPARATIONS)
+        if temperature > 0 else _zero_T_rule(SPHERE_RADIUS, TAIL_BOUND_SEPARATIONS, False))
+    for a, n in zip(TAIL_BOUND_SEPARATIONS, counts):
+        y = zeta[:n] * a / c
+        tail = y >= _Y_TAIL
+        terms = (prefactor * weights[:n][tail] * zeta[:n][tail] ** 2
+                 * perfect_conductor_p_integral(y[tail]))
+        assert TAIL_RTOL * terms.sum() <= 1e-15 * ideal_force(SPHERE_RADIUS, a)
+    # and every force is that of the top rule on every row from _Y_TOP on
+    separations = TAIL_BOUND_SEPARATIONS[::10]
+    tabulated = load_run_config(package_data_dir() / "sample_config.ini").build_evaluator()
+    for eps in [DrudeParameters(*row).epsilon for row in ORACLE_ROWS.values()] + [
+            tabulated.epsilon]:
+        default = force_scan(SPHERE_RADIUS, separations, temperature, eps)
+        with monkeypatch.context() as patch:
+            patch.setattr(lifshitz, "_Y_EDGES", (_Y_FAR, _Y_TOP, math.inf))
+            top = force_scan(SPHERE_RADIUS, separations, temperature, eps)
+        for tail_rule, top_rule in zip(default, top):
+            assert tail_rule.total == pytest.approx(top_rule.total, rel=1e-15, abs=0)
 
 
 def test_tabulated_path_matches_independent_anchor():
