@@ -185,7 +185,8 @@ def test_tail_rule_moves_no_force(temperature, monkeypatch):
         terms = (prefactor * weights[:n][tail] * zeta[:n][tail] ** 2
                  * perfect_conductor_p_integral(y[tail]))
         assert TAIL_RTOL * terms.sum() <= 1e-15 * ideal_force(SPHERE_RADIUS, a)
-    # and every force is that of the top rule on every row from _Y_TOP on
+    # and every force is within 1e-15 of the one with the top rule on every
+    # row from _Y_TOP on
     separations = TAIL_BOUND_SEPARATIONS[::10]
     tabulated = load_run_config(package_data_dir() / "sample_config.ini").build_evaluator()
     for eps in [DrudeParameters(*row).epsilon for row in ORACLE_ROWS.values()] + [
