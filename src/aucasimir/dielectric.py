@@ -25,6 +25,15 @@ array of zeta, each element finite and positive, and returns an array of
 its shape; a scalar zeta is a 0-d array and gives a numpy float64 equal
 bit for bit to the matching array element.
 
+Each value is checked once.  A model's `decompose` checks its zeta on
+entry (`_positive_zeta`: finite and positive, else ValueError) and its
+Drude part on exit (`_checked_eps1`: positive and finite, else a
+DomainError naming zeta); `DielectricModel` also rejects a zeta past its
+closed-form tail, between the two.  The data parts are sums of positive
+terms, so the `EpsilonDecomposition` that carries the parts is a plain
+result.  `lifshitz.force_scan` checks whatever eps callable it is given,
+once per scan.
+
 The low-frequency Drude parameters dominate the result and are either given
 directly or fitted to the data (`fit_drude`).
 """
@@ -158,24 +167,18 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     return out[()]
 
 
-@validated
 class EpsilonDecomposition(NamedTuple):
     """eps(i zeta) split by spectral origin; total = 1 + sum of the parts.
 
     The parts have the shape of zeta: numpy float64 for a scalar zeta.  The
-    Drude part is positive; the data parts are 0 for a model without data.
+    Drude part is positive and finite (`_checked_eps1`); the data parts are
+    sums of positive terms, and 0 for a model without data.  A result, it
+    is not checked again on construction.
     """
 
     eps1: float | np.ndarray       # Drude: [0, omega0], or every frequency
     eps2_part: float | np.ndarray  # tabulated data, [omega0, omega1]
     eps3_part: float | np.ndarray  # tabulated data above omega1 plus the power-law tail
-
-    def _validate(self):
-        if not np.all(self.eps1 > 0):
-            raise DomainError("eps1 must be positive")
-        for name in ("eps2_part", "eps3_part"):
-            if not np.all(getattr(self, name) >= 0):
-                raise DomainError(f"{name} must be non-negative")
 
     @property
     def total(self):
@@ -232,6 +235,14 @@ class DielectricModel(NamedTuple):
     tail.  The tail below _TAIL_T_MIN is added in closed form
     (`_tail_series`), which holds for zeta up to sqrt(_TAIL_X2_MAX)
     omega_max / _TAIL_T_MIN; a larger zeta raises DomainError.
+
+    Accuracy: the rule's error is at rounding (its bound is 2.3e-18), so
+    the log-log interpolant of the table sets the accuracy of the
+    tabulated path.  Against the closed form of the Drude + two-Lorentz
+    model that generated the bundled table (30 samples per decade), eps(i
+    zeta) is low by at most 3.0e-4 and the force at 63 nm by 4.4e-5; at
+    10 and 100 samples per decade seeded spectra of that kind stay within
+    6.1e-3 and 6.4e-5 in eps (tests/test_generator_oracle.py).
     """
 
     drude: DrudeParameters
@@ -259,10 +270,13 @@ class DielectricModel(NamedTuple):
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) by spectral region.  A zeta so small that the Drude
         part overflows is a DomainError."""
-        z = _positive_zeta(zeta)
-        flat = z.ravel()
         w_max, q = self.dataset.omega_max, self.tail_exponent
-        with np.errstate(over="ignore"):     # inf is out of range below
+        # epsilon1_analytic checks zeta; a zeta past the tail's limit, where
+        # x2 or the Drude part may overflow, is out of range below
+        with np.errstate(over="ignore", invalid="ignore"):
+            eps1 = epsilon1_analytic(self.drude, self.omega0, zeta)
+            z = np.asarray(zeta, dtype=float)
+            flat = z.ravel()
             x2 = (flat * (_TAIL_T_MIN / w_max))**2
         if (x2 > _TAIL_X2_MAX).any():
             limit = math.sqrt(_TAIL_X2_MAX) * w_max / _TAIL_T_MIN
@@ -286,9 +300,9 @@ class DielectricModel(NamedTuple):
         #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
         rest = ((2.0 / math.pi) * self.dataset.eps2[-1] * _TAIL_T_MIN**q / q
                 * _tail_series(0.5 * q, x2))
-        eps1 = _checked_eps1(epsilon1_analytic(self.drude, self.omega0, flat), flat)
-        parts = (eps1, sums[0], sums[1] + (sums[2] + rest))
-        return EpsilonDecomposition(*(part.reshape(z.shape)[()] for part in parts))
+        parts = (sums[0], sums[1] + (sums[2] + rest))
+        return EpsilonDecomposition(_checked_eps1(eps1, z),
+                                    *(part.reshape(z.shape)[()] for part in parts))
 
     def epsilon(self, zeta):
         """eps(i zeta)."""

@@ -18,7 +18,7 @@ from aucasimir import (ConstraintGeometry, DielectricModel, DrudeParameters,
                        alpha_lower_limit, fit_drude, force_scan, ideal_force,
                        load_dataset)
 from aucasimir import config
-from aucasimir.cli import _render, main
+from aucasimir.cli import _render, entry, main
 from aucasimir.config import RunConfig, _read_ini, load_run_config, package_data_dir
 from aucasimir.errors import ConfigError
 
@@ -873,11 +873,13 @@ class TestConfigHandling:
 
     def test_missing_dataset_fails_at_load(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text(TABULATED_INI.replace("gold_synthetic.csv", "gone.csv"))
-        code, _, err = run(capsys, ["epsilon", "--config", str(path),
-                                    "--zeta", "1e15"])
-        assert code == 2
-        assert "gone.csv" in err
+        # a relative name is searched for; an absolute path is taken as it is
+        for dataset in ("gone.csv", str(tmp_path / "gone.csv")):
+            path.write_text(TABULATED_INI.replace("gold_synthetic.csv", dataset))
+            code, _, err = run(capsys, ["epsilon", "--config", str(path),
+                                        "--zeta", "1e15"])
+            assert code == 2
+            assert dataset in err
 
     def test_drude_model_leaves_its_dataset_unread(self, tmp_path,
                                                    monkeypatch):
@@ -1143,6 +1145,14 @@ def test_input_error_names_key_or_flag(tmp_path, capsys, ini, argv, fragment):
     assert "PosixPath" not in err
 
 
+def test_missing_config_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "absent.ini"
+    code, out, err = run(capsys, ["force", "--a", "63", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"aucasimir: error: config file not found: {path}\n"
+
+
 class TestZeroTemperature:
     """A finite-T command needs T > 0; with [thermal] temperature = 0 the
     finite-T commands fail before the dielectric model is built."""
@@ -1380,3 +1390,17 @@ gc.enable()
         assert inside == "[]", line
         assert garbage == "0", line
     assert len(out.splitlines()) == 10
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["epsilon", "--zeta", "1e15"], 0),
+    (["epsilon", "--zeta", "-1"], 2),
+], ids=["ok", "input-error"])
+def test_console_script_exits_with_the_status_of_main(drude_config, monkeypatch,
+                                                      capsys, argv, status):
+    # `entry` is the `aucasimir` console script: sys.argv in, main's code out
+    monkeypatch.setattr(sys, "argv", ["aucasimir", *argv, "--config", drude_config])
+    with pytest.raises(SystemExit) as exit_:
+        entry()
+    assert exit_.value.code == status
+    assert (capsys.readouterr().err == "") == (status == 0)

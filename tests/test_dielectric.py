@@ -4,7 +4,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c, epsilon_0
 from scipy.optimize import least_squares
 from scipy.special import hyp2f1
@@ -104,6 +104,11 @@ class TestEpsilon1Analytic:
     def test_invalid_zeta(self, row1):
         with pytest.raises(ValueError):
             epsilon1_analytic(row1, OMEGA0_DEFAULT, -1.0)
+        # omega0 is checked after zeta
+        with pytest.raises(ValueError, match="zeta must be positive"):
+            epsilon1_analytic(row1, -1.0, -1.0)
+        with pytest.raises(ValueError, match="omega0 must be non-negative"):
+            epsilon1_analytic(row1, -1.0, 1e15)
 
 
 class TestFitDrude:
@@ -127,6 +132,20 @@ class TestFitDrude:
     def test_range_outside_coverage(self, pure_drude_dataset):
         with pytest.raises(ValueError, match="coverage"):
             fit_drude(pure_drude_dataset, (1e12, 1e13))
+
+    @pytest.mark.parametrize("fit_range, omega_p_fixed, message", [
+        ((2e15, 2e14), None, "0 < lo < hi"),
+        ((2e14, 2e14), None, "0 < lo < hi"),
+        ((-2e14, 2e15), None, "0 < lo < hi"),
+        ((2e14, 2e15), 0.0, "omega_p_fixed"),
+        ((2e14, 2e15), -1.38e16, "omega_p_fixed"),
+        ((2e14, 2e15), math.inf, "omega_p_fixed"),
+        ((2e14, 2e15), math.nan, "omega_p_fixed"),
+    ])
+    def test_bad_range_or_fixed_omega_p(self, pure_drude_dataset, fit_range,
+                                        omega_p_fixed, message):
+        with pytest.raises(ValueError, match=message):
+            fit_drude(pure_drude_dataset, fit_range, omega_p_fixed)
 
     def test_knee_below_the_grid_has_no_minimum(self):
         # omega_tau far below the range leaves only omega_p^2 omega_tau
@@ -534,11 +553,42 @@ class TestModelContract:
             with pytest.raises(DomainError, match=re.escape("zeta=1e+200 rad/s")):
                 evaluate(np.array([1e15, 1e200]))
 
-    @pytest.mark.parametrize("parts", [(0.0, 1.0, 1.0), (1.0, -1e-300, 0.0),
-                                       (1.0, 0.0, np.nan)])
-    def test_parts_out_of_domain(self, parts):
-        with pytest.raises(DomainError):
-            EpsilonDecomposition(*parts)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(drude_rows, st.lists(st.floats(10.0, 19.0), min_size=1, max_size=16))
+    def test_parts_in_domain_property(self, bundled_model, row, exponents):
+        # what a decomposition promises, for a Drude row alone and over the
+        # bundled table: eps1 positive and finite, the data parts not negative
+        zetas = 10.0 ** np.array(exponents)
+        for model in (row, bundled_model._replace(drude=row)):
+            for dec in (model.decompose(zetas), model.decompose(zetas[0])):
+                assert type(dec) is EpsilonDecomposition
+                assert ((dec.eps1 > 0) & (dec.eps1 < math.inf)).all()
+                assert (dec.eps2_part >= 0).all() and (dec.eps3_part >= 0).all()
+
+    def test_decompose_checks_zeta_once(self, bundled_model, row2, monkeypatch):
+        calls, positive_zeta = [], dielectric._positive_zeta
+
+        def counted(zeta):
+            calls.append(zeta)
+            return positive_zeta(zeta)
+
+        monkeypatch.setattr(dielectric, "_positive_zeta", counted)
+        for model in (row2, bundled_model):
+            for zeta in (1e15, self.ZETAS):
+                calls.clear()
+                model.decompose(zeta)
+                assert len(calls) == 1, (type(model).__name__, np.shape(zeta))
+
+    @pytest.mark.parametrize("zetas, error, message", [
+        ([np.nan, 1e300, 5e-324], ValueError, "zeta must be positive"),
+        ([1e300, 5e-324], DomainError, "limit of the closed-form tail"),
+        ([5e-324, 1e15], DomainError, "zeta=4.941e-324 rad/s is out of range"),
+    ], ids=["bad-zeta", "tail", "drude-part"])
+    def test_error_precedence(self, bundled_model, zetas, error, message):
+        # a bad zeta first, then a zeta past the tail's limit, then a Drude
+        # part out of range; RuntimeWarnings are errors here
+        with pytest.raises(error, match=re.escape(message)):
+            bundled_model.decompose(np.array(zetas))
 
 
 class TestDrudeParameters:

@@ -41,6 +41,11 @@ COMMANDS = {
     "epsilon_sample": ["epsilon", "--config", SAMPLE, "--zeta-range", "1e13", "1e18", "41"],
     "epsilon_drude": ["epsilon", "--config", DRUDE, "--zeta-range", "1e13", "1e18", "41"],
     "yukawa_limit": ["yukawa-limit"],
+    "fit_drude_sample": [
+        "fit-drude", "--config", SAMPLE, "--range", "1.52e14", "6e14", "--output", "csv"],
+    "fit_drude_sample_fixed_omega_p": [
+        "fit-drude", "--config", SAMPLE, "--range", "3e14", "1.5e15",
+        "--fixed-omega-p", "1.38e16", "--output", "csv"],
 }
 
 

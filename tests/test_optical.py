@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +77,12 @@ class TestLoadDataset:
     def test_missing_unit_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="unit"):
             load_dataset(write(tmp_path, "1e15 2.0\n"))
+
+    def test_repeated_frequency_names_the_file(self, tmp_path):
+        path = write(tmp_path, "# unit=rad_s\n1e15 2.0\n2e15 1.0\n1e15 3.0\n")
+        message = f"{path}: repeated frequency omega=1000000000000000.0: samples must"
+        with pytest.raises(DataFormatError, match="^" + re.escape(message)):
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.csv"):

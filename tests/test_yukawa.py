@@ -174,6 +174,11 @@ class TestAllowedLambdaBoundary:
         expected = 2 * math.pi * hbar * c / (boundary.lambda_star * 1.602176634e-19)
         assert boundary.boson_mass_ev == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("ceiling", [0.0, -1e-21, math.nan])
+    def test_non_positive_ceiling_rejected(self, ceiling):
+        with pytest.raises(ValueError, match="alpha_ceiling must be positive"):
+            allowed_lambda_boundary(alpha_ceiling=ceiling)
+
     def test_no_sign_change(self):
         with pytest.raises(ConvergenceError, match="sign change"):
             allowed_lambda_boundary(alpha_ceiling=1.0)
