@@ -27,9 +27,8 @@ on, where a term is below e^-16 of the first ones, one of 8 nodes (64, 32,
 16 and 8 nodes at the default order).  The tail rule is good to 9.3e-11
 relative per row; a force moves by at most 2.7e-16 of `ideal_force` with
 it, at 20 nm-2 um and 0-300 K.  The kernel's work arrays are node-major,
-(nodes, rows), and it sums each row's nodes on their own, in numpy's
-pairwise order, so a p-integral is the same floats whatever others share
-its call.
+(nodes, rows), and each row's nodes are summed as one contiguous row, so a
+p-integral is the same floats whatever others share its call.
 
 One scan, `force_scan`, is the one force function and serves both
 temperatures: at T = 0 the n=0 term is zero and the sum is the frequency
@@ -220,8 +219,7 @@ def _p_rule(order: int, band: int
 
 def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
-    for 1-D arrays of eps(i zeta) and y = zeta a / c, at an order that is a
-    multiple of 16.
+    for 1-D arrays of eps(i zeta) and y = zeta a / c.
 
     Substituting u = exp(-(p-1) y) = v^4 maps the infinite range onto
     (0, 1] and makes the integrand vanish like v^7 ln v at v -> 0;
@@ -241,16 +239,9 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     in aligned work arrays allocated once per call (a fresh temporary per
     operation and chunk makes the allocator trim and regrow the heap,
     10-30 % of a Drude scan).  A chunk's arrays are node-major, (nodes,
-    rows), so every operation's inner loop runs over the chunk's rows.
-
-    Each row's nodes are summed in numpy's pairwise order for 8 to 128
-    contiguous elements, that of np.sum over a row: eight strided partial
-    sums r[j] = sum_k a[8 k + j], the blocks added in order, then
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).  The partial sums
-    reduce the chunk viewed as (nodes / 8, 8 rows), whose reduced axis is
-    never the inner one, so a lone row is summed as in a batch; one
-    np.add.reduce over the node axis would sum a lone row's column
-    pairwise.  So a row's floats do not depend on the other rows.
+    rows), so every operation's inner loop runs over the chunk's rows.  The
+    node sum reduces the chunk copied to (rows, nodes), each row as np.sum
+    sums it, so a row's floats do not depend on the other rows.
     """
     out = np.empty(y.shape)
     band = np.digitize(y, _Y_EDGES)
@@ -283,13 +274,10 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
                         out=tmp)
             np.multiply(pb, np.log1p(tmp, out=tmp), out=tmp)
             np.multiply(tmp, weights, out=tmp)
-            # the node sum: partial sums r[j] into pb, their tree into spare
-            # rows (no operand overlaps another, so numpy copies nothing)
-            r = np.add.reduce(tmp.reshape(-1, 8 * chunk.size), axis=0,
-                              out=pb.reshape(-1)[:8 * chunk.size]).reshape(8, -1)
-            r = np.add(r[0::2], r[1::2], out=te[:4])
-            r = np.add(r[0::2], r[1::2], out=tm[:2])
-            out[chunk] = np.add(r[0], r[1], out=sb[0])
+            # the node sum, over each row's nodes copied contiguous into pb
+            by_row = pb.reshape(chunk.size, nodes)
+            np.copyto(by_row, tmp.T)
+            out[chunk] = np.add.reduce(by_row, axis=1)
     return np.divide(out, -y, out=out)
 
 
