@@ -151,14 +151,19 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
 
     with T(x) = atan(x)/x and T(0) = 1.  Every term is positive, so the
     one formula holds to rounding for every zeta, omega_tau included.  A
-    zeta so small that the quotient overflows gives inf, with no warning.
+    zeta so small that the quotient overflows gives inf, and one from
+    2^512 on, where zeta (zeta + omega_tau) overflows, gives 0 (the value
+    is below 1e-276 there), both with no warning.
     """
     z = _positive_zeta(zeta)
     if omega0 < 0:
         raise ValueError("omega0 must be non-negative")
     wt = p.omega_tau
-    denom = wt * z + omega0 * omega0
-    x = omega0 * (z - wt) / denom
+    # the bracket is taken at zeta = 2^512 from there on, where it stays
+    # finite and the quotient is 0
+    zb = np.minimum(z, 2.0**512)
+    denom = wt * zb + omega0 * omega0
+    x = omega0 * (zb - wt) / denom
     atan_ratio = np.divide(np.arctan(x), x, out=np.ones_like(x), where=x != 0)
     with np.errstate(over="ignore", divide="ignore"):
         out = ((2.0 / math.pi) * p.omega_p**2
@@ -272,11 +277,11 @@ class DielectricModel(NamedTuple):
         part overflows is a DomainError."""
         w_max, q = self.dataset.omega_max, self.tail_exponent
         # epsilon1_analytic checks zeta; a zeta past the tail's limit, where
-        # x2 or the Drude part may overflow, is out of range below
-        with np.errstate(over="ignore", invalid="ignore"):
-            eps1 = epsilon1_analytic(self.drude, self.omega0, zeta)
-            z = np.asarray(zeta, dtype=float)
-            flat = z.ravel()
+        # x2 may overflow, is out of range below
+        eps1 = epsilon1_analytic(self.drude, self.omega0, zeta)
+        z = np.asarray(zeta, dtype=float)
+        flat = z.ravel()
+        with np.errstate(over="ignore"):
             x2 = (flat * (_TAIL_T_MIN / w_max))**2
         if (x2 > _TAIL_X2_MAX).any():
             limit = math.sqrt(_TAIL_X2_MAX) * w_max / _TAIL_T_MIN

@@ -117,6 +117,12 @@ _P_ORDER = 16
 _ZETA_ORDER = 8
 _ZETA_MIN = 1e11
 _PER_DECADE = 1.25
+#: the zero-T rule's reach: its first panel [0, zeta_min] stops resolving
+#: the integrand as zeta_min a / c grows, so a separation with
+#: zeta_min a / c above this raises, 4.80 um at `_ZETA_MIN` (48.0 um
+#: tightened).  Up to there the default rule is within 6.5e-7 of the
+#: tightened one for Drude and tabulated gold; at 1 m it is 100 % off
+_Y_REACH = 1.6e-3
 #: a Matsubara sum that would need more terms raises before eps is called
 _N_MAX = 10**6
 #: eps(i zeta) enters the kernel capped at this value, and the cap is exact:
@@ -352,7 +358,8 @@ def _matsubara_rule(temperature: float, radius: float, a: np.ndarray):
 def _zero_T_rule(radius: float, a: np.ndarray, tightened: bool):
     """(zeta, weights, counts, prefactor) of the frequency integral at T = 0:
     separation a[i] sums its first counts[i] nodes with prefactor
-    hbar R / (2 pi c^2) [pN].
+    hbar R / (2 pi c^2) [pN].  A separation with zeta_min a / c above
+    `_Y_REACH` raises DomainError naming it.
 
     A first panel [0, zeta_min], zeta_min = `_ZETA_MIN`, of `_ZETA_ORDER`
     Gauss-Legendre nodes in zeta, where the integrand levels off up to
@@ -360,9 +367,9 @@ def _zero_T_rule(radius: float, a: np.ndarray, tightened: bool):
     and the transverse-magnetic part tends to its static value); then
     panels in s = ln zeta, with weight zeta, between the edges zeta_min
     10^(k / `_PER_DECADE`), k = 0, 1, ..., up to the first edge at or above
-    max(_Y_MAX c / a[i], 10 zeta_min) for separation a[i].  Their order is
-    the one `log_sizing` gives a panel 1 / _PER_DECADE decades wide (16),
-    so each meets the dispersion rule's error bound (its own is 8e-19).  The
+    _Y_MAX c / a[i] for separation a[i].  Their order is the one
+    `log_sizing` gives a panel 1 / _PER_DECADE decades wide (16), so each
+    meets the dispersion rule's error bound (its own is 8e-19).  The
     tightened rule doubles both orders and the panels per decade and
     divides zeta_min by 10.  The rule never evaluates zeta = 0.  The edges
     do not depend on a, so each separation's rule is a prefix of the
@@ -372,7 +379,12 @@ def _zero_T_rule(radius: float, a: np.ndarray, tightened: bool):
     scale = 2 if tightened else 1
     per_decade, first = scale * _PER_DECADE, scale * _ZETA_ORDER
     order = scale * int(log_sizing([math.log(10.0) / _PER_DECADE])[0][0])
-    tops = np.maximum(_Y_MAX * c / a, 10.0 * zeta_min)
+    far = zeta_min * a / c > _Y_REACH
+    if far.any():
+        raise DomainError(
+            f"zero-T force at a = {a[np.argmax(far)] * 1e9:.6g} nm is beyond its "
+            f"frequency rule's reach, {_Y_REACH * c / zeta_min * 1e9:.6g} nm")
+    tops = _Y_MAX * c / a
     # one edge to spare: the last edge lies a panel above the highest top
     n_edges = math.ceil(per_decade * math.log10(tops.max() / zeta_min)) + 2
     edges = zeta_min * 10.0 ** (np.arange(n_edges) / per_decade)
@@ -408,7 +420,9 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     selects strictly more demanding rules, for convergence checks: every
     node order and the zero-T panels per decade doubled and `_ZETA_MIN`
     divided by 10; the Matsubara terms (`_Y_MAX`) and their cap (`_N_MAX`)
-    stay.
+    stay.  At T = 0 a separation beyond the zero-T rule's reach,
+    `_ZETA_MIN` a / c above `_Y_REACH` = 1.6e-3 (4.80 um, or 48.0 um
+    tightened), raises DomainError before eps is called.
 
     The frequency rule, `_matsubara_rule` at T > 0 and `_zero_T_rule` at
     T = 0 (16 nodes a panel in ln zeta, sized to the dispersion rule's
@@ -427,6 +441,9 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     T = 0 gaps at 500 nm, 1 um and 2 um are 9.4e-10, 9.7e-9 and 7.9e-8
     (omega_tau = 1e13), 1.6e-10, 1.9e-9 and 2.1e-8 (3.7e13) and 4.0e-11,
     5.2e-10 and 6.2e-9 (1e14 rad/s); the tightened rule is within 3e-11.
+    At the reach, 4.80 um, the default rule is 2.0e-7 from the tightened
+    one for (1.38e16, 5.38e13) and the bundled table, 6.5e-7 for
+    (1.37e16, 1e13).
     Each p-integral (`_p_integral`), over eps - 1 in [1e-6, 1e18], is good
     to about 1e-15 relative for y = zeta a / c in [0.01, `_Y_FAR`) on the
     near rule's 64 nodes, and to 3e-15 from `_Y_FAR` to `_Y_TAIL`, on one

@@ -1,17 +1,20 @@
-"""The two census scripts run in-process.
+"""The two census scripts and the kernel timing script run in-process.
 
-tests/source_lines.py and tests/node_census.py import private names of
-the package (`_rule`, `_p_rule`, `_zero_T_rule`, `_matsubara_rule`,
-`_P_ORDER`, and `_Y_EDGES`, which holds `_Y_FAR`, `_Y_TOP` and
-`_Y_TAIL`), so a refactor that renames one breaks them; these tests make
-that a failure of the suite.
+tests/source_lines.py, tests/node_census.py and tests/kernel_timing.py
+import private names of the package (`_rule`, `_p_rule`, `_zero_T_rule`,
+`_matsubara_rule`, `_p_integral`, `_P_ORDER`, and `_Y_EDGES`, which holds
+`_Y_FAR`, `_Y_TOP` and `_Y_TAIL`), so a refactor that renames one breaks
+them; these tests make that a failure of the suite.
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from aucasimir import lifshitz
 from aucasimir.cli import main
 
+import kernel_timing
 import node_census
 import source_lines
 
@@ -52,3 +55,16 @@ def test_node_census_counts_the_elements_the_kernel_processes(capsys, monkeypatc
     assert rows.tolist() == [sum(int(row[3]) for row in census if row[1] == name)
                              for name in node_census.BANDS]
     assert sum(elements) == sum(int(row[4]) for row in census)
+
+
+def test_kernel_timing_replays_each_workloads_kernel_rows_in_two_trees(capsys):
+    # one replay per tree, the checkout given twice as two trees
+    root = Path(__file__).resolve().parents[1]
+    kernel_timing.main(["--repeats", "1", str(root), str(root)])
+    table = {row[0]: row[1:] for row in
+             (line.split() for line in capsys.readouterr().out.splitlines())}
+    assert table["epsilon_table"][:2] == ["0", "0"]
+    for workload in ("tabulated_scan", "drude_scan", "residual_chain"):
+        rows, calls, *medians = table[workload]
+        assert int(rows) > 0 and int(calls) > 0, workload
+        assert len(medians) == 2 and all(float(m) > 0 for m in medians), workload

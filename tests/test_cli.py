@@ -451,11 +451,23 @@ class TestForce:
         path = tmp_path / "hot.ini"
         path.write_text(DRUDE_INI.replace("300.0", "1e300"))
         code, out, err = run(capsys, ["force", "--config", str(path), "--mode",
-                                      "both", "--a", "1e15"])
+                                      "finite_T", "--a", "1e15"])
         assert code == 1
         assert out == ""
         assert "compute error: eta = F / ideal force at a = 1e+15 nm overflows" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:sphere_radius / separation < 100")
+    @pytest.mark.parametrize("mode", ["zero_T", "both"])
+    @pytest.mark.parametrize("a_nm", ["1e9", "1e12"], ids=["1 m", "1 km"])
+    def test_zero_T_beyond_the_reach_is_compute_error(self, drude_config, capsys,
+                                                      mode, a_nm):
+        code, out, err = run(capsys, ["force", "--config", drude_config, "--mode",
+                                      mode, "--a", a_nm])
+        assert code == 1
+        assert out == ""
+        assert err == (f"aucasimir: compute error: zero-T force at a = {float(a_nm):.6g} "
+                       f"nm is beyond its frequency rule's reach, 4796.68 nm\n")
 
     @pytest.mark.parametrize("mode", ["finite_T", "zero_T"])
     def test_underflowing_ideal_force_is_compute_error(self, tmp_path, capsys, mode):
@@ -487,13 +499,13 @@ class TestForce:
         assert err.count("\n") == 1
 
     def test_both_mode_warns_once_about_curvature(self):
-        # a 2 mm separation is R/a < 100 at both temperatures; the warning
+        # a 2 um separation is R/a < 100 at both temperatures; the warning
         # names the CLI's line, so Python's default filter shows it once
         root = Path(__file__).resolve().parents[1]
         config = root / "perfbench" / "drude_config.ini"
         done = subprocess.run(
             [sys.executable, "-m", "aucasimir.cli", "force", "--config",
-             str(config), "--mode", "both", "--a", "2000000"],
+             str(config), "--mode", "both", "--a", "2000"],
             env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0

@@ -101,6 +101,21 @@ class TestEpsilon1Analytic:
         assert epsilon1_analytic(row1, OMEGA0_DEFAULT, zeta) == pytest.approx(
             reference, rel=1e-14)
 
+    def test_closed_form_to_the_float_limit(self, bundled_model, row2):
+        # 2,001 zeta up to 1e290 and three where omega_tau zeta and
+        # omega0 (zeta - omega_tau) would overflow, as an array and one by
+        # one, with no RuntimeWarning (an error here): the 50-digit value
+        # below 2^512, and from there on, where zeta (zeta + omega_tau)
+        # overflows, 0
+        zetas = np.concatenate((np.geomspace(1e-10, 1e290, 2001), [1e294, 1e300, 1.7e308]))
+        for args in ((bundled_model.drude, bundled_model.omega0), (row2, OMEGA0_DEFAULT)):
+            eps1 = epsilon1_analytic(*args, zetas)
+            assert np.array_equal(eps1, [epsilon1_analytic(*args, float(z)) for z in zetas])
+            low = zetas < 2.0**512
+            np.testing.assert_allclose(
+                eps1[low], [eps1_mpmath(*args, z, dps=30) for z in zetas[low]], rtol=1e-14)
+            assert eps1[~low].max() == 0.0 and eps1_mpmath(*args, 2.0**512) < 1e-276
+
     def test_invalid_zeta(self, row1):
         with pytest.raises(ValueError):
             epsilon1_analytic(row1, OMEGA0_DEFAULT, -1.0)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -13,11 +14,12 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, classical_term, force_scan, ideal_force,
                        matsubara_frequency)
 from aucasimir import lifshitz
+from aucasimir._quadrature import gauss_legendre
 from aucasimir.cli import main
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_A_RANGE, _CHUNK, _EPS_CAP, _P_ORDER, _PER_DECADE,
-                                _ROWS, _Y_EDGES, _Y_FAR, _Y_MAX, _Y_TAIL, _Y_TOP,
-                                _ZETA_MIN, _ZETA_ORDER, ZETA3,
+                                _ROWS, _Y_EDGES, _Y_FAR, _Y_MAX, _Y_REACH, _Y_TAIL,
+                                _Y_TOP, _ZETA_MIN, _ZETA_ORDER, ZETA3,
                                 _p_integral, _p_rule)
 
 from conftest import SPHERE_RADIUS, TAIL_RTOL, drude_rows
@@ -235,6 +237,23 @@ class TestRoundTripFactors:
             row = np.array([1.5]), np.array([y_])
             assert np.array_equal(_p_integral(*row, order),
                                   p_integral_transcribed_on(_p_rule(order, band), *row))
+
+    @pytest.mark.parametrize("nodes", [5, 8])
+    def test_any_node_count_keeps_the_bits_of_the_formula(self, monkeypatch, nodes):
+        # a rule of any node count, built as `_p_rule` builds one, for every
+        # band: shuffled rows that fill more than one chunk give the floats
+        # of the transcription and of lone calls
+        v, w = gauss_legendre((0.0, 1.0), nodes)
+        rule = 4.0 * np.log(v), v * v * v * v, 4.0 * w / v
+        monkeypatch.setattr(lifshitz, "_p_rule", lambda order, band: rule)
+        n = 2 * (_CHUNK // nodes) + 7
+        shuffle = np.random.default_rng(5).permutation(n)
+        y = np.geomspace(1e-3, 300.0, n)[shuffle]
+        eps = 1.0 + np.geomspace(1e6, 1e-3, n)
+        batch = _p_integral(eps, y, 16)
+        assert np.array_equal(batch, p_integral_transcribed_on(rule, eps, y))
+        assert np.array_equal(batch, [_p_integral(eps[i:i + 1], y[i:i + 1], 16)[0]
+                                      for i in range(n)])
 
     def test_tightened_doubles_both_rules(self, monkeypatch, single_crystal):
         # near, far, top and tail rules: 64, 32, 16 and 8 nodes, doubled by
@@ -621,18 +640,24 @@ class TestZeroTScan:
                                                               tightened):
         # a first panel [0, zeta_min] of `_ZETA_ORDER` nodes, then edges
         # zeta_min 10^(k / per_decade) with 16 nodes a panel in ln zeta; the
-        # rule stops at the first edge at or above max(_Y_MAX c / a,
-        # 10 zeta_min), which is the second bound at 1 cm.  The tightened
-        # rule doubles both orders and the panels per decade, and starts a
-        # decade lower.
+        # rule stops at the first edge at or above _Y_MAX c / a.  The
+        # tightened rule doubles both orders and the panels per decade, and
+        # starts a decade lower.  1 cm is beyond the reach of either rule.
         calls = []
-        (result,) = force_scan(1e3 * a_nm * 1e-9, [a_nm * 1e-9], 0.0,
-                               lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
-                               tightened=tightened)
+        scan = functools.partial(force_scan, 1e3 * a_nm * 1e-9, [a_nm * 1e-9], 0.0,
+                                 lambda zeta: calls.append(zeta) or 1.0 + 1e6 / zeta,
+                                 tightened=tightened)
+        if a_nm == 1e7:
+            with pytest.raises(DomainError, match="a = 1e[+]07 nm is beyond its "
+                                                  "frequency rule's reach"):
+                scan()
+            assert calls == []
+            return
+        (result,) = scan()
         factor = 2 if tightened else 1
         zeta_min = _ZETA_MIN / 10.0 if tightened else _ZETA_MIN
         per_decade, first, order = factor * _PER_DECADE, factor * _ZETA_ORDER, factor * 16
-        top = max(_Y_MAX * c / (a_nm * 1e-9), 10.0 * zeta_min)
+        top = _Y_MAX * c / (a_nm * 1e-9)
         k = 0
         while zeta_min * 10.0 ** (k / per_decade) < top:
             k += 1
@@ -651,6 +676,22 @@ class TestZeroTScan:
         middle = math.log(zeta_min) + (np.arange(k) + 0.5) * math.log(10.0) / per_decade
         np.testing.assert_allclose(s + s[:, ::-1], np.repeat(2.0 * middle[:, None],
                                                              order, axis=1), rtol=1e-14)
+
+    @pytest.mark.parametrize("tightened", [False, True],
+                             ids=["default", "tightened"])
+    def test_reach_ends_where_zeta_min_a_over_c_passes_its_bound(self, tightened,
+                                                                 single_crystal):
+        # _Y_REACH c / zeta_min is 4.80 um, or 48.0 um for the tightened rule
+        scale = 10.0 if tightened else 1.0
+        assert _Y_REACH * c / _ZETA_MIN == pytest.approx(4.7967e-6, rel=1e-4)
+        (inside,) = force_scan(1.0, [4.79e-6 * scale], 0.0, single_crystal.epsilon,
+                               tightened=tightened)
+        assert 0.0 < inside.total < ideal_force(1.0, 4.79e-6 * scale)
+        for a in (4.8e-6 * scale, 1.0, 1e3):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"zero-T force at a = {a * 1e9:.6g} nm is beyond its frequency "
+                    f"rule's reach, {_Y_REACH * c * scale / _ZETA_MIN * 1e9:.6g} nm")):
+                force_scan(1e3 * a, [60e-9, a], 0.0, no_eps, tightened=tightened)
 
 
 class TestTabulatedPath:
