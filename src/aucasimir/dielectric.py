@@ -10,7 +10,9 @@ three spectral regions of the dispersion relation
                     positive terms for every zeta,
   * [omega0, omega1] and [omega1, omega_max] : tabulated eps'' integrated
                     numerically with log-log interpolation,
-  * above omega_max : a power-law tail eps'' ~ omega^(-tail_exponent).
+  * above omega_max : a power-law tail eps'' ~ omega^(-tail_exponent),
+                    integrated on the same rule up to where what is left
+                    out is below the rounding of eps.
 
 The numerical regions use a fixed Gauss-Legendre rule in ln omega, sized
 segment by segment to one error bound (`_quadrature.log_sizing`), so
@@ -27,12 +29,11 @@ bit for bit to the matching array element.
 
 Each value is checked once.  A model's `decompose` checks its zeta on
 entry (`_positive_zeta`: finite and positive, else ValueError) and its
-Drude part on exit (`_checked_eps1`: positive and finite, else a
-DomainError naming zeta); `DielectricModel` also rejects a zeta past its
-closed-form tail, between the two.  The data parts are sums of positive
-terms, so the `EpsilonDecomposition` that carries the parts is a plain
-result.  `lifshitz.force_scan` checks whatever eps callable it is given,
-once per scan.
+Drude part next (`_checked_eps1`: positive and finite, else a DomainError
+naming zeta), before any data part is summed.  The data parts are sums of
+positive terms, so the `EpsilonDecomposition` that carries the parts is a
+plain result.  `lifshitz.force_scan` checks whatever eps callable it is
+given, once per scan.
 
 The low-frequency Drude parameters dominate the result and are either given
 directly or fitted to the data (`fit_drude`).
@@ -54,15 +55,6 @@ from .optical import OMEGA0_DEFAULT, OMEGA1_DEFAULT, OpticalDataset, interpolate
 #: ohm m -> micro-ohm cm
 _OHM_M_TO_UOHM_CM = 1e8
 
-#: the power-law tail is integrated on panels down to t = omega_max/omega =
-#: _TAIL_T_MIN and in closed form below it
-_TAIL_T_MIN = 1e-6
-#: the closed form is a power series in x^2 = (zeta _TAIL_T_MIN / omega_max)^2,
-#: summed for x^2 <= _TAIL_X2_MAX; above it eps(i zeta) is a DomainError
-_TAIL_X2_MAX = 0.5
-#: unit roundoff of a double: the series stops at a term below this share
-#: of its partial sum
-_UNIT_ROUNDOFF = 2.0**-53
 #: elements of the broadcast sum's work array, zeta rows times rule nodes
 #: (48 rows of the bundled data's 676 nodes); a larger array sums faster
 #: but raises a command's peak memory
@@ -156,8 +148,8 @@ def epsilon1_analytic(p: DrudeParameters, omega0: float, zeta):
     is below 1e-276 there), both with no warning.
     """
     z = _positive_zeta(zeta)
-    if omega0 < 0:
-        raise ValueError("omega0 must be non-negative")
+    if not 0 <= omega0 < math.inf:
+        raise ValueError(f"omega0 must be non-negative and finite, got {omega0}")
     wt = p.omega_tau
     # the bracket is taken at zeta = 2^512 from there on, where it stays
     # finite and the quotient is 0
@@ -190,31 +182,6 @@ class EpsilonDecomposition(NamedTuple):
         return 1.0 + self.eps1 + self.eps2_part + self.eps3_part
 
 
-def _tail_series(b: float, x2: np.ndarray) -> np.ndarray:
-    """2F1(1, b; 1 + b; -x2) = sum_k b / (b + k) (-x2)^k, elementwise for
-    0 <= x2 <= _TAIL_X2_MAX.
-
-    Each term comes from the previous one by the ratio of consecutive
-    hypergeometric terms, and an element's sum stops at the first term below
-    _UNIT_ROUNDOFF of its partial sum.  That is the power-series branch of
-    the Cephes hyp2f1 that scipy.special uses for -1/2 <= z < 0, so the
-    values agree with scipy's to the last bit there.
-    """
-    z = -x2
-    c = 1.0 + b
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    k = 0.0
-    while active.any():
-        term = np.where(active, term * ((1.0 + k) * (b + k) * z / ((c + k) * (k + 1.0))),
-                        term)
-        total = np.where(active, total + term, total)
-        active &= np.abs(term / total) > _UNIT_ROUNDOFF
-        k += 1.0
-    return total
-
-
 @validated
 class DielectricModel(NamedTuple):
     """Composite eps(i zeta): Drude segment plus transformed tabulated data.
@@ -223,9 +190,9 @@ class DielectricModel(NamedTuple):
     below omega0 the Drude extrapolation is integrated analytically, and
     above omega1 interband absorption dominates and the data are sample
     independent.  The dataset must cover [omega0, omega1]; above its last
-    sample eps'' is extended as a power law with the given exponent (must
-    exceed 1 so the dispersion integral converges; the true Drude tail
-    falls off as omega^-3).
+    sample eps'' is extended as a power law with the given exponent q
+    (finite, and above 1 so the dispersion integral converges; the true
+    Drude tail falls off as omega^-3).
 
     The dispersion integral of the data and the tail,
 
@@ -234,20 +201,24 @@ class DielectricModel(NamedTuple):
     is a fixed Gauss-Legendre rule in ln omega (`_rule`), built by each
     eps call: each segment of [max(omega0, omega_min), omega1] and
     [omega1, omega_max] between data samples, and the tail in t =
-    omega_max/omega over [_TAIL_T_MIN, 1], gets the order and equal panels
-    with the fewest nodes that meet one error bound (`log_sizing`): 5
-    nodes on each segment of the bundled data and 3 panels of 32 on the
-    tail.  The tail below _TAIL_T_MIN is added in closed form
-    (`_tail_series`), which holds for zeta up to sqrt(_TAIL_X2_MAX)
-    omega_max / _TAIL_T_MIN; a larger zeta raises DomainError.
+    omega_max/omega over [t_min, 1], gets the order and equal panels with
+    the fewest nodes that meet one error bound (`log_sizing`): 5 nodes on
+    each segment of the bundled data and 3 panels of 32 on the tail.
+    With t_min = 10^(-18/q), capped at 0.1, the tail left out below t_min,
+    (2/pi) eps''(omega_max) int_0^t_min t^(q-1) / (1 + (zeta t /
+    omega_max)^2) dt, is at most (2/pi) eps''(omega_max) 1e-18 / q, below
+    the rounding of eps >= 1, at every zeta.  So both models take every
+    zeta their Drude part takes: up to 2^512, where it rounds to 0.
 
-    Accuracy: the rule's error is at rounding (its bound is 2.3e-18), so
-    the log-log interpolant of the table sets the accuracy of the
-    tabulated path.  Against the closed form of the Drude + two-Lorentz
-    model that generated the bundled table (30 samples per decade), eps(i
-    zeta) is low by at most 3.0e-4 and the force at 63 nm by 4.4e-5; at
-    10 and 100 samples per decade seeded spectra of that kind stay within
-    6.1e-3 and 6.4e-5 in eps (tests/test_generator_oracle.py).
+    Accuracy: the rule's error is at rounding (its bound is 2.3e-18; on
+    the tail for q up to about 20, above which the power law is too steep
+    for its panels), so the log-log interpolant of the table sets the
+    accuracy of the tabulated path.  Against the closed form of the Drude
+    + two-Lorentz model that generated the bundled table (30 samples per
+    decade), eps(i zeta) is low by at most 3.0e-4 and the force at 63 nm
+    by 4.4e-5; at 10 and 100 samples per decade seeded spectra of that
+    kind stay within 6.1e-3 and 6.4e-5 in eps
+    (tests/test_generator_oracle.py).
     """
 
     drude: DrudeParameters
@@ -259,8 +230,9 @@ class DielectricModel(NamedTuple):
     def _validate(self):
         if not 0 < self.omega0 < self.omega1:
             raise ValueError(f"need 0 < omega0 < omega1, got ({self.omega0}, {self.omega1})")
-        if not self.tail_exponent > 1:
-            raise ValueError("tail_exponent must exceed 1 for integrability")
+        if not 1 < self.tail_exponent < math.inf:
+            raise ValueError("tail_exponent must be finite and exceed 1 for "
+                             "integrability")
         # the slack covers decimal round-trips of omega0 through data files
         if self.dataset.omega_min > self.omega0 * (1.0 + 1e-9):
             raise ValueError(
@@ -274,21 +246,12 @@ class DielectricModel(NamedTuple):
 
     def decompose(self, zeta) -> EpsilonDecomposition:
         """eps(i zeta) by spectral region.  A zeta so small that the Drude
-        part overflows is a DomainError."""
-        w_max, q = self.dataset.omega_max, self.tail_exponent
-        # epsilon1_analytic checks zeta; a zeta past the tail's limit, where
-        # x2 may overflow, is out of range below
-        eps1 = epsilon1_analytic(self.drude, self.omega0, zeta)
+        part overflows, or so large that it rounds to 0, is a DomainError."""
+        # epsilon1_analytic checks zeta, and the Drude part is checked before
+        # zeta^2 is taken, so zeta^2 does not overflow
         z = np.asarray(zeta, dtype=float)
+        eps1 = _checked_eps1(epsilon1_analytic(self.drude, self.omega0, z), z)
         flat = z.ravel()
-        with np.errstate(over="ignore"):
-            x2 = (flat * (_TAIL_T_MIN / w_max))**2
-        if (x2 > _TAIL_X2_MAX).any():
-            limit = math.sqrt(_TAIL_X2_MAX) * w_max / _TAIL_T_MIN
-            raise DomainError(
-                f"zeta={flat.max():.4g} rad/s is above {limit:.4g} rad/s, the "
-                f"limit of the closed-form tail ({math.sqrt(_TAIL_X2_MAX):.4g} "
-                f"omega_max / {_TAIL_T_MIN:g})")
         omega_sq, weights, columns = _rule(self)
         sums = np.empty((3, flat.size))
         step = max(1, _BLOCK // weights.size)
@@ -301,13 +264,8 @@ class DielectricModel(NamedTuple):
             rows = slice(start, start + step)
             for k, cols in enumerate(columns):
                 np.add.reduce(terms[:, cols], axis=1, out=sums[k, rows])
-        # int_0^T t^(q-1) / (1 + (zeta t / w_max)^2) dt
-        #   = (T^q / q) 2F1(1, q/2; 1 + q/2; -(zeta T / w_max)^2)
-        rest = ((2.0 / math.pi) * self.dataset.eps2[-1] * _TAIL_T_MIN**q / q
-                * _tail_series(0.5 * q, x2))
-        parts = (sums[0], sums[1] + (sums[2] + rest))
-        return EpsilonDecomposition(_checked_eps1(eps1, z),
-                                    *(part.reshape(z.shape)[()] for part in parts))
+        parts = (sums[0], sums[1] + sums[2])
+        return EpsilonDecomposition(eps1, *(part.reshape(z.shape)[()] for part in parts))
 
     def epsilon(self, zeta):
         """eps(i zeta)."""
@@ -331,9 +289,14 @@ def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
     # omega1 leave no data edge above it.  np.unique would drop a repeat
     # too, but it imports numpy.ma at its first call.
     lower = max(omega0, ds.omega_min)
+    # the tail ends at t = omega_max/omega = t_min, where what it leaves
+    # out, at most (2/pi) eps''(omega_max) t_min^q / q, is below eps's
+    # rounding; t_min is 1e-6 at q = 3, and the cap keeps the tail segment
+    # from shrinking to no width at a huge q
+    t_min = min(10.0 ** (-18.0 / model.tail_exponent), 0.1)
     ln_omega, weights = log_rule(np.log(np.hstack(
         (lower, data[(data > lower) & (data < omega1)], omega1,
-         data[data > omega1], w_max / _TAIL_T_MIN))))
+         data[data > omega1], w_max / t_min))))
     omega = np.exp(ln_omega)
     i1, i2 = np.searchsorted(omega, (omega1, w_max))
     eps2 = np.concatenate((interpolate_eps2(ds, omega[:i2]),

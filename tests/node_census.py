@@ -1,7 +1,9 @@
 """Node counts of the package's fixed rules, read from the rule functions:
 
   * the eps(i zeta) dispersion rule's nodes per spectral region, for the
-    bundled config and for Drude data at 2 points per decade;
+    bundled config, the bundled data at tail exponents 1.5 and 6 (the
+    tail's reach, t_min = 10^(-18/q), and with it its nodes, grows as q
+    falls) and Drude data at 2 points per decade;
   * the zero-T frequency rule's nodes per separation, default and
     tightened;
   * the p-integral kernel's rows and elements per p-rule band, near, far,
@@ -31,24 +33,29 @@ from conftest import ROW2, drude_dataset
 DRUDE_CONFIG = Path(__file__).parents[1] / "perfbench" / "drude_config.ini"
 #: the kernel census's scan, `force --mode both --a-range` on DRUDE_CONFIG
 KERNEL_SCAN_NM = (60, 200, 8)
+#: the dispersion census's other tail exponents of the bundled data (its
+#: config's is 3)
+TAIL_EXPONENTS = (1.5, 6.0)
 #: the p-rule bands, in the order of `_p_rule`'s band numbers
 BANDS = ("near", "far", "top", "tail")
 
 
 def dispersion_census() -> None:
     row2 = DrudeParameters(*ROW2)
+    bundled = load_run_config(package_data_dir() / "sample_config.ini").build_evaluator()
     models = {
-        "bundled sample_config.ini":
-            load_run_config(package_data_dir() / "sample_config.ini").build_evaluator(),
+        "bundled sample_config.ini": bundled,
+        **{f"bundled, tail_exponent {q:g}": bundled._replace(tail_exponent=q)
+           for q in TAIL_EXPONENTS},
         "Drude data, 2 per decade":
             DielectricModel(row2, drude_dataset(row2, (OMEGA0_DEFAULT, 1e18), 2)),
     }
     print("dispersion rule: nodes per region")
-    print(f"  {'model':<28}{'below omega1':>14}{'above omega1':>14}{'tail':>8}{'total':>8}")
+    print(f"  {'model':<30}{'below omega1':>14}{'above omega1':>14}{'tail':>8}{'total':>8}")
     for name, model in models.items():
         omega_sq, _, columns = _rule(model)
         sizes = [omega_sq[cols].size for cols in columns]
-        print(f"  {name:<28}{sizes[0]:>14}{sizes[1]:>14}{sizes[2]:>8}{sum(sizes):>8}")
+        print(f"  {name:<30}{sizes[0]:>14}{sizes[1]:>14}{sizes[2]:>8}{sum(sizes):>8}")
 
 
 def zero_T_census() -> None:

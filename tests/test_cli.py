@@ -50,6 +50,10 @@ omega1 = 3.2e15
 sphere_radius = 95.65e-6
 """
 
+#: the package's sample config (tabulated) and the perfbench Drude config
+BUNDLED_CONFIGS = [package_data_dir() / "sample_config.ini",
+                   Path(__file__).resolve().parents[1] / "perfbench" / "drude_config.ini"]
+
 
 @pytest.fixture
 def drude_config(tmp_path):
@@ -257,17 +261,21 @@ class TestEpsilon:
         assert code == 2
         assert "--config" in err
 
-    def test_zeta_above_tail_limit_is_compute_error(self, tabulated_config, capsys):
-        # the closed-form tail of the bundled data (omega_max = 1e18) holds
-        # up to sqrt(1/2) 1e24 rad/s
-        code, _, _ = run(capsys, ["epsilon", "--config", tabulated_config,
-                                  "--zeta", "7e23"])
+    @pytest.mark.parametrize("config", BUNDLED_CONFIGS, ids=["tabulated", "drude"])
+    def test_zeta_limit_is_the_drude_parts(self, capsys, config):
+        # no tail limit: 1e24 rad/s, a million times the data's top, computes;
+        # at 1e300 the Drude part rounds to 0, a compute error
+        code, out, _ = run(capsys, ["epsilon", "--config", str(config),
+                                    "--zeta", "1e24"])
         assert code == 0
-        code, out, err = run(capsys, ["epsilon", "--config", tabulated_config,
-                                      "--zeta", "1e24"])
+        ((zeta, *parts, total),) = parse_csv(out)[1]
+        assert zeta == 1e24 and min(parts) >= 0
+        assert total == pytest.approx(1.0 + sum(parts), rel=1e-9)
+        code, out, err = run(capsys, ["epsilon", "--config", str(config),
+                                      "--zeta", "1e300"])
         assert code == 1
         assert out == ""
-        assert "zeta=1e+24 rad/s" in err and "7.071e+23 rad/s" in err
+        assert err.count("\n") == 1 and "zeta=1e+300 rad/s is out of range" in err
 
     def test_zeta_with_zeta_range_is_usage_error(self, drude_config, capsys):
         # one zeta grid per command: argparse refuses the second
@@ -294,10 +302,7 @@ class TestEpsilon:
         assert "Warning" not in done.stderr
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("config", [
-        package_data_dir() / "sample_config.ini",
-        Path(__file__).resolve().parents[1] / "perfbench" / "drude_config.ini"],
-        ids=["tabulated", "drude"])
+    @pytest.mark.parametrize("config", BUNDLED_CONFIGS, ids=["tabulated", "drude"])
     @pytest.mark.parametrize("zeta", ["1e-300", "5e-324"])
     def test_tiny_zeta_is_compute_error(self, capsys, config, zeta):
         # omega_p^2 / (zeta (zeta + omega_tau)) overflows: eps1 would read inf
@@ -1278,8 +1283,8 @@ def run_python(code, *options, path=()):
 
 
 def test_cli_import_leaves_quadpack_out():
-    # the runtime needs numpy only: QUADPACK, hyp2f1, the root finders and
-    # the constants of scipy serve the tests as oracles
+    # the runtime needs numpy only: QUADPACK, the root finders and the
+    # constants of scipy serve the tests as oracles
     out = run_python("import sys, aucasimir.cli; "
                      "print(sorted(m for m in sys.modules "
                      "if m == 'scipy' or m.startswith('scipy.')))")

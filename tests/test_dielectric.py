@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c, epsilon_0
 from scipy.optimize import least_squares
-from scipy.special import hyp2f1
 
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, EpsilonDecomposition, epsilon1_analytic,
@@ -15,8 +14,7 @@ from aucasimir import (ConvergenceError, DielectricModel, DomainError,
 from aucasimir import dielectric
 from aucasimir._quadrature import gauss_legendre, log_rule, log_sizing
 from aucasimir.config import load_run_config, package_data_dir
-from aucasimir.dielectric import (_BLOCK, _TAIL_T_MIN, _TAIL_X2_MAX, _rule,
-                                  _tail_series)
+from aucasimir.dielectric import _BLOCK, _rule
 from aucasimir.optical import OMEGA0_DEFAULT, drude_eps2
 
 from conftest import drude_dataset, drude_rows
@@ -122,8 +120,9 @@ class TestEpsilon1Analytic:
         # omega0 is checked after zeta
         with pytest.raises(ValueError, match="zeta must be positive"):
             epsilon1_analytic(row1, -1.0, -1.0)
-        with pytest.raises(ValueError, match="omega0 must be non-negative"):
-            epsilon1_analytic(row1, -1.0, 1e15)
+        for omega0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega0 must be non-negative"):
+                epsilon1_analytic(row1, omega0, 1e15)
 
 
 class TestFitDrude:
@@ -267,44 +266,63 @@ class TestFitDrudeOracles:
 
 
 class TestTailSeries:
-    """The closed-form tail remainder 2F1(1, b; 1 + b; -x^2) against scipy."""
+    """The tail column of `_rule` against the series of its integral: with
+    x = zeta / omega_max,
 
-    @pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0, 4.0, 6.0])
-    def test_matches_hyp2f1_up_to_the_limit(self, q):
-        x2 = np.concatenate(([0.0], np.logspace(-30, math.log10(_TAIL_X2_MAX), 400),
-                             np.linspace(0.3, _TAIL_X2_MAX, 400),
-                             [np.nextafter(_TAIL_X2_MAX, 0.0)]))
-        ref = hyp2f1(1.0, 0.5 * q, 1.0 + 0.5 * q, -x2)
-        assert np.max(np.abs(_tail_series(0.5 * q, x2) / ref - 1.0)) <= 2.2e-16
+        (2/pi) eps''(omega_max) int_0^1 t^(q-1) / (1 + x^2 t^2) dt
+            = (2/pi) eps''(omega_max) 2F1(1, q/2; 1 + q/2; -x^2) / q.
 
-    # x^2 from 1e-12 to the limit, denser towards it, where the series is longest
-    closed_form_x2 = np.concatenate((np.geomspace(1e-12, _TAIL_X2_MAX, 300),
-                                     np.linspace(0.3, _TAIL_X2_MAX, 100)))
+    The rule stops at t_min = 10^(-18/q), capped at 0.1, so it leaves out at
+    most (2/pi) eps''(omega_max) 1e-18 / q, an absolute bound at every zeta.
+    Rounding adds a share of the value: each node ln omega is rounded by
+    half an ulp of ln omega_max, which moves its weighted integrand by up to
+    (q + 2) times that."""
 
-    def test_q2_is_log1p_over_x2(self):
-        # 2F1(1, 1; 2; -x^2) = ln(1 + x^2) / x^2; measured 6.8e-16
-        x2 = self.closed_form_x2
-        np.testing.assert_allclose(_tail_series(1.0, x2), np.log1p(x2) / x2,
-                                   rtol=1e-15, atol=0)
+    ZETAS = np.geomspace(1e10, 1e30, 81)
 
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_matches_mpmath_hyp2f1(self, q):
-        # measured 6.6e-16, 9.7e-16 and 7.3e-16.  The float closed form of
-        # q = 4, 2 (x^2 - ln(1 + x^2)) / x^4, cancels and is no reference
-        x2 = self.closed_form_x2
+    def assert_tail_matches(self, dataset, row, q, series):
+        model = DielectricModel(row, dataset, tail_exponent=q)
+        omega_sq, weights, columns = _rule(model)
+        tail = columns[2]
+        got = (weights[tail] / (omega_sq[tail] + self.ZETAS[:, None]**2)).sum(axis=1)
+        scale = (2.0 / math.pi) * dataset.eps2[-1] / q
+        ref = scale * series
+        tol = 1.01 * scale * 1e-18 + (q + 2) * np.spacing(math.log(dataset.omega_max)) * ref
+        assert (np.abs(got - ref) <= tol).all(), np.max(np.abs(got - ref) / tol)
+
+    def test_q2_is_log1p_over_x2(self, pure_drude_dataset, row2):
+        # 2F1(1, 1; 2; -x^2) = ln(1 + x^2) / x^2
+        x2 = (self.ZETAS / pure_drude_dataset.omega_max)**2
+        self.assert_tail_matches(pure_drude_dataset, row2, 2.0, np.log1p(x2) / x2)
+
+    # the power law is too steep for the tail's panels from q ~ 20 on (at q
+    # = 1e6 the column is 0)
+    @pytest.mark.parametrize("q", [1.05, 1.5, 2, 3, 4, 4.5, 6, 18])
+    def test_matches_mpmath_hyp2f1(self, pure_drude_dataset, row2, q):
+        # at small zeta the part left out is the bound itself: measured 0.99
+        # of the tolerance up to q = 4, 0.58 at q = 6 and 18
         with mp.workdps(40):
             b = mp.mpf(q) / 2
-            ref = np.array([float(mp.hyp2f1(1, b, 1 + b, -mp.mpf(float(v))))
-                            for v in x2])
-        np.testing.assert_allclose(_tail_series(0.5 * q, x2), ref, rtol=1e-15, atol=0)
+            series = np.array([float(mp.hyp2f1(1, b, 1 + b, -(mp.mpf(z) / mp.mpf(
+                pure_drude_dataset.omega_max))**2)) for z in self.ZETAS])
+        self.assert_tail_matches(pure_drude_dataset, row2, q, series)
 
-    def test_zeta_above_the_limit_is_a_domain_error(self, pure_drude_dataset, row2):
-        model = DielectricModel(row2, pure_drude_dataset)
-        limit = math.sqrt(_TAIL_X2_MAX) * pure_drude_dataset.omega_max / _TAIL_T_MIN
-        assert model.epsilon(0.9999 * limit) > 1.0
-        with pytest.raises(DomainError,
-                           match=re.escape(f"above {limit:.4g} rad/s")):
-            model.decompose(np.array([1e15, 1.001 * limit]))
+    def test_every_zeta_of_the_drude_part(self, pure_drude_dataset, row2):
+        # no tail limit: both models take zeta up to 2^512, where the Drude
+        # part rounds to 0
+        top = np.nextafter(2.0**512, 0.0)
+        for model in (row2, DielectricModel(row2, pure_drude_dataset)):
+            dec = model.decompose(np.array([1e24, top]))
+            assert (dec.eps1 > 0).all() and (dec.eps3_part >= 0).all()
+            with pytest.raises(DomainError,
+                               match=re.escape("zeta=1.341e+154 rad/s is out of range")):
+                model.decompose(2.0**512)
+
+    @pytest.mark.parametrize("q", [18.0, 1e6, 1e300])
+    def test_steep_tail_is_finite(self, bundled_model, q):
+        # t_min is 0.1 from q = 18 on, so the tail segment keeps its width
+        dec = bundled_model._replace(tail_exponent=q).decompose(self.ZETAS)
+        assert (dec.eps3_part >= 0).all() and np.isfinite(dec.total).all()
 
 
 class TestKKEpsilon:
@@ -355,8 +373,9 @@ class TestKKEpsilon:
                 base.epsilon(2.4e15), rel=1e-4)
 
     def test_model_validation(self, pure_drude_dataset, row2):
-        with pytest.raises(ValueError, match="tail_exponent"):
-            DielectricModel(row2, pure_drude_dataset, tail_exponent=0.9)
+        for q in (0.9, math.inf):
+            with pytest.raises(ValueError, match="tail_exponent"):
+                DielectricModel(row2, pure_drude_dataset, tail_exponent=q)
         short = drude_dataset(row2, (1e15, 1e18), points_per_decade=10)
         with pytest.raises(ValueError, match="omega0"):
             DielectricModel(row2, short)
@@ -596,12 +615,12 @@ class TestModelContract:
 
     @pytest.mark.parametrize("zetas, error, message", [
         ([np.nan, 1e300, 5e-324], ValueError, "zeta must be positive"),
-        ([1e300, 5e-324], DomainError, "limit of the closed-form tail"),
         ([5e-324, 1e15], DomainError, "zeta=4.941e-324 rad/s is out of range"),
-    ], ids=["bad-zeta", "tail", "drude-part"])
+        ([1e15, 1e300], DomainError, "zeta=1e+300 rad/s is out of range"),
+    ], ids=["bad-zeta", "drude-part", "drude-part-rounds-to-0"])
     def test_error_precedence(self, bundled_model, zetas, error, message):
-        # a bad zeta first, then a zeta past the tail's limit, then a Drude
-        # part out of range; RuntimeWarnings are errors here
+        # a bad zeta first, then a Drude part out of range, before any data
+        # part is summed; RuntimeWarnings are errors here
         with pytest.raises(error, match=re.escape(message)):
             bundled_model.decompose(np.array(zetas))
 
