@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c, epsilon_0
 from scipy.optimize import least_squares
+from scipy.special import hyp2f1
 
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, EpsilonDecomposition, epsilon1_analytic,
@@ -280,11 +281,11 @@ class TestTailSeries:
 
     ZETAS = np.geomspace(1e10, 1e30, 81)
 
-    def assert_tail_matches(self, dataset, row, q, series):
+    def assert_tail_matches(self, dataset, row, q, series, zetas=ZETAS):
         model = DielectricModel(row, dataset, tail_exponent=q)
         omega_sq, weights, columns = _rule(model)
         tail = columns[2]
-        got = (weights[tail] / (omega_sq[tail] + self.ZETAS[:, None]**2)).sum(axis=1)
+        got = (weights[tail] / (omega_sq[tail] + zetas[:, None]**2)).sum(axis=1)
         scale = (2.0 / math.pi) * dataset.eps2[-1] / q
         ref = scale * series
         tol = 1.01 * scale * 1e-18 + (q + 2) * np.spacing(math.log(dataset.omega_max)) * ref
@@ -294,6 +295,17 @@ class TestTailSeries:
         # 2F1(1, 1; 2; -x^2) = ln(1 + x^2) / x^2
         x2 = (self.ZETAS / pure_drude_dataset.omega_max)**2
         self.assert_tail_matches(pure_drude_dataset, row2, 2.0, np.log1p(x2) / x2)
+
+    @pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_matches_hyp2f1_up_to_the_limit(self, pure_drude_dataset, row2, q):
+        # scipy's hyp2f1, a second reference, up to zeta = 100 omega_max,
+        # where it reads 0.56 of the tolerance at q = 2; above, scipy loses
+        # digits at q = 2 (b = a): 1.1 times the tolerance at 1.8e20 rad/s,
+        # 56 at 5.6e22 and inf from 5.6e24
+        zetas = self.ZETAS[self.ZETAS <= 100 * pure_drude_dataset.omega_max]
+        x2 = (zetas / pure_drude_dataset.omega_max)**2
+        series = hyp2f1(1.0, 0.5 * q, 1.0 + 0.5 * q, -x2)
+        self.assert_tail_matches(pure_drude_dataset, row2, q, series, zetas)
 
     # the power law is too steep for the tail's panels from q ~ 20 on (at q
     # = 1e6 the column is 0)
