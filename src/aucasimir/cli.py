@@ -163,6 +163,17 @@ def _grid_bounds(flag, lo, hi, *n):
     return (lo, hi, *map(int, n))
 
 
+def _allocated(flag, typed, spacing, *bounds):
+    """spacing(*bounds), the grid that `flag` asks for: one too large to
+    allocate (numpy raises MemoryError, or ValueError past its maximum
+    size) is an input error naming the flag and the values `typed`."""
+    try:
+        return spacing(*bounds)
+    except (MemoryError, ValueError):
+        raise ConfigError(f"{flag} {_typed(*typed)}: the grid is too large to "
+                          f"allocate") from None
+
+
 def _grid(args, name, spacing):
     """The values of the grid `name`, as Python floats: its point `--NAME`,
     which must be finite and positive, or its range `--NAME-range LO HI N`,
@@ -172,7 +183,8 @@ def _grid(args, name, spacing):
     if point is not None:
         _require_positive(f"--{name}", point, "a finite positive value")
         return [point]
-    return spacing(*_grid_bounds(f"--{name}-range", *bounds)).tolist()
+    flag = f"--{name}-range"
+    return _allocated(flag, bounds, spacing, *_grid_bounds(flag, *bounds)).tolist()
 
 
 def cmd_epsilon(args) -> int:
@@ -252,10 +264,11 @@ def cmd_yukawa_limit(args) -> int:
         if length is not None:
             _require_positive(flag, length, "a finite positive length [nm]")
             geom = geom._replace(**{field: _metres(flag, [length])[0]})
-    lo, hi, n = _grid_bounds("--lambda-min/--lambda-max/--points",
-                             args.lambda_min, args.lambda_max, args.points)
+    flag = "--lambda-min/--lambda-max/--points"
+    typed = (args.lambda_min, args.lambda_max, args.points)
+    lo, hi, n = _grid_bounds(flag, *typed)
     lo, hi = _metres("--lambda-min/--lambda-max", [lo, hi])
-    grid = np.logspace(math.log10(lo), math.log10(hi), n)
+    grid = _allocated(flag, typed, np.logspace, math.log10(lo), math.log10(hi), n)
     rows = [(lam * 1e9, alpha_lower_limit(float(lam), geom, args.residual_bound))
             for lam in grid]
     summary = {}
@@ -363,6 +376,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConvergenceError, DomainError, ArithmeticError, RuntimeError) as exc:
         print(f"aucasimir: compute error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # numpy's own wording ("Unable to allocate ...") names an array, not
+        # what the command was asked for
+        print("aucasimir: compute error: out of memory", file=sys.stderr)
         return 1
     except (ConfigError, DataFormatError, OSError, ValueError) as exc:
         print(f"aucasimir: error: {exc}", file=sys.stderr)

@@ -56,9 +56,13 @@ from .optical import OMEGA0_DEFAULT, OMEGA1_DEFAULT, OpticalDataset, interpolate
 _OHM_M_TO_UOHM_CM = 1e8
 
 #: elements of the broadcast sum's work array, zeta rows times rule nodes
-#: (48 rows of the bundled data's 676 nodes); a larger array sums faster
-#: but raises a command's peak memory
-_BLOCK = 16 * 2048
+#: (22 rows of the bundled data's 676 nodes).  The aligned array is then at
+#: most 120 KiB and 56 bytes, under glibc's 128 KiB mmap threshold, so it
+#: comes from heap pages the process already holds: an array from that
+#: threshold on is freshly mapped at every call, and each of its pages
+#: faults on first touch.  Each zeta row is summed on its own, so the
+#: block size moves no bit
+_BLOCK = 15 * 1024
 
 #: the Drude fit brackets ln omega_tau on a grid of this step, reaching this
 #: many decades below and above the fit range

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from typing import Callable, NamedTuple, Sequence
 
@@ -93,8 +94,11 @@ _Y_TAIL = 8.0
 _Y_EDGES = (_Y_FAR, _Y_TOP, _Y_TAIL)
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
 #: arrays: 112 near rows, 224 far rows, 448 top rows or 896 tail rows at
-#: order `_P_ORDER`
+#: order `_P_ORDER`.  The kernel's five work rows take at most 280 KiB,
+#: kept per thread for the thread's life (`_work`)
 _CHUNK = 112 * 64
+#: each thread's five kernel work rows, kept across calls
+_KEPT = threading.local()
 #: kernel rows (frequencies times separations) per round of
 #: `_frequency_sums`, a bound on its memory only
 _ROWS = 8192
@@ -223,6 +227,20 @@ def _p_rule(order: int, band: int
     return ln_u, u, weights
 
 
+def _work(columns: int) -> tuple[np.ndarray, ...]:
+    """This thread's five aligned kernel work rows of at least `columns`
+    elements each: allocated at the thread's first `_p_integral` call and
+    reallocated only when a call needs more columns, so each row holds at
+    most `_CHUNK` elements, 56 KiB.  A row is under glibc's 128 KiB mmap
+    threshold, so it comes from heap pages the process already holds, not
+    from fresh pages that fault on first touch.  Rows shared by threads
+    would mix their chunks; each thread keeps its own for its life."""
+    work = getattr(_KEPT, "work", ())
+    if not work or work[0].size < columns:
+        work = _KEPT.work = tuple(aligned_empty(columns) for _ in range(5))
+    return work
+
+
 def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
     """-int_1^inf dp p ln[(1 - g_te)(1 - g_tm)]  (positive), elementwise
     for 1-D arrays of eps(i zeta) and y = zeta a / c.
@@ -242,27 +260,29 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     g_te = (d / (p + s)^2)^2, g_tm = (d ((eps + 1) p^2 - 1) / (eps p + s)^2)^2
     and ln(1 - g_te) + ln(1 - g_tm) = log1p(g_te g_tm - g_te - g_tm).  The
     rows of each rule go through in chunks of at most `_CHUNK` elements,
-    in aligned work arrays allocated once per call (a fresh temporary per
-    operation and chunk makes the allocator trim and regrow the heap,
-    10-30 % of a Drude scan).  A chunk's arrays are node-major, (nodes,
-    rows), so every operation's inner loop runs over the chunk's rows.  The
-    node sum reduces the chunk copied to (rows, nodes), each row as np.sum
-    sums it, so a row's floats do not depend on the other rows.
+    in this thread's five kept work rows (`_work`, at most 280 KiB): a
+    fresh temporary per operation and chunk makes the allocator trim and
+    regrow the heap (10-30 % of a Drude scan), and a fresh array per call
+    of 128 KiB or more maps fresh pages, which fault on first touch.  A
+    chunk's arrays are node-major, (nodes, rows), so every operation's
+    inner loop runs over the chunk's rows.  The node sum reduces the chunk
+    copied to (rows, nodes), each row as np.sum sums it, so a row's floats
+    do not depend on the other rows.
     """
     out = np.empty(y.shape)
     band = np.digitize(y, _Y_EDGES)
     groups = [(rows, _p_rule(order, b)) for b in range(len(_Y_EDGES) + 1)
               if (rows := np.flatnonzero(band == b)).size]
-    work = aligned_empty((5, max((min(_CHUNK, rows.size * rule[0].size)
-                                  for rows, rule in groups), default=0)))
+    work = _work(max((min(_CHUNK, rows.size * rule[0].size)
+                      for rows, rule in groups), default=0))
     for rows, rule in groups:
         ln_u, u, weights = (x[:, None] for x in rule)
         nodes = ln_u.shape[0]
         step = _CHUNK // nodes
         for i in range(0, rows.size, step):
             chunk = rows[i:i + step]
-            pb, sb, te, tm, tmp = work[:, :nodes * chunk.size].reshape(
-                5, nodes, chunk.size)
+            pb, sb, te, tm, tmp = (row[:nodes * chunk.size].reshape(nodes, chunk.size)
+                                   for row in work)
             yb, eps = y[chunk], eps_values[chunk]
             chi = eps - 1.0
             np.subtract(1.0, np.divide(ln_u, yb, out=pb), out=pb)

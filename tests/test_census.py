@@ -1,10 +1,12 @@
-"""The two census scripts and the kernel timing script run in-process.
+"""The census scripts and the kernel timing script run.
 
 tests/source_lines.py, tests/node_census.py and tests/kernel_timing.py
 import private names of the package (`_rule`, `_p_rule`, `_zero_T_rule`,
 `_matsubara_rule`, `_p_integral`, `_P_ORDER`, and `_Y_EDGES`, which holds
 `_Y_FAR`, `_Y_TOP` and `_Y_TAIL`), so a refactor that renames one breaks
-them; these tests make that a failure of the suite.
+them; these tests make that a failure of the suite.  tests/fault_census.py
+runs the benchmark's commands in children of its own, and its test runs
+one.
 """
 
 from pathlib import Path
@@ -14,6 +16,7 @@ import numpy as np
 from aucasimir import lifshitz
 from aucasimir.cli import main
 
+import fault_census
 import kernel_timing
 import node_census
 import source_lines
@@ -68,3 +71,13 @@ def test_kernel_timing_replays_each_workloads_kernel_rows_in_two_trees(capsys):
         rows, calls, *medians = table[workload]
         assert int(rows) > 0 and int(calls) > 0, workload
         assert len(medians) == 2 and all(float(m) > 0 for m in medians), workload
+
+
+def test_fault_census_counts_one_fresh_run_of_a_workload(capsys):
+    fault_census.main(["--workload", "epsilon_table", "--runs", "1"])
+    header, row, tree = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["workload", "tree"]
+    workload, index, faults, wall_ms, maxrss_mb = row.split()
+    assert (workload, index) == ("epsilon_table", "0")
+    assert int(faults) > 0 and float(wall_ms) > 0 and float(maxrss_mb) > 0
+    assert tree == f"tree 0: {fault_census.ROOT}"

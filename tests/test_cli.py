@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from aucasimir import (ConstraintGeometry, DielectricModel, DrudeParameters,
                        alpha_lower_limit, fit_drude, force_scan, ideal_force,
                        load_dataset)
-from aucasimir import config
+from aucasimir import cli, config
 from aucasimir.cli import _render, entry, main
 from aucasimir.config import RunConfig, _read_ini, load_run_config, package_data_dir
 from aucasimir.errors import ConfigError
@@ -503,6 +503,19 @@ class TestForce:
         assert "Matsubara sum at a = 100 nm" in err and "needs inf terms" in err
         assert err.count("\n") == 1
 
+    def test_memory_error_is_one_compute_error_line(self, drude_config, monkeypatch,
+                                                    capsys):
+        # an allocation that fails past the grids is a compute error, not
+        # numpy's traceback
+        def failing(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr(cli, "force_scan", failing)
+        code, out, err = run(capsys, ["force", "--config", drude_config, "--a", "100"])
+        assert code == 1
+        assert out == ""
+        assert err == "aucasimir: compute error: out of memory\n"
+
     def test_both_mode_warns_once_about_curvature(self):
         # a 2 um separation is R/a < 100 at both temperatures; the warning
         # names the CLI's line, so Python's default filter shows it once
@@ -851,10 +864,20 @@ def test_missing_grid_is_usage_error(drude_config, capsys, argv, flags):
     (["fit-drude", "--range", "nan", "1e15"], "--range needs finite 0 < LO < HI, got nan 1e+15"),
     (["fit-drude", "--range", "2e15", "1e15"],
      "--range needs finite 0 < LO < HI, got 2e+15 1e+15"),
+    # a grid too large to allocate (7 PiB, beyond the address space, so
+    # the allocation fails at once; numpy's MemoryError, or its ValueError
+    # past the maximum size) is an input error naming the flag as typed
+    (["epsilon", "--zeta-range", "1e13", "1e17", "1e15"],
+     "--zeta-range 1e+13 1e+17 1e+15: the grid is too large to allocate"),
+    (["yukawa-limit", "--points", "1000000000000000"],
+     "--lambda-min/--lambda-max/--points 10 1000 1e+15: the grid is too large to allocate"),
+    (["force", "--a-range", "60", "200", "1e300"],
+     "--a-range 60 200 1e+300: the grid is too large to allocate"),
 ], ids=[*(f"{flag}={value}" for flag in ("a", "zeta") for value in ("-1", "0", "nan", "inf")),
         "reversed-a-range", "one-point-zeta-range", "lambda-min=5e-324", "lambda-min=1e-315",
         "separation=5e-324", "film-thickness=1e-320", "a=5e-324", "a-range-from-5e-324",
-        "a=1e-25", "a=1e40", "fit-range-nan", "reversed-fit-range"])
+        "a=1e-25", "a=1e40", "fit-range-nan", "reversed-fit-range", "zeta-grid-of-1e15",
+        "lambda-grid-of-1e15", "a-grid-of-1e300"])
 def test_bad_grid_fails_before_config_is_read(tmp_path, capsys, argv, message):
     # grids, ranges and lengths are checked first: the missing config is
     # never opened (yukawa-limit reads no file and takes no --config)

@@ -12,7 +12,7 @@ from scipy.special import hyp2f1
 from aucasimir import (ConvergenceError, DielectricModel, DomainError,
                        DrudeParameters, EpsilonDecomposition, epsilon1_analytic,
                        fit_drude, load_dataset, resistivity)
-from aucasimir import dielectric
+from aucasimir import dielectric, lifshitz
 from aucasimir._quadrature import gauss_legendre, log_rule, log_sizing
 from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.dielectric import _BLOCK, _rule
@@ -586,6 +586,33 @@ class TestModelContract:
             for name in ("eps1", "eps2_part", "eps3_part"):
                 expected = [getattr(one, name) for one in alone[:count]]
                 assert np.array_equal(getattr(dec, name), expected), (count, name)
+
+    def test_block_size_moves_no_bit(self, bundled_model, monkeypatch):
+        # one zeta row a block, one node row's worth, the default and all
+        # rows in one block give the same parts, on the Matsubara zeta of
+        # 63 nm at 300 K and on zeta off that grid; at the default every
+        # work array is below glibc's 128 KiB mmap threshold
+        matsubara = lifshitz._matsubara_rule(300.0, 1.0, np.array([63e-9]))[0]
+        assert matsubara.size == 289
+        sizes, aligned_empty = [], dielectric.aligned_empty
+
+        def counted(shape):
+            work = aligned_empty(shape)
+            sizes.append(work.base.nbytes)
+            return work
+
+        monkeypatch.setattr(dielectric, "aligned_empty", counted)
+        for zetas in (matsubara, np.geomspace(1.3e13, 1.1e18, 41)):
+            sizes.clear()
+            default = bundled_model.decompose(zetas)
+            assert sizes and max(sizes) < 128 * 1024
+            for block in (1, 676, 15 * 1024, 10**6):
+                monkeypatch.setattr(dielectric, "_BLOCK", block)
+                dec = bundled_model.decompose(zetas)
+                for name in ("eps1", "eps2_part", "eps3_part"):
+                    assert np.array_equal(getattr(dec, name), getattr(default, name)), (
+                        block, name)
+            monkeypatch.setattr(dielectric, "_BLOCK", _BLOCK)
 
     def test_tabulated_parts_positive(self, bundled_model):
         dec = bundled_model.decompose(np.logspace(13, 18, 51))

@@ -11,7 +11,8 @@ promises for any input:
     positive ones (an alpha_min of 0 or a subnormal has lost its digits);
   * a non-zero exit prints one line to stderr (argparse usage errors,
     exit 2, aside), from the program's own checks: not the wording of an
-    arithmetic fault that Python or numpy raised on the way (BARE).
+    arithmetic or allocation fault that Python or numpy raised on the way
+    (BARE).
 
 The draws are derandomized, so a failure reproduces from this file alone.
 A grid's point count is drawn from GRID_COUNTS, not from VALUES: a large
@@ -43,9 +44,9 @@ KEYS = {"sphere_radius": "geometry", "temperature": "thermal",
         "omega_p": "dielectric", "omega_tau": "dielectric",
         "omega0": "dielectric", "omega1": "dielectric",
         "tail_exponent": "dielectric"}
-#: Python's and numpy's own wording for a bare arithmetic fault
+#: Python's and numpy's own wording for a bare arithmetic or allocation fault
 BARE = ("division by zero", "math range error", "math domain error", "cannot convert float",
-        "encountered in")
+        "encountered in", "Unable to allocate", "Maximum allowed size exceeded")
 R_OVER_A = "sphere_radius / separation < 100: the proximity force treatment assumes R >> a"
 
 TABULATED = (package_data_dir() / "sample_config.ini").read_text()

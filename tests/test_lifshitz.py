@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -326,6 +327,87 @@ class TestRoundTripFactors:
         expected = np.concatenate([_p_integral(eps[i:j], y[i:j], order)
                                    for i, j in zip(edges[:-1], edges[1:])])
         assert np.array_equal(_p_integral(eps, y, order), expected)
+
+
+class TestKeptWorkRows:
+    """The kernel's five work rows are kept per thread: allocated at a
+    thread's first `_p_integral` call and grown only when a call needs
+    more columns."""
+
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        # a fresh thread-local store, as a new thread sees it, and the
+        # length of every work row the kernel allocates
+        shapes, aligned_empty = [], lifshitz.aligned_empty
+
+        def counted(shape):
+            shapes.append(shape)
+            return aligned_empty(shape)
+
+        monkeypatch.setattr(lifshitz, "_KEPT", threading.local(), raising=False)
+        monkeypatch.setattr(lifshitz, "aligned_empty", counted)
+        return shapes
+
+    @staticmethod
+    def near_rows(n):
+        """(eps, y) of n rows on the near rule, 64 nodes each."""
+        return 1.0 + np.geomspace(1e6, 1e-3, n), np.geomspace(1e-2, 0.4, n)
+
+    def test_a_call_that_needs_no_more_columns_allocates_nothing(self, allocations):
+        first = _p_integral(*self.near_rows(ROWS), _P_ORDER)
+        assert allocations == [ROWS * 64] * 5
+        assert np.array_equal(_p_integral(*self.near_rows(ROWS), _P_ORDER), first)
+        _p_integral(*self.near_rows(3), _P_ORDER)
+        _p_integral(np.full(5, 2.0), np.geomspace(1.0, 50.0, 5), _P_ORDER)
+        assert allocations == [ROWS * 64] * 5
+
+    def test_a_call_that_needs_more_columns_grows_them_once(self, allocations):
+        small = _p_integral(*self.near_rows(3), _P_ORDER)
+        assert allocations == [3 * 64] * 5
+        # a chunk is at most _CHUNK elements, however many rows: each row
+        # stays under glibc's 128 KiB mmap threshold
+        for _ in range(2):
+            _p_integral(*self.near_rows(3 * ROWS), 2 * _P_ORDER)
+        assert (_CHUNK + 7) * 8 < 128 * 1024
+        assert np.array_equal(_p_integral(*self.near_rows(3), _P_ORDER), small)
+        assert allocations == [3 * 64] * 5 + [_CHUNK] * 5
+
+    def test_concurrent_scans_keep_the_bits_of_serial_ones(self, single_crystal):
+        # more threads than cores, each with its own work rows, scan at
+        # once with the interpreter switching often; shared rows would mix
+        # their chunks (numpy releases the GIL in its loops)
+        bundled = load_run_config(package_data_dir() / "sample_config.ini"
+                                  ).build_evaluator().epsilon
+        scans = [(np.linspace(60e-9, 200e-9, 8), 300.0, single_crystal.epsilon),
+                 (np.linspace(60e-9, 200e-9, 8), 0.0, single_crystal.epsilon),
+                 ([63e-9, 170e-9], 300.0, bundled)]
+        serial = [force_scan(SPHERE_RADIUS, a, t, eps) for a, t, eps in scans]
+        orders = [(0, 1, 2), (2, 1, 0), (1, 2, 0)]
+        results, errors = [[] for _ in orders], []
+
+        def run(out, order):
+            try:
+                for _ in range(20):
+                    for i in order:
+                        out.append((i, force_scan(SPHERE_RADIUS, *scans[i])))
+            except Exception as exc:      # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=args) for args in zip(results, orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [len(out) for out in results] == [60] * len(orders)
+        for i, scan in (pair for out in results for pair in out):
+            assert scan == serial[i], i
 
 
 @pytest.mark.parametrize("temperature", [300.0, 0.0], ids=["finite_T", "zero_T"])
