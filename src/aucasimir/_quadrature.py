@@ -6,6 +6,7 @@ share."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -91,9 +92,11 @@ _LOG_WIDEST = np.array([2.0 * math.pi / (rho - 1.0 / rho) for rho in
                         (_LOG_BOUND**(-0.5 / n) for n in _LOG_ORDERS.tolist())])
 
 
+@functools.cache
 def legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: the held
-    non-negative half mirrored, as leggauss symmetrises its own rule."""
+    non-negative half mirrored, as leggauss symmetrises its own rule.  Built
+    once per order, at its first call."""
     if order not in _RULES:
         raise ValueError(f"no Gauss-Legendre rule of order {order}; the held "
                          f"orders are {sorted(_RULES)}")
@@ -108,14 +111,15 @@ def legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(edges, orders) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss-Legendre rule on the panels
     between consecutive `edges`, in panel order: `orders` nodes on every
-    panel, or orders[k] on panel k (an int array).  The only code that
-    places nodes."""
+    panel (an int), or orders[k] on panel k (an int array).  The only code
+    that places nodes."""
     edges = np.asarray(edges, dtype=float)
-    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
-    if np.ndim(orders) == 0:        # one broadcast, in half the time of the loop
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    if not isinstance(orders, np.ndarray):  # one broadcast, in half the time of the loop
         x, w = legendre(orders)
         return (mid + half * x).ravel(), (half * w).ravel()
-    start = np.cumsum(orders) - orders
+    start = orders.cumsum() - orders
     nodes, weights = np.empty((2, start[-1] + orders[-1]))
     # set, not np.unique, which imports numpy.ma at its first call
     for n in set(orders.tolist()):
@@ -134,7 +138,7 @@ def log_sizing(widths) -> tuple[np.ndarray, np.ndarray]:
     two with as few nodes, the lower order."""
     widths = np.asarray(widths, dtype=float)
     panels = np.maximum(1.0, np.ceil(widths / _LOG_WIDEST[:, None]))
-    best = np.argmin(_LOG_ORDERS[:, None] * panels, axis=0)
+    best = (_LOG_ORDERS[:, None] * panels).argmin(axis=0)
     return _LOG_ORDERS[best], panels[best, np.arange(widths.size)].astype(int)
 
 
@@ -144,13 +148,13 @@ def log_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     float array, each split into the equal panels of the order that
     `log_sizing` gives it, placed by `gauss_legendre`.  The nodes
     ascend."""
-    lo, width = edges[:-1], np.diff(edges)
+    lo, width = edges[:-1], edges[1:] - edges[:-1]
     orders, panels = log_sizing(width)
-    seg = np.repeat(np.arange(panels.size), panels)
-    k = np.arange(seg.size) - (np.cumsum(panels) - panels)[seg]
+    seg = np.arange(panels.size).repeat(panels)
+    k = np.arange(seg.size) - (panels.cumsum() - panels)[seg]
     # np.linspace's own arithmetic, for every segment at once
     cuts = k * (width / panels)[seg] + lo[seg]
-    return gauss_legendre(np.append(cuts, edges[-1]), orders[seg])
+    return gauss_legendre(np.concatenate((cuts, edges[-1:])), orders[seg])
 
 
 def aligned_empty(shape) -> np.ndarray:
@@ -158,7 +162,7 @@ def aligned_empty(shape) -> np.ndarray:
     boundary.  numpy puts a large array 16 bytes past one, and AVX-512 adds
     and multiplies on it then run about 1.8 times slower (a 224 x 32 add:
     5.0 us against 2.8 us); the bits of every result are the same."""
-    size = int(np.prod(shape))
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
     buffer = np.empty(size + 7)
     start = -buffer.ctypes.data % 64 // buffer.itemsize
     return buffer[start:start + size].reshape(shape)

@@ -25,28 +25,32 @@ def read_table(path, n_columns: int, what: str):
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"{what} file not found: {path}")
-    rows, lines, comments = [], [], []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
+    values, lines, comments = [], [], []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "#":
             comments.append((lineno, line))
-        elif line:
+            continue
+        if "," in line:
             # nothing but blanks before the first comma, between two or
             # after the last is an empty field
             if not all(map(str.strip, line.split(","))):
                 raise DataFormatError(f"{path}:{lineno}: empty field")
-            parts = line.replace(",", " ").split()
-            if len(parts) != n_columns:
-                raise DataFormatError(f"{path}:{lineno}: expected {n_columns} "
-                                      f"{what} columns, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
-            if not all(map(math.isfinite, values)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            rows.append(values)
-            lines.append(lineno)
-    if not rows:
+            line = line.replace(",", " ")
+        parts = line.split()
+        if len(parts) != n_columns:
+            raise DataFormatError(f"{path}:{lineno}: expected {n_columns} "
+                                  f"{what} columns, got {len(parts)}")
+        try:
+            row = list(map(float, parts))
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, row)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value")
+        values += row
+        lines.append(lineno)
+    if not lines:
         raise DataFormatError(f"{path}: no data rows")
-    return np.array(rows), lines, comments
+    return np.array(values).reshape(-1, n_columns), lines, comments

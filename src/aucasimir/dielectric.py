@@ -69,6 +69,14 @@ _BLOCK = 15 * 1024
 _FIT_GRID_STEP = 0.25
 _FIT_GRID_DECADES = 3.0
 
+#: the steepest power-law tail a `DielectricModel` takes.  The tail's
+#: panels are sized for the Lorentzian pole, not for the factor
+#: (omega_max / omega)^q, so the rule stops resolving the tail as q grows:
+#: against mpmath its column meets the rule's bound up to q = 22, is 1.9
+#: times off at 24, 1e-3 relative at 100 and reads 0 at 1e6.  At q = 18
+#: the tail ends a decade above the data (t_min = 10^(-18/q) = 0.1)
+_Q_MAX = 18.0
+
 
 def _positive_zeta(zeta) -> np.ndarray:
     """zeta as a float array (a scalar becomes a 0-d array); every element
@@ -195,8 +203,9 @@ class DielectricModel(NamedTuple):
     above omega1 interband absorption dominates and the data are sample
     independent.  The dataset must cover [omega0, omega1]; above its last
     sample eps'' is extended as a power law with the given exponent q
-    (finite, and above 1 so the dispersion integral converges; the true
-    Drude tail falls off as omega^-3).
+    (above 1 so the dispersion integral converges, and at most `_Q_MAX` =
+    18, which the rule resolves; the true Drude tail falls off as
+    omega^-3).
 
     The dispersion integral of the data and the tail,
 
@@ -208,20 +217,19 @@ class DielectricModel(NamedTuple):
     omega_max/omega over [t_min, 1], gets the order and equal panels with
     the fewest nodes that meet one error bound (`log_sizing`): 5 nodes on
     each segment of the bundled data and 3 panels of 32 on the tail.
-    With t_min = 10^(-18/q), capped at 0.1, the tail left out below t_min,
+    With t_min = 10^(-18/q), the tail left out below t_min,
     (2/pi) eps''(omega_max) int_0^t_min t^(q-1) / (1 + (zeta t /
     omega_max)^2) dt, is at most (2/pi) eps''(omega_max) 1e-18 / q, below
     the rounding of eps >= 1, at every zeta.  So both models take every
     zeta their Drude part takes: up to 2^512, where it rounds to 0.
 
-    Accuracy: the rule's error is at rounding (its bound is 2.3e-18; on
-    the tail for q up to about 20, above which the power law is too steep
-    for its panels), so the log-log interpolant of the table sets the
-    accuracy of the tabulated path.  Against the closed form of the Drude
-    + two-Lorentz model that generated the bundled table (30 samples per
-    decade), eps(i zeta) is low by at most 3.0e-4 and the force at 63 nm
-    by 4.4e-5; at 10 and 100 samples per decade seeded spectra of that
-    kind stay within 6.1e-3 and 6.4e-5 in eps
+    Accuracy: the rule's error is at rounding (its bound is 2.3e-18, which
+    the tail meets up to q = 22), so the log-log interpolant of the table
+    sets the accuracy of the tabulated path.  Against the closed form of
+    the Drude + two-Lorentz model that generated the bundled table (30
+    samples per decade), eps(i zeta) is low by at most 3.0e-4 and the
+    force at 63 nm by 4.4e-5; at 10 and 100 samples per decade seeded
+    spectra of that kind stay within 6.1e-3 and 6.4e-5 in eps
     (tests/test_generator_oracle.py).
     """
 
@@ -237,6 +245,10 @@ class DielectricModel(NamedTuple):
         if not 1 < self.tail_exponent < math.inf:
             raise ValueError("tail_exponent must be finite and exceed 1 for "
                              "integrability")
+        if self.tail_exponent > _Q_MAX:
+            raise ValueError(f"tail_exponent must be at most {_Q_MAX:g}, beyond which "
+                             f"the tail rule does not resolve the power law, got "
+                             f"{self.tail_exponent:g}")
         # the slack covers decimal round-trips of omega0 through data files
         if self.dataset.omega_min > self.omega0 * (1.0 + 1e-9):
             raise ValueError(
@@ -295,14 +307,13 @@ def _rule(model: DielectricModel) -> tuple[np.ndarray, np.ndarray, tuple]:
     lower = max(omega0, ds.omega_min)
     # the tail ends at t = omega_max/omega = t_min, where what it leaves
     # out, at most (2/pi) eps''(omega_max) t_min^q / q, is below eps's
-    # rounding; t_min is 1e-6 at q = 3, and the cap keeps the tail segment
-    # from shrinking to no width at a huge q
-    t_min = min(10.0 ** (-18.0 / model.tail_exponent), 0.1)
-    ln_omega, weights = log_rule(np.log(np.hstack(
-        (lower, data[(data > lower) & (data < omega1)], omega1,
-         data[data > omega1], w_max / t_min))))
+    # rounding; t_min is 1e-6 at q = 3 and 0.1 at q = `_Q_MAX`
+    t_min = 10.0 ** (-18.0 / model.tail_exponent)
+    ln_omega, weights = log_rule(np.log(np.concatenate(
+        ((lower,), data[(data > lower) & (data < omega1)], (omega1,),
+         data[data > omega1], (w_max / t_min,)))))
     omega = np.exp(ln_omega)
-    i1, i2 = np.searchsorted(omega, (omega1, w_max))
+    i1, i2 = omega.searchsorted((omega1, w_max))
     eps2 = np.concatenate((interpolate_eps2(ds, omega[:i2]),
                            ds.eps2[-1] * (w_max / omega[i2:])**model.tail_exponent))
     return (omega * omega, (2.0 / math.pi) * weights * omega * omega * eps2,

@@ -89,9 +89,9 @@ _Y_TOP = 2.0
 #: 6; notes/decisions.md has the table)
 _Y_TAIL = 8.0
 #: the lower edges in y of the far, top and tail bands, by which
-#: `_p_integral` picks each row's rule (np.digitize, so a row at an edge
-#: takes the rule above it)
-_Y_EDGES = (_Y_FAR, _Y_TOP, _Y_TAIL)
+#: `_p_integral` picks each row's rule (searchsorted on the right, as
+#: np.digitize does, so a row at an edge takes the rule above it)
+_Y_EDGES = np.array((_Y_FAR, _Y_TOP, _Y_TAIL))
 #: elements (rows times nodes) per chunk of the kernel, to bound its work
 #: arrays: 112 near rows, 224 far rows, 448 top rows or 896 tail rows at
 #: order `_P_ORDER`.  The kernel's five work rows take at most 280 KiB,
@@ -270,9 +270,9 @@ def _p_integral(eps_values: np.ndarray, y: np.ndarray, order: int) -> np.ndarray
     do not depend on the other rows.
     """
     out = np.empty(y.shape)
-    band = np.digitize(y, _Y_EDGES)
+    band = _Y_EDGES.searchsorted(y, side="right")
     groups = [(rows, _p_rule(order, b)) for b in range(len(_Y_EDGES) + 1)
-              if (rows := np.flatnonzero(band == b)).size]
+              if (rows := (band == b).nonzero()[0]).size]
     work = _work(max((min(_CHUNK, rows.size * rule[0].size)
                       for rows, rule in groups), default=0))
     for rows, rule in groups:
@@ -336,7 +336,7 @@ def _frequency_sums(zeta: np.ndarray, weights: np.ndarray,
     sums = np.zeros(a.shape)
     start, end = 0, int(counts.max())
     while start < end:
-        active = np.flatnonzero(counts > start)
+        active = (counts > start).nonzero()[0]
         n = np.arange(start, min(start + max(1, _ROWS // active.size), end))
         live = n < counts[active, None]
         k = np.broadcast_to(n, live.shape)[live]
@@ -417,6 +417,20 @@ def _zero_T_rule(radius: float, a: np.ndarray, tightened: bool):
             hbar * radius / (2.0 * math.pi * c**2) * _N_TO_PN)
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, where): the distinct values of a 1-D float array,
+    ascending, and the index into them of each value, in the steps of
+    np.unique(values, return_inverse=True), which costs several times as
+    much at its first call.  Unlike np.unique it keeps every nan, which
+    sorts last."""
+    order = values.argsort()
+    ascending = values[order]
+    first = np.concatenate(((True,), ascending[1:] != ascending[:-1]))
+    where = np.empty(values.size, int)
+    where[order] = first.cumsum() - 1
+    return ascending[first], where
+
+
 def force_scan(sphere_radius: float, separations: Sequence[float],
                temperature: float, eps: Callable,
                prescription: str = "schwinger",
@@ -479,7 +493,7 @@ def force_scan(sphere_radius: float, separations: Sequence[float],
     if separations.ndim != 1 or not separations.size:
         raise ValueError("force_scan needs a 1-D sequence of at least one "
                          "separation")
-    a, where = np.unique(separations, return_inverse=True)     # sorted
+    a, where = _distinct(separations)
     # classical_term checks every value, before eps is called
     n0 = [classical_term(sphere_radius, x, temperature, prescription)
           for x in a.tolist()]

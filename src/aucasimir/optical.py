@@ -64,14 +64,17 @@ class OpticalDataset(NamedTuple):
             raise ValueError(f"columns differ in length: omega {omega.shape}, "
                              f"eps2 {eps2.shape}, source {source.shape}")
         for name, column in (("omega", omega), ("eps2", eps2)):
-            if not np.all((column > 0) & (column < np.inf)):
+            if not ((column > 0) & (column < np.inf)).all():
                 raise ValueError(f"{name} must be finite and positive")
-        order = np.argsort(omega, kind="stable")
-        omega, eps2, source = omega[order], eps2[order], source[order]
-        repeated = np.flatnonzero(omega[1:] == omega[:-1])
-        if repeated.size:
-            raise ValueError(f"repeated frequency omega={omega[repeated[0]]}: "
-                             f"samples must be strictly ascending in omega")
+        # a table read from a file is ascending already, and a stable sort
+        # of an ascending column is the identity
+        if not (omega[1:] > omega[:-1]).all():
+            order = omega.argsort(kind="stable")
+            omega, eps2, source = omega[order], eps2[order], source[order]
+            repeated = (omega[1:] == omega[:-1]).nonzero()[0]
+            if repeated.size:
+                raise ValueError(f"repeated frequency omega={omega[repeated[0]]}: "
+                                 f"samples must be strictly ascending in omega")
         for column in (omega, eps2, source):
             column.flags.writeable = False
         return omega, eps2, source
@@ -108,7 +111,8 @@ def load_dataset(path) -> OpticalDataset:
     unit, source = tokens.get("unit"), tokens.get("source", "")
     if unit not in ("rad_s", "eV"):
         raise DataFormatError(f"{path}:{header[0]}: unknown unit {unit!r}")
-    bad = np.flatnonzero(np.any(values <= 0, axis=1))
+    # row-major, so the first bad value is in the first bad row
+    bad = (values <= 0).nonzero()[0]
     if bad.size:
         raise DataFormatError(f"{path}:{lines[bad[0]]}: values must be positive")
     scale = EV_TO_RAD_S if unit == "eV" else 1.0
@@ -137,12 +141,12 @@ def interpolate_eps2(ds: OpticalDataset, omega):
     here).
     """
     w = np.asarray(omega, dtype=float)
-    if not np.all((w >= ds.omega_min) & (w <= ds.omega_max)):
+    if not ((w >= ds.omega_min) & (w <= ds.omega_max)).all():
         raise ValueError(
             f"omega outside data range [{ds.omega_min:.6g}, {ds.omega_max:.6g}]")
     out = np.exp(np.interp(np.log(w), np.log(ds.omega), np.log(ds.eps2)))
     # return the stored value verbatim when omega hits a node
-    idx = np.clip(np.searchsorted(ds.omega, w), 0, ds.omega.size - 1)
+    idx = np.minimum(ds.omega.searchsorted(w), ds.omega.size - 1)
     return np.where(ds.omega[idx] == w, ds.eps2[idx], out)[()]
 
 

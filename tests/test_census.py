@@ -12,6 +12,7 @@ one.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from aucasimir import lifshitz
 from aucasimir.cli import main
@@ -76,8 +77,13 @@ def test_kernel_timing_replays_each_workloads_kernel_rows_in_two_trees(capsys):
 def test_fault_census_counts_one_fresh_run_of_a_workload(capsys):
     fault_census.main(["--workload", "epsilon_table", "--runs", "1"])
     header, row, tree = capsys.readouterr().out.splitlines()
-    assert header.split()[:2] == ["workload", "tree"]
-    workload, index, faults, wall_ms, maxrss_mb = row.split()
+    assert header.split() == ["workload", "tree", "minor", "faults", "first", "ms",
+                              "repeat", "ms", "gap", "ms", "maxrss", "MB"]
+    workload, index, faults, first_ms, repeat_ms, gap_ms, maxrss_mb = row.split()
     assert (workload, index) == ("epsilon_table", "0")
-    assert int(faults) > 0 and float(wall_ms) > 0 and float(maxrss_mb) > 0
+    assert int(faults) > 0 and float(first_ms) > 0 and float(maxrss_mb) > 0
+    # one run: its gap is its first run's wall time less its repeat's
+    assert float(repeat_ms) > 0
+    # each printed to 0.005 ms
+    assert float(gap_ms) == pytest.approx(float(first_ms) - float(repeat_ms), abs=0.016)
     assert tree == f"tree 0: {fault_census.ROOT}"

@@ -1133,6 +1133,8 @@ class TestConfigDrudeFit:
      ["force", "--a", "63"], "[dielectric] boundaries"),
     (TABULATED_INI.replace("omega1 = 3.2e15", "omega1 = 3.2e15\ntail_exponent = 1"),
      ["force", "--a", "63"], "[dielectric] tail_exponent"),
+    (TABULATED_INI.replace("omega1 = 3.2e15", "omega1 = 3.2e15\ntail_exponent = 24"),
+     ["force", "--a", "63"], "tail_exponent must be at most 18"),
     (TABULATED_INI.replace("sphere_radius = 95.65e-6", "sphere_radius = 0"),
      ["force", "--a", "63"], "[geometry] sphere_radius"),
     (TABULATED_INI + "\n[thermal]\ntemperature = -1\n",
@@ -1167,7 +1169,7 @@ class TestConfigDrudeFit:
     (DRUDE_INI, ["fit-drude", "--range", "2e14", "2e15"],
      "config declares no dataset to fit"),
 ], ids=["unknown-model", "tabulated-without-dataset", "one-value-fit-range",
-        "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1",
+        "reversed-fit-range", "omega1-below-omega0", "tail-exponent-1", "tail-exponent-24",
         "zero-radius", "negative-temperature", "no-dielectric-section",
         "no-sphere-radius", "unparsable", "repeated-key", "negative-omega-p",
         "overflowing-omega-p", "negative-fixed-omega-p", "fit-without-dataset", "percent-in-value",

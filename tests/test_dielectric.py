@@ -273,7 +273,7 @@ class TestTailSeries:
         (2/pi) eps''(omega_max) int_0^1 t^(q-1) / (1 + x^2 t^2) dt
             = (2/pi) eps''(omega_max) 2F1(1, q/2; 1 + q/2; -x^2) / q.
 
-    The rule stops at t_min = 10^(-18/q), capped at 0.1, so it leaves out at
+    The rule stops at t_min = 10^(-18/q), so it leaves out at
     most (2/pi) eps''(omega_max) 1e-18 / q, an absolute bound at every zeta.
     Rounding adds a share of the value: each node ln omega is rounded by
     half an ulp of ln omega_max, which moves its weighted integrand by up to
@@ -307,8 +307,9 @@ class TestTailSeries:
         series = hyp2f1(1.0, 0.5 * q, 1.0 + 0.5 * q, -x2)
         self.assert_tail_matches(pure_drude_dataset, row2, q, series, zetas)
 
-    # the power law is too steep for the tail's panels from q ~ 20 on (at q
-    # = 1e6 the column is 0)
+    # up to the steepest tail a model takes, q = 18 (the tail's panels
+    # resolve the power law up to q = 22; at q = 24 the column is 1.9 times
+    # the tolerance off, and at q = 1e6 it reads 0)
     @pytest.mark.parametrize("q", [1.05, 1.5, 2, 3, 4, 4.5, 6, 18])
     def test_matches_mpmath_hyp2f1(self, pure_drude_dataset, row2, q):
         # at small zeta the part left out is the bound itself: measured 0.99
@@ -330,11 +331,18 @@ class TestTailSeries:
                                match=re.escape("zeta=1.341e+154 rad/s is out of range")):
                 model.decompose(2.0**512)
 
-    @pytest.mark.parametrize("q", [18.0, 1e6, 1e300])
+    @pytest.mark.parametrize("q", [18.0])
     def test_steep_tail_is_finite(self, bundled_model, q):
-        # t_min is 0.1 from q = 18 on, so the tail segment keeps its width
+        # t_min is 0.1 at q = 18, so the tail segment is a decade wide
         dec = bundled_model._replace(tail_exponent=q).decompose(self.ZETAS)
         assert (dec.eps3_part >= 0).all() and np.isfinite(dec.total).all()
+
+    @pytest.mark.parametrize("q", [math.nextafter(18.0, math.inf), 24.0, 1e6, 1e300])
+    def test_steeper_tail_is_rejected(self, bundled_model, q):
+        message = (f"tail_exponent must be at most 18, beyond which the tail rule "
+                   f"does not resolve the power law, got {q:g}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bundled_model._replace(tail_exponent=q)
 
 
 class TestKKEpsilon:

@@ -21,7 +21,7 @@ from aucasimir.config import load_run_config, package_data_dir
 from aucasimir.lifshitz import (_A_RANGE, _CHUNK, _EPS_CAP, _P_ORDER, _PER_DECADE,
                                 _ROWS, _Y_EDGES, _Y_FAR, _Y_MAX, _Y_REACH, _Y_TAIL,
                                 _Y_TOP, _ZETA_MIN, _ZETA_ORDER, ZETA3,
-                                _p_integral, _p_rule)
+                                _distinct, _p_integral, _p_rule)
 
 from conftest import SPHERE_RADIUS, TAIL_RTOL, drude_rows
 
@@ -859,6 +859,50 @@ class TestProperties:
 
 def no_eps(zeta):
     raise AssertionError("eps called")
+
+
+class TestFirstCallPrimitives:
+    """The primitives that stand in for numpy wrappers dear at their first
+    call give what the wrappers give."""
+
+    def test_band_is_np_digitize(self, monkeypatch):
+        # the rule `_p_integral` asks for, one row a call, at each edge, one
+        # float below each and on seeded y
+        edges = _Y_EDGES.tolist()
+        y = [*edges, *(math.nextafter(edge, 0.0) for edge in edges),
+             *10.0 ** np.random.default_rng(41).uniform(-4.0, 2.0, 200)]
+        bands = []
+        monkeypatch.setattr(lifshitz, "_p_rule", lambda order, band: (
+            bands.append(band) or _p_rule(order, band)))
+        for y_ in y:
+            _p_integral(np.array([2.0]), np.array([y_]), _P_ORDER)
+        assert bands == np.digitize(y, _Y_EDGES).tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_distinct_is_np_unique(self, seed):
+        # seeded scans with repeats, one separation alone among them
+        rng = np.random.default_rng(seed)
+        lattice = rng.uniform(20e-9, 2e-6, rng.integers(1, 12))
+        separations = rng.choice(lattice, rng.integers(1, 40))
+        distinct, where = _distinct(separations)
+        unique, inverse = np.unique(separations, return_inverse=True)
+        assert np.array_equal(distinct, unique) and np.array_equal(where, inverse)
+        assert np.array_equal(distinct[where], separations)
+
+    @pytest.mark.parametrize("separations", [
+        [1e40, 63e-9, 1e-31, 1e40], [math.nan, 1e-31, math.inf], [math.inf, 1e40],
+        [math.nan, -1e-9, 0.0, math.nan], [1e31, math.nan, 1e31]])
+    def test_first_bad_separation_in_np_unique_order_raises(self, separations):
+        # the n=0 terms check the distinct separations in ascending order
+        first_bad = None
+        for a in np.unique(separations).tolist():
+            try:
+                classical_term(SPHERE_RADIUS, a, 300.0)
+            except ValueError as exc:
+                first_bad = str(exc)
+                break
+        with pytest.raises(ValueError, match=f"^{re.escape(first_bad)}$"):
+            force_scan(SPHERE_RADIUS, separations, 300.0, no_eps)
 
 
 class TestArguments:

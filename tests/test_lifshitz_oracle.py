@@ -193,7 +193,7 @@ def test_tail_rule_moves_no_force(temperature, monkeypatch):
             tabulated.epsilon]:
         default = force_scan(SPHERE_RADIUS, separations, temperature, eps)
         with monkeypatch.context() as patch:
-            patch.setattr(lifshitz, "_Y_EDGES", (_Y_FAR, _Y_TOP, math.inf))
+            patch.setattr(lifshitz, "_Y_EDGES", np.array((_Y_FAR, _Y_TOP, math.inf)))
             top = force_scan(SPHERE_RADIUS, separations, temperature, eps)
         for tail_rule, top_rule in zip(default, top):
             assert tail_rule.total == pytest.approx(top_rule.total, rel=1e-15, abs=0)

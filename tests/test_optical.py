@@ -60,6 +60,26 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=":2"):
             load_dataset(path)
 
+    BAD_ROWS = {"non-finite value": "inf 2.0", "empty field": "1e16,,2.0",
+                "non-numeric value": "1e16 oops",
+                "expected 2 optical data columns, got 3": "1e16 2.0 7.0"}
+
+    @pytest.mark.parametrize("first", BAD_ROWS)
+    @pytest.mark.parametrize("later", BAD_ROWS)
+    def test_first_bad_line_is_reported(self, tmp_path, first, later):
+        # good rows on lines 2-4 and 6-8 around two bad ones: the reader
+        # stops at line 5, whatever is wrong with line 9
+        good = [f"{k}e14 1.0" for k in range(1, 7)]
+        table = ["# unit=rad_s", *good[:3], self.BAD_ROWS[first], *good[3:],
+                 self.BAD_ROWS[later]]
+        path = write(tmp_path, "\n".join(table) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:5: {first}')}$"):
+            load_dataset(path)
+        table[4] = "5e15 1.0"
+        path.write_text("\n".join(table) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:9: {later}')}$"):
+            load_dataset(path)
+
     def test_non_positive_value_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="positive"):
             load_dataset(write(tmp_path, "# unit=rad_s\n1e15 -2.0\n"))
@@ -211,6 +231,28 @@ class TestInvariants:
         ds = OpticalDataset([3e14, 1e14, 2e14], [3.0, 1.0, 2.0], ["c", "a", "b"])
         assert samples(ds) == [(1e14, 1.0, "a"), (2e14, 2.0, "b"),
                                (3e14, 3.0, "c")]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_columns_equal_ascending_ones(self, seed):
+        # a table built in any order holds the columns of the ascending one
+        omega = np.geomspace(1e14, 1e17, 40)
+        eps2 = np.random.default_rng(seed).uniform(0.1, 10.0, omega.size)
+        tags = [f"s{k}" for k in range(omega.size)]
+        shuffle = np.random.default_rng(seed + 10).permutation(omega.size)
+        ascending = OpticalDataset(omega, eps2, tags)
+        shuffled = OpticalDataset(omega[shuffle], eps2[shuffle],
+                                  [tags[k] for k in shuffle])
+        assert samples(shuffled) == samples(ascending)
+        for column in (*ascending, *shuffled):
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize("omega", [[1e14, 2e14, 2e14, 3e14], [3e14, 2e14, 1e14, 2e14],
+                                       [2e14, 2e14]])
+    def test_repeated_frequency_raises_in_any_order(self, omega):
+        with pytest.raises(ValueError, match=re.escape(
+                "repeated frequency omega=200000000000000.0: samples must be "
+                "strictly ascending in omega")):
+            OpticalDataset(omega, [1.0] * len(omega))
 
     def test_single_tag_for_every_sample(self):
         assert OpticalDataset([1e14, 2e14], [1.0, 2.0], "x").source.tolist() == [

@@ -133,13 +133,27 @@ def test_sizing_of_known_widths(width, sized):
     assert (int(orders[0]), int(panels[0])) == sized
 
 
-@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (48, 676)])
+# a tuple or an int, as `dielectric` and `lifshitz` pass them
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (5, 7168), (48, 676), 1, 7, 7168])
 def test_aligned_empty_starts_on_a_64_byte_boundary(shape):
     for _ in range(4):
         work = aligned_empty(shape)
-        assert work.shape == shape and work.dtype == np.float64
+        assert work.shape == (shape if isinstance(shape, tuple) else (shape,))
+        assert work.dtype == np.float64 and work.base.size == work.size + 7
         assert work.flags.c_contiguous and work.flags.writeable
         assert work.ctypes.data % 64 == 0
+
+
+def test_held_rules_stay_read_only():
+    # each order is built once; the arrays every caller shares cannot be
+    # written, at the first call or any later one
+    for order in ORDERS:
+        first = legendre(order)
+        assert legendre(order) is first
+        for column in first:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
 
 
 def counted(f):
